@@ -219,16 +219,7 @@ def split_bounded_imag(
     """
     if family.rep is None:
         raise ValueError("split needs representation data; use split_black_box")
-    g = family.rep
-    zs = tuple(herglotz.default_grid() if grid is None else grid)
-    values = [family(z) - herglotz.evaluate(g, z) for z in zs]
-    mean = sum(values) / len(values)
-    scale = 1.0 + matnum.spectral_norm(mean)
-    constancy = max(matnum.spectral_norm(v - mean) for v in values) / scale
-    herm_res = matnum.spectral_norm(mean - mean.conj().T) / scale
-    t_const = matnum.herm_part(mean)
-    passed = constancy <= rtol and herm_res <= rtol
-    return SplitResult(g, t_const, constancy, herm_res, passed)
+    return _certify_split(family, family.rep, grid, rtol)
 
 
 def split_black_box(
@@ -262,7 +253,11 @@ def split_black_box(
     b1 = _clip_psd(b1)
     atoms = [(t, _clip_psd(w)) for t, w in zip(locations, weights)]
     g = HerglotzRep.create(np.zeros((dim, dim)), b1, atoms if atoms else None)
+    return _certify_split(family, g, grid, rtol)
 
+
+def _certify_split(family, g: HerglotzRep, grid, rtol: float) -> SplitResult:
+    """T = F - G on the grid must be constant and Hermitian, relative to rtol."""
     zs = tuple(herglotz.default_grid() if grid is None else grid)
     values = [family(z) - herglotz.evaluate(g, z) for z in zs]
     mean = sum(values) / len(values)

@@ -18,14 +18,11 @@ USAGE_ERROR = 2
 
 
 def _pin_threads() -> None:
-    # must run before numpy is imported anywhere in the process
-    for var in (
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "OMP_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, "1")
+    # must run before numpy is imported anywhere in the process; assigned,
+    # not defaulted, so a host-wide thread count cannot win
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = "1"
 
 
 def _parse_point(text: str) -> complex:
@@ -43,6 +40,8 @@ def _parse_grid(text: str) -> list[complex]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .runner import EXAMPLE_REPORTS
+
     parser = argparse.ArgumentParser(
         prog="nevlab",
         description="verify invariance properties of Herglotz-class operator "
@@ -92,11 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="example-family reports")
     common(p)
     p.add_argument("--entity", required=True)
-    p.add_argument(
-        "--what",
-        choices=("decay", "form_domain", "gap_sweep", "conditioning"),
-        default="decay",
-    )
+    p.add_argument("--what", choices=EXAMPLE_REPORTS, default="decay")
 
     p = sub.add_parser("demo", help="run the bundled demonstration document")
     common(p, with_doc=False)
@@ -105,21 +100,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_document(args, text: str):
+    """Merge the command-line overrides into the document, then validate it."""
     from . import document as docmod
 
-    doc = docmod.parse_document(text)
-    if args.seed is not None:
-        doc.seed = args.seed
-    if getattr(args, "grid", None):
-        doc.grid = list(args.grid)
-    overrides = {
-        "eps_psd": args.tol_psd,
-        "eps_rank": args.tol_rank,
-        "eps_eq": args.tol_eq,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            doc.tolerances[key] = value
+    raw = docmod.read_json(text)
+    if isinstance(raw, dict):
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if args.grid:
+            raw["grid"] = [[z.real, z.imag] for z in args.grid]
+        tolerances = raw.setdefault("tolerances", {})
+        for key, value in (("eps_psd", args.tol_psd), ("eps_rank", args.tol_rank),
+                           ("eps_eq", args.tol_eq)):
+            if value is not None and isinstance(tolerances, dict):
+                tolerances[key] = value
+        if args.command in ("classify", "invariance", "analysis", "examples"):
+            raw["tasks"] = _synthetic_tasks(args, raw)
+    doc = docmod.validate_document(raw)
     if args.format is not None:
         doc.output_format = args.format
     return doc
@@ -135,7 +132,11 @@ def _execute(doc, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = args.out or doc.output_dir or "nevlab-out"
-    summary = repmod.write_reports(task_reports, out_dir, doc.output_format)
+    try:
+        summary = repmod.write_reports(task_reports, out_dir, doc.output_format)
+    except OSError as exc:
+        print(f"error: cannot write reports: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     for entry in summary["tasks"]:
         status = "pass" if entry["passed"] else "FAIL"
         print(f"[{status}] {entry['task']}: {entry['name']}")
@@ -143,46 +144,23 @@ def _execute(doc, args) -> int:
     return 0 if summary["passed"] else 1
 
 
-def _synthetic_tasks(args, doc) -> list[dict]:
-    """Replace document tasks for the one-shot subcommands."""
+def _synthetic_tasks(args, raw: dict) -> list[dict]:
+    """The tasks that replace a document's own for the one-shot subcommands."""
     if args.command == "classify":
-        names = (
-            [args.entity]
-            if args.entity
-            else [e["name"] for e in doc.entities]
-        )
-        return [
-            {"name": f"classify-{n}", "task": "classify", "entity": n} for n in names
-        ]
+        entities = raw.get("entities") if isinstance(raw.get("entities"), list) else []
+        names = [args.entity] if args.entity else [
+            e.get("name") for e in entities if isinstance(e, dict)]
+        return [{"name": f"classify-{n}", "task": "classify", "entity": n} for n in names]
+    task = {"name": f"{args.command}-{args.entity}", "task": args.command,
+            "entity": args.entity}
     if args.command == "invariance":
-        return [
-            {
-                "name": f"invariance-{args.entity}",
-                "task": "invariance",
-                "entity": args.entity,
-                "a": args.a,
-            }
-        ]
-    if args.command == "analysis":
-        return [
-            {
-                "name": f"analysis-{args.entity}",
-                "task": "analysis",
-                "entity": args.entity,
-                "analyses": [a for a in args.analyses.split(",") if a],
-                "z": [args.z.real, args.z.imag],
-            }
-        ]
-    if args.command == "examples":
-        return [
-            {
-                "name": f"examples-{args.entity}",
-                "task": "examples",
-                "entity": args.entity,
-                "what": args.what,
-            }
-        ]
-    raise AssertionError(args.command)
+        task["a"] = args.a
+    elif args.command == "analysis":
+        task["analyses"] = [a for a in args.analyses.split(",") if a]
+        task["z"] = [args.z.real, args.z.imag]
+    else:
+        task["what"] = args.what
+    return [task]
 
 
 def demo_document_text() -> str:
@@ -223,7 +201,7 @@ def main(argv=None) -> int:
     else:
         try:
             text = Path(args.doc).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read document: {exc}", file=sys.stderr)
             return USAGE_ERROR
 
@@ -233,17 +211,6 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"document error: {line}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"document error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    if args.command in ("classify", "invariance", "analysis", "examples"):
-        known = {e["name"] for e in doc.entities}
-        entity = getattr(args, "entity", None)
-        if entity is not None and entity not in known:
-            print(f"error: unknown entity {entity!r}", file=sys.stderr)
-            return USAGE_ERROR
-        doc.tasks = _synthetic_tasks(args, doc)
 
     return _execute(doc, args)
 

@@ -6,23 +6,30 @@ Parsing validates the whole document and reports every problem found, not
 just the first; matrices serialize as nested arrays of [re, im] pairs and
 measure atoms as [location, matrix], which keeps files lossless and
 diffable.
+
+Every task is checked through its entry in the task table
+(``runner.TASKS``), so a parsed document holds tasks whose parameters are
+already typed and filled with defaults, and its tolerance policy is built
+once here.  A task name must be a plain file stem, since it names the
+task's report files; the grid must hold at least one point with Im z > 0.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
+
+from .matnum import DEFAULT_TOL, TolerancePolicy
 
 VERSION_TAG = "nevlab/1"
 
 ENTITY_KINDS = ("herglotz_rep", "family", "pair", "sturm_liouville", "ex4a")
-TASK_KINDS = ("classify", "invariance", "harnack", "analysis", "examples", "sweep")
 PAIR_TYPES = ("canonical", "constant", "transform")
 TRANSFORM_OPS = ("shift", "scale", "flip", "junitary", "herglotz_shift")
-SWEEP_SEQUENCES = ("diag-inverse-k", "scalar-z-identity", "atomic-dyadic")
-ANALYSIS_KINDS = ("split", "c2", "weak_strong", "factor", "schatten", "sandwich")
-INVARIANCE_CHECKS = ("point", "imag_kernel", "resolvent", "boundedness", "mul")
 OUTPUT_FORMATS = ("json", "csv", "both")
 
 
@@ -41,15 +48,10 @@ class JobDocument:
     grid: list[complex] | None
     tolerances: dict[str, float]
     entities: list[dict]
-    tasks: list[dict]
+    tasks: list[dict]  # checked by the task table, defaults filled in
     output_format: str
     output_dir: str | None = None
-
-    def entity(self, name: str) -> dict:
-        for e in self.entities:
-            if e["name"] == name:
-                return e
-        raise KeyError(name)
+    tol: TolerancePolicy = DEFAULT_TOL  # built from tolerances
 
     def to_json_obj(self) -> dict:
         obj: dict[str, Any] = {"version": self.version, "seed": self.seed}
@@ -58,7 +60,11 @@ class JobDocument:
         if self.tolerances:
             obj["tolerances"] = dict(self.tolerances)
         obj["entities"] = self.entities
-        obj["tasks"] = self.tasks
+        obj["tasks"] = [
+            {k: [v.real, v.imag] if isinstance(v, complex) else v
+             for k, v in task.items() if v is not None}
+            for task in self.tasks
+        ]
         obj["output"] = (
             {"format": self.output_format}
             if self.output_dir is None
@@ -68,15 +74,11 @@ class JobDocument:
 
 
 def encode_matrix(m) -> list:
-    import numpy as np
-
     m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def decode_matrix(obj, where: str, errors: list[str]):
-    import numpy as np
-
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
@@ -100,27 +102,46 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def parse_document(text: str) -> JobDocument:
-    """Parse and validate; raises DocumentError listing all problems."""
-    errors: list[str] = []
+def real(value) -> float:
+    """A finite JSON number as a float; ValueError otherwise."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"must be a finite real number, got {value!r}")
+
+
+def read_json(text: str):
+    """Decode document text, rejecting duplicate keys; raises DocumentError."""
     try:
-        raw = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
     except ValueError as exc:
         raise DocumentError([str(exc)]) from exc
+
+
+def parse_document(text: str) -> JobDocument:
+    """Parse and validate; raises DocumentError listing all problems."""
+    return validate_document(read_json(text))
+
+
+def validate_document(raw) -> JobDocument:
+    """Validate a decoded document; raises DocumentError listing all problems."""
+    from .runner import TASKS  # imported here because runner imports this module
+
     if not isinstance(raw, dict):
         raise DocumentError(["document root must be an object"])
+    errors: list[str] = []
 
     version = raw.get("version")
     if version != VERSION_TAG:
         errors.append(f"version tag must be {VERSION_TAG!r}, got {version!r}")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        errors.append("seed must be a nonnegative integer")
         seed = 0
 
     grid = None
@@ -128,17 +149,16 @@ def parse_document(text: str) -> JobDocument:
         grid = []
         if not isinstance(raw["grid"], list) or not raw["grid"]:
             errors.append("grid must be a nonempty list of [re, im] pairs")
-            grid = None
         else:
             for i, point in enumerate(raw["grid"]):
-                if (
-                    not isinstance(point, list)
-                    or len(point) != 2
-                    or not all(isinstance(v, (int, float)) for v in point)
-                ):
-                    errors.append(f"grid[{i}] must be an [re, im] pair")
-                else:
-                    grid.append(complex(point[0], point[1]))
+                try:
+                    if not isinstance(point, list) or len(point) != 2:
+                        raise ValueError
+                    grid.append(complex(real(point[0]), real(point[1])))
+                except ValueError:
+                    errors.append(f"grid[{i}] must be an [re, im] pair of finite numbers")
+            if grid and not any(z.imag > 0 for z in grid):
+                errors.append("grid must contain at least one point with Im z > 0")
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -180,6 +200,7 @@ def parse_document(text: str) -> JobDocument:
         errors.append("tasks must be a list")
         tasks = []
     task_names: dict[str, int] = {}
+    checked = []
     for i, task in enumerate(tasks):
         if not isinstance(task, dict):
             errors.append(f"tasks[{i}] must be an object")
@@ -190,13 +211,18 @@ def parse_document(text: str) -> JobDocument:
             tname = f"tasks[{i}]"
         elif tname in task_names:
             errors.append(f"duplicate task name {tname!r}")
+        elif not _is_file_stem(tname):
+            errors.append(
+                f"task name {tname!r} must be a plain file stem: no '/', '\\' "
+                "or leading '.', and not 'summary'"
+            )
         else:
             task_names[tname] = i
         kind = task.get("task")
-        if kind not in TASK_KINDS:
+        if not isinstance(kind, str) or kind not in TASKS:
             errors.append(f"task {tname!r}: unknown task kind {kind!r}")
             continue
-        _validate_task(task, tname, kind, names, errors)
+        checked.append(TASKS[kind].check(task, f"task {tname!r}", names, errors))
 
     output = raw.get("output", {})
     output_format, output_dir = "both", None
@@ -218,7 +244,15 @@ def parse_document(text: str) -> JobDocument:
     if errors:
         raise DocumentError(errors)
     return JobDocument(
-        version, seed, grid, dict(tolerances), entities, tasks, output_format, output_dir
+        version, seed, grid, dict(tolerances), entities, checked,
+        output_format, output_dir, TolerancePolicy(**tolerances),
+    )
+
+
+def _is_file_stem(name: str) -> bool:
+    """Whether a task name can name report files inside the output directory."""
+    return not (
+        name.startswith(".") or name == "summary" or any(c in name for c in "/\\\0")
     )
 
 
@@ -321,80 +355,18 @@ def _validate_entity(ent: dict, names: dict[str, int], errors: list[str]) -> Non
         scale = ent.get("c_perturbation", 0.0)
         if not isinstance(scale, (int, float)) or not (0 <= scale < 0.9):
             errors.append(f"{where}: c_perturbation must lie in [0, 0.9)")
-        if "b_decay" in ent and ent["b_decay"] is not None:
-            bd = ent["b_decay"]
-            if not isinstance(bd, list) or not all(isinstance(v, (int, float)) for v in bd):
-                errors.append(f"{where}: b_decay must be a list of numbers")
+        bd = ent.get("b_decay")
+        if bd is not None and not _is_decay_list(bd, ent.get("n")):
+            errors.append(f"{where}: b_decay must be n positive, strictly decreasing numbers")
 
 
-def _validate_task(task, tname, kind, names, errors):
-    where = f"task {tname!r}"
-
-    def need_entity(key="entity"):
-        ref = task.get(key)
-        if not isinstance(ref, str):
-            errors.append(f"{where}: needs an {key!r} reference")
-        elif ref not in names:
-            errors.append(f"{where}: dangling reference to entity {ref!r}")
-
-    if kind == "classify":
-        need_entity()
-    elif kind == "invariance":
-        need_entity()
-        checks = task.get("checks", list(INVARIANCE_CHECKS))
-        if not isinstance(checks, list) or not checks:
-            errors.append(f"{where}: checks must be a nonempty list")
-        else:
-            for c in checks:
-                if c not in INVARIANCE_CHECKS:
-                    errors.append(f"{where}: unknown check {c!r}")
-        if ("point" in (checks if isinstance(checks, list) else [])) and not isinstance(
-            task.get("a", 0.0), (int, float)
-        ):
-            errors.append(f"{where}: 'a' must be a real number")
-    elif kind == "harnack":
-        if "entity" in task:
-            need_entity()
-        for key in ("z1", "z2", "z0"):
-            if key in task:
-                point = task[key]
-                if (
-                    not isinstance(point, list)
-                    or len(point) != 2
-                    or not all(isinstance(v, (int, float)) for v in point)
-                ):
-                    errors.append(f"{where}: {key} must be an [re, im] pair")
-                elif point[1] <= 0:
-                    errors.append(f"{where}: {key} must lie in the upper half-plane")
-        if "trials" in task and (not isinstance(task["trials"], int) or task["trials"] < 1):
-            errors.append(f"{where}: trials must be a positive integer")
-    elif kind == "analysis":
-        need_entity()
-        analyses = task.get("analyses", ["split"])
-        if not isinstance(analyses, list) or not analyses:
-            errors.append(f"{where}: analyses must be a nonempty list")
-        else:
-            for a in analyses:
-                if a not in ANALYSIS_KINDS:
-                    errors.append(f"{where}: unknown analysis {a!r}")
-    elif kind == "examples":
-        need_entity()
-        what = task.get("what", "decay")
-        if what not in ("decay", "form_domain", "gap_sweep", "conditioning"):
-            errors.append(f"{where}: unknown examples report {what!r}")
-    elif kind == "sweep":
-        seq = task.get("sequence")
-        if seq not in SWEEP_SEQUENCES:
-            errors.append(f"{where}: unknown sweep sequence {seq!r}")
-        n_list = task.get("n_list")
-        if (
-            not isinstance(n_list, list)
-            or len(n_list) < 2
-            or not all(isinstance(n, int) and n > 0 for n in n_list)
-        ):
-            errors.append(f"{where}: n_list must be a list of at least two positive integers")
-        elif any(b <= a for a, b in zip(n_list, n_list[1:])):
-            errors.append(f"{where}: n_list must be strictly increasing")
+def _is_decay_list(bd, n) -> bool:
+    try:
+        values = [real(v) for v in bd] if isinstance(bd, list) else []
+    except ValueError:
+        return False
+    decreasing = all(b < a for a, b in zip(values, values[1:]))
+    return len(values) == n and min(values, default=0.0) > 0 and decreasing
 
 
 def serialize_document(doc: JobDocument) -> str:

@@ -137,15 +137,24 @@ def decay_exponent(
     window: tuple[int, int] | None = None,
 ) -> float:
     """Fitted slope of log s_j(G(z)^(-1)) against log j over [n/8, n/3]."""
+    return decay_profile(family, z, window)[2]
+
+
+def decay_profile(
+    family: FamilyEvaluator,
+    z: complex,
+    window: tuple[int, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Window indices j, singular values s_j(G(z)^(-1)) there, and their fitted slope."""
     z = complex(z)
     if z.imag == 0:
         raise herglotz.DomainError("decay exponent needs z off the real axis")
     n = family.dim
     lo, hi = window if window is not None else (max(1, n // 8), max(2, n // 3))
     inv = matnum.inverse(family(z), rcond_min=1e-15)
-    s = matnum.singular_values(inv)
     js = np.arange(lo, hi + 1)
-    return analysis.fit_log_slope(js, s[js - 1])
+    s = matnum.singular_values(inv)[js - 1]
+    return js, s, analysis.fit_log_slope(js, s)
 
 
 def halfline_gap_sweep(

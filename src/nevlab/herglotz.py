@@ -277,12 +277,6 @@ def family_direct_sum(fa: FamilyEvaluator, fb: FamilyEvaluator) -> FamilyEvaluat
     return FamilyEvaluator(fa.dim + fb.dim, fn, "direct-sum")
 
 
-def _value_of(f, z: complex) -> np.ndarray:
-    if isinstance(f, HerglotzRep):
-        return evaluate(f, z)
-    return f(z)
-
-
 def nevanlinna_kernel(
     f: HerglotzRep | FamilyEvaluator,
     z: complex,
@@ -291,18 +285,25 @@ def nevanlinna_kernel(
 ) -> np.ndarray:
     """Difference kernel (F(z) - F(w)*) / (z - conj w).
 
-    Near the diagonal z = conj w (within eps_eq * (|z| + |w|)) the quotient
-    degenerates and the derivative branch F'(z) is used instead; that
-    branch needs representation data and is only available for reps.
+    With representation data the kernel is taken in closed form,
+    B1 + sum_j W_j / ((t_j - z)(t_j - conj w)); a Hermitian offset cancels.
+    That form is a sum of PSD terms, so it keeps kernel_gram PSD to
+    rounding even where the plain quotient cancels (points near the real
+    axis), and on the diagonal z = conj w it is the derivative F'(z).
+    Without representation data the plain quotient is used, and the
+    diagonal (within eps_eq * (|z| + |w|)) raises DomainError.
     """
     z, w = complex(z), complex(w)
+    rep = f if isinstance(f, HerglotzRep) else f.rep
+    if rep is not None:
+        z, w_bar = _check_point(rep, z), _check_point(rep, np.conj(w))
+        out = rep.b1.astype(np.complex128).copy()
+        for t, weight in zip(rep.measure.locations, rep.measure.weights):
+            out = out + weight / ((t - z) * (t - w_bar))
+        return out
     if abs(z - np.conj(w)) <= tol.eps_eq * (abs(z) + abs(w)):
-        if isinstance(f, HerglotzRep):
-            return derivative(f, z)
-        if isinstance(f, FamilyEvaluator) and f.rep is not None:
-            return derivative(f.rep, z)  # offsets cancel in the derivative
         raise DomainError("diagonal z = conj(w) needs representation data")
-    return (_value_of(f, z) - _value_of(f, w).conj().T) / (z - np.conj(w))
+    return (f(z) - f(w).conj().T) / (z - np.conj(w))
 
 
 def kernel_gram(
@@ -383,14 +384,17 @@ def classify(
         return Classification(CLASS_NOT_NEV, lam_min, -1, sym, float(margin))
 
     kernel_dim = matnum.null_space(im_i, tol).shape[1]
-    scale = 1.0 + matnum.spectral_norm(im_i)
-    if kernel_dim == 0 and lam_min >= 10.0 * tol.eps_psd * scale:
-        label = CLASS_UNIFORM
-    elif kernel_dim == 0:
-        label = CLASS_STRICT
-    else:
-        label = CLASS_PLAIN
+    label = strictness_label(lam_min, kernel_dim, matnum.spectral_norm(im_i), tol)
     return Classification(label, lam_min, kernel_dim, sym, float(margin))
+
+
+def strictness_label(lam_min: float, kernel_dim: int, norm: float, tol: TolerancePolicy) -> str:
+    """R / R^s / R^u from a PSD kernel value at one point; see ``classify``."""
+    if kernel_dim > 0:
+        return CLASS_PLAIN
+    if lam_min >= 10.0 * tol.eps_psd * (1.0 + norm):
+        return CLASS_UNIFORM
+    return CLASS_STRICT
 
 
 def stieltjes_invert(

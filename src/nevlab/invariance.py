@@ -71,15 +71,32 @@ def _as_pair(obj) -> PairEvaluator:
 
 
 def _offaxis(grid) -> tuple[complex, ...]:
-    return tuple(complex(z) for z in grid if complex(z).imag != 0)
+    """The off-axis points of grid (default: the check grid); DomainError if none."""
+    grid = default_check_grid() if grid is None else grid
+    out = tuple(complex(z) for z in grid if complex(z).imag != 0)
+    if not out:
+        raise herglotz.DomainError("the grid has no point off the real axis")
+    return out
 
 
-def _pairwise_worst(spans: list[np.ndarray]) -> float:
-    worst = 0.0
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            worst = max(worst, matnum.subspace_distance(spans[i], spans[j]))
-    return worst
+def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
+    """Worst pairwise distance between spans over the grid, with its notes.
+
+    A dimension that varies counts as distance 1.0 and is explained in
+    the notes; otherwise the notes carry the common dimension.  Given
+    witnesses, each gains its span's ``distance`` to the anchor (the span
+    at the first grid point).
+    """
+    dims = sorted({s.shape[1] for s in spans})
+    if len(dims) != 1:
+        for w in witnesses or []:
+            w["distance"] = 1.0
+        return 1.0, {"reason": "dimension varies", "dims": dims}
+    for w, s in zip(witnesses or [], spans):
+        w["distance"] = matnum.subspace_distance(s, spans[0])
+    worst = max((matnum.subspace_distance(u, v)
+                 for i, u in enumerate(spans) for v in spans[i + 1:]), default=0.0)
+    return worst, {"dim": dims[0]}
 
 
 def check_point_invariance(
@@ -96,7 +113,7 @@ def check_point_invariance(
     """
     pair = _as_pair(obj)
     a = float(a)
-    grid = _offaxis(default_check_grid() if grid is None else grid)
+    grid = _offaxis(grid)
     spans, witnesses = [], []
     for z in grid:
         phi, psi = pair(z)
@@ -104,20 +121,10 @@ def check_point_invariance(
         span = matnum.range_space(phi @ params, tol)
         spans.append(span)
         witnesses.append({"eigenspace_dim": span.shape[1]})
-    dims = {s.shape[1] for s in spans}
-    if len(dims) > 1:
-        for w, s in zip(witnesses, spans):
-            w["distance"] = 1.0
-        return InvarianceReport(
-            "point-spectrum-invariance", grid, witnesses, False, 1.0,
-            {"a": a, "reason": "dimension varies", "dims": sorted(dims)},
-        )
-    worst = _pairwise_worst(spans)
-    for w, s in zip(witnesses, spans):
-        w["distance"] = matnum.subspace_distance(s, spans[0])
+    worst, notes = _span_drift(spans, witnesses)
     return InvarianceReport(
         "point-spectrum-invariance", grid, witnesses, worst <= SUBSPACE_TOL, worst,
-        {"a": a, "dim": spans[0].shape[1]},
+        {"a": a, **notes},
     )
 
 
@@ -135,22 +142,16 @@ def check_imag_kernel_invariance(
     """
     if isinstance(family, HerglotzRep):
         family = FamilyEvaluator.from_rep(family)
-    grid = _offaxis(default_check_grid() if grid is None else grid)
+    grid = _offaxis(grid)
     spans, lam_mins, witnesses = [], [], []
     for z in grid:
         h = matnum.imag_part(family(z)) * np.sign(z.imag)
         spans.append(matnum.null_space(h, tol))
         lam_mins.append(float(np.linalg.eigvalsh(matnum.herm_part(h))[0]))
         witnesses.append({"kernel_dim": spans[-1].shape[1], "lam_min": lam_mins[-1]})
-    dims = {s.shape[1] for s in spans}
-    if len(dims) > 1:
-        return InvarianceReport(
-            "imag-kernel-invariance", grid, witnesses, False, 1.0,
-            {"reason": "dimension varies", "dims": sorted(dims)},
-        )
-    worst = _pairwise_worst(spans)
-    for w, s in zip(witnesses, spans):
-        w["distance"] = matnum.subspace_distance(s, spans[0])
+    worst, notes = _span_drift(spans, witnesses)
+    if "dim" not in notes:
+        return InvarianceReport("imag-kernel-invariance", grid, witnesses, False, 1.0, notes)
 
     z0 = grid[0]
     fold = lambda z: z if z.imag > 0 else np.conj(z)
@@ -165,7 +166,7 @@ def check_imag_kernel_invariance(
     passed = worst <= SUBSPACE_TOL and corridor_worst <= harnack_rtol
     return InvarianceReport(
         "imag-kernel-invariance", grid, witnesses, passed, max(worst, corridor_worst),
-        {"dim": spans[0].shape[1], "corridor_worst": corridor_worst},
+        {**notes, "corridor_worst": corridor_worst},
     )
 
 
@@ -184,7 +185,7 @@ def check_resolvent_invariance(
     pair = _as_pair(obj)
     a = float(a)
     alpha = (a - 1j) / (a + 1j)
-    grid = _offaxis(default_check_grid() if grid is None else grid)
+    grid = _offaxis(grid)
     eye = np.eye(pair.dim, dtype=np.complex128)
     flags, witnesses = [], []
     ok_cross = True
@@ -218,7 +219,7 @@ def check_boundedness_invariance(
 ) -> InvarianceReport:
     """Rank of Phi(z) (full rank = operator part bounded) is z-independent."""
     pair = _as_pair(obj)
-    grid = _offaxis(default_check_grid() if grid is None else grid)
+    grid = _offaxis(grid)
     ranks, witnesses = [], []
     for z in grid:
         phi, _ = pair(z)
@@ -240,25 +241,16 @@ def check_mul_invariance(
 ) -> InvarianceReport:
     """The multivalued part of the snapshot relation has a constant span."""
     pair = _as_pair(obj)
-    grid = _offaxis(default_check_grid() if grid is None else grid)
+    grid = _offaxis(grid)
     spans, witnesses = [], []
     for z in grid:
         phi, psi = pair(z)
         span = matnum.range_space(psi @ matnum.null_space(phi, tol), tol)
         spans.append(span)
         witnesses.append({"mul_dim": span.shape[1]})
-    dims = {s.shape[1] for s in spans}
-    if len(dims) > 1:
-        return InvarianceReport(
-            "mul-invariance", grid, witnesses, False, 1.0,
-            {"reason": "dimension varies", "dims": sorted(dims)},
-        )
-    worst = _pairwise_worst(spans)
-    for w, s in zip(witnesses, spans):
-        w["distance"] = matnum.subspace_distance(s, spans[0])
+    worst, notes = _span_drift(spans, witnesses)
     return InvarianceReport(
-        "mul-invariance", grid, witnesses, worst <= SUBSPACE_TOL, worst,
-        {"dim": spans[0].shape[1]},
+        "mul-invariance", grid, witnesses, worst <= SUBSPACE_TOL, worst, notes
     )
 
 
@@ -304,14 +296,8 @@ def classify_family_pair(
     kernel_dim = matnum.null_space(kern, tol).shape[1]
     mul_dim = matnum.null_space(phi, tol).shape[1]
     rc_phi, rc_psi = matnum.rcond(phi), matnum.rcond(psi)
-    scale = 1.0 + matnum.spectral_norm(kern)
-    if kernel_dim == 0 and lam_min >= 10.0 * tol.eps_psd * scale:
-        label = herglotz.CLASS_UNIFORM
-    elif kernel_dim == 0:
-        label = herglotz.CLASS_STRICT
-    elif mul_dim == 0:
-        label = herglotz.CLASS_PLAIN
-    else:
+    label = herglotz.strictness_label(lam_min, kernel_dim, matnum.spectral_norm(kern), tol)
+    if label == herglotz.CLASS_PLAIN and mul_dim > 0:
         label = CLASS_FAMILY
     return PairClassification(label, lam_min, kernel_dim, mul_dim, rc_phi, rc_psi)
 
@@ -356,15 +342,9 @@ def maximum_principle_schur(
                 "smin_alpha": smin,
             }
         )
-    ok_dims = (
-        len({s.shape[1] for s in defect_spans}) == 1
-        and len({s.shape[1] for s in eig_spans}) == 1
-    )
-    worst = 1.0
-    if ok_dims:
-        worst = max(_pairwise_worst(defect_spans), _pairwise_worst(eig_spans))
+    worst = max(_span_drift(defect_spans)[0], _span_drift(eig_spans)[0])
     constant_flags = len(set(inv_flags)) == 1 and len(set(reg_flags)) == 1
-    passed = ok_dims and constant_flags and worst <= SUBSPACE_TOL
+    passed = constant_flags and worst <= SUBSPACE_TOL
     return InvarianceReport(
         "schur-maximum-principle", grid, witnesses, passed, worst,
         {"alpha_re": alpha.real, "alpha_im": alpha.imag,

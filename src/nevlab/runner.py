@@ -1,4 +1,13 @@
-"""Execution of job documents: entity instantiation and verifier tasks.
+"""Execution of job documents: the task table, entities and verifier tasks.
+
+``TASKS`` maps each task kind to its parameters, each with one type rule
+and one default, and to its run function.  ``document`` checks every task
+through the table when it parses a document, so a parsed task holds typed
+values with defaults filled in; ``run_task`` looks up the kind and calls
+its run function with them.  The names a task may use below its kind
+(checks, analyses, example reports, sweep sequences) are the keys of the
+dispatch tables here and nowhere else.  Verifiers are called through their
+module attribute, so wrappers installed there see them.
 
 Tasks run in declaration order, each producing one report with flat rows
 (suitable for CSV) plus a scalar summary.  Randomized checks derive their
@@ -9,18 +18,19 @@ give identical reports regardless of how the run is scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
-from . import analysis, document, examples, herglotz, invariance, matnum, pairs
-from .document import JobDocument, decode_matrix
+from . import analysis, examples, herglotz, invariance, matnum, pairs
+from .document import JobDocument, decode_matrix, real
 from .herglotz import FamilyEvaluator, HerglotzRep
 from .matnum import TolerancePolicy
 from .pairs import PairEvaluator
 
 
 class RunError(RuntimeError):
-    """Raised when entity construction fails on validated input."""
+    """Raised when a validated document cannot be built or run as declared."""
 
 
 @dataclass
@@ -39,6 +49,343 @@ class TaskReport:
             "summary": self.summary,
             "rows": self.rows,
         }
+
+
+# -- type rules: each returns the checked value or raises ValueError("must ...")
+
+
+def _rule(ok: Callable[[Any], bool], what: str):
+    def rule(value):
+        if ok(value):
+            return value
+        raise ValueError(f"must be {what}, got {value!r}")
+
+    return rule
+
+
+def _int_from(least: int):
+    return _rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least,
+                 f"an integer >= {least}")
+
+
+def _one_of(table: dict):
+    return _rule(lambda v: isinstance(v, str) and v in table, f"one of {', '.join(table)}")
+
+
+def _upper_point(value) -> complex:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"must be an [re, im] pair, got {value!r}")
+    z = complex(real(value[0]), real(value[1]))
+    if z.imag <= 0:
+        raise ValueError("must lie in the upper half-plane")
+    return z
+
+
+def _list_of(item, min_len: int = 1, increasing: bool = False):
+    def rule(value) -> tuple:
+        if not isinstance(value, list) or len(value) < min_len:
+            raise ValueError(f"must be a list of at least {min_len} item(s)")
+        out = []
+        for k, v in enumerate(value):
+            try:
+                out.append(item(v))
+            except ValueError as exc:
+                raise ValueError(f"[{k}] {exc}") from None
+        if increasing and any(b <= a for a, b in zip(out, out[1:])):
+            raise ValueError("must be strictly increasing")
+        return tuple(out)
+
+    return rule
+
+
+_REQUIRED = object()
+_ENTITY = _rule(lambda v: isinstance(v, str), "an entity name")
+_POSITIVE = _int_from(1)
+
+
+@dataclass(frozen=True)
+class TaskKind:
+    """Parameter name -> (type rule, default), and the run function.
+
+    A default of None marks an optional parameter whose absence the run
+    function handles itself.
+    """
+
+    run: Callable[..., tuple[bool, dict, list[dict]]]
+    params: dict[str, tuple[Callable[[Any], Any], Any]]
+
+    def check(self, task: dict, where: str, entities, errors: list[str]) -> dict:
+        """The task with every parameter checked and defaults filled in.
+
+        Problems go to errors; an ``entity`` parameter must be in entities.
+        """
+        out = {"name": task.get("name"), "task": task["task"]}
+        for key in sorted(set(task) - set(self.params) - {"name", "task"}):
+            errors.append(f"{where}: unknown parameter {key!r}")
+        for key, (rule, default) in self.params.items():
+            if key not in task:
+                if default is _REQUIRED:
+                    errors.append(f"{where}: missing parameter {key!r}")
+                out[key] = default
+                continue
+            try:
+                out[key] = rule(task[key])
+            except ValueError as exc:
+                errors.append(f"{where}: {key} {exc}")
+                continue
+            if key == "entity" and out[key] not in entities:
+                errors.append(f"{where}: dangling reference to entity {out[key]!r}")
+        return out
+
+
+# -- run functions: (params, built entities, grid, tol, rng) -> (passed, summary, rows)
+
+
+def _fail(p: dict, why: str) -> RunError:
+    return RunError(f"task {p['name']!r}: {why}")
+
+
+def _family(p: dict, built: dict) -> FamilyEvaluator:
+    obj = built[p["entity"]]
+    if isinstance(obj, HerglotzRep):
+        return FamilyEvaluator.from_rep(obj)
+    if isinstance(obj, FamilyEvaluator):
+        return obj
+    if isinstance(obj, examples.SturmLiouvilleConfig):
+        return examples.build_family(obj)
+    if isinstance(obj, examples.Ex4AConfig):
+        return examples.build_ex4a(obj).f_family
+    raise _fail(p, "entity cannot be read as a family")
+
+
+def _run_classify(p, built, grid, tol, rng):
+    obj = built[p["entity"]]
+    if isinstance(obj, PairEvaluator):
+        cls = pcls = invariance.classify_family_pair(obj, tol)
+        passed = True
+    else:
+        family = _family(p, built)
+        cls = herglotz.classify(family, tol, grid)
+        pcls = invariance.classify_family_pair(pairs.canonical_pair(family), tol)
+        passed = cls.label != herglotz.CLASS_NOT_NEV and cls.label == pcls.label
+    row = {"label": cls.label, "lam_min": cls.lam_min, "kernel_dim": cls.kernel_dim,
+           "pair_label": pcls.label, "pair_lam_min": pcls.lam_min,
+           "rcond_phi": pcls.rcond_phi, "rcond_psi": pcls.rcond_psi}
+    return passed, {"label": cls.label}, [row]
+
+
+# (pair, family or None for a pair entity, a, grid, tol) -> report, or None to skip
+_CHECKS = {
+    "point": lambda pr, f, a, g, t: invariance.check_point_invariance(pr, a, g, t),
+    # the kernel check needs the operator family itself
+    "imag_kernel": lambda pr, f, a, g, t: (
+        None if f is None else invariance.check_imag_kernel_invariance(f, g, t)
+    ),
+    "resolvent": lambda pr, f, a, g, t: invariance.check_resolvent_invariance(pr, a, g, t),
+    "boundedness": lambda pr, f, a, g, t: invariance.check_boundedness_invariance(pr, g, t),
+    "mul": lambda pr, f, a, g, t: invariance.check_mul_invariance(pr, g, t),
+}
+
+
+def _run_invariance(p, built, grid, tol, rng):
+    obj = built[p["entity"]]
+    family = None if isinstance(obj, PairEvaluator) else _family(p, built)
+    pair = obj if family is None else pairs.canonical_pair(family)
+    reports = [_CHECKS[c](pair, family, p["a"], grid, tol) for c in p["checks"]]
+    reports = [r for r in reports if r is not None]
+    rows = [{"statement": r.statement, **row} for r in reports for row in r.rows()]
+    summary = {"checks": len(reports), "worst": max((r.worst for r in reports), default=0.0)}
+    return all(r.passed for r in reports), summary, rows
+
+
+def _run_harnack(p, built, grid, tol, rng):
+    z1, z2 = p["z1"], p["z2"]
+    hp = analysis.harnack_constants(z1, z2)
+    worst = analysis.certify_harnack(z1, z2, p["trials"] or 1000, rng)
+    rows = [{"z1_re": z1.real, "z1_im": z1.imag, "z2_re": z2.real, "z2_im": z2.imag,
+             "c1": hp.c1, "c2": hp.c2, "mc_worst": worst}]
+    passed = worst <= 1e-12
+    if p["entity"] is not None:
+        sr = analysis.form_sandwich_check(
+            _family(p, built), grid, p["z0"], trials=p["trials"] or 100, rng=rng
+        )
+        nan = float("nan")
+        rows.append({"z1_re": sr.z0.real, "z1_im": sr.z0.imag, "z2_re": nan, "z2_im": nan,
+                     "c1": nan, "c2": nan, "mc_worst": sr.worst_violation})
+        passed = passed and sr.passed
+    return passed, {"c1": hp.c1, "c2": hp.c2}, rows
+
+
+def _rep(family: FamilyEvaluator, p: dict, what: str) -> HerglotzRep:
+    if family.rep is None:
+        raise _fail(p, f"{what} needs representation data")
+    return family.rep
+
+
+def _split(family, p, grid, tol, rng):
+    res = analysis.split_bounded_imag(family, grid)
+    residual = max(res.constancy, res.hermitian_residual)
+    return matnum.spectral_norm(res.t_constant), residual, res.passed
+
+
+def _weak_strong(family, p, grid, tol, rng):
+    rep = _rep(family, p, "weak_strong")
+    br = analysis.weak_strong_check(rep, p["z"], trials=p["trials"] or 50, rng=rng)
+    return br.worst_ratio, float(br.violations), br.passed
+
+
+def _factor(family, p, grid, tol, rng):
+    br = analysis.factor_check(_rep(family, p, "factor"), p["z"], tol)
+    return br.worst_ratio, float(br.violations), br.passed
+
+
+def _schatten(family, p, grid, tol, rng):
+    dr = analysis.schatten_decay(family, [w for w in grid if w.imag > 0])
+    return (min(dr.slopes) if dr.slopes else 0.0), dr.spread, dr.passed
+
+
+def _sandwich(family, p, grid, tol, rng):
+    sr = analysis.form_sandwich_check(family, grid, p["z"], trials=p["trials"] or 100, rng=rng)
+    return sr.worst_violation, sr.worst_violation, sr.passed
+
+
+# (family, params, grid, tol, rng) -> (value, residual, passed) for one report row
+_ANALYSES = {
+    "split": _split,
+    "c2": lambda family, p, grid, tol, rng: (analysis.c2_of(p["z"]), 0.0, True),
+    "weak_strong": _weak_strong,
+    "factor": _factor,
+    "schatten": _schatten,
+    "sandwich": _sandwich,
+}
+
+
+def _run_analysis(p, built, grid, tol, rng):
+    family = _family(p, built)
+    rows, passed = [], True
+    for what in p["analyses"]:
+        value, residual, ok = _ANALYSES[what](family, p, grid, tol, rng)
+        rows.append({"analysis": what, "value": value, "residual": residual, "passed": int(ok)})
+        passed = passed and ok
+    return passed, {"analyses": len(rows)}, rows
+
+
+def _decay(config, p, grid, rng):
+    family = examples.build_family(config)
+    slopes, rows = [], []
+    for z in [z for z in grid if z.imag > 0][:5]:
+        js, s, slope = examples.decay_profile(family, z)
+        slopes.append(slope)
+        rows += [  # plot-ready series: j against s_j
+            {"z_re": z.real, "z_im": z.imag, "j": int(j), "s_j": float(v), "slope": slope}
+            for j, v in zip(js, s)
+        ]
+    spread = max(slopes) - min(slopes)
+    return spread <= 0.05, {"spread": spread, "slope": slopes[0]}, rows
+
+
+def _form_domain(config, p, grid, rng):
+    fr = examples.form_domain_report(examples.build_ex4a(config), grid, rng=rng)
+    rows = [{"z_re": z.real, "z_im": z.imag, "c1": b[0], "c2": b[1],
+             "gen_eig_min": e[0], "gen_eig_max": e[1]}
+            for z, b, e in zip(fr.grid, fr.bounds, fr.extremes)]
+    return fr.passed, {"worst": fr.worst_violation}, rows
+
+
+def _gap_sweep(config, p, grid, rng):
+    rows = examples.halfline_gap_sweep(config.phi, p["a_values"], p["n_list"])
+    return True, {"rows": len(rows)}, rows
+
+
+def _conditioning(config, p, grid, rng):
+    ex = examples.build_ex4a(config)
+    rows = [{"z_re": z.real, "z_im": z.imag, "rcond": examples.solve_conditioning(ex, z)}
+            for z in [z for z in grid if z.imag > 0][:5]]
+    return True, {"b_min": float(ex.b.min())}, rows
+
+
+_GRID, _EX4A = (examples.SturmLiouvilleConfig, "a grid"), (examples.Ex4AConfig, "an ex4a")
+
+# report -> (entity type it needs, (config, params, grid, rng) -> (passed, summary, rows))
+_EXAMPLES = {
+    "decay": (_GRID, _decay),
+    "form_domain": (_EX4A, _form_domain),
+    "gap_sweep": (_GRID, _gap_sweep),
+    "conditioning": (_EX4A, _conditioning),
+}
+EXAMPLE_REPORTS = tuple(_EXAMPLES)
+
+
+def _run_examples(p, built, grid, tol, rng):
+    (kind, noun), run = _EXAMPLES[p["what"]]
+    config = built[p["entity"]]
+    if not isinstance(config, kind):
+        raise _fail(p, f"{p['what']} needs {noun} config")
+    return run(config, p, grid, rng)
+
+
+# n -> the n-dimensional family of a truncation sweep
+_SWEEPS = {
+    "diag-inverse-k": lambda n: FamilyEvaluator(
+        n, lambda z, n=n: z * np.diag(1.0 / np.arange(1, n + 1)), "sweep"
+    ),
+    "scalar-z-identity": lambda n: FamilyEvaluator(
+        n, lambda z, n=n: z * np.eye(n, dtype=complex), "sweep"
+    ),
+    "atomic-dyadic": lambda n: FamilyEvaluator.from_rep(
+        HerglotzRep.create(
+            np.zeros((n, n)), np.zeros((n, n)), [(0.0, np.diag(2.0 ** -np.arange(1, n + 1)))]
+        )
+    ),
+}
+
+
+def _run_sweep(p, built, grid, tol, rng):
+    report = invariance.sweep_continuous_spectrum(
+        _SWEEPS[p["sequence"]], p["n_list"], grid, trials=p["trials"], rng=rng
+    )
+    summary = {"monotone": int(report.monotone), "ratio_worst": report.ratio_worst,
+               "verdict": report.decay_verdict}
+    return report.passed, summary, report.rows()
+
+
+_OPTIONAL_TRIALS = (_POSITIVE, None)  # each use has its own default
+
+TASKS: dict[str, TaskKind] = {
+    "classify": TaskKind(_run_classify, {"entity": (_ENTITY, _REQUIRED)}),
+    "invariance": TaskKind(_run_invariance, {
+        "entity": (_ENTITY, _REQUIRED),
+        "checks": (_list_of(_one_of(_CHECKS)), tuple(_CHECKS)),
+        "a": (real, 0.0),
+    }),
+    "harnack": TaskKind(_run_harnack, {
+        "entity": (_ENTITY, None),  # adds the form sandwich against z0
+        "z1": (_upper_point, 1j),
+        "z2": (_upper_point, 2j),
+        "z0": (_upper_point, 1j),
+        "trials": _OPTIONAL_TRIALS,  # 1000 for the certificate, 100 for the sandwich
+    }),
+    "analysis": TaskKind(_run_analysis, {
+        "entity": (_ENTITY, _REQUIRED),
+        "analyses": (_list_of(_one_of(_ANALYSES)), ("split",)),
+        "z": (_upper_point, 1j),
+        "trials": _OPTIONAL_TRIALS,  # 50 for weak_strong, 100 for sandwich
+    }),
+    "examples": TaskKind(_run_examples, {
+        "entity": (_ENTITY, _REQUIRED),
+        "what": (_one_of(_EXAMPLES), "decay"),
+        "a_values": (_list_of(real), (0.5, 2.0)),  # read by gap_sweep
+        "n_list": (_list_of(_int_from(8)), (32, 64, 128)),  # read by gap_sweep
+    }),
+    "sweep": TaskKind(_run_sweep, {
+        "sequence": (_one_of(_SWEEPS), _REQUIRED),
+        "n_list": (_list_of(_POSITIVE, min_len=2, increasing=True), _REQUIRED),
+        "trials": (_POSITIVE, 100),
+    }),
+}
+
+
+# -- entities -------------------------------------------------------------------
 
 
 def _decode_strict(obj, where: str):
@@ -63,13 +410,12 @@ def _build_rep(body: dict, where: str, tol: TolerancePolicy) -> HerglotzRep:
 
 def build_entities(doc: JobDocument) -> dict[str, object]:
     """Instantiate every declared entity, resolving references in order."""
-    tol = TolerancePolicy(**doc.tolerances) if doc.tolerances else matnum.DEFAULT_TOL
     built: dict[str, object] = {}
     for ent in doc.entities:
         name, kind = ent["name"], ent["kind"]
         where = f"entity {name!r}"
         if kind == "herglotz_rep":
-            built[name] = _build_rep(ent, where, tol)
+            built[name] = _build_rep(ent, where, doc.tol)
         elif kind == "family":
             rep = built[ent["rep"]]
             if not isinstance(rep, HerglotzRep):
@@ -90,7 +436,7 @@ def build_entities(doc: JobDocument) -> dict[str, object]:
                 if not isinstance(phi_rep, HerglotzRep) or phi_rep.dim != 1:
                     raise RunError(f"{where}: phi must reference scalar rep data")
             elif isinstance(phi, dict):
-                phi_rep = _build_rep(phi, f"{where}.phi", tol)
+                phi_rep = _build_rep(phi, f"{where}.phi", doc.tol)
             else:
                 phi_rep = None
             built[name] = examples.SturmLiouvilleConfig(
@@ -150,299 +496,17 @@ def _build_pair(spec: dict, built: dict, where: str) -> PairEvaluator:
     return out
 
 
-def _as_family(obj, where: str) -> FamilyEvaluator:
-    if isinstance(obj, HerglotzRep):
-        return FamilyEvaluator.from_rep(obj)
-    if isinstance(obj, FamilyEvaluator):
-        return obj
-    if isinstance(obj, examples.SturmLiouvilleConfig):
-        return examples.build_family(obj)
-    if isinstance(obj, examples.Ex4AConfig):
-        return examples.build_ex4a(obj).f_family
-    raise RunError(f"{where}: entity cannot be read as a family")
-
-
-def _grid_of(doc: JobDocument):
-    return tuple(doc.grid) if doc.grid else herglotz.default_grid()
-
-
-def _point(task: dict, key: str, default: complex) -> complex:
-    if key in task:
-        return complex(task[key][0], task[key][1])
-    return default
-
-
-SWEEP_BUILDERS = {
-    "diag-inverse-k": lambda n: FamilyEvaluator(
-        n, lambda z, n=n: z * np.diag(1.0 / np.arange(1, n + 1)), "sweep"
-    ),
-    "scalar-z-identity": lambda n: FamilyEvaluator(
-        n, lambda z, n=n: z * np.eye(n, dtype=complex), "sweep"
-    ),
-    "atomic-dyadic": lambda n: FamilyEvaluator.from_rep(
-        HerglotzRep.create(
-            np.zeros((n, n)),
-            np.zeros((n, n)),
-            [(0.0, np.diag(2.0 ** -np.arange(1, n + 1)))],
-        )
-    ),
-}
-
-
 def run_task(
     task: dict,
     built: dict[str, object],
     doc: JobDocument,
     task_index: int,
 ) -> TaskReport:
-    kind = task["task"]
-    name = task["name"]
-    tol = TolerancePolicy(**doc.tolerances) if doc.tolerances else matnum.DEFAULT_TOL
+    """Run one checked task of doc against the built entities."""
     rng = np.random.default_rng([doc.seed, task_index])
-    grid = _grid_of(doc)
-
-    if kind == "classify":
-        obj = built[task["entity"]]
-        if isinstance(obj, PairEvaluator):
-            pcls = invariance.classify_family_pair(obj, tol)
-            rows = [
-                {
-                    "label": pcls.label,
-                    "lam_min": pcls.lam_min,
-                    "kernel_dim": pcls.kernel_dim,
-                    "pair_label": pcls.label,
-                    "pair_lam_min": pcls.lam_min,
-                    "rcond_phi": pcls.rcond_phi,
-                    "rcond_psi": pcls.rcond_psi,
-                }
-            ]
-            return TaskReport(name, kind, True, {"label": pcls.label}, rows)
-        family = _as_family(obj, f"task {name!r}")
-        cls = herglotz.classify(family, tol, grid)
-        pair = pairs.canonical_pair(family)
-        pcls = invariance.classify_family_pair(pair, tol)
-        rows = [
-            {
-                "label": cls.label,
-                "lam_min": cls.lam_min,
-                "kernel_dim": cls.kernel_dim,
-                "pair_label": pcls.label,
-                "pair_lam_min": pcls.lam_min,
-                "rcond_phi": pcls.rcond_phi,
-                "rcond_psi": pcls.rcond_psi,
-            }
-        ]
-        passed = cls.label != herglotz.CLASS_NOT_NEV and cls.label == pcls.label
-        return TaskReport(name, kind, passed, {"label": cls.label}, rows)
-
-    if kind == "invariance":
-        obj = built[task["entity"]]
-        pair = obj if isinstance(obj, PairEvaluator) else pairs.canonical_pair(
-            _as_family(obj, f"task {name!r}")
-        )
-        checks = task.get("checks", list(document.INVARIANCE_CHECKS))
-        a = float(task.get("a", 0.0))
-        reports = []
-        for check in checks:
-            if check == "point":
-                reports.append(invariance.check_point_invariance(pair, a, grid, tol))
-            elif check == "imag_kernel":
-                family = _as_family(obj, f"task {name!r}") if not isinstance(
-                    obj, PairEvaluator
-                ) else None
-                if family is None:
-                    continue  # kernel check needs the operator family itself
-                reports.append(
-                    invariance.check_imag_kernel_invariance(family, grid, tol)
-                )
-            elif check == "resolvent":
-                reports.append(invariance.check_resolvent_invariance(pair, a, grid, tol))
-            elif check == "boundedness":
-                reports.append(invariance.check_boundedness_invariance(pair, grid, tol))
-            elif check == "mul":
-                reports.append(invariance.check_mul_invariance(pair, grid, tol))
-        rows = []
-        for rep in reports:
-            for row in rep.rows():
-                rows.append({"statement": rep.statement, **row})
-        passed = all(r.passed for r in reports)
-        summary = {
-            "checks": len(reports),
-            "worst": max((r.worst for r in reports), default=0.0),
-        }
-        return TaskReport(name, kind, passed, summary, rows)
-
-    if kind == "harnack":
-        z1 = _point(task, "z1", 1j)
-        z2 = _point(task, "z2", 2j)
-        trials = int(task.get("trials", 1000))
-        hp = analysis.harnack_constants(z1, z2)
-        worst = analysis.certify_harnack(z1, z2, trials, rng)
-        rows = [
-            {
-                "z1_re": z1.real, "z1_im": z1.imag,
-                "z2_re": z2.real, "z2_im": z2.imag,
-                "c1": hp.c1, "c2": hp.c2, "mc_worst": worst,
-            }
-        ]
-        passed = worst <= 1e-12
-        if "entity" in task:
-            family = _as_family(built[task["entity"]], f"task {name!r}")
-            sr = analysis.form_sandwich_check(
-                family, grid, _point(task, "z0", 1j), trials=int(task.get("trials", 100)),
-                rng=rng,
-            )
-            rows.append(
-                {
-                    "z1_re": sr.z0.real, "z1_im": sr.z0.imag,
-                    "z2_re": float("nan"), "z2_im": float("nan"),
-                    "c1": float("nan"), "c2": float("nan"),
-                    "mc_worst": sr.worst_violation,
-                }
-            )
-            passed = passed and sr.passed
-        return TaskReport(name, kind, passed, {"c1": hp.c1, "c2": hp.c2}, rows)
-
-    if kind == "analysis":
-        obj = built[task["entity"]]
-        family = _as_family(obj, f"task {name!r}")
-        analyses = task.get("analyses", ["split"])
-        z = _point(task, "z", 1j)
-        rows, passed = [], True
-        for what in analyses:
-            if what == "split":
-                res = analysis.split_bounded_imag(family, grid)
-                rows.append(
-                    {
-                        "analysis": "split",
-                        "value": matnum.spectral_norm(res.t_constant),
-                        "residual": max(res.constancy, res.hermitian_residual),
-                        "passed": int(res.passed),
-                    }
-                )
-                passed = passed and res.passed
-            elif what == "c2":
-                rows.append(
-                    {"analysis": "c2", "value": analysis.c2_of(z), "residual": 0.0,
-                     "passed": 1}
-                )
-            elif what == "weak_strong":
-                rep = family.rep
-                if rep is None:
-                    raise RunError(f"task {name!r}: weak_strong needs representation data")
-                br = analysis.weak_strong_check(
-                    rep, z, trials=int(task.get("trials", 50)), rng=rng
-                )
-                rows.append(
-                    {"analysis": "weak_strong", "value": br.worst_ratio,
-                     "residual": float(br.violations), "passed": int(br.passed)}
-                )
-                passed = passed and br.passed
-            elif what == "factor":
-                rep = family.rep
-                if rep is None:
-                    raise RunError(f"task {name!r}: factor needs representation data")
-                br = analysis.factor_check(rep, z, tol)
-                rows.append(
-                    {"analysis": "factor", "value": br.worst_ratio,
-                     "residual": float(br.violations), "passed": int(br.passed)}
-                )
-                passed = passed and br.passed
-            elif what == "schatten":
-                dr = analysis.schatten_decay(family, [w for w in grid if w.imag > 0])
-                rows.append(
-                    {"analysis": "schatten",
-                     "value": min(dr.slopes) if dr.slopes else 0.0,
-                     "residual": dr.spread, "passed": int(dr.passed)}
-                )
-                passed = passed and dr.passed
-            elif what == "sandwich":
-                sr = analysis.form_sandwich_check(
-                    family, grid, z, trials=int(task.get("trials", 100)), rng=rng
-                )
-                rows.append(
-                    {"analysis": "sandwich", "value": sr.worst_violation,
-                     "residual": sr.worst_violation, "passed": int(sr.passed)}
-                )
-                passed = passed and sr.passed
-        return TaskReport(name, kind, passed, {"analyses": len(rows)}, rows)
-
-    if kind == "examples":
-        obj = built[task["entity"]]
-        what = task.get("what", "decay")
-        if what == "decay":
-            if not isinstance(obj, examples.SturmLiouvilleConfig):
-                raise RunError(f"task {name!r}: decay report needs a grid config")
-            family = examples.build_family(obj)
-            zs = [z for z in grid if z.imag > 0][:5]
-            n = family.dim
-            lo, hi = max(1, n // 8), max(2, n // 3)
-            slopes, rows = [], []
-            for z in zs:
-                inv = matnum.inverse(family(z), rcond_min=1e-15)
-                s = matnum.singular_values(inv)
-                js = np.arange(lo, hi + 1)
-                slopes.append(analysis.fit_log_slope(js, s[js - 1]))
-                for j in js:  # plot-ready series: j against s_j
-                    rows.append(
-                        {"z_re": z.real, "z_im": z.imag, "j": int(j),
-                         "s_j": float(s[j - 1]), "slope": slopes[-1]}
-                    )
-            spread = max(slopes) - min(slopes)
-            passed = spread <= 0.05
-            return TaskReport(
-                name, kind, passed, {"spread": spread, "slope": slopes[0]}, rows
-            )
-        if what == "form_domain":
-            if not isinstance(obj, examples.Ex4AConfig):
-                raise RunError(f"task {name!r}: form_domain needs an ex4a config")
-            ex = examples.build_ex4a(obj)
-            fr = examples.form_domain_report(ex, grid, rng=rng)
-            rows = [
-                {"z_re": z.real, "z_im": z.imag, "c1": b[0], "c2": b[1],
-                 "gen_eig_min": e[0], "gen_eig_max": e[1]}
-                for z, b, e in zip(fr.grid, fr.bounds, fr.extremes)
-            ]
-            return TaskReport(
-                name, kind, fr.passed, {"worst": fr.worst_violation}, rows
-            )
-        if what == "conditioning":
-            if not isinstance(obj, examples.Ex4AConfig):
-                raise RunError(f"task {name!r}: conditioning needs an ex4a config")
-            ex = examples.build_ex4a(obj)
-            zs = [z for z in grid if z.imag > 0][:5]
-            rows = [
-                {"z_re": z.real, "z_im": z.imag,
-                 "rcond": examples.solve_conditioning(ex, z)}
-                for z in zs
-            ]
-            return TaskReport(name, kind, True, {"b_min": float(ex.b.min())}, rows)
-        if not isinstance(obj, examples.SturmLiouvilleConfig):
-            raise RunError(f"task {name!r}: gap_sweep needs a grid config")
-        rows = examples.halfline_gap_sweep(
-            obj.phi,
-            task.get("a_values", [0.5, 2.0]),
-            task.get("n_list", [32, 64, 128]),
-        )
-        return TaskReport(name, kind, True, {"rows": len(rows)}, rows)
-
-    if kind == "sweep":
-        seq = SWEEP_BUILDERS[task["sequence"]]
-        report = invariance.sweep_continuous_spectrum(
-            seq,
-            task["n_list"],
-            grid,
-            trials=int(task.get("trials", 100)),
-            rng=rng,
-        )
-        summary = {
-            "monotone": int(report.monotone),
-            "ratio_worst": report.ratio_worst,
-            "verdict": report.decay_verdict,
-        }
-        return TaskReport(name, kind, report.passed, summary, report.rows())
-
-    raise RunError(f"unknown task kind {kind!r}")  # pragma: no cover
+    grid = tuple(doc.grid) if doc.grid else herglotz.default_grid()
+    passed, summary, rows = TASKS[task["task"]].run(task, built, grid, doc.tol, rng)
+    return TaskReport(task["name"], task["task"], passed, summary, rows)
 
 
 def run_document(doc: JobDocument) -> list[TaskReport]:

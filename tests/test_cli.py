@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nevlab import cli, reports, runner
 from nevlab.document import DocumentError, parse_document, serialize_document
@@ -260,3 +267,126 @@ class TestCommandLine:
         data = json.loads((tmp_path / "o" / "invariance-f.json").read_text())
         point_rows = [r for r in data["rows"] if r["statement"] == "point-spectrum-invariance"]
         assert len(point_rows) == 3
+
+
+SL = {"name": "sl", "kind": "sturm_liouville", "n": 8, "phi": None}
+EX4A = {"name": "ex", "kind": "ex4a", "n": 3}
+INVARIANCE = {"name": "t", "task": "invariance", "entity": "f"}
+SWEEP = {"name": "t", "task": "sweep", "sequence": "diag-inverse-k", "n_list": [8, 16]}
+GAP = {"name": "t", "task": "examples", "entity": "sl", "what": "gap_sweep"}
+FORM = {"name": "t", "task": "examples", "entity": "ex", "what": "form_domain"}
+
+
+def _with(*tasks, entities=(SL, EX4A), **extra):
+    raw = minimal_doc(**extra)
+    raw["entities"] += list(entities)
+    raw["tasks"] = list(tasks) or raw["tasks"]
+    return raw
+
+
+def _analysis(*analyses, **fields):
+    return {"name": "t", "task": "analysis", "entity": "f", "analyses": list(analyses),
+            **fields}
+
+
+# (document, extra command-line arguments); each one used to run, and crash or
+# fail or write outside --out, and must now be rejected before anything runs
+REJECTED = {
+    "analysis-z-text": (_with(_analysis("c2", z="ab")), []),
+    "analysis-z-lower": (_with(_analysis("c2", z=[0, -1])), []),
+    "analysis-trials-text": (_with(_analysis("weak_strong", trials="x")), []),
+    "analysis-trials-zero": (_with(_analysis("sandwich", trials=0)), []),
+    "sweep-trials-text": (_with({**SWEEP, "trials": "x"}), []),
+    "sweep-trials-zero": (_with({**SWEEP, "trials": 0}), []),
+    "gap-sweep-n-list-text": (_with({**GAP, "n_list": "x"}), []),
+    "gap-sweep-n-list-small": (_with({**GAP, "n_list": [4]}), []),
+    "invariance-a-text": (_with({**INVARIANCE, "a": "x", "checks": ["mul"]}), []),
+    "grid-real-only": (_with(INVARIANCE, grid=[[0.5, 0.0], [1.0, 0.0]]), []),
+    "grid-lower-only": (_with(SWEEP, grid=[[0.0, -1.0], [1.0, -2.0]]), []),
+    "cli-grid-real": (_with(INVARIANCE), ["--grid", "0.5,0"]),
+    "cli-tol-psd": (_with(), ["--tol-psd", "5"]),
+    "name-traversal": (_with({**INVARIANCE, "name": "../../x"}), []),
+    "name-summary": (_with({**INVARIANCE, "name": "summary"}), []),
+    "b-decay-increasing": (_with(FORM, entities=[SL, {**EX4A, "b_decay": [0.1, 0.2, 0.3]}]),
+                           []),
+}
+
+
+def _files(root):
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_input_exits_two(case, tmp_path, capsys):
+    raw, extra = REJECTED[case]
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(raw))
+    out = tmp_path / "a" / "b" / "out"
+    assert cli.main(["run", str(doc_path), "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "document error:" in err and "Traceback" not in err
+    assert _files(tmp_path) == {doc_path}  # nothing written, least of all above --out
+
+
+def test_pin_threads_overrides_host_setting(monkeypatch):
+    names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "4")
+    cli._pin_threads()
+    assert all(os.environ[name] == "1" for name in names)
+
+
+# one valid task per kind, run against the document's single entity
+FUZZ_BASE = {
+    "classify": {"entity": "f"},
+    "invariance": {"entity": "f", "a": 0.0, "checks": ["point", "mul"]},
+    "harnack": {"entity": "f", "trials": 20},
+    "analysis": {"entity": "f", "analyses": ["split", "c2"], "trials": 10},
+    "examples": {"entity": "sl", "what": "gap_sweep", "n_list": [8], "a_values": [0.5]},
+    "sweep": {"sequence": "diag-inverse-k", "n_list": [2, 4], "trials": 10},
+}
+SL_ENTITY = {"name": "sl", "kind": "sturm_liouville", "n": 8, "phi": None}
+FUZZ_PARAMS = [(kind, key) for kind in runner.TASKS for key in runner.TASKS[kind].params]
+
+# numbers stay small: a drawn size (trials, n, n_list) must not make one example
+# slow or large; NaN and infinities are valid JSON to Python's decoder
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=6)
+    | st.floats(-1e3, 1e3) | st.sampled_from([float("nan"), float("inf"), 1e308]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+)
+
+
+def test_fuzz_table_covers_every_kind():
+    assert set(FUZZ_BASE) == set(runner.TASKS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(param=st.sampled_from(FUZZ_PARAMS), value=json_values)
+def test_fuzzed_parameter_never_crashes(param, value):
+    kind, key = param
+    task = {"name": "t", "task": kind, **FUZZ_BASE[kind], key: value}
+    entity = SL_ENTITY if task.get("entity") == "sl" else minimal_doc()["entities"][0]
+    raw = minimal_doc(entities=[entity], tasks=[task],
+                      grid=[[0.0, 1.0], [0.5, 2.0], [-1.0, 0.5], [0.0, -1.0]])
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        doc_path, out = root / "job.json", root / "a" / "out"
+        doc_path.write_text(json.dumps(raw))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli.main(["run", str(doc_path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in sink.getvalue()
+        assert all(p == doc_path or out in p.parents for p in _files(root))
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(minimal_doc()))
+    (tmp_path / "taken").write_text("")  # --out names a file, not a directory
+    assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "taken")]) == 2
+    assert "cannot write reports" in capsys.readouterr().err

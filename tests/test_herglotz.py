@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -231,6 +231,7 @@ class TestStieltjesInvert:
     x=st.floats(-5.0, 5.0),
     y=st.floats(1e-2, 1e2),
 )
+@example(seed=65536, x=1e-08, y=0.015625)  # second point 1e-8 off the real axis
 def test_kernel_gram_psd_property(seed, x, y):
     gen = np.random.default_rng(seed)
     rep = random_rep(gen, int(gen.integers(1, 5)), 4, uniform=False)

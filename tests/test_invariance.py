@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     cgauss,
     mul_pair,
+    random_offaxis,
     random_rep,
     random_upper,
     rep_with_common_kernel,
@@ -249,6 +250,51 @@ class TestReportStructure:
         rows = report.rows()
         assert len(rows) == len(report.grid)
         assert all("z_re" in r and "phi_rank" in r for r in rows)
+
+    @pytest.mark.parametrize("check", ["point", "mul"])
+    def test_grid_permutation_random_reps(self, rng, check):
+        def turn(z):  # a rotation by Re z, so spans built on it move with z
+            c, s = np.cos(z.real), np.sin(z.real)
+            return np.array([[c, -s], [s, c]], dtype=complex)
+
+        if check == "point":
+            run = lambda obj, g: invariance.check_point_invariance(obj, 1.5, g)
+            moving = FamilyEvaluator(2, lambda z: turn(z) @ np.diag([1.5, z]) @ turn(z).T, "t")
+            fixed = rep_with_pinned_eigenvalue(rng, 1.5, dim=3)[0]
+        else:
+            run = lambda obj, g: invariance.check_mul_invariance(obj, g)
+            moving = pairs.PairEvaluator(
+                2, lambda z: (turn(z) @ np.diag([0.0, 1.0]) @ turn(z).T, np.eye(2))
+            )
+            fixed = mul_pair(rng)
+        for obj in (moving, fixed, FamilyEvaluator.from_rep(random_rep(rng, 3, 4))):
+            for _ in range(3):
+                grid = random_offaxis(rng, 12)
+                r1 = run(obj, grid)
+                r2 = run(obj, [grid[i] for i in rng.permutation(len(grid))])
+                assert r1.passed == r2.passed
+                assert r1.worst == pytest.approx(r2.worst, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("check", [
+        lambda g: invariance.check_point_invariance(DIAG_Z3(), 3.0, g),
+        lambda g: invariance.check_imag_kernel_invariance(DIAG_Z3(), g),
+        lambda g: invariance.check_resolvent_invariance(DIAG_Z3(), 3.0, g),
+        lambda g: invariance.check_boundedness_invariance(DIAG_Z3(), g),
+        lambda g: invariance.check_mul_invariance(DIAG_Z3(), g),
+    ])
+    def test_real_only_grid_is_a_domain_error(self, check):
+        with pytest.raises(herglotz.DomainError):
+            check([0.5, 2.0])
+
+    def test_imag_kernel_dimension_change_sets_distance(self):
+        def fn(z):  # Im F has a kernel everywhere except at z = 2i
+            return np.diag([z, z if abs(z - 2j) < 1e-9 else 3.0 + 0j])
+
+        report = invariance.check_imag_kernel_invariance(
+            FamilyEvaluator(2, fn, "test"), [1j, 2j, -1j]
+        )
+        assert not report.passed and report.worst == 1.0
+        assert [row["distance"] for row in report.rows()] == [1.0, 1.0, 1.0]
 
     def test_dimension_change_fails_fast(self):
         # family whose eigenspace at 3 exists only at one special point
