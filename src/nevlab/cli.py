@@ -39,6 +39,14 @@ def _parse_grid(text: str) -> list[complex]:
     return [_parse_point(chunk) for chunk in text.split(";") if chunk]
 
 
+def _parse_trials(text: str) -> int:
+    from .runner import MAX_TRIALS
+
+    if not (text.isdigit() and 1 <= int(text) <= MAX_TRIALS):
+        raise argparse.ArgumentTypeError(f"trials must be an integer in [1, {MAX_TRIALS}]")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .runner import EXAMPLE_REPORTS
 
@@ -76,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_doc=False)
     p.add_argument("--z1", type=_parse_point, default=1j)
     p.add_argument("--z2", type=_parse_point, default=2j)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_parse_trials, default=1000)
 
     p = sub.add_parser("analysis", help="splitting / bounds / decay for an entity")
     common(p)

@@ -7,11 +7,14 @@ just the first; matrices serialize as nested arrays of [re, im] pairs and
 measure atoms as [location, matrix], which keeps files lossless and
 diffable.
 
-Every task is checked through its entry in the task table
-(``runner.TASKS``), so a parsed document holds tasks whose parameters are
-already typed and filled with defaults, and its tolerance policy is built
-once here.  A task name must be a plain file stem, since it names the
-task's report files; the grid must hold at least one point with Im z > 0.
+Every entity and every task is checked through its entry in the entity or
+task table (``runner.ENTITIES``, ``runner.TASKS``).  A parsed entity holds
+decoded, finite, square matrices and typed numbers, and a parsed task
+typed parameters, all with defaults filled in; the tolerance policy is
+built once here.  An entity may reference only entities declared before
+it, each of the kind its parameter names.  A task name must be a plain
+file stem, since it names the task's report files; the grid must hold at
+least one point with Im z > 0.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ from .matnum import DEFAULT_TOL, TolerancePolicy
 
 VERSION_TAG = "nevlab/1"
 
-ENTITY_KINDS = ("herglotz_rep", "family", "pair", "sturm_liouville", "ex4a")
-PAIR_TYPES = ("canonical", "constant", "transform")
-TRANSFORM_OPS = ("shift", "scale", "flip", "junitary", "herglotz_shift")
 OUTPUT_FORMATS = ("json", "csv", "both")
 
 
@@ -47,7 +47,7 @@ class JobDocument:
     seed: int
     grid: list[complex] | None
     tolerances: dict[str, float]
-    entities: list[dict]
+    entities: list[dict]  # checked by the entity table, defaults filled in
     tasks: list[dict]  # checked by the task table, defaults filled in
     output_format: str
     output_dir: str | None = None
@@ -56,15 +56,11 @@ class JobDocument:
     def to_json_obj(self) -> dict:
         obj: dict[str, Any] = {"version": self.version, "seed": self.seed}
         if self.grid is not None:
-            obj["grid"] = [[z.real, z.imag] for z in self.grid]
+            obj["grid"] = _encode(self.grid)
         if self.tolerances:
             obj["tolerances"] = dict(self.tolerances)
-        obj["entities"] = self.entities
-        obj["tasks"] = [
-            {k: [v.real, v.imag] if isinstance(v, complex) else v
-             for k, v in task.items() if v is not None}
-            for task in self.tasks
-        ]
+        obj["entities"] = _encode(self.entities)
+        obj["tasks"] = _encode(self.tasks)
         obj["output"] = (
             {"format": self.output_format}
             if self.output_dir is None
@@ -73,23 +69,37 @@ class JobDocument:
         return obj
 
 
+def _encode(value):
+    """Checked values as JSON data; None-valued keys (absent options) are dropped."""
+    if isinstance(value, np.ndarray):
+        return encode_matrix(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items() if v is not None}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
+
+
 def encode_matrix(m) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def decode_matrix(obj, where: str, errors: list[str]):
+def decode_matrix(obj) -> np.ndarray:
+    """A square matrix from nested arrays of [re, im] pairs; ValueError otherwise."""
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        errors.append(f"{where}: matrix must be nested arrays of [re, im] pairs")
-        return None
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        errors.append(f"{where}: matrix must be nested arrays of [re, im] pairs")
-        return None
+        arr = np.asarray(obj)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim != 3 or arr.shape[-1] != 2:
+        raise ValueError("must be a matrix: nested arrays of [re, im] pairs of numbers")
     if arr.shape[0] != arr.shape[1]:
-        errors.append(f"{where}: matrix must be square")
-        return None
+        raise ValueError(f"must be a square matrix, got {arr.shape[0]} x {arr.shape[1]}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError("must hold finite numbers only")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -129,7 +139,7 @@ def parse_document(text: str) -> JobDocument:
 
 def validate_document(raw) -> JobDocument:
     """Validate a decoded document; raises DocumentError listing all problems."""
-    from .runner import TASKS  # imported here because runner imports this module
+    from .runner import ENTITIES, TASKS  # imported here: runner imports this module
 
     if not isinstance(raw, dict):
         raise DocumentError(["document root must be an object"])
@@ -174,7 +184,8 @@ def validate_document(raw) -> JobDocument:
     if not isinstance(entities, list):
         errors.append("entities must be a list")
         entities = []
-    names: dict[str, int] = {}
+    names: dict[str, Any] = {}  # entity name -> kind, in declaration order
+    checked_entities = []
     for i, ent in enumerate(entities):
         if not isinstance(ent, dict):
             errors.append(f"entities[{i}] must be an object")
@@ -183,17 +194,19 @@ def validate_document(raw) -> JobDocument:
         if not isinstance(name, str) or not name:
             errors.append(f"entities[{i}] is missing a name")
             continue
-        if name in names:
-            errors.append(
-                f"duplicate entity name {name!r} (entities[{names[name]}] and entities[{i}])"
+        kind = ent.get("kind")
+        if isinstance(kind, str) and kind in ENTITIES:
+            checked_entities.append(
+                ENTITIES[kind].check(ent, f"entity {name!r}: ", names, errors, ("name", "kind"))
             )
         else:
-            names[name] = i
-        kind = ent.get("kind")
-        if kind not in ENTITY_KINDS:
             errors.append(f"entity {name!r}: unknown kind {kind!r}")
-            continue
-        _validate_entity(ent, names, errors)
+        if name in names:
+            first = next(j for j, e in enumerate(entities[:i])
+                         if isinstance(e, dict) and e.get("name") == name)
+            errors.append(f"duplicate entity name {name!r} (entities[{first}] and entities[{i}])")
+        else:
+            names[name] = kind
 
     tasks = raw.get("tasks", [])
     if not isinstance(tasks, list):
@@ -222,7 +235,8 @@ def validate_document(raw) -> JobDocument:
         if not isinstance(kind, str) or kind not in TASKS:
             errors.append(f"task {tname!r}: unknown task kind {kind!r}")
             continue
-        checked.append(TASKS[kind].check(task, f"task {tname!r}", names, errors))
+        where = f"task {tname!r}: "
+        checked.append(TASKS[kind].check(task, where, names, errors, ("name", "task")))
 
     output = raw.get("output", {})
     output_format, output_dir = "both", None
@@ -244,7 +258,7 @@ def validate_document(raw) -> JobDocument:
     if errors:
         raise DocumentError(errors)
     return JobDocument(
-        version, seed, grid, dict(tolerances), entities, checked,
+        version, seed, grid, dict(tolerances), checked_entities, checked,
         output_format, output_dir, TolerancePolicy(**tolerances),
     )
 
@@ -254,119 +268,6 @@ def _is_file_stem(name: str) -> bool:
     return not (
         name.startswith(".") or name == "summary" or any(c in name for c in "/\\\0")
     )
-
-
-def _validate_matrix_field(ent, key, where, errors, required=True):
-    if key not in ent:
-        if required:
-            errors.append(f"{where}: missing matrix field {key!r}")
-        return
-    decode_matrix(ent[key], f"{where}.{key}", errors)
-
-
-def _validate_rep_body(ent, where, errors):
-    _validate_matrix_field(ent, "b0", where, errors)
-    _validate_matrix_field(ent, "b1", where, errors)
-    atoms = ent.get("atoms", [])
-    if not isinstance(atoms, list):
-        errors.append(f"{where}: atoms must be a list of [t, matrix]")
-        return
-    for k, atom in enumerate(atoms):
-        if not isinstance(atom, list) or len(atom) != 2 or not isinstance(atom[0], (int, float)):
-            errors.append(f"{where}.atoms[{k}] must be a [t, matrix] pair")
-        else:
-            decode_matrix(atom[1], f"{where}.atoms[{k}]", errors)
-
-
-def _validate_entity(ent: dict, names: dict[str, int], errors: list[str]) -> None:
-    name, kind = ent["name"], ent["kind"]
-    where = f"entity {name!r}"
-    if kind == "herglotz_rep":
-        _validate_rep_body(ent, where, errors)
-    elif kind == "family":
-        ref = ent.get("rep")
-        if not isinstance(ref, str):
-            errors.append(f"{where}: needs a 'rep' entity reference")
-        elif ref not in names:
-            errors.append(f"{where}: dangling reference to entity {ref!r}")
-        if "offset" in ent and ent["offset"] is not None:
-            decode_matrix(ent["offset"], f"{where}.offset", errors)
-    elif kind == "pair":
-        spec = ent.get("pair")
-        if not isinstance(spec, dict):
-            errors.append(f"{where}: needs a 'pair' object")
-            return
-        ptype = spec.get("type")
-        if ptype not in PAIR_TYPES:
-            errors.append(f"{where}: unknown pair type {ptype!r}")
-            return
-        if ptype == "canonical":
-            ref = spec.get("family")
-            if not isinstance(ref, str) or ref not in names:
-                errors.append(f"{where}: dangling reference to family {spec.get('family')!r}")
-        elif ptype == "constant":
-            _validate_matrix_field(spec, "phi", where, errors)
-            _validate_matrix_field(spec, "psi", where, errors)
-        else:
-            ref = spec.get("base")
-            if not isinstance(ref, str) or ref not in names:
-                errors.append(f"{where}: dangling reference to base pair {spec.get('base')!r}")
-            steps = spec.get("steps", [])
-            if not isinstance(steps, list) or not steps:
-                errors.append(f"{where}: transform needs a nonempty 'steps' list")
-                return
-            for k, step in enumerate(steps):
-                op = step.get("op") if isinstance(step, dict) else None
-                if op not in TRANSFORM_OPS:
-                    errors.append(f"{where}.steps[{k}]: unknown op {op!r}")
-                elif op == "shift":
-                    _validate_matrix_field(step, "x", f"{where}.steps[{k}]", errors)
-                elif op == "scale":
-                    _validate_matrix_field(step, "y", f"{where}.steps[{k}]", errors)
-                elif op == "junitary":
-                    _validate_matrix_field(step, "w", f"{where}.steps[{k}]", errors)
-                elif op == "herglotz_shift":
-                    ref = step.get("m")
-                    if not isinstance(ref, str) or ref not in names:
-                        errors.append(
-                            f"{where}.steps[{k}]: dangling reference to entity {step.get('m')!r}"
-                        )
-    elif kind == "sturm_liouville":
-        if not isinstance(ent.get("n"), int) or ent.get("n", 0) < 8:
-            errors.append(f"{where}: n must be an integer >= 8")
-        variant = ent.get("variant", "dissipative-interval")
-        if variant not in ("halfline-robin", "dissipative-interval", "dissipative-halfline"):
-            errors.append(f"{where}: unknown variant {variant!r}")
-        if "length" in ent and (
-            not isinstance(ent["length"], (int, float)) or ent["length"] <= 0
-        ):
-            errors.append(f"{where}: length must be positive")
-        phi = ent.get("phi")
-        if isinstance(phi, str):
-            if phi not in names:
-                errors.append(f"{where}: dangling reference to phi entity {phi!r}")
-        elif isinstance(phi, dict):
-            _validate_rep_body(phi, f"{where}.phi", errors)
-        elif phi is not None:
-            errors.append(f"{where}: phi must be an entity name, a rep object or null")
-    elif kind == "ex4a":
-        if not isinstance(ent.get("n"), int) or ent.get("n", 0) < 1:
-            errors.append(f"{where}: n must be a positive integer")
-        scale = ent.get("c_perturbation", 0.0)
-        if not isinstance(scale, (int, float)) or not (0 <= scale < 0.9):
-            errors.append(f"{where}: c_perturbation must lie in [0, 0.9)")
-        bd = ent.get("b_decay")
-        if bd is not None and not _is_decay_list(bd, ent.get("n")):
-            errors.append(f"{where}: b_decay must be n positive, strictly decreasing numbers")
-
-
-def _is_decay_list(bd, n) -> bool:
-    try:
-        values = [real(v) for v in bd] if isinstance(bd, list) else []
-    except ValueError:
-        return False
-    decreasing = all(b < a for a, b in zip(values, values[1:]))
-    return len(values) == n and min(values, default=0.0) > 0 and decreasing
 
 
 def serialize_document(doc: JobDocument) -> str:

@@ -245,12 +245,12 @@ class FamilyEvaluator:
 
     @classmethod
     def from_rep_with_offset(
-        cls, rep: HerglotzRep, offset, label: str = ""
+        cls, rep: HerglotzRep, offset, label: str = "", tol: TolerancePolicy = DEFAULT_TOL
     ) -> "FamilyEvaluator":
         t0 = matnum.as_matrix(offset)
         if t0.shape != (rep.dim, rep.dim):
             raise matnum.MatrixShapeError("offset dimension mismatch")
-        if matnum.hermitian_residual(t0) > DEFAULT_TOL.eps_eq:
+        if matnum.hermitian_residual(t0) > tol.eps_eq:
             raise matnum.HermitianityError("offset must be Hermitian")
         t0 = matnum.herm_part(t0)
         return cls(

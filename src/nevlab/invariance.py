@@ -23,7 +23,6 @@ from .herglotz import FamilyEvaluator, HerglotzRep
 from .matnum import DEFAULT_TOL, TolerancePolicy
 from .pairs import RCOND_MIN, PairEvaluator
 
-SUBSPACE_TOL = 1e-8
 DEFAULT_CHECK_SEED = 20240817
 
 
@@ -109,7 +108,7 @@ def check_point_invariance(
 
     The space at z is {f : (f, a f) in the snapshot relation}, computed as
     Phi(z) applied to the null space of Psi(z) - a Phi(z).  Pass requires a
-    constant dimension and pairwise subspace distances at most 1e-8.
+    constant dimension and pairwise subspace distances at most tol.eps_rank.
     """
     pair = _as_pair(obj)
     a = float(a)
@@ -123,7 +122,7 @@ def check_point_invariance(
         witnesses.append({"eigenspace_dim": span.shape[1]})
     worst, notes = _span_drift(spans, witnesses)
     return InvarianceReport(
-        "point-spectrum-invariance", grid, witnesses, worst <= SUBSPACE_TOL, worst,
+        "point-spectrum-invariance", grid, witnesses, worst <= tol.eps_rank, worst,
         {"a": a, **notes},
     )
 
@@ -163,7 +162,7 @@ def check_imag_kernel_invariance(
         corridor_worst = max(
             corridor_worst, (hp.c1 * m0 - m) / scale, (m - hp.c2 * m0) / scale
         )
-    passed = worst <= SUBSPACE_TOL and corridor_worst <= harnack_rtol
+    passed = worst <= tol.eps_rank and corridor_worst <= harnack_rtol
     return InvarianceReport(
         "imag-kernel-invariance", grid, witnesses, passed, max(worst, corridor_worst),
         {**notes, "corridor_worst": corridor_worst},
@@ -250,7 +249,7 @@ def check_mul_invariance(
         witnesses.append({"mul_dim": span.shape[1]})
     worst, notes = _span_drift(spans, witnesses)
     return InvarianceReport(
-        "mul-invariance", grid, witnesses, worst <= SUBSPACE_TOL, worst, notes
+        "mul-invariance", grid, witnesses, worst <= tol.eps_rank, worst, notes
     )
 
 
@@ -344,7 +343,7 @@ def maximum_principle_schur(
         )
     worst = max(_span_drift(defect_spans)[0], _span_drift(eig_spans)[0])
     constant_flags = len(set(inv_flags)) == 1 and len(set(reg_flags)) == 1
-    passed = constant_flags and worst <= SUBSPACE_TOL
+    passed = constant_flags and worst <= tol.eps_rank
     return InvarianceReport(
         "schur-maximum-principle", grid, witnesses, passed, worst,
         {"alpha_re": alpha.real, "alpha_im": alpha.imag,

@@ -221,14 +221,14 @@ class JUnitary:
         return cls(w, dim)
 
     @classmethod
-    def shift(cls, x) -> "JUnitary":
+    def shift(cls, x, tol: TolerancePolicy = DEFAULT_TOL) -> "JUnitary":
         """[[I, 0], [X, I]] for Hermitian X; sends {Phi, Psi} to {Phi, Psi + X Phi}."""
         x = matnum.as_matrix(x)
-        if matnum.hermitian_residual(x) > DEFAULT_TOL.eps_eq:
+        if matnum.hermitian_residual(x) > tol.eps_eq:
             raise PairAxiomError("shift parameter must be Hermitian")
         d = x.shape[0]
         eye, zero = np.eye(d), np.zeros((d, d))
-        return cls.create(np.block([[eye, zero], [matnum.herm_part(x), eye]]))
+        return cls.create(np.block([[eye, zero], [matnum.herm_part(x), eye]]), tol)
 
     @classmethod
     def scale(cls, y) -> "JUnitary":
@@ -279,8 +279,8 @@ def transform(pair: PairEvaluator, w: JUnitary | np.ndarray) -> PairEvaluator:
     return PairEvaluator(d, fn, "transformed", pair.label)
 
 
-def shift_transform(pair: PairEvaluator, x) -> PairEvaluator:
-    return transform(pair, JUnitary.shift(x))
+def shift_transform(pair: PairEvaluator, x, tol: TolerancePolicy = DEFAULT_TOL) -> PairEvaluator:
+    return transform(pair, JUnitary.shift(x, tol))
 
 
 def scale_transform(pair: PairEvaluator, y) -> PairEvaluator:

@@ -1,18 +1,24 @@
-"""Execution of job documents: the task table, entities and verifier tasks.
+"""Execution of job documents: the entity and task tables and their functions.
 
-``TASKS`` maps each task kind to its parameters, each with one type rule
-and one default, and to its run function.  ``document`` checks every task
-through the table when it parses a document, so a parsed task holds typed
-values with defaults filled in; ``run_task`` looks up the kind and calls
-its run function with them.  The names a task may use below its kind
-(checks, analyses, example reports, sweep sequences) are the keys of the
-dispatch tables here and nowhere else.  Verifiers are called through their
-module attribute, so wrappers installed there see them.
+``ENTITIES`` and ``TASKS`` map each entity or task kind to its parameters,
+each with one type rule and one default, and to its build or run function;
+a pair type or transform step is a kind of a nested table of the same
+form.  ``document`` checks every entity and task through the tables when
+it parses a document, so a parsed one holds typed values with defaults
+filled in, and a reference names an earlier entity of the kind it needs.
+``build_entities`` and ``run_task`` look up the kind and call its function
+with them.  The names a task may use below its kind (checks, analyses,
+example reports, sweep sequences) are the keys of the dispatch tables here
+and nowhere else.  Verifiers are called through their module attribute, so
+wrappers installed there see them.
 
-Tasks run in declaration order, each producing one report with flat rows
-(suitable for CSV) plus a scalar summary.  Randomized checks derive their
-streams from the document seed and the task index, so identical documents
-give identical reports regardless of how the run is scheduled.
+Entities are built in declaration order; a constructor that rejects its
+data (PSD, Hermitian, J-metric or dimension checks) ends the run with a
+``RunError`` naming the entity.  Tasks run in declaration order, each
+producing one report with flat rows (suitable for CSV) plus a scalar
+summary.  Randomized checks derive their streams from the document seed
+and the task index, so identical documents give identical reports
+regardless of how the run is scheduled.
 """
 
 from __future__ import annotations
@@ -23,9 +29,8 @@ from typing import Any, Callable
 import numpy as np
 
 from . import analysis, examples, herglotz, invariance, matnum, pairs
-from .document import JobDocument, decode_matrix, real
+from .document import DocumentError, JobDocument, decode_matrix, real
 from .herglotz import FamilyEvaluator, HerglotzRep
-from .matnum import TolerancePolicy
 from .pairs import PairEvaluator
 
 
@@ -51,11 +56,16 @@ class TaskReport:
         }
 
 
-# -- type rules: each returns the checked value or raises ValueError("must ...")
+MAX_DIM = 1024  # entity n and n_list entries; decay alone takes seconds per point there
+MAX_TRIALS = 10_000  # task trials and ``nevlab harnack --trials``
+
+
+# -- type rules: rule(value, names) returns the checked value or raises
+# ValueError("must ..."); names maps each entity declared so far to its kind
 
 
 def _rule(ok: Callable[[Any], bool], what: str):
-    def rule(value):
+    def rule(value, names):
         if ok(value):
             return value
         raise ValueError(f"must be {what}, got {value!r}")
@@ -63,16 +73,17 @@ def _rule(ok: Callable[[Any], bool], what: str):
     return rule
 
 
-def _int_from(least: int):
-    return _rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least,
-                 f"an integer >= {least}")
+def _int_in(least: int, most: int | None = None):
+    what = f"an integer >= {least}" if most is None else f"an integer in [{least}, {most}]"
+    return _rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and least <= v
+                 and (most is None or v <= most), what)
 
 
 def _one_of(table: dict):
     return _rule(lambda v: isinstance(v, str) and v in table, f"one of {', '.join(table)}")
 
 
-def _upper_point(value) -> complex:
+def _upper_point(value, names) -> complex:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"must be an [re, im] pair, got {value!r}")
     z = complex(real(value[0]), real(value[1]))
@@ -81,16 +92,24 @@ def _upper_point(value) -> complex:
     return z
 
 
+def _atom(value, names) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"must be a [t, matrix] pair, got {value!r}")
+    return real(value[0]), decode_matrix(value[1])
+
+
 def _list_of(item, min_len: int = 1, increasing: bool = False):
-    def rule(value) -> tuple:
+    def rule(value, names) -> tuple:
         if not isinstance(value, list) or len(value) < min_len:
             raise ValueError(f"must be a list of at least {min_len} item(s)")
-        out = []
+        out, problems = [], []
         for k, v in enumerate(value):
             try:
-                out.append(item(v))
-            except ValueError as exc:
-                raise ValueError(f"[{k}] {exc}") from None
+                out.append(item(v, names))
+            except ValueError as exc:  # a DocumentError from a nested table has several
+                problems += [f"[{k}] {line}" for line in getattr(exc, "errors", [exc])]
+        if problems:
+            raise DocumentError(problems)
         if increasing and any(b <= a for a, b in zip(out, out[1:])):
             raise ValueError("must be strictly increasing")
         return tuple(out)
@@ -98,43 +117,93 @@ def _list_of(item, min_len: int = 1, increasing: bool = False):
     return rule
 
 
+def _optional(rule):
+    return lambda value, names: None if value is None else rule(value, names)
+
+
+def _ref(*kinds: str):
+    """An entity declared earlier, of one of kinds (of any kind when none given)."""
+
+    def rule(value, names) -> str:
+        if not isinstance(value, str):
+            raise ValueError(f"must be an entity name, got {value!r}")
+        if value not in names:
+            raise ValueError(f"{value!r} is a dangling reference")
+        if kinds and names[value] not in kinds:
+            raise ValueError(f"must name a {' or '.join(kinds)}, not the {names[value]} {value!r}")
+        return value
+
+    return rule
+
+
+def _nested(kind: "Kind", value, names, fixed: tuple = ()) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"must be an object, got {value!r}")
+    errors: list[str] = []
+    out = kind.check(value, "", names, errors, fixed)
+    if errors:
+        raise DocumentError(errors)
+    return out
+
+
+def _pick(table: dict, key: str):
+    """An object whose ``key`` names its entry in a nested table of kinds."""
+
+    def rule(value, names) -> dict:
+        kind = value.get(key) if isinstance(value, dict) else None
+        if not (isinstance(kind, str) and kind in table):
+            raise ValueError(f"{key} must be one of {', '.join(table)}, got {kind!r}")
+        return _nested(table[kind], value, names, (key,))
+
+    return rule
+
+
 _REQUIRED = object()
-_ENTITY = _rule(lambda v: isinstance(v, str), "an entity name")
-_POSITIVE = _int_from(1)
+_ENTITY = _ref()
+_REAL = lambda value, names: real(value)  # noqa: E731
+_MATRIX = lambda value, names: decode_matrix(value)  # noqa: E731
+_TRIALS = _int_in(1, MAX_TRIALS)
 
 
 @dataclass(frozen=True)
-class TaskKind:
-    """Parameter name -> (type rule, default), and the run function.
+class Kind:
+    """Parameter name -> (type rule, default), and the function that uses them.
 
-    A default of None marks an optional parameter whose absence the run
-    function handles itself.
+    A default of None marks an optional parameter whose absence the
+    function handles itself.  ``post`` checks the parameters together once
+    each passed its own rule, raising ValueError.
     """
 
-    run: Callable[..., tuple[bool, dict, list[dict]]]
-    params: dict[str, tuple[Callable[[Any], Any], Any]]
+    run: Callable[..., Any]
+    params: dict[str, tuple[Callable[[Any, dict], Any], Any]]
+    post: Callable[[dict], Any] | None = None
 
-    def check(self, task: dict, where: str, entities, errors: list[str]) -> dict:
-        """The task with every parameter checked and defaults filled in.
+    def check(self, obj: dict, where: str, names: dict[str, str], errors: list[str],
+              fixed: tuple = ()) -> dict:
+        """obj with every parameter checked and defaults filled in.
 
-        Problems go to errors; an ``entity`` parameter must be in entities.
+        Problems go to errors, each prefixed by where; the keys in fixed
+        were checked by the caller and are copied as they are.
         """
-        out = {"name": task.get("name"), "task": task["task"]}
-        for key in sorted(set(task) - set(self.params) - {"name", "task"}):
-            errors.append(f"{where}: unknown parameter {key!r}")
+        before = len(errors)
+        out = {key: obj.get(key) for key in fixed}
+        for key in sorted(set(obj) - set(self.params) - set(fixed)):
+            errors.append(f"{where}unknown parameter {key!r}")
         for key, (rule, default) in self.params.items():
-            if key not in task:
+            if key not in obj:
                 if default is _REQUIRED:
-                    errors.append(f"{where}: missing parameter {key!r}")
+                    errors.append(f"{where}missing parameter {key!r}")
                 out[key] = default
                 continue
             try:
-                out[key] = rule(task[key])
+                out[key] = rule(obj[key], names)
             except ValueError as exc:
-                errors.append(f"{where}: {key} {exc}")
-                continue
-            if key == "entity" and out[key] not in entities:
-                errors.append(f"{where}: dangling reference to entity {out[key]!r}")
+                errors += [f"{where}{key} {line}" for line in getattr(exc, "errors", [exc])]
+        if self.post is not None and len(errors) == before:
+            try:
+                self.post(out)
+            except ValueError as exc:
+                errors.append(f"{where}{exc}")
         return out
 
 
@@ -162,7 +231,7 @@ def _run_classify(p, built, grid, tol, rng):
     obj = built[p["entity"]]
     if isinstance(obj, PairEvaluator):
         cls = pcls = invariance.classify_family_pair(obj, tol)
-        passed = True
+        passed = pairs.validate(obj, grid, tol).passed
     else:
         family = _family(p, built)
         cls = herglotz.classify(family, tol, grid)
@@ -349,151 +418,141 @@ def _run_sweep(p, built, grid, tol, rng):
     return report.passed, summary, report.rows()
 
 
-_OPTIONAL_TRIALS = (_POSITIVE, None)  # each use has its own default
+_OPTIONAL_TRIALS = (_TRIALS, None)  # each use has its own default
 
-TASKS: dict[str, TaskKind] = {
-    "classify": TaskKind(_run_classify, {"entity": (_ENTITY, _REQUIRED)}),
-    "invariance": TaskKind(_run_invariance, {
+TASKS: dict[str, Kind] = {
+    "classify": Kind(_run_classify, {"entity": (_ENTITY, _REQUIRED)}),
+    "invariance": Kind(_run_invariance, {
         "entity": (_ENTITY, _REQUIRED),
         "checks": (_list_of(_one_of(_CHECKS)), tuple(_CHECKS)),
-        "a": (real, 0.0),
+        "a": (_REAL, 0.0),
     }),
-    "harnack": TaskKind(_run_harnack, {
+    "harnack": Kind(_run_harnack, {
         "entity": (_ENTITY, None),  # adds the form sandwich against z0
         "z1": (_upper_point, 1j),
         "z2": (_upper_point, 2j),
         "z0": (_upper_point, 1j),
         "trials": _OPTIONAL_TRIALS,  # 1000 for the certificate, 100 for the sandwich
     }),
-    "analysis": TaskKind(_run_analysis, {
+    "analysis": Kind(_run_analysis, {
         "entity": (_ENTITY, _REQUIRED),
         "analyses": (_list_of(_one_of(_ANALYSES)), ("split",)),
         "z": (_upper_point, 1j),
         "trials": _OPTIONAL_TRIALS,  # 50 for weak_strong, 100 for sandwich
     }),
-    "examples": TaskKind(_run_examples, {
+    "examples": Kind(_run_examples, {
         "entity": (_ENTITY, _REQUIRED),
         "what": (_one_of(_EXAMPLES), "decay"),
-        "a_values": (_list_of(real), (0.5, 2.0)),  # read by gap_sweep
-        "n_list": (_list_of(_int_from(8)), (32, 64, 128)),  # read by gap_sweep
+        "a_values": (_list_of(_REAL), (0.5, 2.0)),  # read by gap_sweep
+        "n_list": (_list_of(_int_in(8, MAX_DIM)), (32, 64, 128)),  # read by gap_sweep
     }),
-    "sweep": TaskKind(_run_sweep, {
+    "sweep": Kind(_run_sweep, {
         "sequence": (_one_of(_SWEEPS), _REQUIRED),
-        "n_list": (_list_of(_POSITIVE, min_len=2, increasing=True), _REQUIRED),
-        "trials": (_POSITIVE, 100),
+        "n_list": (_list_of(_int_in(1, MAX_DIM), min_len=2, increasing=True), _REQUIRED),
+        "trials": (_TRIALS, 100),
     }),
 }
 
 
-# -- entities -------------------------------------------------------------------
+# -- entities: build(params, built entities, tol) -> object; a nested pair type
+# or transform step is a kind of its own, and a step also takes the pair so far
 
 
-def _decode_strict(obj, where: str):
-    errors: list[str] = []
-    m = decode_matrix(obj, where, errors)
-    if errors:
-        raise RunError("; ".join(errors))
-    return m
+def _build_family(p, built, tol) -> FamilyEvaluator:
+    rep = built[p["rep"]]
+    if p["offset"] is None:
+        return FamilyEvaluator.from_rep(rep, label=p["name"])
+    return FamilyEvaluator.from_rep_with_offset(rep, p["offset"], label=p["name"], tol=tol)
 
 
-def _build_rep(body: dict, where: str, tol: TolerancePolicy) -> HerglotzRep:
-    b0 = _decode_strict(body["b0"], f"{where}.b0")
-    b1 = _decode_strict(body["b1"], f"{where}.b1")
-    atoms = [
-        (float(t), _decode_strict(w, f"{where}.atoms")) for t, w in body.get("atoms", [])
-    ]
-    try:
-        return HerglotzRep.create(b0, b1, atoms if atoms else None, tol)
-    except (ValueError, matnum.MatrixShapeError) as exc:
-        raise RunError(f"{where}: {exc}") from exc
+def _build_transform(p, built, tol) -> PairEvaluator:
+    out = built[p["base"]]
+    for step in p["steps"]:
+        out = _STEPS[step["op"]].run(step, out, built, tol)
+    return out
+
+
+def _build_sl(p, built, tol) -> examples.SturmLiouvilleConfig:
+    phi = p["phi"]
+    if phi is not None:  # the name of a rep entity, or a rep body of its own
+        phi = built[phi] if isinstance(phi, str) else _REP.run(phi, built, tol)
+    return examples.SturmLiouvilleConfig(p["n"], phi, p["length"], p["variant"])
+
+
+def _ex4a(p, *unused) -> examples.Ex4AConfig:
+    return examples.Ex4AConfig(p["n"], p["b_decay"], p["c_perturbation"], p["seed"])
+
+
+def _phi(value, names):
+    if isinstance(value, dict):
+        return _nested(_REP, value, names)
+    return _ref("herglotz_rep")(value, names)
+
+
+_REP = Kind(
+    lambda p, built, tol: HerglotzRep.create(p["b0"], p["b1"], p["atoms"] or None, tol),
+    {"b0": (_MATRIX, _REQUIRED), "b1": (_MATRIX, _REQUIRED),
+     "atoms": (_list_of(_atom, min_len=0), ())},
+)
+
+_STEPS = {
+    "shift": Kind(lambda p, pair, built, tol: pairs.shift_transform(pair, p["x"], tol),
+                  {"x": (_MATRIX, _REQUIRED)}),
+    "scale": Kind(lambda p, pair, built, tol: pairs.scale_transform(pair, p["y"]),
+                  {"y": (_MATRIX, _REQUIRED)}),
+    "flip": Kind(lambda p, pair, built, tol: pairs.flip_transform(pair), {}),
+    "junitary": Kind(
+        lambda p, pair, built, tol: pairs.transform(pair, pairs.JUnitary.create(p["w"], tol)),
+        {"w": (_MATRIX, _REQUIRED)}),
+    "herglotz_shift": Kind(  # M must be uniformly strict
+        lambda p, pair, built, tol: pairs.herglotz_shift_transform(pair, built[p["m"]]),
+        {"m": (_ref("herglotz_rep"), _REQUIRED)}),
+}
+
+_PAIRS = {
+    "canonical": Kind(lambda p, built, tol: pairs.canonical_pair(built[p["family"]]),
+                      {"family": (_ref("herglotz_rep", "family"), _REQUIRED)}),
+    "constant": Kind(lambda p, built, tol: PairEvaluator.constant(p["phi"], p["psi"]),
+                     {"phi": (_MATRIX, _REQUIRED), "psi": (_MATRIX, _REQUIRED)}),
+    "transform": Kind(_build_transform, {
+        "base": (_ref("pair"), _REQUIRED),
+        "steps": (_list_of(_pick(_STEPS, "op")), _REQUIRED),
+    }),
+}
+
+ENTITIES: dict[str, Kind] = {
+    "herglotz_rep": _REP,
+    "family": Kind(_build_family, {
+        "rep": (_ref("herglotz_rep"), _REQUIRED),
+        "offset": (_optional(_MATRIX), None),  # Hermitian, added to the rep's values
+    }),
+    "pair": Kind(lambda p, built, tol: _PAIRS[p["pair"]["type"]].run(p["pair"], built, tol),
+                 {"pair": (_pick(_PAIRS, "type"), _REQUIRED)}),
+    "sturm_liouville": Kind(_build_sl, {
+        "n": (_int_in(1, MAX_DIM), _REQUIRED),
+        "variant": (_rule(lambda v: isinstance(v, str), "a string"),
+                    examples.VARIANT_INTERVAL),
+        "length": (_REAL, 1.0),
+        "phi": (_optional(_phi), None),  # None: Dirichlet-Dirichlet, no boundary coefficient
+    }, post=lambda p: _build_sl({**p, "phi": None}, {}, None)),
+    "ex4a": Kind(_ex4a, {
+        "n": (_int_in(1, MAX_DIM), _REQUIRED),
+        "b_decay": (_optional(_list_of(_REAL)), None),
+        "c_perturbation": (_REAL, 0.0),
+        "seed": (_int_in(0), 0),
+    }, post=lambda p: _ex4a(p).b_values()),
+}
 
 
 def build_entities(doc: JobDocument) -> dict[str, object]:
     """Instantiate every declared entity, resolving references in order."""
     built: dict[str, object] = {}
     for ent in doc.entities:
-        name, kind = ent["name"], ent["kind"]
-        where = f"entity {name!r}"
-        if kind == "herglotz_rep":
-            built[name] = _build_rep(ent, where, doc.tol)
-        elif kind == "family":
-            rep = built[ent["rep"]]
-            if not isinstance(rep, HerglotzRep):
-                raise RunError(f"{where}: 'rep' must reference representation data")
-            offset = ent.get("offset")
-            if offset is None:
-                built[name] = FamilyEvaluator.from_rep(rep, label=name)
-            else:
-                built[name] = FamilyEvaluator.from_rep_with_offset(
-                    rep, _decode_strict(offset, f"{where}.offset"), label=name
-                )
-        elif kind == "pair":
-            built[name] = _build_pair(ent["pair"], built, where)
-        elif kind == "sturm_liouville":
-            phi = ent.get("phi")
-            if isinstance(phi, str):
-                phi_rep = built[phi]
-                if not isinstance(phi_rep, HerglotzRep) or phi_rep.dim != 1:
-                    raise RunError(f"{where}: phi must reference scalar rep data")
-            elif isinstance(phi, dict):
-                phi_rep = _build_rep(phi, f"{where}.phi", doc.tol)
-            else:
-                phi_rep = None
-            built[name] = examples.SturmLiouvilleConfig(
-                n=ent["n"],
-                phi=phi_rep,
-                length=float(ent.get("length", 1.0)),
-                variant=ent.get("variant", examples.VARIANT_INTERVAL),
-            )
-        elif kind == "ex4a":
-            built[name] = examples.Ex4AConfig(
-                n=ent["n"],
-                b_decay=ent.get("b_decay"),
-                c_perturbation=float(ent.get("c_perturbation", 0.0)),
-                seed=int(ent.get("seed", 0)),
-            )
-        else:  # pragma: no cover - parser rejects unknown kinds
-            raise RunError(f"{where}: unknown kind {kind!r}")
-    return built
-
-
-def _build_pair(spec: dict, built: dict, where: str) -> PairEvaluator:
-    ptype = spec["type"]
-    if ptype == "canonical":
-        family = built[spec["family"]]
-        if isinstance(family, HerglotzRep):
-            family = FamilyEvaluator.from_rep(family)
-        if not isinstance(family, FamilyEvaluator):
-            raise RunError(f"{where}: canonical pair needs a family entity")
-        return pairs.canonical_pair(family)
-    if ptype == "constant":
-        return PairEvaluator.constant(
-            _decode_strict(spec["phi"], f"{where}.phi"),
-            _decode_strict(spec["psi"], f"{where}.psi"),
-        )
-    base = built[spec["base"]]
-    if not isinstance(base, PairEvaluator):
-        raise RunError(f"{where}: transform base must be a pair")
-    out = base
-    for step in spec["steps"]:
-        op = step["op"]
         try:
-            if op == "shift":
-                out = pairs.shift_transform(out, _decode_strict(step["x"], where))
-            elif op == "scale":
-                out = pairs.scale_transform(out, _decode_strict(step["y"], where))
-            elif op == "flip":
-                out = pairs.flip_transform(out)
-            elif op == "junitary":
-                out = pairs.transform(out, _decode_strict(step["w"], where))
-            else:
-                m = built[step["m"]]
-                if not isinstance(m, HerglotzRep):
-                    raise RunError(f"{where}: herglotz_shift needs representation data")
-                out = pairs.herglotz_shift_transform(out, m)
-        except (pairs.PairAxiomError, matnum.MatrixShapeError) as exc:
-            raise RunError(f"{where}: {exc}") from exc
-    return out
+            built[ent["name"]] = ENTITIES[ent["kind"]].run(ent, built, doc.tol)
+        except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            raise RunError(f"entity {ent['name']!r}: {exc}") from exc
+    return built
 
 
 def run_task(

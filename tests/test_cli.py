@@ -284,6 +284,14 @@ def _with(*tasks, entities=(SL, EX4A), **extra):
     return raw
 
 
+def _rep(name="g", **fields):
+    return {"name": name, "kind": "herglotz_rep", "b0": ZERO1, "b1": EYE1, "atoms": [], **fields}
+
+
+PAIR = {"name": "p", "kind": "pair", "pair": {"type": "canonical", "family": "f"}}
+FAMILY = {"name": "fam", "kind": "family", "rep": "f"}
+
+
 def _analysis(*analyses, **fields):
     return {"name": "t", "task": "analysis", "entity": "f", "analyses": list(analyses),
             **fields}
@@ -309,6 +317,24 @@ REJECTED = {
     "name-summary": (_with({**INVARIANCE, "name": "summary"}), []),
     "b-decay-increasing": (_with(FORM, entities=[SL, {**EX4A, "b_decay": [0.1, 0.2, 0.3]}]),
                            []),
+    "sl-length-huge": (_with(entities=[{**SL, "length": 10**400}]), []),
+    "sl-length-infinite": (_with(entities=[{**SL, "length": float("inf")}]), []),
+    "atom-t-infinite": (_with(entities=[_rep(atoms=[[float("inf"), EYE1]])]), []),
+    "atom-t-nan": (_with(entities=[_rep(atoms=[[float("nan"), EYE1]])]), []),
+    "atom-t-bool": (_with(entities=[_rep(atoms=[[True, EYE1]])]), []),
+    "ex4a-seed-text": (_with(entities=[{**EX4A, "seed": "x"}]), []),
+    "ex4a-seed-negative": (_with(entities=[{**EX4A, "seed": -1}]), []),
+    "ex4a-seed-fraction": (_with(entities=[{**EX4A, "seed": 1.5}]), []),
+    "ex4a-n-bool": (_with(entities=[{**EX4A, "n": True}]), []),
+    "entity-unknown-key": (_with(entities=[{**EX4A, "b_decy": [0.3, 0.2, 0.1]}]), []),
+    "matrix-entry-huge": (_with(entities=[_rep(b1=[[[10**400, 0.0]]])]), []),
+    "matrix-entry-nan": (_with(entities=[_rep(b1=[[[float("nan"), 0.0]]])]), []),
+    "family-rep-names-pair": (_with(entities=[PAIR, {**FAMILY, "rep": "p"}]), []),
+    "sl-phi-names-pair": (_with(entities=[PAIR, {**SL, "phi": "p"}]), []),
+    # not run on the old code: there the first loops for days, the second asks
+    # for a 100000 x 100000 complex matrix
+    "harnack-trials-huge": (_with({"name": "t", "task": "harnack", "trials": 10**12}), []),
+    "sweep-n-list-huge": (_with({**SWEEP, "n_list": [8, 100000]}), []),
 }
 
 
@@ -326,6 +352,50 @@ def test_rejected_input_exits_two(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "document error:" in err and "Traceback" not in err
     assert _files(tmp_path) == {doc_path}  # nothing written, least of all above --out
+
+
+# valid documents whose entity constructors reject the data: exit 1, not a traceback
+BUILD_FAILS = {
+    "offset-not-hermitian": _with(entities=[{**FAMILY, "offset": [[[1.0, 1.0]]]}]),
+    "offset-wrong-size": _with(entities=[{**FAMILY, "offset": [[[1.0, 0.0], [0.0, 0.0]],
+                                                               [[0.0, 0.0], [1.0, 0.0]]]}]),
+    "shift-not-hermitian": _with(entities=[PAIR, {"name": "q", "kind": "pair", "pair": {
+        "type": "transform", "base": "p", "steps": [{"op": "shift", "x": [[[0.0, 1.0]]]}]}}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_FAILS))
+def test_entity_build_failure_exits_one(case, tmp_path, capsys):
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(BUILD_FAILS[case]))
+    assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: entity" in err and "Traceback" not in err
+
+
+def test_document_tolerances_decide_offset_hermiticity(tmp_path, capsys):
+    raw = _with(entities=[{**FAMILY, "offset": [[[1.0, 1e-5]]]}])
+    loose = parse_document(json.dumps({**raw, "tolerances": {"eps_eq": 1e-3}}))
+    assert runner.build_entities(loose)["fam"].offset[0, 0] == 1.0
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 1
+    assert "error: entity 'fam'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entity, code", [("zero", 1), ("p", 0)])
+def test_classify_pair_passes_iff_pair_axioms_hold(entity, code, tmp_path):
+    zero = {"name": "zero", "kind": "pair", "pair": {"type": "constant", "phi": ZERO1,
+                                                      "psi": ZERO1}}
+    raw = _with({"name": "t", "task": "classify", "entity": entity}, entities=[PAIR, zero])
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == code
+
+
+def test_harnack_trials_capped(capsys):
+    assert cli.main(["harnack", "--trials", str(runner.MAX_TRIALS + 1)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_pin_threads_overrides_host_setting(monkeypatch):
@@ -347,13 +417,25 @@ FUZZ_BASE = {
     "sweep": {"sequence": "diag-inverse-k", "n_list": [2, 4], "trials": 10},
 }
 SL_ENTITY = {"name": "sl", "kind": "sturm_liouville", "n": 8, "phi": None}
+# one valid entity per kind, named "e" and classified by the task; it may
+# reference the document's rep "f"
+FUZZ_ENTITIES = {
+    "herglotz_rep": {"b0": ZERO1, "b1": EYE1, "atoms": [[0.5, EYE1]]},
+    "family": {"rep": "f", "offset": EYE1},
+    "pair": {"pair": {"type": "canonical", "family": "f"}},
+    "sturm_liouville": {"n": 8, "length": 1.0, "variant": "dissipative-interval", "phi": "f"},
+    "ex4a": {"n": 3, "b_decay": [0.5, 0.25, 0.125], "c_perturbation": 0.1, "seed": 2},
+}
 FUZZ_PARAMS = [(kind, key) for kind in runner.TASKS for key in runner.TASKS[kind].params]
+FUZZ_PARAMS += [(kind, key) for kind in runner.ENTITIES for key in runner.ENTITIES[kind].params]
 
-# numbers stay small: a drawn size (trials, n, n_list) must not make one example
-# slow or large; NaN and infinities are valid JSON to Python's decoder
+# small sizes (trials, n, n_list) keep an example fast; the large ones lie
+# beyond the size caps and must be rejected; NaN and infinities are valid
+# JSON to Python's decoder
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=6)
-    | st.floats(-1e3, 1e3) | st.sampled_from([float("nan"), float("inf"), 1e308]),
+    | st.floats(-1e3, 1e3)
+    | st.sampled_from([float("nan"), float("inf"), 1e308, 10**6, 10**12, 10**400]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                   max_size=3),
     max_leaves=8,
@@ -364,13 +446,24 @@ def test_fuzz_table_covers_every_kind():
     assert set(FUZZ_BASE) == set(runner.TASKS)
 
 
-@settings(max_examples=60, deadline=None)
+def test_fuzz_entity_table_covers_every_kind():
+    assert set(FUZZ_ENTITIES) == set(runner.ENTITIES)
+    for kind, body in FUZZ_ENTITIES.items():  # each base entity parses and builds
+        raw = minimal_doc(entities=[_rep("f"), {"name": "e", "kind": kind, **body}])
+        assert "e" in runner.build_entities(parse_document(json.dumps(raw)))
+
+
+@settings(max_examples=100, deadline=None)
 @given(param=st.sampled_from(FUZZ_PARAMS), value=json_values)
 def test_fuzzed_parameter_never_crashes(param, value):
     kind, key = param
-    task = {"name": "t", "task": kind, **FUZZ_BASE[kind], key: value}
-    entity = SL_ENTITY if task.get("entity") == "sl" else minimal_doc()["entities"][0]
-    raw = minimal_doc(entities=[entity], tasks=[task],
+    if kind in runner.ENTITIES:
+        entities = [_rep("f"), {"name": "e", "kind": kind, **FUZZ_ENTITIES[kind], key: value}]
+        task = {"name": "t", "task": "classify", "entity": "e"}
+    else:
+        task = {"name": "t", "task": kind, **FUZZ_BASE[kind], key: value}
+        entities = [SL_ENTITY if task.get("entity") == "sl" else minimal_doc()["entities"][0]]
+    raw = minimal_doc(entities=entities, tasks=[task],
                       grid=[[0.0, 1.0], [0.5, 2.0], [-1.0, 0.5], [0.0, -1.0]])
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
