@@ -5,7 +5,11 @@ family or pair (an eigenspace at a real value, the kernel of the imaginary
 part, a resolvent or boundedness flag, the multivalued part, a Schur-class
 defect space) does not move with z.  Reports carry per-point scalar
 witnesses and are deterministic given the grid; permuting the grid changes
-neither the verdict nor the worst-case deviation.  Continuous spectrum has
+neither the verdict nor the worst-case deviation.  A span check on G grid
+points stacks the spans once and takes the exact worst pairwise distance
+in O(G) batched ``matnum.subspace_distances`` calls, one per row of the
+upper triangle, holding no more than one (G, n, k) stack at a time; no
+triangle-inequality bound replaces the maximum.  Continuous spectrum has
 no finite-dimensional instance, so it is emulated by a truncation sweep:
 uniform-in-z decay of the smallest form eigenvalue along growing
 dimensions, with Harnack-normalized ratios as the uniformity certificate.
@@ -91,10 +95,13 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
         for w in witnesses or []:
             w["distance"] = 1.0
         return 1.0, {"reason": "dimension varies", "dims": dims}
-    for w, s in zip(witnesses or [], spans):
-        w["distance"] = matnum.subspace_distance(s, spans[0])
-    worst = max((matnum.subspace_distance(u, v)
-                 for i, u in enumerate(spans) for v in spans[i + 1:]), default=0.0)
+    stack = np.stack(spans)
+    if witnesses:
+        for w, d in zip(witnesses, matnum.subspace_distances(stack, stack[0])):
+            w["distance"] = float(d)
+    # row by row, so no temporary is larger than one (G, n, k) stack
+    worst = max((float(matnum.subspace_distances(stack[i], stack[i + 1:]).max())
+                 for i in range(len(stack) - 1)), default=0.0)
     return worst, {"dim": dims[0]}
 
 

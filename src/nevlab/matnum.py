@@ -55,7 +55,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise MatrixShapeError(f"expected a matrix, got ndim={m.ndim}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -184,6 +184,29 @@ def orthonormal_complement(u) -> np.ndarray:
     return uu[:, nkeep:]
 
 
+def subspace_distances(us, vs) -> np.ndarray:
+    """Sine of the largest principal angle between stacked orthonormal spans.
+
+    ``us`` and ``vs`` are (..., n, k) stacks of bases of one shape (n, k),
+    broadcast against each other over their leading axes; the result has
+    the broadcast leading shape.  Finiteness is checked once per stack and
+    every norm comes from one batched SVD.
+    """
+    mu = np.asarray(us, dtype=np.complex128)
+    mv = np.asarray(vs, dtype=np.complex128)
+    if mu.ndim < 2 or mu.shape[-2:] != mv.shape[-2:]:
+        raise MatrixShapeError(f"bases of shapes {mu.shape} and {mv.shape} do not match")
+    lead = np.broadcast_shapes(mu.shape[:-2], mv.shape[:-2])  # ValueError if they do not
+    if not (np.isfinite(mu).all() and np.isfinite(mv).all()):
+        raise ValueError("basis contains NaN or Inf entries")
+    if min(mu.shape[-2:]) == 0 or 0 in lead:
+        return np.zeros(lead)
+    # sin(theta_max) = || (I - U U*) V ||_2; the residual form avoids the
+    # sqrt(eps) loss of computing sines from principal-angle cosines
+    resid = mv - mu @ (mu.conj().swapaxes(-1, -2) @ mv)
+    return np.minimum(1.0, np.linalg.svd(resid, compute_uv=False).max(axis=-1))
+
+
 def subspace_distance(u, v) -> float:
     """Sine of the largest principal angle between two orthonormal spans.
 
@@ -197,12 +220,7 @@ def subspace_distance(u, v) -> float:
         raise MatrixShapeError("bases live in different ambient dimensions")
     if mu.shape[1] != mv.shape[1]:
         return 1.0
-    if mu.shape[1] == 0:
-        return 0.0
-    # sin(theta_max) = || (I - U U*) V ||_2; the residual form avoids the
-    # sqrt(eps) loss of computing sines from principal-angle cosines
-    resid = mv - mu @ (mu.conj().T @ mv)
-    return min(1.0, float(np.linalg.norm(resid, 2)))
+    return float(subspace_distances(mu, mv))
 
 
 def rcond(a) -> float:

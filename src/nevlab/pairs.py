@@ -231,13 +231,13 @@ class JUnitary:
         return cls.create(np.block([[eye, zero], [matnum.herm_part(x), eye]]), tol)
 
     @classmethod
-    def scale(cls, y) -> "JUnitary":
+    def scale(cls, y, tol: TolerancePolicy = DEFAULT_TOL) -> "JUnitary":
         """[[Y^-1, 0], [0, Y*]] for invertible Y; sends {Phi, Psi} to {Y^-1 Phi, Y* Psi}."""
         y = matnum.as_matrix(y)
         d = y.shape[0]
         y_inv = matnum.inverse(y, RCOND_MIN)
         zero = np.zeros((d, d))
-        return cls.create(np.block([[y_inv, zero], [zero, y.conj().T]]))
+        return cls.create(np.block([[y_inv, zero], [zero, y.conj().T]]), tol)
 
     @classmethod
     def flip(cls, dim: int) -> "JUnitary":
@@ -283,17 +283,19 @@ def shift_transform(pair: PairEvaluator, x, tol: TolerancePolicy = DEFAULT_TOL) 
     return transform(pair, JUnitary.shift(x, tol))
 
 
-def scale_transform(pair: PairEvaluator, y) -> PairEvaluator:
-    return transform(pair, JUnitary.scale(y))
+def scale_transform(pair: PairEvaluator, y, tol: TolerancePolicy = DEFAULT_TOL) -> PairEvaluator:
+    return transform(pair, JUnitary.scale(y, tol))
 
 
 def flip_transform(pair: PairEvaluator) -> PairEvaluator:
     return transform(pair, JUnitary.flip(pair.dim))
 
 
-def herglotz_shift_transform(pair: PairEvaluator, m: HerglotzRep) -> PairEvaluator:
+def herglotz_shift_transform(
+    pair: PairEvaluator, m: HerglotzRep, tol: TolerancePolicy = DEFAULT_TOL
+) -> PairEvaluator:
     """{Phi, Psi + M(z) Phi} for a uniformly strict shift function M."""
-    cls = herglotz.classify(m)
+    cls = herglotz.classify(m, tol)
     if cls.label != herglotz.CLASS_UNIFORM:
         raise PairAxiomError(
             f"shift function must be uniformly strict, classified {cls.label}"

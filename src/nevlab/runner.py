@@ -121,19 +121,36 @@ def _optional(rule):
     return lambda value, names: None if value is None else rule(value, names)
 
 
-def _ref(*kinds: str):
-    """An entity declared earlier, of one of kinds (of any kind when none given)."""
+def _not_built(types: tuple, value: str, names) -> str | None:
+    """None if the entity value builds one of types, else 'a <kinds>, not the <kind> <value>'."""
+    kind = names[value]  # an unknown kind was reported where it was declared
+    if isinstance(kind, str) and kind in ENTITIES and ENTITIES[kind].makes in types:
+        return None
+    kinds = " or ".join(k for k, kind in ENTITIES.items() if kind.makes in types)
+    return f"a {kinds}, not the {names[value]} {value!r}"
+
+
+def _ref(*types: type):
+    """An entity declared earlier that builds one of types (any entity when none given)."""
 
     def rule(value, names) -> str:
         if not isinstance(value, str):
             raise ValueError(f"must be an entity name, got {value!r}")
         if value not in names:
             raise ValueError(f"{value!r} is a dangling reference")
-        if kinds and names[value] not in kinds:
-            raise ValueError(f"must name a {' or '.join(kinds)}, not the {names[value]} {value!r}")
+        wrong = types and _not_built(types, value, names)
+        if wrong:
+            raise ValueError(f"must name {wrong}")
         return value
 
     return rule
+
+
+def _entity_for(p: dict, names, types: tuple, what: str) -> None:
+    """A post check: the task's entity builds one of the types that what needs."""
+    wrong = _not_built(types, p["entity"], names)
+    if wrong:
+        raise ValueError(f"{what} needs {wrong}")
 
 
 def _nested(kind: "Kind", value, names, fixed: tuple = ()) -> dict:
@@ -170,13 +187,15 @@ class Kind:
     """Parameter name -> (type rule, default), and the function that uses them.
 
     A default of None marks an optional parameter whose absence the
-    function handles itself.  ``post`` checks the parameters together once
-    each passed its own rule, raising ValueError.
+    function handles itself.  ``post(params, names)`` checks the parameters
+    together once each passed its own rule, raising ValueError.  ``makes``
+    is the type an entity kind builds; typed references are checked by it.
     """
 
     run: Callable[..., Any]
     params: dict[str, tuple[Callable[[Any, dict], Any], Any]]
-    post: Callable[[dict], Any] | None = None
+    post: Callable[[dict, dict], Any] | None = None
+    makes: type | None = None
 
     def check(self, obj: dict, where: str, names: dict[str, str], errors: list[str],
               fixed: tuple = ()) -> dict:
@@ -201,7 +220,7 @@ class Kind:
                 errors += [f"{where}{key} {line}" for line in getattr(exc, "errors", [exc])]
         if self.post is not None and len(errors) == before:
             try:
-                self.post(out)
+                self.post(out, names)
             except ValueError as exc:
                 errors.append(f"{where}{exc}")
         return out
@@ -214,17 +233,19 @@ def _fail(p: dict, why: str) -> RunError:
     return RunError(f"task {p['name']!r}: {why}")
 
 
+# entity type -> the family a task reads it as
+_AS_FAMILY = {
+    HerglotzRep: FamilyEvaluator.from_rep,
+    FamilyEvaluator: lambda family: family,
+    examples.SturmLiouvilleConfig: examples.build_family,
+    examples.Ex4AConfig: lambda config: examples.build_ex4a(config).f_family,
+}
+_FAMILY_ENTITY = _ref(*_AS_FAMILY)
+
+
 def _family(p: dict, built: dict) -> FamilyEvaluator:
     obj = built[p["entity"]]
-    if isinstance(obj, HerglotzRep):
-        return FamilyEvaluator.from_rep(obj)
-    if isinstance(obj, FamilyEvaluator):
-        return obj
-    if isinstance(obj, examples.SturmLiouvilleConfig):
-        return examples.build_family(obj)
-    if isinstance(obj, examples.Ex4AConfig):
-        return examples.build_ex4a(obj).f_family
-    raise _fail(p, "entity cannot be read as a family")
+    return _AS_FAMILY[type(obj)](obj)
 
 
 def _run_classify(p, built, grid, tol, rng):
@@ -243,25 +264,32 @@ def _run_classify(p, built, grid, tol, rng):
     return passed, {"label": cls.label}, [row]
 
 
-# (pair, family or None for a pair entity, a, grid, tol) -> report, or None to skip
+# check -> (whether it needs the operator family itself, not only a pair,
+# (pair, family or None for a pair entity, a, grid, tol) -> report)
 _CHECKS = {
-    "point": lambda pr, f, a, g, t: invariance.check_point_invariance(pr, a, g, t),
-    # the kernel check needs the operator family itself
-    "imag_kernel": lambda pr, f, a, g, t: (
-        None if f is None else invariance.check_imag_kernel_invariance(f, g, t)
-    ),
-    "resolvent": lambda pr, f, a, g, t: invariance.check_resolvent_invariance(pr, a, g, t),
-    "boundedness": lambda pr, f, a, g, t: invariance.check_boundedness_invariance(pr, g, t),
-    "mul": lambda pr, f, a, g, t: invariance.check_mul_invariance(pr, g, t),
+    "point": (False, lambda pr, f, a, g, t: invariance.check_point_invariance(pr, a, g, t)),
+    "imag_kernel": (True, lambda pr, f, a, g, t: invariance.check_imag_kernel_invariance(f, g, t)),
+    "resolvent": (False,
+                  lambda pr, f, a, g, t: invariance.check_resolvent_invariance(pr, a, g, t)),
+    "boundedness": (False,
+                    lambda pr, f, a, g, t: invariance.check_boundedness_invariance(pr, g, t)),
+    "mul": (False, lambda pr, f, a, g, t: invariance.check_mul_invariance(pr, g, t)),
 }
+
+
+def _invariance_post(p, names):
+    for check in p["checks"] or ():
+        if _CHECKS[check][0]:
+            _entity_for(p, names, tuple(_AS_FAMILY), f"check {check}")
 
 
 def _run_invariance(p, built, grid, tol, rng):
     obj = built[p["entity"]]
     family = None if isinstance(obj, PairEvaluator) else _family(p, built)
     pair = obj if family is None else pairs.canonical_pair(family)
-    reports = [_CHECKS[c](pair, family, p["a"], grid, tol) for c in p["checks"]]
-    reports = [r for r in reports if r is not None]
+    checks = p["checks"] or [c for c, (needs_family, _) in _CHECKS.items()
+                             if family is not None or not needs_family]
+    reports = [_CHECKS[c][1](pair, family, p["a"], grid, tol) for c in checks]
     rows = [{"statement": r.statement, **row} for r in reports for row in r.rows()]
     summary = {"checks": len(reports), "worst": max((r.worst for r in reports), default=0.0)}
     return all(r.passed for r in reports), summary, rows
@@ -373,7 +401,7 @@ def _conditioning(config, p, grid, rng):
     return True, {"b_min": float(ex.b.min())}, rows
 
 
-_GRID, _EX4A = (examples.SturmLiouvilleConfig, "a grid"), (examples.Ex4AConfig, "an ex4a")
+_GRID, _EX4A = examples.SturmLiouvilleConfig, examples.Ex4AConfig
 
 # report -> (entity type it needs, (config, params, grid, rng) -> (passed, summary, rows))
 _EXAMPLES = {
@@ -386,11 +414,7 @@ EXAMPLE_REPORTS = tuple(_EXAMPLES)
 
 
 def _run_examples(p, built, grid, tol, rng):
-    (kind, noun), run = _EXAMPLES[p["what"]]
-    config = built[p["entity"]]
-    if not isinstance(config, kind):
-        raise _fail(p, f"{p['what']} needs {noun} config")
-    return run(config, p, grid, rng)
+    return _EXAMPLES[p["what"]][1](built[p["entity"]], p, grid, rng)
 
 
 # n -> the n-dimensional family of a truncation sweep
@@ -424,18 +448,19 @@ TASKS: dict[str, Kind] = {
     "classify": Kind(_run_classify, {"entity": (_ENTITY, _REQUIRED)}),
     "invariance": Kind(_run_invariance, {
         "entity": (_ENTITY, _REQUIRED),
-        "checks": (_list_of(_one_of(_CHECKS)), tuple(_CHECKS)),
+        # None: every check the entity supports (all but imag_kernel for a pair)
+        "checks": (_optional(_list_of(_one_of(_CHECKS))), None),
         "a": (_REAL, 0.0),
-    }),
+    }, post=_invariance_post),
     "harnack": Kind(_run_harnack, {
-        "entity": (_ENTITY, None),  # adds the form sandwich against z0
+        "entity": (_optional(_FAMILY_ENTITY), None),  # adds the form sandwich against z0
         "z1": (_upper_point, 1j),
         "z2": (_upper_point, 2j),
         "z0": (_upper_point, 1j),
         "trials": _OPTIONAL_TRIALS,  # 1000 for the certificate, 100 for the sandwich
     }),
     "analysis": Kind(_run_analysis, {
-        "entity": (_ENTITY, _REQUIRED),
+        "entity": (_FAMILY_ENTITY, _REQUIRED),
         "analyses": (_list_of(_one_of(_ANALYSES)), ("split",)),
         "z": (_upper_point, 1j),
         "trials": _OPTIONAL_TRIALS,  # 50 for weak_strong, 100 for sandwich
@@ -445,7 +470,7 @@ TASKS: dict[str, Kind] = {
         "what": (_one_of(_EXAMPLES), "decay"),
         "a_values": (_list_of(_REAL), (0.5, 2.0)),  # read by gap_sweep
         "n_list": (_list_of(_int_in(8, MAX_DIM)), (32, 64, 128)),  # read by gap_sweep
-    }),
+    }, post=lambda p, names: _entity_for(p, names, (_EXAMPLES[p["what"]][0],), p["what"])),
     "sweep": Kind(_run_sweep, {
         "sequence": (_one_of(_SWEEPS), _REQUIRED),
         "n_list": (_list_of(_int_in(1, MAX_DIM), min_len=2, increasing=True), _REQUIRED),
@@ -486,36 +511,37 @@ def _ex4a(p, *unused) -> examples.Ex4AConfig:
 def _phi(value, names):
     if isinstance(value, dict):
         return _nested(_REP, value, names)
-    return _ref("herglotz_rep")(value, names)
+    return _ref(HerglotzRep)(value, names)
 
 
 _REP = Kind(
     lambda p, built, tol: HerglotzRep.create(p["b0"], p["b1"], p["atoms"] or None, tol),
     {"b0": (_MATRIX, _REQUIRED), "b1": (_MATRIX, _REQUIRED),
      "atoms": (_list_of(_atom, min_len=0), ())},
+    makes=HerglotzRep,
 )
 
 _STEPS = {
     "shift": Kind(lambda p, pair, built, tol: pairs.shift_transform(pair, p["x"], tol),
                   {"x": (_MATRIX, _REQUIRED)}),
-    "scale": Kind(lambda p, pair, built, tol: pairs.scale_transform(pair, p["y"]),
+    "scale": Kind(lambda p, pair, built, tol: pairs.scale_transform(pair, p["y"], tol),
                   {"y": (_MATRIX, _REQUIRED)}),
     "flip": Kind(lambda p, pair, built, tol: pairs.flip_transform(pair), {}),
     "junitary": Kind(
         lambda p, pair, built, tol: pairs.transform(pair, pairs.JUnitary.create(p["w"], tol)),
         {"w": (_MATRIX, _REQUIRED)}),
     "herglotz_shift": Kind(  # M must be uniformly strict
-        lambda p, pair, built, tol: pairs.herglotz_shift_transform(pair, built[p["m"]]),
-        {"m": (_ref("herglotz_rep"), _REQUIRED)}),
+        lambda p, pair, built, tol: pairs.herglotz_shift_transform(pair, built[p["m"]], tol),
+        {"m": (_ref(HerglotzRep), _REQUIRED)}),
 }
 
 _PAIRS = {
     "canonical": Kind(lambda p, built, tol: pairs.canonical_pair(built[p["family"]]),
-                      {"family": (_ref("herglotz_rep", "family"), _REQUIRED)}),
+                      {"family": (_ref(HerglotzRep, FamilyEvaluator), _REQUIRED)}),
     "constant": Kind(lambda p, built, tol: PairEvaluator.constant(p["phi"], p["psi"]),
                      {"phi": (_MATRIX, _REQUIRED), "psi": (_MATRIX, _REQUIRED)}),
     "transform": Kind(_build_transform, {
-        "base": (_ref("pair"), _REQUIRED),
+        "base": (_ref(PairEvaluator), _REQUIRED),
         "steps": (_list_of(_pick(_STEPS, "op")), _REQUIRED),
     }),
 }
@@ -523,24 +549,25 @@ _PAIRS = {
 ENTITIES: dict[str, Kind] = {
     "herglotz_rep": _REP,
     "family": Kind(_build_family, {
-        "rep": (_ref("herglotz_rep"), _REQUIRED),
+        "rep": (_ref(HerglotzRep), _REQUIRED),
         "offset": (_optional(_MATRIX), None),  # Hermitian, added to the rep's values
-    }),
+    }, makes=FamilyEvaluator),
     "pair": Kind(lambda p, built, tol: _PAIRS[p["pair"]["type"]].run(p["pair"], built, tol),
-                 {"pair": (_pick(_PAIRS, "type"), _REQUIRED)}),
+                 {"pair": (_pick(_PAIRS, "type"), _REQUIRED)}, makes=PairEvaluator),
     "sturm_liouville": Kind(_build_sl, {
         "n": (_int_in(1, MAX_DIM), _REQUIRED),
         "variant": (_rule(lambda v: isinstance(v, str), "a string"),
                     examples.VARIANT_INTERVAL),
         "length": (_REAL, 1.0),
         "phi": (_optional(_phi), None),  # None: Dirichlet-Dirichlet, no boundary coefficient
-    }, post=lambda p: _build_sl({**p, "phi": None}, {}, None)),
+    }, post=lambda p, names: _build_sl({**p, "phi": None}, {}, None),
+        makes=examples.SturmLiouvilleConfig),
     "ex4a": Kind(_ex4a, {
         "n": (_int_in(1, MAX_DIM), _REQUIRED),
         "b_decay": (_optional(_list_of(_REAL)), None),
         "c_perturbation": (_REAL, 0.0),
         "seed": (_int_in(0), 0),
-    }, post=lambda p: _ex4a(p).b_values()),
+    }, post=lambda p, names: _ex4a(p).b_values(), makes=examples.Ex4AConfig),
 }
 
 

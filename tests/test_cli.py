@@ -335,6 +335,16 @@ REJECTED = {
     # for a 100000 x 100000 complex matrix
     "harnack-trials-huge": (_with({"name": "t", "task": "harnack", "trials": 10**12}), []),
     "sweep-n-list-huge": (_with({**SWEEP, "n_list": [8, 100000]}), []),
+    # task entities of the wrong kind used to run and fail as checks (exit 1),
+    # and imag_kernel on a pair was dropped without a note (exit 0)
+    "analysis-on-pair": (_with({**_analysis("c2"), "entity": "p"}, entities=[PAIR]), []),
+    "harnack-on-pair": (_with({"name": "t", "task": "harnack", "entity": "p"},
+                              entities=[PAIR]), []),
+    "decay-on-ex4a": (_with({"name": "t", "task": "examples", "entity": "ex",
+                             "what": "decay"}), []),
+    "form-domain-on-sl": (_with({**FORM, "entity": "sl"}), []),
+    "imag-kernel-on-pair": (_with({**INVARIANCE, "entity": "p", "checks": ["imag_kernel"]},
+                                  entities=[PAIR]), []),
 }
 
 
@@ -381,6 +391,30 @@ def test_document_tolerances_decide_offset_hermiticity(tmp_path, capsys):
     doc_path.write_text(json.dumps(raw))
     assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 1
     assert "error: entity 'fam'" in capsys.readouterr().err
+
+
+def test_invariance_on_pair_runs_every_pair_check_by_default():
+    raw = _with(INVARIANCE, entities=[PAIR])
+    raw["tasks"][0]["entity"] = "p"
+    out = runner.run_document(parse_document(json.dumps(raw)))
+    assert out[0].passed and out[0].summary["checks"] == 4
+    statements = {row["statement"] for row in out[0].rows}
+    assert "imag-kernel-invariance" not in statements and len(statements) == 4
+
+
+def test_document_tolerances_decide_herglotz_shift_class(tmp_path, capsys):
+    # M(z) = 1e-10 z: strict, and uniformly strict only under a finer eps_psd
+    m = _rep("m", b1=[[[1e-10, 0.0]]])
+    shifted = {"name": "q", "kind": "pair", "pair": {
+        "type": "transform", "base": "p", "steps": [{"op": "herglotz_shift", "m": "m"}]}}
+    raw = _with({"name": "t", "task": "classify", "entity": "q"}, entities=[PAIR, m, shifted])
+    fine = parse_document(json.dumps({**raw, "tolerances": {"eps_psd": 1e-12}}))
+    assert "q" in runner.build_entities(fine)
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: entity 'q'" in err and "R^s" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("entity, code", [("zero", 1), ("p", 0)])

@@ -306,3 +306,86 @@ class TestReportStructure:
         report = invariance.check_point_invariance(fam, 3.0, grid)
         assert not report.passed
         assert report.notes.get("reason") == "dimension varies"
+
+
+def _span_drift_loop(spans, witnesses=None):
+    """The one-pair-at-a-time engine, kept as the reference for the batched one."""
+    dims = sorted({s.shape[1] for s in spans})
+    if len(dims) != 1:
+        for w in witnesses or []:
+            w["distance"] = 1.0
+        return 1.0, {"reason": "dimension varies", "dims": dims}
+    for w, s in zip(witnesses or [], spans):
+        w["distance"] = matnum.subspace_distance(s, spans[0])
+    worst = max((matnum.subspace_distance(u, v)
+                 for i, u in enumerate(spans) for v in spans[i + 1:]), default=0.0)
+    return worst, {"dim": dims[0]}
+
+
+class TestSpanDrift:
+    @pytest.mark.parametrize("vary", [False, True])
+    def test_batched_equals_pairwise_loop(self, rng, vary):
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            count = int(rng.integers(1, 12))
+            k = int(rng.integers(0, n + 1))
+            base = cgauss(rng, n, n)
+            spans = []
+            for _ in range(count):  # near one span, or anywhere
+                scale = 1e-9 if rng.uniform() < 0.5 else 1.0
+                q, _ = np.linalg.qr(base + scale * cgauss(rng, n, n))
+                kk = int(rng.integers(0, n + 1)) if vary else k
+                spans.append(q[:, :kk])
+            got_w = [{"i": i} for i in range(count)]
+            want_w = [{"i": i} for i in range(count)]
+            got = invariance._span_drift(spans, got_w)
+            want = _span_drift_loop(spans, want_w)
+            assert got == want and got_w == want_w
+            assert all(type(w["distance"]) is float for w in got_w)
+            assert invariance._span_drift(spans) == _span_drift_loop(spans)
+
+    def test_check_spans_equal_pairwise_loop(self, rng, monkeypatch):
+        fam = FamilyEvaluator.from_rep(random_rep(rng, 3, 4))
+        pinned = rep_with_pinned_eigenvalue(rng, 1.5, dim=3)[0]
+        kernel, mul = rep_with_common_kernel(rng)[0], mul_pair(rng)
+        runs = [
+            lambda: invariance.check_point_invariance(pinned, 1.5),
+            lambda: invariance.check_point_invariance(fam, 0.0),
+            lambda: invariance.check_imag_kernel_invariance(kernel),
+            lambda: invariance.check_mul_invariance(mul),
+            lambda: invariance.maximum_principle_schur(pairs.canonical_pair(fam), -1.0),
+        ]
+        for run in runs:
+            got = run()
+            monkeypatch.setattr(invariance, "_span_drift", _span_drift_loop)
+            want = run()
+            monkeypatch.undo()
+            assert (got.passed, got.worst, got.notes) == (want.passed, want.worst, want.notes)
+            assert got.witnesses == want.witnesses
+
+
+class TestSchurGridPermutation:
+    def test_grid_permutation_leaves_verdict(self, rng):
+        def turn(z):  # a rotation by Re z, so the defect and alpha spans move with z
+            c, s = np.cos(z.real), np.sin(z.real)
+            return np.array([[c, -s], [s, c]], dtype=complex)
+
+        def moving(z):
+            return turn(z) @ np.diag([(z - 1j) / (z + 1j), 1.0 + 0j]) @ turn(z).T
+
+        cases = [
+            (lambda z: np.diag([(z - 1j) / (z + 1j), 1.0 + 0j]), 1.0),
+            (moving, 1.0),
+            (pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 3, 4))), -1.0),
+        ]
+        verdicts = set()
+        for schur, alpha in cases:
+            for _ in range(3):
+                grid = random_upper(rng, 12)
+                r1 = invariance.maximum_principle_schur(schur, alpha, grid)
+                perm = [grid[i] for i in rng.permutation(len(grid))]
+                r2 = invariance.maximum_principle_schur(schur, alpha, perm)
+                assert r1.passed == r2.passed
+                assert r1.worst == pytest.approx(r2.worst, rel=1e-12, abs=1e-14)
+                verdicts.add(r1.passed)
+        assert verdicts == {True, False}

@@ -148,3 +148,77 @@ def test_tolerance_policy_validation():
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         matnum.as_matrix([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.0, 0.0], [0.0, complex(0.0, np.nan)]],
+    [[1.0, complex(1.0, np.inf)], [0.0, 1.0]],
+    [[1.0, complex(2.0, -np.inf)], [0.0, 1.0]],
+    np.array([[1.0, np.inf], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=np.float32),
+])
+def test_as_matrix_rejects_nonfinite_parts(entries):
+    with pytest.raises(ValueError):
+        matnum.as_matrix(entries)
+
+
+def _residual_distance(u, v) -> float:
+    """The one-pair residual formula, kept as the reference for the batched one."""
+    if u.shape[1] == 0:
+        return 0.0
+    resid = v - u @ (u.conj().T @ v)
+    return min(1.0, float(np.linalg.norm(resid, 2)))
+
+
+def _bases(gen, count, n, k, near=None):
+    """count orthonormal (n, k) bases; near a given basis, they differ by small turns."""
+    out = []
+    for _ in range(count):
+        if near is None:
+            q, _ = np.linalg.qr(cgauss(gen, n, n))
+        else:
+            q, _ = np.linalg.qr(near + 1e-9 * cgauss(gen, n, n))
+        out.append(q[:, :k])
+    return np.array(out).reshape(count, n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_subspace_distances_equal_pairwise_calls(n, data):
+    k = data.draw(st.integers(0, n))
+    count = data.draw(st.integers(0, 4))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    near = np.linalg.qr(cgauss(gen, n, n))[0] if data.draw(st.booleans()) else None
+    us, vs = _bases(gen, count, n, k, near), _bases(gen, count, n, k, near)
+    v = _bases(gen, 1, n, k, near)[0]
+    out = matnum.subspace_distances(us, vs)
+    assert out.shape == (count,)
+    assert list(out) == [matnum.subspace_distance(a, b) for a, b in zip(us, vs)]
+    assert list(out) == [_residual_distance(a, b) for a, b in zip(us, vs)]
+    # null spaces come as Fortran-ordered views; the layout must not change a bit
+    assert list(out) == [_residual_distance(np.asfortranarray(a), b) for a, b in zip(us, vs)]
+    assert list(matnum.subspace_distances(us, v)) == [matnum.subspace_distance(a, v) for a in us]
+    assert list(matnum.subspace_distances(v, us)) == [matnum.subspace_distance(v, a) for a in us]
+    assert list(matnum.subspace_distances(v, us)) == [_residual_distance(v, a) for a in us]
+    assert matnum.subspace_distances(v, v[None]).shape == (1,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("where", ["us", "vs"])
+def test_subspace_distances_reject_nonfinite(bad, where):
+    stacks = {"us": np.stack([np.eye(3)[:, :2]] * 4).astype(complex),
+              "vs": np.eye(3)[:, :2].astype(complex)}
+    stacks[where] = stacks[where].copy()
+    stacks[where][..., 1, 0] = bad
+    with pytest.raises(ValueError):
+        matnum.subspace_distances(stacks["us"], stacks["vs"])
+
+
+@pytest.mark.parametrize("us, vs", [
+    (np.zeros((4, 3, 2)), np.zeros((3, 1))),  # different dimensions
+    (np.zeros((4, 3, 2)), np.zeros((2, 2))),  # different ambient spaces
+    (np.zeros(3), np.zeros(3)),  # not bases
+])
+def test_subspace_distances_reject_mismatched_bases(us, vs):
+    with pytest.raises(matnum.MatrixShapeError):
+        matnum.subspace_distances(us, vs)

@@ -267,3 +267,10 @@ def test_pair_direct_sum_blocks(rng):
     np.testing.assert_allclose(phi[2, 2], 0.0)
     np.testing.assert_allclose(psi[2, 2], 1.0)
     assert pairs.validate(p).passed
+
+
+def test_scale_checks_the_metric_with_the_given_tolerance():
+    y = np.array([[2.0, 1.0j], [0.5, 3.0]])  # its J-metric residual is round-off, not 0
+    assert JUnitary.scale(y).dim == 2
+    with pytest.raises(pairs.PairAxiomError):
+        JUnitary.scale(y, matnum.TolerancePolicy(eps_eq=1e-30))
