@@ -172,10 +172,24 @@ def evaluate(rep: HerglotzRep, z: complex) -> np.ndarray:
 
     Defined off the real axis and at real z distinct from every atom.
     """
-    z = _check_point(rep, z)
-    out = rep.b0 + rep.b1 * z
-    for t, w in zip(rep.measure.locations, rep.measure.weights):
-        out = out + (1.0 / (t - z) - t / (t * t + 1.0)) * w
+    return evaluate_grid(rep, (z,))[0]
+
+
+def evaluate_grid(rep: HerglotzRep, zs: Sequence[complex]) -> np.ndarray:
+    """``evaluate`` at every point of zs, as a (G, n, n) stack.
+
+    One pass per atom, vectorised over the grid.  Each coefficient
+    1/(t_j - z) - t_j/(t_j^2+1) is a Python complex scalar: numpy's
+    vectorised complex division rounds differently, and every value must
+    be the one ``evaluate`` gives at its point alone.
+    """
+    zs = [_check_point(rep, z) for z in zs]
+    locs = rep.measure.locations
+    coefs = np.array([[1.0 / (t - z) - t / (t * t + 1.0) for z in zs] for t in locs],
+                     dtype=np.complex128).reshape(len(locs), len(zs), 1, 1)
+    out = rep.b0 + rep.b1 * np.array(zs, dtype=np.complex128).reshape(-1, 1, 1)
+    for coef, w in zip(coefs, rep.measure.weights):
+        out = out + coef * w
     return out
 
 
@@ -210,38 +224,45 @@ class FamilyEvaluator:
     Families are realized by a representation, by representation plus a
     constant Hermitian offset, or by the example builders; the symmetry
     F(conj z) = F(z)* is asserted on demand (``symmetry_residual``), not
-    assumed.
+    assumed.  ``on_grid`` evaluates a whole grid at once and calling the
+    family at one point is its one-point case.  A family is built from
+    exactly one rule: a library-built family carries a stacked rule
+    ``grid_fn`` (points -> (G, n, n) stack); a user-supplied rule ``fn``
+    (one point -> matrix) becomes a grid rule that calls it point by point.
     """
 
     dim: int
-    fn: Callable[[complex], np.ndarray]
+    fn: Callable[[complex], np.ndarray] | None
     provenance: str = "custom"
     rep: HerglotzRep | None = None
     offset: np.ndarray | None = None
     label: str = ""
+    grid_fn: Callable[[tuple[complex, ...]], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if (self.fn is None) == (self.grid_fn is None):
+            raise TypeError("a family needs exactly one of fn and grid_fn")
+        if self.grid_fn is None:
+            self.grid_fn = lambda zs, fn=self.fn: [fn(z) for z in zs]
 
     def __call__(self, z: complex) -> np.ndarray:
-        value = matnum.as_matrix(self.fn(complex(z)))
-        if value.shape != (self.dim, self.dim):
-            raise matnum.MatrixShapeError(
-                f"family produced shape {value.shape}, declared dim {self.dim}"
-            )
-        return value
+        return self.on_grid((z,))[0]
+
+    def on_grid(self, zs: Sequence[complex]) -> np.ndarray:
+        """F at every point of zs as a (G, n, n) stack, shape and finiteness checked once."""
+        zs = tuple(complex(z) for z in zs)
+        return matnum.as_stack(self.grid_fn(zs), len(zs), self.dim, "family produced")
 
     def symmetry_residual(self, zs: Sequence[complex] | None = None) -> float:
         """Worst relative residual of F(conj z) - F(z)* over the samples."""
-        zs = default_grid(conjugates=False) if zs is None else zs
-        worst = 0.0
-        for z in zs:
-            a = self(np.conj(z))
-            b = self(z).conj().T
-            scale = 1.0 + max(matnum.spectral_norm(a), matnum.spectral_norm(b))
-            worst = max(worst, matnum.spectral_norm(a - b) / scale)
-        return worst
+        zs = tuple(default_grid(conjugates=False) if zs is None else zs)
+        values = self.on_grid(zs + tuple(complex(z).conjugate() for z in zs))
+        return _symmetry_residual(values[: len(zs)], values[len(zs) :])
 
     @classmethod
     def from_rep(cls, rep: HerglotzRep, label: str = "") -> "FamilyEvaluator":
-        return cls(rep.dim, lambda z: evaluate(rep, z), "herglotz-rep", rep, None, label)
+        return cls(rep.dim, None, "herglotz-rep", rep, None, label,
+                   lambda zs: evaluate_grid(rep, zs))
 
     @classmethod
     def from_rep_with_offset(
@@ -253,9 +274,8 @@ class FamilyEvaluator:
         if matnum.hermitian_residual(t0) > tol.eps_eq:
             raise matnum.HermitianityError("offset must be Hermitian")
         t0 = matnum.herm_part(t0)
-        return cls(
-            rep.dim, lambda z: evaluate(rep, z) + t0, "rep-plus-offset", rep, t0, label
-        )
+        return cls(rep.dim, None, "rep-plus-offset", rep, t0, label,
+                   lambda zs: evaluate_grid(rep, zs) + t0)
 
     @classmethod
     def from_callable(
@@ -264,17 +284,25 @@ class FamilyEvaluator:
         return cls(int(dim), fn, "custom", None, None, label)
 
 
+def _symmetry_residual(at_z: np.ndarray, at_conj: np.ndarray) -> float:
+    """Worst relative spectral residual of F(conj z) - F(z)* over two value stacks."""
+    if len(at_z) == 0:
+        return 0.0
+    a, b = at_conj, at_z.conj().swapaxes(-1, -2)
+    scale = 1.0 + np.maximum(matnum.spectral_norm(a), matnum.spectral_norm(b))
+    return float(np.max(matnum.spectral_norm(a - b) / scale))
+
+
 def family_direct_sum(fa: FamilyEvaluator, fb: FamilyEvaluator) -> FamilyEvaluator:
     """Block-diagonal direct sum of two families."""
 
-    def fn(z):
-        a, b = fa(z), fb(z)
-        out = np.zeros((fa.dim + fb.dim,) * 2, dtype=np.complex128)
-        out[: fa.dim, : fa.dim] = a
-        out[fa.dim :, fa.dim :] = b
+    def grid_fn(zs):
+        out = np.zeros((len(zs),) + (fa.dim + fb.dim,) * 2, dtype=np.complex128)
+        out[:, : fa.dim, : fa.dim] = fa.on_grid(zs)
+        out[:, fa.dim :, fa.dim :] = fb.on_grid(zs)
         return out
 
-    return FamilyEvaluator(fa.dim + fb.dim, fn, "direct-sum")
+    return FamilyEvaluator(fa.dim + fb.dim, None, "direct-sum", grid_fn=grid_fn)
 
 
 def nevanlinna_kernel(
@@ -303,7 +331,8 @@ def nevanlinna_kernel(
         return out
     if abs(z - np.conj(w)) <= tol.eps_eq * (abs(z) + abs(w)):
         raise DomainError("diagonal z = conj(w) needs representation data")
-    return (f(z) - f(w).conj().T) / (z - np.conj(w))
+    fz, fw = f.on_grid((z, w))
+    return (fz - fw.conj().T) / (z - np.conj(w))
 
 
 def kernel_gram(
@@ -366,19 +395,20 @@ def classify(
     if isinstance(family, HerglotzRep):
         family = FamilyEvaluator.from_rep(family)
     grid = default_grid() if grid is None else tuple(grid)
-
-    sym = family.symmetry_residual([z for z in grid if z.imag > 0])
+    upper = tuple(complex(z) for z in grid if z.imag > 0)
+    offaxis = tuple(complex(z) for z in grid if z.imag != 0)
+    values = family.on_grid(
+        upper + tuple(z.conjugate() for z in upper) + offaxis + (1j,)
+    )
+    sym = _symmetry_residual(values[: len(upper)], values[len(upper) : 2 * len(upper)])
     margin = np.inf
     ok_all = sym <= tol.eps_eq
-    for z in grid:
-        if z.imag == 0:
-            continue
-        h = matnum.imag_part(family(z)) * np.sign(z.imag)
-        ok, lam = matnum.is_psd(h, tol)
+    for z, im in zip(offaxis, matnum.imag_part(values[2 * len(upper) : -1])):
+        ok, lam = matnum.is_psd(im * np.sign(z.imag), tol)
         margin = min(margin, lam)
         ok_all = ok_all and ok
 
-    im_i = matnum.imag_part(family(1j))
+    im_i = matnum.imag_part(values[-1])
     lam_min = float(np.linalg.eigvalsh(matnum.herm_part(im_i))[0])
     if not ok_all:
         return Classification(CLASS_NOT_NEV, lam_min, -1, sym, float(margin))

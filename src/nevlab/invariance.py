@@ -5,14 +5,18 @@ family or pair (an eigenspace at a real value, the kernel of the imaginary
 part, a resolvent or boundedness flag, the multivalued part, a Schur-class
 defect space) does not move with z.  Reports carry per-point scalar
 witnesses and are deterministic given the grid; permuting the grid changes
-neither the verdict nor the worst-case deviation.  A span check on G grid
-points stacks the spans once and takes the exact worst pairwise distance
-in O(G) batched ``matnum.subspace_distances`` calls, one per row of the
-upper triangle, holding no more than one (G, n, k) stack at a time; no
-triangle-inequality bound replaces the maximum.  Continuous spectrum has
-no finite-dimensional instance, so it is emulated by a truncation sweep:
-uniform-in-z decay of the smallest form eigenvalue along growing
-dimensions, with Harnack-normalized ratios as the uniformity certificate.
+neither the verdict nor the worst-case deviation.  Each check evaluates
+its entity once per grid (one ``on_grid`` call) and takes its
+decompositions in batches, one stacked ``matnum`` call per kind; every
+slice is the matrix the one-point path factorizes, so the report bytes are
+those of a point-by-point loop.  A span check on G grid points stacks the
+spans once and takes the exact worst pairwise distance in O(G) batched
+``matnum.subspace_distances`` calls, one per row of the upper triangle,
+holding no more than one (G, n, k) stack at a time; no triangle-inequality
+bound replaces the maximum.  Continuous spectrum has no finite-dimensional
+instance, so it is emulated by a truncation sweep: uniform-in-z decay of
+the smallest form eigenvalue along growing dimensions, with
+Harnack-normalized ratios as the uniformity certificate.
 """
 
 from __future__ import annotations
@@ -82,6 +86,23 @@ def _offaxis(grid) -> tuple[complex, ...]:
     return out
 
 
+def _by_shape(fn, mats: list[np.ndarray]) -> list:
+    """fn on each matrix, in one batched call per distinct matrix shape."""
+    out: list = [None] * len(mats)
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(k)
+    for idx in groups.values():
+        for k, result in zip(idx, fn(np.stack([mats[k] for k in idx]))):
+            out[k] = result
+    return out
+
+
+def _signs(grid) -> np.ndarray:
+    """sign(Im z) per point, shaped to scale a (G, n, n) stack."""
+    return np.array([np.sign(z.imag) for z in grid], dtype=np.complex128).reshape(-1, 1, 1)
+
+
 def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
     """Worst pairwise distance between spans over the grid, with its notes.
 
@@ -120,13 +141,11 @@ def check_point_invariance(
     pair = _as_pair(obj)
     a = float(a)
     grid = _offaxis(grid)
-    spans, witnesses = [], []
-    for z in grid:
-        phi, psi = pair(z)
-        params = matnum.null_space(psi - a * phi, tol)
-        span = matnum.range_space(phi @ params, tol)
-        spans.append(span)
-        witnesses.append({"eigenspace_dim": span.shape[1]})
+    phis, psis = pair.on_grid(grid)
+    params = matnum.null_space(psis - a * phis, tol)
+    spans = _by_shape(lambda m: matnum.range_space(m, tol),
+                      [phi @ p for phi, p in zip(phis, params)])
+    witnesses = [{"eigenspace_dim": span.shape[1]} for span in spans]
     worst, notes = _span_drift(spans, witnesses)
     return InvarianceReport(
         "point-spectrum-invariance", grid, witnesses, worst <= tol.eps_rank, worst,
@@ -149,20 +168,20 @@ def check_imag_kernel_invariance(
     if isinstance(family, HerglotzRep):
         family = FamilyEvaluator.from_rep(family)
     grid = _offaxis(grid)
-    spans, lam_mins, witnesses = [], [], []
-    for z in grid:
-        h = matnum.imag_part(family(z)) * np.sign(z.imag)
-        spans.append(matnum.null_space(h, tol))
-        lam_mins.append(float(np.linalg.eigvalsh(matnum.herm_part(h))[0]))
-        witnesses.append({"kernel_dim": spans[-1].shape[1], "lam_min": lam_mins[-1]})
+    fold = lambda z: z if z.imag > 0 else np.conj(z)
+    z0 = grid[0]
+    values = family.on_grid(grid + (fold(z0),))
+    hs = matnum.imag_part(values[:-1]) * _signs(grid)
+    spans = matnum.null_space(hs, tol)
+    lam_mins = np.linalg.eigvalsh(matnum.herm_part(hs))[:, 0].tolist()
+    witnesses = [{"kernel_dim": span.shape[1], "lam_min": lam}
+                 for span, lam in zip(spans, lam_mins)]
     worst, notes = _span_drift(spans, witnesses)
     if "dim" not in notes:
         return InvarianceReport("imag-kernel-invariance", grid, witnesses, False, 1.0, notes)
 
-    z0 = grid[0]
-    fold = lambda z: z if z.imag > 0 else np.conj(z)
     m0 = lam_mins[0]
-    scale = 1.0 + matnum.spectral_norm(matnum.imag_part(family(fold(z0))))
+    scale = 1.0 + matnum.spectral_norm(matnum.imag_part(values[-1]))
     corridor_worst = 0.0
     for z, m in zip(grid, lam_mins):
         hp = analysis.harnack_constants(fold(z0), fold(z))
@@ -193,22 +212,18 @@ def check_resolvent_invariance(
     alpha = (a - 1j) / (a + 1j)
     grid = _offaxis(grid)
     eye = np.eye(pair.dim, dtype=np.complex128)
-    flags, witnesses = [], []
-    ok_cross = True
-    for z in grid:
-        phi, psi = pair(z)
-        block_scale = matnum.spectral_norm(pair.stacked(z)) * (1.0 + abs(a))
-        smin = float(matnum.singular_values(psi - a * phi)[-1])
-        flag = matnum.definitely_invertible(psi - a * phi, block_scale, RCOND_MIN)
-        flags.append(flag)
-        w = {"smin": smin, "regular": int(flag)}
-        if z.imag > 0:
-            c = pairs.cayley(pair, z)
-            smin_c = float(matnum.singular_values(c - alpha * eye)[-1])
-            w["smin_cayley"] = smin_c
-            flag_c = matnum.definitely_invertible(c - alpha * eye, 2.0, RCOND_MIN)
-            ok_cross = ok_cross and (flag_c == flag)
-        witnesses.append(w)
+    phis, psis = pair.on_grid(grid)
+    shifted = psis - a * phis
+    block_scales = matnum.spectral_norm(np.concatenate([phis, psis], axis=1)) * (1.0 + abs(a))
+    smins = matnum.singular_values(shifted)[:, -1].tolist()
+    flags = matnum.definitely_invertible(shifted, block_scales, RCOND_MIN)
+    witnesses = [{"smin": smin, "regular": int(flag)} for smin, flag in zip(smins, flags)]
+    upper = [k for k, z in enumerate(grid) if z.imag > 0]
+    moved = pairs.cayley_values(phis[upper], psis[upper]) - alpha * eye
+    flags_c = matnum.definitely_invertible(moved, 2.0, RCOND_MIN)
+    for k, smin_c, flag_c in zip(upper, matnum.singular_values(moved)[:, -1].tolist(), flags_c):
+        witnesses[k]["smin_cayley"] = smin_c
+    ok_cross = all(flag_c == flags[k] for k, flag_c in zip(upper, flags_c))
     constant = len(set(flags)) == 1
     return InvarianceReport(
         "resolvent-invariance", grid, witnesses, constant and ok_cross,
@@ -226,12 +241,8 @@ def check_boundedness_invariance(
     """Rank of Phi(z) (full rank = operator part bounded) is z-independent."""
     pair = _as_pair(obj)
     grid = _offaxis(grid)
-    ranks, witnesses = [], []
-    for z in grid:
-        phi, _ = pair(z)
-        r = matnum.rank(phi, tol)
-        ranks.append(r)
-        witnesses.append({"phi_rank": r, "bounded": int(r == pair.dim)})
+    ranks = matnum.rank(pair.on_grid(grid)[0], tol)
+    witnesses = [{"phi_rank": r, "bounded": int(r == pair.dim)} for r in ranks]
     constant = len(set(ranks)) == 1
     return InvarianceReport(
         "boundedness-invariance", grid, witnesses, constant,
@@ -248,12 +259,11 @@ def check_mul_invariance(
     """The multivalued part of the snapshot relation has a constant span."""
     pair = _as_pair(obj)
     grid = _offaxis(grid)
-    spans, witnesses = [], []
-    for z in grid:
-        phi, psi = pair(z)
-        span = matnum.range_space(psi @ matnum.null_space(phi, tol), tol)
-        spans.append(span)
-        witnesses.append({"mul_dim": span.shape[1]})
+    phis, psis = pair.on_grid(grid)
+    kernels = matnum.null_space(phis, tol)
+    spans = _by_shape(lambda m: matnum.range_space(m, tol),
+                      [psi @ k for psi, k in zip(psis, kernels)])
+    witnesses = [{"mul_dim": span.shape[1]} for span in spans]
     worst, notes = _span_drift(spans, witnesses)
     return InvarianceReport(
         "mul-invariance", grid, witnesses, worst <= tol.eps_rank, worst, notes
@@ -297,11 +307,10 @@ def classify_family_pair(
     if z.imag <= 0:
         raise herglotz.DomainError("classification point must lie in C_+")
     phi, psi = pair(z)
-    kern = matnum.herm_part(pairs.pair_kernel(pair, z, z, tol))
+    kern = matnum.herm_part(pairs.diagonal_kernel(phi, psi, z, tol))
     lam_min = float(np.linalg.eigvalsh(kern)[0])
-    kernel_dim = matnum.null_space(kern, tol).shape[1]
-    mul_dim = matnum.null_space(phi, tol).shape[1]
-    rc_phi, rc_psi = matnum.rcond(phi), matnum.rcond(psi)
+    kernel_dim, mul_dim = (b.shape[1] for b in matnum.null_space(np.stack([kern, phi]), tol))
+    rc_phi, rc_psi = matnum.rcond(np.stack([phi, psi])).tolist()
     label = herglotz.strictness_label(lam_min, kernel_dim, matnum.spectral_norm(kern), tol)
     if label == herglotz.CLASS_PLAIN and mul_dim > 0:
         label = CLASS_FAMILY
@@ -328,26 +337,30 @@ def maximum_principle_schur(
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-12:
         raise ValueError("alpha must be unimodular")
-    fn = (lambda z: pairs.cayley(schur, z)) if isinstance(schur, PairEvaluator) else schur
     grid = tuple(z for z in (default_check_grid() if grid is None else grid) if z.imag > 0)
-    defect_spans, eig_spans, inv_flags, reg_flags, witnesses = [], [], [], [], []
-    for z in grid:
-        c = matnum.as_matrix(fn(z))
-        eye = np.eye(c.shape[0], dtype=np.complex128)
-        defect = eye - c.conj().T @ c
-        defect_spans.append(matnum.null_space(defect, tol))
-        eig_spans.append(matnum.null_space(c - alpha * eye, tol))
-        inv_flags.append(matnum.definitely_invertible(defect, 2.0, RCOND_MIN))
-        smin = float(matnum.singular_values(c - alpha * eye)[-1])
-        reg_flags.append(matnum.definitely_invertible(c - alpha * eye, 2.0, RCOND_MIN))
-        witnesses.append(
-            {
-                "defect_kernel_dim": defect_spans[-1].shape[1],
-                "alpha_kernel_dim": eig_spans[-1].shape[1],
-                "defect_invertible": int(inv_flags[-1]),
-                "smin_alpha": smin,
-            }
-        )
+    if isinstance(schur, PairEvaluator):
+        cs = pairs.cayley_values(*schur.on_grid(grid))
+    elif grid:
+        cs = np.stack([matnum.as_matrix(schur(z)) for z in grid])
+    else:
+        cs = np.zeros((0, 0, 0), dtype=np.complex128)
+    eye = np.eye(cs.shape[-1], dtype=np.complex128)
+    defects = eye - cs.conj().swapaxes(-1, -2) @ cs
+    moved = cs - alpha * eye
+    defect_spans = matnum.null_space(defects, tol)
+    eig_spans = matnum.null_space(moved, tol)
+    inv_flags = matnum.definitely_invertible(defects, 2.0, RCOND_MIN)
+    reg_flags = matnum.definitely_invertible(moved, 2.0, RCOND_MIN)
+    smins = matnum.singular_values(moved)[:, -1].tolist() if grid else []
+    witnesses = [
+        {
+            "defect_kernel_dim": d.shape[1],
+            "alpha_kernel_dim": e.shape[1],
+            "defect_invertible": int(inv),
+            "smin_alpha": smin,
+        }
+        for d, e, inv, smin in zip(defect_spans, eig_spans, inv_flags, smins)
+    ]
     worst = max(_span_drift(defect_spans)[0], _span_drift(eig_spans)[0])
     constant_flags = len(set(inv_flags)) == 1 and len(set(reg_flags)) == 1
     passed = constant_flags and worst <= tol.eps_rank

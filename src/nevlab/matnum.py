@@ -55,9 +55,47 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise MatrixShapeError(f"expected a matrix, got ndim={m.ndim}")
+    return _finite(m)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m itself, after one finiteness check for the whole array."""
     if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
+
+
+def as_stack(values, count: int, dim: int, what: str = "value") -> np.ndarray:
+    """An evaluator's values at count points as a (count, dim, dim) complex stack.
+
+    ``values`` is an array stack or a list of one matrix per point.  The
+    shape is checked per matrix, naming ``what`` in the MatrixShapeError;
+    ``_stack`` converts and checks finiteness once for the stack.
+    """
+    if isinstance(values, list):
+        for value in values:
+            if np.ndim(value) != 2:
+                raise MatrixShapeError(f"expected a matrix, got ndim={np.ndim(value)}")
+            if np.shape(value) != (dim, dim):
+                raise MatrixShapeError(f"{what} shape {np.shape(value)}, declared dim {dim}")
+        if not values:
+            return np.zeros((0, dim, dim), dtype=np.complex128)
+    elif np.shape(values) != (count, dim, dim):
+        raise MatrixShapeError(f"{what} shape {np.shape(values)[1:]}, declared dim {dim}")
+    return _stack(values)[0]
+
+
+def _stack(a) -> tuple[np.ndarray, bool]:
+    """A matrix or a (G, m, n) stack as a 3-d complex stack, checked finite once.
+
+    The flag is True for a single matrix, which becomes a stack of one;
+    the stacked primitives below hand it back unstacked.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim not in (2, 3):
+        raise MatrixShapeError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    _finite(m)
+    return (m[None], True) if m.ndim == 2 else (m, False)
 
 
 def _square(a) -> np.ndarray:
@@ -67,27 +105,42 @@ def _square(a) -> np.ndarray:
     return m
 
 
-def spectral_norm(a) -> float:
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+def _squares(a) -> np.ndarray:
+    """A square matrix or a stack of them, checked like ``_square``."""
+    m, one = _stack(a)
+    if m.shape[1] != m.shape[2]:
+        raise MatrixShapeError(f"expected a square matrix, got shape {m.shape[1:]}")
+    return m[0] if one else m
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def spectral_norm(a):
+    """Largest singular value; an array of them for a (G, m, n) stack."""
+    m, one = _stack(a)
+    if m.shape[1] * m.shape[2] == 0:
+        norms = np.zeros(m.shape[0])
+    else:
+        norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    return float(norms[0]) if one else norms
 
 
 def herm_part(t) -> np.ndarray:
-    """Hermitian part (T + T*)/2 of a square matrix."""
-    m = _square(t)
-    return (m + m.conj().T) / 2.0
+    """Hermitian part (T + T*)/2 of a square matrix (or of each in a stack)."""
+    m = _squares(t)
+    return (m + _adjoint(m)) / 2.0
 
 
 def imag_part(t) -> np.ndarray:
-    """Imaginary part (T - T*)/(2i) of a square matrix.
+    """Imaginary part (T - T*)/(2i) of a square matrix (or of each in a stack).
 
     The result is Hermitian to machine precision and satisfies
     T = herm_part(T) + 1j * imag_part(T).
     """
-    m = _square(t)
-    return (m - m.conj().T) / 2.0j
+    m = _squares(t)
+    return (m - _adjoint(m)) / 2.0j
 
 
 def hermitian_residual(h) -> float:
@@ -127,50 +180,64 @@ def eig_hermitian(h, tol: TolerancePolicy = DEFAULT_TOL):
     return w, v
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values in descending order."""
-    m = as_matrix(a)
-    if min(m.shape) == 0:
-        return np.zeros(0)
+def _svals(m: np.ndarray) -> np.ndarray:
+    """(G, k) singular values, descending, of a (G, m, n) stack."""
+    if min(m.shape[1:]) == 0:
+        return np.zeros((m.shape[0], 0))
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank(a, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    s = singular_values(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.eps_rank * s[0]))
+def singular_values(a) -> np.ndarray:
+    """Singular values in descending order; one row per matrix of a stack."""
+    m, one = _stack(a)
+    s = _svals(m)
+    return s[0] if one else s
 
 
-def null_space(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def rank(a, tol: TolerancePolicy = DEFAULT_TOL):
+    """Numerical rank (a list of ranks for a stack), cut off per matrix."""
+    m, one = _stack(a)
+    s = _svals(m)
+    ranks = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1).tolist()
+    return ranks[0] if one else ranks
+
+
+def null_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     """Orthonormal basis of the (numerical) null space of A.
 
     Columns are right singular vectors whose singular values fall at or
     below ``eps_rank * sigma_max``; for the zero matrix the full identity
-    basis is returned.
+    basis is returned.  A (G, m, n) stack takes one batched SVD with the
+    cutoff set per matrix, and gives a list of G bases (their widths may
+    differ).
     """
-    m = as_matrix(a)
-    ncols = m.shape[1]
+    m, one = _stack(a)
+    count, rows, ncols = m.shape
     if ncols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if m.shape[0] == 0:
-        return np.eye(ncols, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    cutoff = tol.eps_rank * smax
-    nkeep = int(np.count_nonzero(s > cutoff))
-    return vh[nkeep:].conj().T
+        bases = [np.zeros((0, 0), dtype=np.complex128) for _ in range(count)]
+    elif rows == 0:
+        bases = [np.eye(ncols, dtype=np.complex128) for _ in range(count)]
+    else:
+        _, s, vh = np.linalg.svd(m)
+        nkeep = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1)
+        bases = [v[k:].conj().T for v, k in zip(vh, nkeep)]
+    return bases[0] if one else bases
 
 
-def range_space(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the (numerical) column space of A."""
-    m = as_matrix(a)
-    if m.shape[1] == 0 or m.shape[0] == 0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    nkeep = int(np.count_nonzero(s > tol.eps_rank * smax)) if smax > 0 else 0
-    return u[:, :nkeep]
+def range_space(a, tol: TolerancePolicy = DEFAULT_TOL):
+    """Orthonormal basis of the (numerical) column space of A.
+
+    A (G, m, n) stack takes one batched SVD and gives a list of G bases.
+    """
+    m, one = _stack(a)
+    count, rows, ncols = m.shape
+    if ncols == 0 or rows == 0:
+        bases = [np.zeros((rows, 0), dtype=np.complex128) for _ in range(count)]
+    else:
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        nkeep = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1)
+        bases = [v[:, :k] for v, k in zip(u, nkeep)]
+    return bases[0] if one else bases
 
 
 def orthonormal_complement(u) -> np.ndarray:
@@ -223,46 +290,70 @@ def subspace_distance(u, v) -> float:
     return float(subspace_distances(mu, mv))
 
 
-def rcond(a) -> float:
-    """Reciprocal condition number from singular values (0 for singular)."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        return 0.0
-    s = singular_values(m)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
+def rcond(a):
+    """Reciprocal condition number from singular values (0 for singular).
+
+    An array of them for a (G, n, n) stack.
+    """
+    m, one = _stack(a)
+    rc = _rconds(m)
+    return float(rc[0]) if one else rc
 
 
-def definitely_invertible(a, scale: float = 1.0, threshold: float = 1e-12) -> bool:
+def _rconds(m: np.ndarray) -> np.ndarray:
+    if m.shape[1] != m.shape[2] or m.shape[1] == 0:
+        return np.zeros(m.shape[0])
+    s = _svals(m)
+    return np.divide(s[:, -1], s[:, 0], out=np.zeros(m.shape[0]), where=s[:, 0] != 0.0)
+
+
+def definitely_invertible(a, scale=1.0, threshold: float = 1e-12):
     """Invertibility decided against an external scale.
 
     True iff sigma_min(A) >= threshold * max(scale, 1).  Unlike a bare
     reciprocal condition number this stays honest when the whole matrix is
     a round-off residue (for example a 1 x 1 block that should be zero).
+    A (G, n, n) stack gives a list of flags; ``scale`` may then hold one
+    scale per matrix.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        return False
-    if m.shape[0] == 0:
-        return True
-    s = singular_values(m)
-    return float(s[-1]) >= threshold * max(scale, 1.0)
+    m, one = _stack(a)
+    count, rows, ncols = m.shape
+    if rows != ncols:
+        flags = [False] * count
+    elif rows == 0:
+        flags = [True] * count
+    else:
+        smin = _svals(m)[:, -1]
+        flags = (smin >= threshold * np.maximum(scale, 1.0)).tolist()
+    return flags[0] if one else flags
 
 
 def solve(a, b, rcond_min: float = 1e-14):
     """Solve A X = B, rejecting reciprocal condition numbers below 1e-14.
 
-    Returns (X, rcond).
+    Returns (X, rcond).  A (G, n, n) stack is solved in one batched call,
+    against a (G, n, k) stack of right-hand sides or one (n, k) matrix B
+    for every matrix of the stack; it returns the stack of solutions with
+    an array of rconds, and the first matrix of the stack that fails the
+    guard raises.
     """
-    m = _square(a)
-    rb = as_matrix(b) if np.ndim(b) == 2 else np.asarray(b, dtype=np.complex128)
-    rc = rcond(m)
-    if rc < rcond_min:
+    m = _squares(a)
+    if np.ndim(b) == 1:
+        rb = np.asarray(b, dtype=np.complex128)
+    else:
+        rb, one = _stack(b)
+        rb = rb[0] if one else rb
+    rc = _rconds(m.reshape((-1,) + m.shape[-2:]))
+    failing = rc < rcond_min
+    if failing.any():
         raise ConditioningError(
-            f"solve rejected: reciprocal condition {rc:.3e} < {rcond_min:.0e}"
+            f"solve rejected: reciprocal condition {rc[failing.argmax()]:.3e} < {rcond_min:.0e}"
         )
-    return np.linalg.solve(m, rb), rc
+    if m.ndim == 3 and rb.ndim == 2:
+        # one B for the whole stack, broadcast here: numpy < 2 reads a 2-d B
+        # against a 3-d A as a stack of vectors
+        rb = np.broadcast_to(rb, m.shape[:1] + rb.shape)
+    return np.linalg.solve(m, rb), (float(rc[0]) if m.ndim == 2 else rc)
 
 
 def inverse(a, rcond_min: float = 1e-14) -> np.ndarray:

@@ -40,19 +40,36 @@ class DiagonalKernelError(ValueError):
 
 @dataclass
 class PairEvaluator:
-    """Rule z -> (Phi(z), Psi(z)) with a provenance tag."""
+    """Rule z -> (Phi(z), Psi(z)) with a provenance tag.
+
+    As for ``FamilyEvaluator``: ``on_grid`` evaluates a whole grid at once,
+    a library-built pair carries a stacked rule ``grid_fn`` (points ->
+    (Phi stack, Psi stack)), and a user-supplied ``fn`` becomes a grid
+    rule that calls it point by point; exactly one of the two is given.
+    """
 
     dim: int
-    fn: Callable[[complex], tuple[np.ndarray, np.ndarray]]
+    fn: Callable[[complex], tuple[np.ndarray, np.ndarray]] | None
     provenance: str = "explicit"
     label: str = ""
+    grid_fn: Callable[[tuple[complex, ...]], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def __post_init__(self):
+        if (self.fn is None) == (self.grid_fn is None):
+            raise TypeError("a pair needs exactly one of fn and grid_fn")
+        if self.grid_fn is None:
+            self.grid_fn = _point_by_point(self.fn)
 
     def __call__(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        phi, psi = self.fn(complex(z))
-        phi, psi = matnum.as_matrix(phi), matnum.as_matrix(psi)
-        if phi.shape != (self.dim, self.dim) or psi.shape != (self.dim, self.dim):
-            raise matnum.MatrixShapeError("pair blocks must be dim x dim")
-        return phi, psi
+        phis, psis = self.on_grid((z,))
+        return phis[0], psis[0]
+
+    def on_grid(self, zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi, Psi) at every point of zs as two (G, n, n) stacks, checked once."""
+        zs = tuple(complex(z) for z in zs)
+        phis, psis = self.grid_fn(zs)
+        return (matnum.as_stack(phis, len(zs), self.dim, "pair block"),
+                matnum.as_stack(psis, len(zs), self.dim, "pair block"))
 
     def stacked(self, z: complex) -> np.ndarray:
         phi, psi = self(z)
@@ -61,7 +78,26 @@ class PairEvaluator:
     @classmethod
     def constant(cls, phi0, psi0, label: str = "") -> "PairEvaluator":
         phi0, psi0 = matnum.as_matrix(phi0), matnum.as_matrix(psi0)
-        return cls(phi0.shape[0], lambda z: (phi0, psi0), "constant", label)
+
+        def grid_fn(zs):
+            return (np.broadcast_to(phi0, (len(zs),) + phi0.shape),
+                    np.broadcast_to(psi0, (len(zs),) + psi0.shape))
+
+        return cls(phi0.shape[0], None, "constant", label, grid_fn)
+
+
+def _point_by_point(fn: Callable[[complex], tuple[np.ndarray, np.ndarray]]):
+    """The grid rule that calls the point rule fn at each point: (Phi list, Psi list)."""
+
+    def grid_fn(zs):
+        phis, psis = [], []
+        for z in zs:
+            phi, psi = fn(z)
+            phis.append(phi)
+            psis.append(psi)
+        return phis, psis
+
+    return grid_fn
 
 
 def canonical_pair(family: FamilyEvaluator | HerglotzRep) -> PairEvaluator:
@@ -71,19 +107,20 @@ def canonical_pair(family: FamilyEvaluator | HerglotzRep) -> PairEvaluator:
     axis and Psi(z) - i Phi(z) = I below it.  The stacked columns span the
     graph of F(z).  Raises a conditioning error when F(z) +/- i is not
     reliably invertible, which signals that the family is not maximal
-    dissipative / accumulative.
+    dissipative / accumulative.  Over a grid the guard and the solve are
+    one batched call each; the first failing point raises.
     """
     if isinstance(family, HerglotzRep):
         family = FamilyEvaluator.from_rep(family)
     eye = np.eye(family.dim, dtype=np.complex128)
 
-    def fn(z: complex):
-        sign = 1.0 if z.imag > 0 else -1.0
-        phi, _ = matnum.solve(family(z) + sign * 1j * eye, eye, RCOND_MIN)
-        psi = eye - sign * 1j * phi
-        return phi, psi
+    def grid_fn(zs):
+        shifts = np.array([(1.0 if z.imag > 0 else -1.0) * 1j for z in zs],
+                          dtype=np.complex128).reshape(-1, 1, 1)
+        phis, _ = matnum.solve(family.on_grid(zs) + shifts * eye, eye, RCOND_MIN)
+        return phis, eye - shifts * phis
 
-    return PairEvaluator(family.dim, fn, "canonical-from-family", family.label)
+    return PairEvaluator(family.dim, None, "canonical-from-family", family.label, grid_fn)
 
 
 @dataclass(frozen=True)
@@ -104,14 +141,14 @@ def validate(
 ) -> PairValidation:
     """Check the three pair axioms at the samples; report, never raise."""
     zs = herglotz.default_grid() if z_samples is None else tuple(z_samples)
+    offaxis = tuple(complex(z) for z in zs if z.imag != 0)
+    phis, psis = pair.on_grid(offaxis + tuple(z.conjugate() for z in offaxis))
     margins, residuals, rconds = [], [], []
     ok = True
-    for z in zs:
-        if z.imag == 0:
-            continue
+    for k, z in enumerate(offaxis):
         sign = np.sign(z.imag)
-        phi, psi = pair(z)
-        phib, psib = pair(np.conj(z))
+        phi, psi = phis[k], psis[k]
+        phib, psib = phis[len(offaxis) + k], psis[len(offaxis) + k]
         form = -1j * (phi.conj().T @ psi - psi.conj().T @ phi) / sign
         scale = 1.0 + matnum.spectral_norm(form)
         lam = float(np.linalg.eigvalsh(matnum.herm_part(form))[0])
@@ -128,7 +165,7 @@ def validate(
         rconds.append(rc)
         ok = ok and rc >= RCOND_MIN
     return PairValidation(
-        tuple(z for z in zs if z.imag != 0),
+        offaxis,
         tuple(margins),
         tuple(residuals),
         tuple(rconds),
@@ -144,15 +181,39 @@ def pair_kernel(
 ) -> np.ndarray:
     """Two-point kernel (Phi(w)* Psi(z) - Psi(w)* Phi(z)) / (z - conj w).
 
-    Hermitian and PSD on the diagonal w = z for Im z > 0.  Points with
-    z = conj(w) are rejected: the pair kernel has no derivative branch.
+    Hermitian and PSD on the diagonal w = z for Im z > 0, where the pair is
+    evaluated once.  Points with z = conj(w) are rejected: the pair kernel
+    has no derivative branch.
     """
     z, w = complex(z), complex(w)
+    _reject_conjugates(z, w, tol)
+    phis, psis = pair.on_grid((z,) if w == z else (z, w))
+    return _kernel(phis[0], psis[0], phis[-1], psis[-1], z, w)
+
+
+def diagonal_kernel(
+    phi: np.ndarray, psi: np.ndarray, z: complex, tol: TolerancePolicy = DEFAULT_TOL
+) -> np.ndarray:
+    """``pair_kernel(pair, z, z)`` from the blocks (Phi, Psi) = pair(z)."""
+    z = complex(z)
+    _reject_conjugates(z, z, tol)
+    return _kernel(phi, psi, phi, psi, z, z)
+
+
+def _reject_conjugates(z: complex, w: complex, tol: TolerancePolicy) -> None:
     if abs(z - np.conj(w)) <= tol.eps_eq * (abs(z) + abs(w)):
         raise DiagonalKernelError("pair kernel undefined at z = conj(w)")
-    phi_z, psi_z = pair(z)
-    phi_w, psi_w = pair(w)
+
+
+def _kernel(phi_z, psi_z, phi_w, psi_w, z: complex, w: complex) -> np.ndarray:
     return (phi_w.conj().T @ psi_z - psi_w.conj().T @ phi_z) / (z - np.conj(w))
+
+
+def cayley_values(phis: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Cayley transforms (Psi - i Phi)(Psi + i Phi)^(-1) of block stacks, one batched solve."""
+    x, _ = matnum.solve((psis + 1j * phis).conj().swapaxes(-1, -2),
+                        (psis - 1j * phis).conj().swapaxes(-1, -2), RCOND_MIN)
+    return x.conj().swapaxes(-1, -2)
 
 
 def cayley(pair: PairEvaluator, z: complex) -> np.ndarray:
@@ -160,9 +221,8 @@ def cayley(pair: PairEvaluator, z: complex) -> np.ndarray:
     z = complex(z)
     if z.imag <= 0:
         raise herglotz.DomainError("Cayley transform requires Im z > 0")
-    phi, psi = pair(z)
-    x, _ = matnum.solve((psi + 1j * phi).conj().T, (psi - 1j * phi).conj().T, RCOND_MIN)
-    return x.conj().T
+    phis, psis = pair.on_grid((z,))
+    return cayley_values(phis, psis)[0]
 
 
 def schur_kernel(pair: PairEvaluator, z: complex, w: complex) -> np.ndarray:
@@ -272,11 +332,11 @@ def transform(pair: PairEvaluator, w: JUnitary | np.ndarray) -> PairEvaluator:
         raise matnum.MatrixShapeError("J-unitary dimension mismatch")
     d = pair.dim
 
-    def fn(z: complex):
-        t = w.w @ pair.stacked(z)
-        return t[:d], t[d:]
+    def grid_fn(zs):
+        t = w.w @ np.concatenate(pair.on_grid(zs), axis=1)
+        return t[:, :d], t[:, d:]
 
-    return PairEvaluator(d, fn, "transformed", pair.label)
+    return PairEvaluator(d, None, "transformed", pair.label, grid_fn)
 
 
 def shift_transform(pair: PairEvaluator, x, tol: TolerancePolicy = DEFAULT_TOL) -> PairEvaluator:
@@ -303,40 +363,47 @@ def herglotz_shift_transform(
     if m.dim != pair.dim:
         raise matnum.MatrixShapeError("shift function dimension mismatch")
 
-    def fn(z: complex):
-        phi, psi = pair(z)
-        return phi, psi + herglotz.evaluate(m, z) @ phi
+    def grid_fn(zs):
+        phis, psis = pair.on_grid(zs)
+        return phis, psis + herglotz.evaluate_grid(m, zs) @ phis
 
-    return PairEvaluator(pair.dim, fn, "transformed", pair.label)
+    return PairEvaluator(pair.dim, None, "transformed", pair.label, grid_fn)
 
 
 def reparametrized(
     pair: PairEvaluator, chi: np.ndarray | Callable[[complex], np.ndarray]
 ) -> PairEvaluator:
-    """Equivalent pair {Phi chi, Psi chi} for invertible holomorphic chi."""
+    """Equivalent pair {Phi chi, Psi chi} for invertible holomorphic chi.
 
-    def fn(z: complex):
-        c = matnum.as_matrix(chi(z) if callable(chi) else chi)
-        phi, psi = pair(z)
-        return phi @ c, psi @ c
+    A callable chi is called point by point; a constant chi is shared.
+    """
 
-    return PairEvaluator(pair.dim, fn, "explicit", pair.label)
+    def grid_fn(zs):
+        if callable(chi):
+            cs = np.empty((len(zs), pair.dim, pair.dim), dtype=np.complex128)
+            for k, z in enumerate(zs):
+                cs[k] = matnum.as_matrix(chi(z))
+        else:
+            cs = matnum.as_matrix(chi)
+        phis, psis = pair.on_grid(zs)
+        return phis @ cs, psis @ cs
+
+    return PairEvaluator(pair.dim, None, "explicit", pair.label, grid_fn)
 
 
 def pair_direct_sum(pa: PairEvaluator, pb: PairEvaluator) -> PairEvaluator:
     """Block-diagonal direct sum of two pairs."""
+    d = pa.dim + pb.dim
 
-    def fn(z: complex):
-        phi_a, psi_a = pa(z)
-        phi_b, psi_b = pb(z)
-        d = pa.dim + pb.dim
-        phi = np.zeros((d, d), dtype=np.complex128)
-        psi = np.zeros((d, d), dtype=np.complex128)
-        phi[: pa.dim, : pa.dim], phi[pa.dim :, pa.dim :] = phi_a, phi_b
-        psi[: pa.dim, : pa.dim], psi[pa.dim :, pa.dim :] = psi_a, psi_b
-        return phi, psi
+    def grid_fn(zs):
+        out = []
+        for a, b in zip(pa.on_grid(zs), pb.on_grid(zs)):
+            block = np.zeros((len(zs), d, d), dtype=np.complex128)
+            block[:, : pa.dim, : pa.dim], block[:, pa.dim :, pa.dim :] = a, b
+            out.append(block)
+        return tuple(out)
 
-    return PairEvaluator(pa.dim + pb.dim, fn, "explicit")
+    return PairEvaluator(d, None, "explicit", grid_fn=grid_fn)
 
 
 def equivalent(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import matnum
 from .matnum import DEFAULT_TOL, TolerancePolicy
-from .pairs import RCOND_MIN, PairEvaluator, pair_kernel
+from .pairs import RCOND_MIN, PairEvaluator, diagonal_kernel
 
 
 @dataclass(frozen=True)
@@ -226,8 +226,8 @@ def symmetric_core(
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("symmetric core is computed from a point in C_+")
-    kern = matnum.herm_part(pair_kernel(pair, z, z, tol))
-    params = matnum.null_space(kern, tol)
     phi, psi = pair(z)
+    kern = matnum.herm_part(diagonal_kernel(phi, psi, z, tol))
+    params = matnum.null_space(kern, tol)
     span = np.vstack([phi @ params, psi @ params])
     return LinearRelation.from_span(span, tol)

@@ -122,9 +122,13 @@ def _optional(rule):
 
 
 def _not_built(types: tuple, value: str, names) -> str | None:
-    """None if the entity value builds one of types, else 'a <kinds>, not the <kind> <value>'."""
-    kind = names[value]  # an unknown kind was reported where it was declared
-    if isinstance(kind, str) and kind in ENTITIES and ENTITIES[kind].makes in types:
+    """None if the entity value builds one of types, else 'a <kinds>, not the <kind> <value>'.
+
+    An entity of unknown kind was reported where it was declared, so a
+    reference to it is not reported again.
+    """
+    kind = names[value]
+    if not (isinstance(kind, str) and kind in ENTITIES) or ENTITIES[kind].makes in types:
         return None
     kinds = " or ".join(k for k, kind in ENTITIES.items() if kind.makes in types)
     return f"a {kinds}, not the {names[value]} {value!r}"

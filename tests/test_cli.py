@@ -517,3 +517,13 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     (tmp_path / "taken").write_text("")  # --out names a file, not a directory
     assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "taken")]) == 2
     assert "cannot write reports" in capsys.readouterr().err
+
+
+def test_reference_to_unknown_kind_reports_one_error(tmp_path, capsys):
+    raw = minimal_doc(entities=[{"name": "u", "kind": ["x"]}],
+                      tasks=[_analysis("c2", entity="u")])
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if "'u'" in line]
+    assert len(lines) == 1 and "unknown kind ['x']" in lines[0]

@@ -1,0 +1,420 @@
+"""Grid evaluation equals point-by-point evaluation, bit for bit.
+
+``FamilyEvaluator.on_grid`` and ``PairEvaluator.on_grid`` evaluate a whole
+grid at once, the stacked ``matnum`` primitives take one batched
+decomposition per stack, and the verifiers make one grid call each.  These
+tests pin all three to the one-point results with ``==``, not a tolerance,
+and count the grid calls so that a per-point loop cannot come back quietly.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    cgauss,
+    mul_pair,
+    random_hermitian,
+    random_psd,
+    random_rep,
+    rep_with_common_kernel,
+)
+from nevlab import herglotz, invariance, matnum, pairs
+from nevlab.herglotz import FamilyEvaluator
+from nevlab.matnum import TolerancePolicy
+from nevlab.pairs import PairEvaluator
+
+
+def _grid(rng, length: int) -> list[complex]:
+    """Random off-axis points with their conjugates, in random order."""
+    if length == 1:
+        z = complex(rng.uniform(-3, 3), 10.0 ** rng.uniform(-1, 1))
+        return [z if rng.uniform() < 0.5 else z.conjugate()]
+    upper = [complex(rng.uniform(-3, 3), 10.0 ** rng.uniform(-1, 1)) for _ in range(length // 2)]
+    points = upper + [z.conjugate() for z in upper]
+    return [points[i] for i in rng.permutation(len(points))]
+
+
+def _pointwise(rule, dim: int, zs) -> np.ndarray:
+    return np.array([rule(z) for z in zs], dtype=complex).reshape(len(zs), dim, dim)
+
+
+def _families(rng) -> dict:
+    rep, other = random_rep(rng, 3, 4), random_rep(rng, 2, 3)
+    custom = FamilyEvaluator.from_callable(lambda z: herglotz.evaluate(other, z), 2)
+    return {
+        "rep": FamilyEvaluator.from_rep(rep),
+        "rep-plus-offset": FamilyEvaluator.from_rep_with_offset(rep, random_hermitian(rng, 3)),
+        "direct-sum": herglotz.family_direct_sum(FamilyEvaluator.from_rep(other), custom),
+        "callable": custom,
+    }
+
+
+def _pairs(rng) -> dict:
+    fams = _families(rng)
+    base = pairs.canonical_pair(random_rep(rng, 2, 4))
+    y = np.diag([1.5, 0.7]) + 0.1 * cgauss(rng, 2, 2)
+    chi = np.diag([2.0, 1.0]) + 0.1 * cgauss(rng, 2, 2)
+    return {
+        "canonical": base,
+        "canonical-offset": pairs.canonical_pair(fams["rep-plus-offset"]),
+        "canonical-callable": pairs.canonical_pair(fams["callable"]),
+        "constant": PairEvaluator.constant(cgauss(rng, 2, 2), cgauss(rng, 2, 2)),
+        "direct-sum": mul_pair(rng),
+        "shift": pairs.shift_transform(base, random_hermitian(rng, 2)),
+        "scale": pairs.scale_transform(base, y),
+        "flip": pairs.flip_transform(base),
+        "junitary": pairs.transform(base, pairs.JUnitary.random(2, rng)),
+        "herglotz-shift": pairs.herglotz_shift_transform(base, random_rep(rng, 2, 3)),
+        "reparametrized": pairs.reparametrized(base, chi),
+        "reparametrized-callable": pairs.reparametrized(base, lambda z: chi + z * np.eye(2)),
+        "callable": PairEvaluator(2, lambda z: (z * np.eye(2), np.diag([1.0, z * z]))),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([0, 1, 40]))
+def test_family_on_grid_equals_pointwise(seed, length):
+    rng = np.random.default_rng(seed)
+    zs = _grid(rng, length)
+    for name, family in _families(rng).items():
+        stack = family.on_grid(zs)
+        assert stack.shape == (length, family.dim, family.dim), name
+        assert np.array_equal(stack, _pointwise(family, family.dim, zs)), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([1, 40]))
+def test_rep_values_equal_the_scalar_formula(seed, length):
+    """The loop over atoms with Python-scalar coefficients is the reference."""
+    rng = np.random.default_rng(seed)
+    rep = random_rep(rng, 3, 6)
+    zs = _grid(rng, length)
+
+    def scalar(z):
+        out = rep.b0 + rep.b1 * z
+        for t, w in zip(rep.measure.locations, rep.measure.weights):
+            out = out + (1.0 / (t - z) - t / (t * t + 1.0)) * w
+        return out
+
+    assert np.array_equal(FamilyEvaluator.from_rep(rep).on_grid(zs), _pointwise(scalar, 3, zs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([0, 1, 40]))
+def test_pair_on_grid_equals_pointwise(seed, length):
+    rng = np.random.default_rng(seed)
+    zs = _grid(rng, length)
+    for name, pair in _pairs(rng).items():
+        phis, psis = pair.on_grid(zs)
+        assert phis.shape == psis.shape == (length, pair.dim, pair.dim), name
+        assert np.array_equal(phis, _pointwise(lambda z: pair(z)[0], pair.dim, zs)), name
+        assert np.array_equal(psis, _pointwise(lambda z: pair(z)[1], pair.dim, zs)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 5),
+    count=st.sampled_from([0, 1, 7]),
+)
+def test_stacked_primitives_equal_per_slice(seed, rows, cols, count):
+    rng = np.random.default_rng(seed)
+    stack = cgauss(rng, count, rows, cols)
+    for k in range(0, count, 2):  # every other slice rank deficient, at a random rank
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        stack[k] = cgauss(rng, rows, r) @ cgauss(rng, r, cols)
+    tol = TolerancePolicy(eps_rank=1e-8)
+    for fn in (matnum.null_space, matnum.range_space):
+        bases = fn(stack, tol)
+        assert len(bases) == count
+        for basis, one in zip(bases, stack):
+            alone = fn(one, tol)
+            assert basis.shape == alone.shape and np.array_equal(basis, alone)
+    assert matnum.rank(stack, tol) == [matnum.rank(one, tol) for one in stack]
+    svals = matnum.singular_values(stack)
+    assert svals.shape == (count, min(rows, cols))
+    assert all(np.array_equal(s, matnum.singular_values(one)) for s, one in zip(svals, stack))
+    norms = matnum.spectral_norm(stack)
+    assert norms.tolist() == [matnum.spectral_norm(one) for one in stack]
+    square = stack[:, :rows, :rows] if rows <= cols else stack[:, :cols, :cols]
+    scales = rng.uniform(0.0, 3.0, count)
+    flags = matnum.definitely_invertible(square, scales, 1e-12)
+    assert flags == [matnum.definitely_invertible(one, s, 1e-12) for one, s in zip(square, scales)]
+    assert matnum.rcond(square).tolist() == [matnum.rcond(one) for one in square]
+
+
+def test_solve_stack_equals_per_slice(rng):
+    a = cgauss(rng, 6, 3, 3) + 3.0 * np.eye(3)
+    b = cgauss(rng, 6, 3, 2)
+    x, rc = matnum.solve(a, b)
+    for k in range(6):
+        xk, rck = matnum.solve(a[k], b[k])
+        assert np.array_equal(x[k], xk) and rc[k] == rck
+
+
+def _numpy1_solve(solve):
+    """np.linalg.solve as numpy < 2 reads it: a B of one dimension less than A is a stack of vectors."""
+
+    def wrapped(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if b.ndim == a.ndim - 1:
+            return solve(a, b[..., None])[..., 0]
+        return solve(a, b)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+def test_stack_solve_against_one_rhs_keeps_numpy1_semantics(rng, monkeypatch, count):
+    """One B for a whole (G, n, n) stack, with G = 1, G = n and G != n."""
+    a = cgauss(rng, count, 3, 3) + 3.0 * np.eye(3)
+    b = cgauss(rng, 3, 2)
+    pair = pairs.canonical_pair(random_rep(rng, 3, 4))
+    zs = _grid(rng, 40)[:count]
+    want, want_pair = matnum.solve(a, b)[0], pair.on_grid(zs)
+    monkeypatch.setattr(np.linalg, "solve", _numpy1_solve(np.linalg.solve))
+    got, got_pair = matnum.solve(a, b)[0], pair.on_grid(zs)
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(g, w) for g, w in zip(got_pair, want_pair))
+    for k in range(count):
+        assert np.array_equal(want[k], matnum.solve(a[k], b)[0])
+
+
+def test_evaluators_take_exactly_one_rule():
+    rule = lambda z: z * np.eye(2)
+    stacked = lambda zs: np.array([z * np.eye(2) for z in zs])
+    for bad in ((None, None), (rule, stacked)):
+        with pytest.raises(TypeError):
+            FamilyEvaluator(2, bad[0], grid_fn=bad[1])
+        with pytest.raises(TypeError):
+            PairEvaluator(2, bad[0] and (lambda z: (rule(z), rule(z))), grid_fn=bad[1])
+    assert np.array_equal(FamilyEvaluator(2, None, grid_fn=stacked)(1j), rule(1j))
+
+
+# -- errors are those of the per-point loop ----------------------------------------
+
+
+def test_nan_from_custom_rule_is_a_value_error():
+    fam = FamilyEvaluator.from_callable(lambda z: np.full((2, 2), np.nan if z.real > 0 else z), 2)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        fam.on_grid([-1 + 1j, 1 + 1j])
+    pair = PairEvaluator(1, lambda z: (np.array([[np.inf]]), np.eye(1)))
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        pair.on_grid([1j])
+
+
+def test_wrong_shape_from_custom_rule_is_a_shape_error():
+    fam = FamilyEvaluator.from_callable(lambda z: np.eye(3) * z, 2)
+    with pytest.raises(matnum.MatrixShapeError, match="declared dim 2"):
+        fam.on_grid([1j, 2j])
+    with pytest.raises(matnum.MatrixShapeError):
+        FamilyEvaluator.from_callable(lambda z: np.ones(2) * z, 2).on_grid([1j])
+    pair = PairEvaluator(2, lambda z: (np.eye(2), np.eye(3)))
+    with pytest.raises(matnum.MatrixShapeError):
+        pair.on_grid([1j])
+
+
+def test_point_on_a_real_atom_is_a_pole_error(rng):
+    rep = herglotz.HerglotzRep.create(np.zeros((2, 2)), np.eye(2), [(0.5, random_psd(rng, 2))])
+    fam = FamilyEvaluator.from_rep(rep)
+    with pytest.raises(herglotz.PoleError):
+        fam.on_grid([1j, complex(0.5, 0.0), 2j])
+    with pytest.raises(herglotz.PoleError):
+        pairs.canonical_pair(fam).on_grid([1j, complex(0.5, 0.0)])
+
+
+def test_canonical_pair_guard_names_the_first_failing_point():
+    """F(z) + i is singular at one point and nearly singular at another."""
+    singular, nearly = 0.3 + 1j, -0.4 + 2j
+
+    def fn(z):
+        if z == singular:
+            return np.diag([-1j, 1.0])
+        if z == nearly:
+            return np.diag([-1j + 1e-15, 1.0])
+        return z * np.eye(2)
+
+    pair = pairs.canonical_pair(FamilyEvaluator.from_callable(fn, 2))
+    for grid in ([1j, nearly, 2j, singular], [1j, singular, nearly]):
+        with pytest.raises(matnum.ConditioningError) as loop:
+            for z in grid:
+                pair(z)
+        with pytest.raises(matnum.ConditioningError) as batched:
+            pair.on_grid(grid)
+        assert str(batched.value) == str(loop.value)
+
+
+# -- verifiers: a rep family gives the reports its per-point twin gives ------------
+
+
+def _check_runs(a: float):
+    alpha = (a - 1j) / (a + 1j)
+    grid = invariance.default_check_grid()
+    return {
+        "point": lambda f: invariance.check_point_invariance(f, a, grid),
+        "imag_kernel": lambda f: invariance.check_imag_kernel_invariance(f, grid),
+        "resolvent": lambda f: invariance.check_resolvent_invariance(f, a, grid),
+        "boundedness": lambda f: invariance.check_boundedness_invariance(f, grid),
+        "mul": lambda f: invariance.check_mul_invariance(f, grid),
+        "schur": lambda f: invariance.maximum_principle_schur(
+            pairs.canonical_pair(f), alpha, grid),
+        "classify_pair": lambda f: invariance.classify_family_pair(pairs.canonical_pair(f)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["generic", "common-kernel"])
+def test_checks_on_rep_family_equal_per_point_checks(rng, kind):
+    rep = random_rep(rng, 4, 4) if kind == "generic" else rep_with_common_kernel(rng, 4)[0]
+    batched = FamilyEvaluator.from_rep(rep)
+    pointwise = FamilyEvaluator.from_callable(batched, batched.dim)
+    for name, run in _check_runs(float(rng.uniform(-2, 2))).items():
+        got, want = run(batched), run(pointwise)
+        if isinstance(got, invariance.InvarianceReport):
+            assert (got.passed, got.worst, got.notes) == (want.passed, want.worst, want.notes)
+            assert got.witnesses == want.witnesses, name
+        else:
+            assert got == want, name
+
+
+def _cayley_per_point(pair, z):
+    """(Psi - i Phi)(Psi + i Phi)^(-1) at one point, solved as a transposed system."""
+    phi, psi = pair(z)
+    x, _ = matnum.solve((psi + 1j * phi).conj().T, (psi - 1j * phi).conj().T, pairs.RCOND_MIN)
+    return x.conj().T
+
+
+def _resolvent_per_point(pair, a, grid):
+    """check_resolvent_invariance as a loop over points, one matrix at a time."""
+    alpha = (a - 1j) / (a + 1j)
+    grid = invariance._offaxis(grid)
+    eye = np.eye(pair.dim, dtype=np.complex128)
+    flags, witnesses = [], []
+    ok_cross = True
+    for z in grid:
+        phi, psi = pair(z)
+        block_scale = matnum.spectral_norm(pair.stacked(z)) * (1.0 + abs(a))
+        smin = float(matnum.singular_values(psi - a * phi)[-1])
+        flag = matnum.definitely_invertible(psi - a * phi, block_scale, pairs.RCOND_MIN)
+        flags.append(flag)
+        w = {"smin": smin, "regular": int(flag)}
+        if z.imag > 0:
+            c = _cayley_per_point(pair, z)
+            w["smin_cayley"] = float(matnum.singular_values(c - alpha * eye)[-1])
+            flag_c = matnum.definitely_invertible(c - alpha * eye, 2.0, pairs.RCOND_MIN)
+            ok_cross = ok_cross and (flag_c == flag)
+        witnesses.append(w)
+    constant = len(set(flags)) == 1
+    return (grid, witnesses, constant and ok_cross, 0.0 if (constant and ok_cross) else 1.0,
+            {"a": a, "alpha_re": alpha.real, "alpha_im": alpha.imag,
+             "regular": int(flags[0]) if constant else -1})
+
+
+def _schur_per_point(pair, alpha, grid, tol):
+    """maximum_principle_schur on a pair as a loop over points, one matrix at a time."""
+    grid = tuple(z for z in grid if z.imag > 0)
+    defect_spans, eig_spans, inv_flags, reg_flags, witnesses = [], [], [], [], []
+    for z in grid:
+        c = _cayley_per_point(pair, z)
+        eye = np.eye(c.shape[0], dtype=np.complex128)
+        defect = eye - c.conj().T @ c
+        defect_spans.append(matnum.null_space(defect, tol))
+        eig_spans.append(matnum.null_space(c - alpha * eye, tol))
+        inv_flags.append(matnum.definitely_invertible(defect, 2.0, pairs.RCOND_MIN))
+        smin = float(matnum.singular_values(c - alpha * eye)[-1])
+        reg_flags.append(matnum.definitely_invertible(c - alpha * eye, 2.0, pairs.RCOND_MIN))
+        witnesses.append({"defect_kernel_dim": defect_spans[-1].shape[1],
+                          "alpha_kernel_dim": eig_spans[-1].shape[1],
+                          "defect_invertible": int(inv_flags[-1]),
+                          "smin_alpha": smin})
+    worst = max(invariance._span_drift(defect_spans)[0], invariance._span_drift(eig_spans)[0])
+    constant_flags = len(set(inv_flags)) == 1 and len(set(reg_flags)) == 1
+    return (grid, witnesses, constant_flags and worst <= tol.eps_rank, worst,
+            {"alpha_re": alpha.real, "alpha_im": alpha.imag,
+             "alpha_regular": int(reg_flags[0]) if constant_flags else -1})
+
+
+def _fields(report):
+    return (report.grid, report.witnesses, report.passed, report.worst, report.notes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["generic", "common-kernel", "mul"]))
+def test_resolvent_and_schur_equal_the_point_loop(seed, kind):
+    """The batched assembly (block scales, Cayley transposes, stacks) against the loop."""
+    rng = np.random.default_rng(seed)
+    if kind == "mul":
+        pair = mul_pair(rng)
+    else:
+        rep = random_rep(rng, 3, 4) if kind == "generic" else rep_with_common_kernel(rng, 3)[0]
+        pair = pairs.canonical_pair(rep)
+    a = float(rng.uniform(-2, 2))
+    alpha = (a - 1j) / (a + 1j)
+    tol = TolerancePolicy()
+    for grid in (invariance.default_check_grid(), _grid(rng, 40)[:7], [-1j, 2 - 0.5j]):
+        got = invariance.check_resolvent_invariance(pair, a, grid, tol)
+        assert _fields(got) == _resolvent_per_point(pair, a, grid)
+        got = invariance.maximum_principle_schur(pair, alpha, grid, tol)
+        assert _fields(got) == _schur_per_point(pair, alpha, grid, tol)
+
+
+def test_resolvent_block_scale_stacks_phi_over_psi():
+    """Psi - a Phi with smin between RCOND_MIN |[Phi; Psi]| and RCOND_MIN |[Phi, Psi]|."""
+    phi = np.array([[0.0, 1e3], [0.0, 0.0]])
+    psi = np.diag([1e3, 1.2e-9])
+    pair = PairEvaluator.constant(phi, psi)
+    grid = [-1j, 1 - 2j]
+    got = invariance.check_resolvent_invariance(pair, 0.0, grid)
+    assert _fields(got) == _resolvent_per_point(pair, 0.0, grid)
+    assert [w["regular"] for w in got.witnesses] == [1, 1]
+
+
+# -- the batching stays: grid calls counted -----------------------------------------
+
+
+def _count_calls(monkeypatch) -> Counter:
+    counts: Counter = Counter()
+    for cls in (FamilyEvaluator, PairEvaluator):
+        for name in ("__call__", "on_grid"):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, _original=original, _key=f"{cls.__name__}.{name}"):
+                counts[_key] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+    return counts
+
+
+def test_point_check_evaluates_the_grid_once(rng, monkeypatch):
+    pair = pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 3, 4)))
+    counts = _count_calls(monkeypatch)
+    report = invariance.check_point_invariance(pair, 0.5, invariance.default_check_grid())
+    assert len(report.grid) == 40
+    assert counts == {"PairEvaluator.on_grid": 1, "FamilyEvaluator.on_grid": 1}
+
+
+@pytest.mark.parametrize("name", ["imag_kernel", "resolvent", "boundedness", "mul", "schur"])
+def test_every_check_evaluates_the_grid_once(rng, monkeypatch, name):
+    family = FamilyEvaluator.from_rep(random_rep(rng, 3, 4))
+    run = _check_runs(0.5)[name]
+    counts = _count_calls(monkeypatch)
+    run(family)
+    assert counts["FamilyEvaluator.on_grid"] == 1
+    assert counts["FamilyEvaluator.__call__"] == 0
+    assert counts["PairEvaluator.on_grid"] == (0 if name == "imag_kernel" else 1)
+    assert counts["PairEvaluator.__call__"] == 0
+
+
+def test_pair_classification_evaluates_its_pair_once(rng, monkeypatch):
+    pair = pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 3, 4)))
+    counts = _count_calls(monkeypatch)
+    invariance.classify_family_pair(pair, z=0.3 + 2j)
+    assert counts["PairEvaluator.on_grid"] == 1
+    counts.clear()
+    pairs.pair_kernel(pair, 0.3 + 2j, 0.3 + 2j)
+    assert counts["PairEvaluator.on_grid"] == 1
