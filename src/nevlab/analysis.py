@@ -111,6 +111,13 @@ def random_cone_function(
     return h
 
 
+# Largest worst violation a passing certificate may show.  Fixed, not a policy
+# field: the violation is a relative error of scalar harmonic values, whose
+# rounding is a few ulps whatever the document, while a wrong constant shows
+# errors orders of magnitude larger.
+HARNACK_CERTIFICATE_TOL = 1e-12
+
+
 def certify_harnack(
     z1: complex,
     z2: complex,

@@ -115,14 +115,6 @@ class OperatorMeasure:
             out += w / (1.0 + t * t)
         return out
 
-    def total_weight(self, a: float = -np.inf, b: float = np.inf) -> np.ndarray:
-        """Sum of weights with locations in the open interval (a, b)."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for t, w in zip(self.locations, self.weights):
-            if a < t < b:
-                out += w
-        return out
-
 
 @dataclass(frozen=True)
 class HerglotzRep:
@@ -401,12 +393,10 @@ def classify(
         upper + tuple(z.conjugate() for z in upper) + offaxis + (1j,)
     )
     sym = _symmetry_residual(values[: len(upper)], values[len(upper) : 2 * len(upper)])
-    margin = np.inf
-    ok_all = sym <= tol.eps_eq
-    for z, im in zip(offaxis, matnum.imag_part(values[2 * len(upper) : -1])):
-        ok, lam = matnum.is_psd(im * np.sign(z.imag), tol)
-        margin = min(margin, lam)
-        ok_all = ok_all and ok
+    signs = np.array([np.sign(z.imag) for z in offaxis]).reshape(-1, 1, 1)
+    oks, lams = matnum.is_psd(matnum.imag_part(values[2 * len(upper) : -1]) * signs, tol)
+    margin = np.min(lams, initial=np.inf)
+    ok_all = sym <= tol.eps_eq and all(oks)
 
     im_i = matnum.imag_part(values[-1])
     lam_min = float(np.linalg.eigvalsh(matnum.herm_part(im_i))[0])

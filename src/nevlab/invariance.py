@@ -215,13 +215,13 @@ def check_resolvent_invariance(
     phis, psis = pair.on_grid(grid)
     shifted = psis - a * phis
     block_scales = matnum.spectral_norm(np.concatenate([phis, psis], axis=1)) * (1.0 + abs(a))
-    smins = matnum.singular_values(shifted)[:, -1].tolist()
-    flags = matnum.definitely_invertible(shifted, block_scales, RCOND_MIN)
-    witnesses = [{"smin": smin, "regular": int(flag)} for smin, flag in zip(smins, flags)]
+    smins = matnum.singular_values(shifted)[:, -1]
+    flags = matnum.invertible_from(smins, block_scales, RCOND_MIN)
+    witnesses = [{"smin": smin, "regular": int(flag)} for smin, flag in zip(smins.tolist(), flags)]
     upper = [k for k, z in enumerate(grid) if z.imag > 0]
-    moved = pairs.cayley_values(phis[upper], psis[upper]) - alpha * eye
-    flags_c = matnum.definitely_invertible(moved, 2.0, RCOND_MIN)
-    for k, smin_c, flag_c in zip(upper, matnum.singular_values(moved)[:, -1].tolist(), flags_c):
+    smins_c = matnum.singular_values(pairs.cayley_values(phis[upper], psis[upper]) - alpha * eye)
+    flags_c = matnum.invertible_from(smins_c[:, -1], 2.0, RCOND_MIN)
+    for k, smin_c in zip(upper, smins_c[:, -1].tolist()):
         witnesses[k]["smin_cayley"] = smin_c
     ok_cross = all(flag_c == flags[k] for k, flag_c in zip(upper, flags_c))
     constant = len(set(flags)) == 1
@@ -350,8 +350,8 @@ def maximum_principle_schur(
     defect_spans = matnum.null_space(defects, tol)
     eig_spans = matnum.null_space(moved, tol)
     inv_flags = matnum.definitely_invertible(defects, 2.0, RCOND_MIN)
-    reg_flags = matnum.definitely_invertible(moved, 2.0, RCOND_MIN)
-    smins = matnum.singular_values(moved)[:, -1].tolist() if grid else []
+    smins = matnum.singular_values(moved)[:, -1] if grid else np.zeros(0)
+    reg_flags = matnum.invertible_from(smins, 2.0, RCOND_MIN)
     witnesses = [
         {
             "defect_kernel_dim": d.shape[1],
@@ -359,7 +359,7 @@ def maximum_principle_schur(
             "defect_invertible": int(inv),
             "smin_alpha": smin,
         }
-        for d, e, inv, smin in zip(defect_spans, eig_spans, inv_flags, smins)
+        for d, e, inv, smin in zip(defect_spans, eig_spans, inv_flags, smins.tolist())
     ]
     worst = max(_span_drift(defect_spans)[0], _span_drift(eig_spans)[0])
     constant_flags = len(set(inv_flags)) == 1 and len(set(reg_flags)) == 1

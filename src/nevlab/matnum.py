@@ -52,17 +52,7 @@ DEFAULT_TOL = TolerancePolicy()
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex128 array and reject non-finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise MatrixShapeError(f"expected a matrix, got ndim={m.ndim}")
-    return _finite(m)
-
-
-def _finite(m: np.ndarray) -> np.ndarray:
-    """m itself, after one finiteness check for the whole array."""
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    return m
+    return _checked(a, (2,))
 
 
 def as_stack(values, count: int, dim: int, what: str = "value") -> np.ndarray:
@@ -70,7 +60,7 @@ def as_stack(values, count: int, dim: int, what: str = "value") -> np.ndarray:
 
     ``values`` is an array stack or a list of one matrix per point.  The
     shape is checked per matrix, naming ``what`` in the MatrixShapeError;
-    ``_stack`` converts and checks finiteness once for the stack.
+    ``_checked`` converts and checks finiteness once for the stack.
     """
     if isinstance(values, list):
         for value in values:
@@ -82,35 +72,34 @@ def as_stack(values, count: int, dim: int, what: str = "value") -> np.ndarray:
             return np.zeros((0, dim, dim), dtype=np.complex128)
     elif np.shape(values) != (count, dim, dim):
         raise MatrixShapeError(f"{what} shape {np.shape(values)[1:]}, declared dim {dim}")
-    return _stack(values)[0]
+    return _checked(values, (3,))
 
 
-def _stack(a) -> tuple[np.ndarray, bool]:
-    """A matrix or a (G, m, n) stack as a 3-d complex stack, checked finite once.
+def _checked(a, ndims: tuple = (2, 3), square: bool = False) -> np.ndarray:
+    """The input gate: a as a complex128 array with ndim in ndims, finite.
+
+    Every public function checks its input here, once per array; with
+    ``square`` the last two axes must be equal.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim not in ndims:
+        what = "a matrix or a stack of matrices" if 3 in ndims else "a matrix"
+        raise MatrixShapeError(f"expected {what}, got ndim={m.ndim}")
+    if square and m.shape[-1] != m.shape[-2]:
+        raise MatrixShapeError(f"expected a square matrix, got shape {m.shape[-2:]}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    return m
+
+
+def _stack(a, square: bool = False) -> tuple[np.ndarray, bool]:
+    """A checked matrix or (G, m, n) stack as a 3-d stack.
 
     The flag is True for a single matrix, which becomes a stack of one;
     the stacked primitives below hand it back unstacked.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim not in (2, 3):
-        raise MatrixShapeError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
-    _finite(m)
+    m = _checked(a, square=square)
     return (m[None], True) if m.ndim == 2 else (m, False)
-
-
-def _square(a) -> np.ndarray:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise MatrixShapeError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def _squares(a) -> np.ndarray:
-    """A square matrix or a stack of them, checked like ``_square``."""
-    m, one = _stack(a)
-    if m.shape[1] != m.shape[2]:
-        raise MatrixShapeError(f"expected a square matrix, got shape {m.shape[1:]}")
-    return m[0] if one else m
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -129,7 +118,7 @@ def spectral_norm(a):
 
 def herm_part(t) -> np.ndarray:
     """Hermitian part (T + T*)/2 of a square matrix (or of each in a stack)."""
-    m = _squares(t)
+    m = _checked(t, square=True)
     return (m + _adjoint(m)) / 2.0
 
 
@@ -139,45 +128,54 @@ def imag_part(t) -> np.ndarray:
     The result is Hermitian to machine precision and satisfies
     T = herm_part(T) + 1j * imag_part(T).
     """
-    m = _squares(t)
+    m = _checked(t, square=True)
     return (m - _adjoint(m)) / 2.0j
 
 
-def hermitian_residual(h) -> float:
-    """Relative departure of a square matrix from Hermitianity."""
-    m = _square(h)
+def hermitian_residual(h):
+    """Relative departure of a square matrix from Hermitianity.
+
+    An array of them for a (G, n, n) stack.
+    """
+    m, one = _stack(h, square=True)
     scale = spectral_norm(m)
-    if scale == 0.0:
-        return 0.0
-    return spectral_norm(m - m.conj().T) / scale
+    res = np.divide(spectral_norm(m - _adjoint(m)), scale, out=np.zeros(len(m)),
+                    where=scale != 0.0)
+    return float(res[0]) if one else res
 
 
-def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[bool, float]:
+def _hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Hermitian parts of a square stack; HermitianityError unless each is within eps_eq."""
+    if (hermitian_residual(m) > tol.eps_eq).any():
+        raise HermitianityError(f"matrix is not Hermitian within eps_eq={tol.eps_eq!r}")
+    return herm_part(m)
+
+
+def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL):
     """PSD test for a Hermitian matrix; returns (verdict, lambda_min).
 
     The input must be Hermitian within ``eps_eq`` relative to its norm; it is
     symmetrized before the eigendecomposition to remove round-off asymmetry.
+    A (G, n, n) stack takes one batched ``eigvalsh`` and gives a list of
+    verdicts with an array of lambda_min; if any matrix is not Hermitian,
+    the call raises.
     """
-    m = _square(h)
-    if hermitian_residual(m) > tol.eps_eq:
-        raise HermitianityError(
-            f"matrix is not Hermitian within eps_eq={tol.eps_eq!r}"
-        )
-    m = herm_part(m)
-    if m.shape[0] == 0:
-        return True, 0.0
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    bound = -tol.eps_psd * (1.0 + spectral_norm(m))
-    return lam_min >= bound, lam_min
+    m, one = _stack(h, square=True)
+    m = _hermitian(m, tol)
+    lam = np.linalg.eigvalsh(m)[:, 0] if m.shape[1] else np.zeros(len(m))
+    ok = (lam >= -tol.eps_psd * (1.0 + spectral_norm(m))).tolist()
+    return (ok[0], float(lam[0])) if one else (ok, lam)
 
 
 def eig_hermitian(h, tol: TolerancePolicy = DEFAULT_TOL):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    m = _square(h)
-    if hermitian_residual(m) > tol.eps_eq:
-        raise HermitianityError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(herm_part(m))
-    return w, v
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
+
+    A (G, n, n) stack gives (G, n) eigenvalues and (G, n, n) eigenvectors
+    from one batched ``eigh``.
+    """
+    m, one = _stack(h, square=True)
+    w, v = np.linalg.eigh(_hermitian(m, tol))
+    return (w[0], v[0]) if one else (w, v)
 
 
 def _svals(m: np.ndarray) -> np.ndarray:
@@ -323,9 +321,13 @@ def definitely_invertible(a, scale=1.0, threshold: float = 1e-12):
     elif rows == 0:
         flags = [True] * count
     else:
-        smin = _svals(m)[:, -1]
-        flags = (smin >= threshold * np.maximum(scale, 1.0)).tolist()
+        flags = invertible_from(_svals(m)[:, -1], scale, threshold)
     return flags[0] if one else flags
+
+
+def invertible_from(smins, scale=1.0, threshold: float = 1e-12) -> list[bool]:
+    """``definitely_invertible``'s flags from smallest singular values already taken."""
+    return (np.asarray(smins) >= threshold * np.maximum(scale, 1.0)).tolist()
 
 
 def solve(a, b, rcond_min: float = 1e-14):
@@ -337,12 +339,8 @@ def solve(a, b, rcond_min: float = 1e-14):
     an array of rconds, and the first matrix of the stack that fails the
     guard raises.
     """
-    m = _squares(a)
-    if np.ndim(b) == 1:
-        rb = np.asarray(b, dtype=np.complex128)
-    else:
-        rb, one = _stack(b)
-        rb = rb[0] if one else rb
+    m = _checked(a, square=True)
+    rb = _checked(b, (1, 2, 3))
     rc = _rconds(m.reshape((-1,) + m.shape[-2:]))
     failing = rc < rcond_min
     if failing.any():
@@ -359,9 +357,3 @@ def solve(a, b, rcond_min: float = 1e-14):
 def inverse(a, rcond_min: float = 1e-14) -> np.ndarray:
     x, _ = solve(a, np.eye(as_matrix(a).shape[0], dtype=np.complex128), rcond_min)
     return x
-
-
-def matrices_close(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    ma, mb = as_matrix(a), as_matrix(b)
-    scale = 1.0 + max(spectral_norm(ma), spectral_norm(mb))
-    return spectral_norm(ma - mb) <= tol.eps_eq * scale

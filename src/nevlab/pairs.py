@@ -139,38 +139,31 @@ def validate(
     z_samples: Sequence[complex] | None = None,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> PairValidation:
-    """Check the three pair axioms at the samples; report, never raise."""
+    """Check the three pair axioms at the samples; report, never raise.
+
+    Each axiom is decided for every sample at once, on the stacks of one
+    grid evaluation.
+    """
     zs = herglotz.default_grid() if z_samples is None else tuple(z_samples)
     offaxis = tuple(complex(z) for z in zs if z.imag != 0)
+    count = len(offaxis)
     phis, psis = pair.on_grid(offaxis + tuple(z.conjugate() for z in offaxis))
-    margins, residuals, rconds = [], [], []
-    ok = True
-    for k, z in enumerate(offaxis):
-        sign = np.sign(z.imag)
-        phi, psi = phis[k], psis[k]
-        phib, psib = phis[len(offaxis) + k], psis[len(offaxis) + k]
-        form = -1j * (phi.conj().T @ psi - psi.conj().T @ phi) / sign
-        scale = 1.0 + matnum.spectral_norm(form)
-        lam = float(np.linalg.eigvalsh(matnum.herm_part(form))[0])
-        margins.append(lam / scale)
-        ok = ok and lam >= -tol.eps_psd * scale
+    phi, psi, phib, psib = phis[:count], psis[:count], phis[count:], psis[count:]
+    signs = np.array([np.sign(z.imag) for z in offaxis]).reshape(-1, 1, 1)
+    forms = -1j * (_adjoint(phi) @ psi - _adjoint(psi) @ phi) / signs
+    scales = 1.0 + matnum.spectral_norm(forms)
+    lams = np.linalg.eigvalsh(matnum.herm_part(forms))[:, 0]
+    residuals = (matnum.spectral_norm(_adjoint(psib) @ phi - _adjoint(phib) @ psi)
+                 / (1.0 + matnum.spectral_norm(phi) * matnum.spectral_norm(psi)))
+    rconds = matnum.rcond(psi + signs * 1j * phi)
+    passed = bool((lams >= -tol.eps_psd * scales).all() and (residuals <= tol.eps_eq).all()
+                  and (rconds >= RCOND_MIN).all())
+    return PairValidation(offaxis, tuple((lams / scales).tolist()), tuple(residuals.tolist()),
+                          tuple(rconds.tolist()), passed)
 
-        sym = psib.conj().T @ phi - phib.conj().T @ psi
-        s_scale = 1.0 + matnum.spectral_norm(phi) * matnum.spectral_norm(psi)
-        res = matnum.spectral_norm(sym) / s_scale
-        residuals.append(res)
-        ok = ok and res <= tol.eps_eq
 
-        rc = matnum.rcond(psi + sign * 1j * phi)
-        rconds.append(rc)
-        ok = ok and rc >= RCOND_MIN
-    return PairValidation(
-        offaxis,
-        tuple(margins),
-        tuple(residuals),
-        tuple(rconds),
-        ok,
-    )
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def pair_kernel(
@@ -211,9 +204,8 @@ def _kernel(phi_z, psi_z, phi_w, psi_w, z: complex, w: complex) -> np.ndarray:
 
 def cayley_values(phis: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """Cayley transforms (Psi - i Phi)(Psi + i Phi)^(-1) of block stacks, one batched solve."""
-    x, _ = matnum.solve((psis + 1j * phis).conj().swapaxes(-1, -2),
-                        (psis - 1j * phis).conj().swapaxes(-1, -2), RCOND_MIN)
-    return x.conj().swapaxes(-1, -2)
+    x, _ = matnum.solve(_adjoint(psis + 1j * phis), _adjoint(psis - 1j * phis), RCOND_MIN)
+    return _adjoint(x)
 
 
 def cayley(pair: PairEvaluator, z: complex) -> np.ndarray:
@@ -227,22 +219,30 @@ def cayley(pair: PairEvaluator, z: complex) -> np.ndarray:
 
 def schur_kernel(pair: PairEvaluator, z: complex, w: complex) -> np.ndarray:
     """Schur-class kernel (I - C(w)* C(z)) / (-i (z - conj w)) on C_+."""
-    z, w = complex(z), complex(w)
+    return _schur_kernel(pair, complex(z), complex(w))[0]
+
+
+def _schur_kernel(pair: PairEvaluator, z: complex, w: complex):
+    """The Schur kernel at (z, w) with the pair's blocks there, from one grid evaluation."""
     if z.imag <= 0 or w.imag <= 0:
         raise herglotz.DomainError("Schur kernel requires both points in C_+")
-    cz, cw = cayley(pair, z), cayley(pair, w)
+    phis, psis = pair.on_grid((z, w))
+    cz, cw = cayley_values(phis, psis)
     eye = np.eye(pair.dim, dtype=np.complex128)
-    return (eye - cw.conj().T @ cz) / (-1j * (z - np.conj(w)))
+    return (eye - cw.conj().T @ cz) / (-1j * (z - np.conj(w))), phis, psis
 
 
 def kernel_identity_residual(pair: PairEvaluator, z: complex, w: complex) -> float:
-    """Relative residual of K(z,w) = 2 (Psi+iPhi)(w)^-* N(z,w) (Psi+iPhi)(z)^-1."""
-    k = schur_kernel(pair, z, w)
-    n = pair_kernel(pair, z, w)
-    phi_z, psi_z = pair(z)
-    phi_w, psi_w = pair(w)
-    right, _ = matnum.solve(psi_z + 1j * phi_z, np.eye(pair.dim), RCOND_MIN)
-    left_t, _ = matnum.solve((psi_w + 1j * phi_w).conj().T, np.eye(pair.dim), RCOND_MIN)
+    """Relative residual of K(z,w) = 2 (Psi+iPhi)(w)^-* N(z,w) (Psi+iPhi)(z)^-1.
+
+    Both kernels come from one evaluation of the pair, at (z, w).
+    """
+    z, w = complex(z), complex(w)
+    k, phis, psis = _schur_kernel(pair, z, w)
+    _reject_conjugates(z, w, DEFAULT_TOL)
+    n = _kernel(phis[0], psis[0], phis[1], psis[1], z, w)
+    right, _ = matnum.solve(psis[0] + 1j * phis[0], np.eye(pair.dim), RCOND_MIN)
+    left_t, _ = matnum.solve((psis[1] + 1j * phis[1]).conj().T, np.eye(pair.dim), RCOND_MIN)
     recon = 2.0 * left_t @ n @ right
     return matnum.spectral_norm(k - recon) / (1.0 + matnum.spectral_norm(k))
 
@@ -380,9 +380,7 @@ def reparametrized(
 
     def grid_fn(zs):
         if callable(chi):
-            cs = np.empty((len(zs), pair.dim, pair.dim), dtype=np.complex128)
-            for k, z in enumerate(zs):
-                cs[k] = matnum.as_matrix(chi(z))
+            cs = matnum.as_stack([chi(z) for z in zs], len(zs), pair.dim, "chi value")
         else:
             cs = matnum.as_matrix(chi)
         phis, psis = pair.on_grid(zs)

@@ -3,9 +3,11 @@
 ``ENTITIES`` and ``TASKS`` map each entity or task kind to its parameters,
 each with one type rule and one default, and to its build or run function;
 a pair type or transform step is a kind of a nested table of the same
-form.  ``document`` checks every entity and task through the tables when
-it parses a document, so a parsed one holds typed values with defaults
-filled in, and a reference names an earlier entity of the kind it needs.
+form.  ``DOCUMENT`` gives the top-level fields of a document the same
+form, and one list rule checks the entity list and the task list through
+the two tables.  ``document`` checks a whole document through it when it
+parses one, so a parsed document holds typed values with defaults filled
+in, and a reference names an earlier entity of the kind it needs.
 ``build_entities`` and ``run_task`` look up the kind and call its function
 with them.  The names a task may use below its kind (checks, analyses,
 example reports, sweep sequences) are the keys of the dispatch tables here
@@ -23,14 +25,16 @@ regardless of how the run is scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
 
 from . import analysis, examples, herglotz, invariance, matnum, pairs
-from .document import DocumentError, JobDocument, decode_matrix, real
+from .document import (OUTPUT_FORMATS, VERSION_TAG, DocumentError, JobDocument, decode_matrix,
+                       real)
 from .herglotz import FamilyEvaluator, HerglotzRep
+from .matnum import DEFAULT_TOL, TolerancePolicy
 from .pairs import PairEvaluator
 
 
@@ -83,13 +87,24 @@ def _one_of(table: dict):
     return _rule(lambda v: isinstance(v, str) and v in table, f"one of {', '.join(table)}")
 
 
-def _upper_point(value, names) -> complex:
+def _point(value, names) -> complex:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"must be an [re, im] pair, got {value!r}")
-    z = complex(real(value[0]), real(value[1]))
+    return complex(real(value[0]), real(value[1]))
+
+
+def _upper_point(value, names) -> complex:
+    z = _point(value, names)
     if z.imag <= 0:
         raise ValueError("must lie in the upper half-plane")
     return z
+
+
+def _grid(value, names) -> tuple:
+    grid = _list_of(_point)(value, names)
+    if not any(z.imag > 0 for z in grid):
+        raise ValueError("must contain at least one point with Im z > 0")
+    return grid
 
 
 def _atom(value, names) -> tuple:
@@ -157,6 +172,49 @@ def _entity_for(p: dict, names, types: tuple, what: str) -> None:
         raise ValueError(f"{what} needs {wrong}")
 
 
+class _Placed(DocumentError):
+    """Problems of a list of entities or tasks, each line naming its own place."""
+
+
+def _members(field: str, noun: str, table: dict, key: str, name_rule, record: bool = False):
+    """A list of named objects, each checked by the entry of table its key names.
+
+    Problems are prefixed by "<noun> '<name>': "; a repeated name cites both
+    indices.  With record, names maps each name to its kind, in declaration
+    order, so that later objects can reference it.
+    """
+
+    def rule(value, names) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"must be a list, got {value!r}")
+        first: dict[str, int] = {}
+        out, problems = [], []
+        for i, item in enumerate(value):
+            try:
+                if not isinstance(item, dict):
+                    raise ValueError(f"must be an object, got {item!r}")
+                name = name_rule(item.get("name"), names)
+            except ValueError as exc:
+                problems.append(f"{field}[{i}] {exc}")
+                continue
+            kind = item.get(key)
+            if isinstance(kind, str) and kind in table:
+                out.append(table[kind].check(item, f"{noun} {name!r}: ", names, problems,
+                                             ("name", key)))
+            else:
+                problems.append(f"{noun} {name!r}: unknown kind {kind!r}")
+            if first.setdefault(name, i) != i:
+                problems.append(f"duplicate {noun} name {name!r} "
+                                f"({field}[{first[name]}] and {field}[{i}])")
+            elif record:
+                names[name] = kind
+        if problems:
+            raise _Placed(problems)
+        return out
+
+    return rule
+
+
 def _nested(kind: "Kind", value, names, fixed: tuple = ()) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"must be an object, got {value!r}")
@@ -183,6 +241,7 @@ _REQUIRED = object()
 _ENTITY = _ref()
 _REAL = lambda value, names: real(value)  # noqa: E731
 _MATRIX = lambda value, names: decode_matrix(value)  # noqa: E731
+_STRING = _rule(lambda v: isinstance(v, str), "a string")
 _TRIALS = _int_in(1, MAX_TRIALS)
 
 
@@ -190,13 +249,14 @@ _TRIALS = _int_in(1, MAX_TRIALS)
 class Kind:
     """Parameter name -> (type rule, default), and the function that uses them.
 
-    A default of None marks an optional parameter whose absence the
-    function handles itself.  ``post(params, names)`` checks the parameters
+    A table that only checks a nested object has no function.  A default
+    of None marks an optional parameter whose absence the function handles
+    itself.  ``post(params, names)`` checks the parameters
     together once each passed its own rule, raising ValueError.  ``makes``
     is the type an entity kind builds; typed references are checked by it.
     """
 
-    run: Callable[..., Any]
+    run: Callable[..., Any] | None
     params: dict[str, tuple[Callable[[Any, dict], Any], Any]]
     post: Callable[[dict, dict], Any] | None = None
     makes: type | None = None
@@ -220,6 +280,8 @@ class Kind:
                 continue
             try:
                 out[key] = rule(obj[key], names)
+            except _Placed as exc:
+                errors += exc.errors
             except ValueError as exc:
                 errors += [f"{where}{key} {line}" for line in getattr(exc, "errors", [exc])]
         if self.post is not None and len(errors) == before:
@@ -305,7 +367,7 @@ def _run_harnack(p, built, grid, tol, rng):
     worst = analysis.certify_harnack(z1, z2, p["trials"] or 1000, rng)
     rows = [{"z1_re": z1.real, "z1_im": z1.imag, "z2_re": z2.real, "z2_im": z2.imag,
              "c1": hp.c1, "c2": hp.c2, "mc_worst": worst}]
-    passed = worst <= 1e-12
+    passed = worst <= analysis.HARNACK_CERTIFICATE_TOL
     if p["entity"] is not None:
         sr = analysis.form_sandwich_check(
             _family(p, built), grid, p["z0"], trials=p["trials"] or 100, rng=rng
@@ -560,8 +622,7 @@ ENTITIES: dict[str, Kind] = {
                  {"pair": (_pick(_PAIRS, "type"), _REQUIRED)}, makes=PairEvaluator),
     "sturm_liouville": Kind(_build_sl, {
         "n": (_int_in(1, MAX_DIM), _REQUIRED),
-        "variant": (_rule(lambda v: isinstance(v, str), "a string"),
-                    examples.VARIANT_INTERVAL),
+        "variant": (_STRING, examples.VARIANT_INTERVAL),
         "length": (_REAL, 1.0),
         "phi": (_optional(_phi), None),  # None: Dirichlet-Dirichlet, no boundary coefficient
     }, post=lambda p, names: _build_sl({**p, "phi": None}, {}, None),
@@ -575,12 +636,45 @@ ENTITIES: dict[str, Kind] = {
 }
 
 
+# -- the document: top-level fields, with every entity and task checked by the
+# tables above; run builds the JobDocument
+
+
+def _is_file_stem(name) -> bool:
+    """Whether a task name can name report files inside the output directory."""
+    return isinstance(name, str) and name != "" and not (
+        name.startswith(".") or name == "summary" or any(c in name for c in "/\\\0")
+    )
+
+
+_ENTITY_NAME = _rule(lambda v: isinstance(v, str) and v != "", "named by a nonempty string")
+_TASK_NAME = _rule(_is_file_stem, "named by a plain file stem (no '/', '\\' or NUL, "
+                   "no leading '.', not 'summary')")
+_FRACTION = _rule(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                  and 0 < v < 1, "a real in (0, 1)")
+_TOLERANCES = Kind(None, {f.name: (_FRACTION, f.default) for f in fields(TolerancePolicy)})
+_OUTPUT = Kind(None, {"format": (_one_of(OUTPUT_FORMATS), "both"),
+                      "dir": (_optional(_STRING), None)})  # None: the command line's default
+
+DOCUMENT = Kind(lambda p: JobDocument(**p), {
+    "version": (_rule(lambda v: v == VERSION_TAG, repr(VERSION_TAG)), _REQUIRED),
+    "seed": (_int_in(0), 0),
+    "grid": (_grid, None),  # None: herglotz.default_grid()
+    "tolerances": (lambda value, names: TolerancePolicy(**_nested(_TOLERANCES, value, names)),
+                   DEFAULT_TOL),
+    "entities": (_members("entities", "entity", ENTITIES, "kind", _ENTITY_NAME, record=True),
+                 ()),
+    "tasks": (_members("tasks", "task", TASKS, "task", _TASK_NAME), ()),
+    "output": (lambda value, names: _nested(_OUTPUT, value, names), _nested(_OUTPUT, {}, {})),
+})
+
+
 def build_entities(doc: JobDocument) -> dict[str, object]:
     """Instantiate every declared entity, resolving references in order."""
     built: dict[str, object] = {}
     for ent in doc.entities:
         try:
-            built[ent["name"]] = ENTITIES[ent["kind"]].run(ent, built, doc.tol)
+            built[ent["name"]] = ENTITIES[ent["kind"]].run(ent, built, doc.tolerances)
         except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise RunError(f"entity {ent['name']!r}: {exc}") from exc
     return built
@@ -595,7 +689,7 @@ def run_task(
     """Run one checked task of doc against the built entities."""
     rng = np.random.default_rng([doc.seed, task_index])
     grid = tuple(doc.grid) if doc.grid else herglotz.default_grid()
-    passed, summary, rows = TASKS[task["task"]].run(task, built, grid, doc.tol, rng)
+    passed, summary, rows = TASKS[task["task"]].run(task, built, grid, doc.tolerances, rng)
     return TaskReport(task["name"], task["task"], passed, summary, rows)
 
 

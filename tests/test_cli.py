@@ -345,6 +345,25 @@ REJECTED = {
     "form-domain-on-sl": (_with({**FORM, "entity": "sl"}), []),
     "imag-kernel-on-pair": (_with({**INVARIANCE, "entity": "p", "checks": ["imag_kernel"]},
                                   entities=[PAIR]), []),
+    # document-level fields
+    "seed-negative": (_with(seed=-1), []),
+    "seed-bool": (_with(seed=True), []),
+    "tolerances-not-object": (_with(tolerances=[1e-9]), []),
+    "tolerances-unknown-key": (_with(tolerances={"eps_psdd": 1e-9}), []),
+    "tolerances-zero": (_with(tolerances={"eps_psd": 0}), []),
+    "tolerances-one": (_with(tolerances={"eps_eq": 1}), []),
+    "output-not-object": (_with(output="json"), []),
+    "output-format-xml": (_with(output={"format": "xml"}), []),
+    "output-dir-number": (_with(output={"dir": 5}), []),
+    "unknown-top-level-key": (_with(extras=[]), []),
+    "entities-not-list": ({**minimal_doc(), "entities": {"name": "f"}}, []),
+    "tasks-not-list": ({**minimal_doc(), "tasks": "t"}, []),
+    "entity-without-name": (_with(entities=[{k: v for k, v in SL.items() if k != "name"}]), []),
+    "task-without-name": (_with({k: v for k, v in INVARIANCE.items() if k != "name"}), []),
+    "task-name-repeated": (_with(INVARIANCE, {**INVARIANCE, "checks": ["mul"]}), []),
+    "grid-empty": (_with(INVARIANCE, grid=[]), []),
+    "grid-not-list": (_with(INVARIANCE, grid="0,1"), []),
+    "grid-point-text": (_with(INVARIANCE, grid=[[0, "x"], [0, 1]]), []),
 }
 
 

@@ -146,6 +146,22 @@ def test_stacked_primitives_equal_per_slice(seed, rows, cols, count):
     flags = matnum.definitely_invertible(square, scales, 1e-12)
     assert flags == [matnum.definitely_invertible(one, s, 1e-12) for one, s in zip(square, scales)]
     assert matnum.rcond(square).tolist() == [matnum.rcond(one) for one in square]
+    herm = square + square.conj().swapaxes(-1, -2)
+    for h in (herm, square @ square.conj().swapaxes(-1, -2)):  # Hermitian, then PSD
+        assert matnum.hermitian_residual(h).tolist() == [matnum.hermitian_residual(one)
+                                                         for one in h]
+        oks, lams = matnum.is_psd(h)
+        alone = [matnum.is_psd(one) for one in h]
+        assert oks == [ok for ok, _ in alone] and lams.tolist() == [lam for _, lam in alone]
+        ws, vs = matnum.eig_hermitian(h)
+        for w, v, one in zip(ws, vs, h):
+            w1, v1 = matnum.eig_hermitian(one)
+            assert np.array_equal(w, w1) and np.array_equal(v, v1)
+    if count:
+        herm[-1, 0, 0] += 1j  # one slice not Hermitian
+        for fn in (matnum.is_psd, matnum.eig_hermitian):
+            with pytest.raises(matnum.HermitianityError):
+                fn(herm)
 
 
 def test_solve_stack_equals_per_slice(rng):
@@ -418,3 +434,56 @@ def test_pair_classification_evaluates_its_pair_once(rng, monkeypatch):
     counts.clear()
     pairs.pair_kernel(pair, 0.3 + 2j, 0.3 + 2j)
     assert counts["PairEvaluator.on_grid"] == 1
+
+
+def test_resolvent_and_schur_take_each_stack_singular_values_once(rng, monkeypatch):
+    """The smin witnesses and the invertibility flags share one SVD per stack."""
+    pair = pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 3, 4)))
+    grid = invariance.default_check_grid()
+    svd = np.linalg.svd
+    seen: Counter = Counter()
+
+    def counted(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            seen[(np.shape(a), np.asarray(a).tobytes())] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for check in (lambda: invariance.check_resolvent_invariance(pair, 0.5, grid),
+                  lambda: invariance.maximum_principle_schur(pair, (0.5 - 1j) / (0.5 + 1j), grid)):
+        seen.clear()
+        check()
+        assert seen and max(seen.values()) == 1
+
+
+def _kernel_identity_reference(pair, z, w) -> float:
+    """The five-evaluation formula the grid form replaced."""
+    cz, cw = pairs.cayley(pair, z), pairs.cayley(pair, w)
+    k = (np.eye(pair.dim) - cw.conj().T @ cz) / (-1j * (z - np.conj(w)))
+    n = pairs.pair_kernel(pair, z, w)
+    phi_z, psi_z = pair(z)
+    phi_w, psi_w = pair(w)
+    right, _ = matnum.solve(psi_z + 1j * phi_z, np.eye(pair.dim), pairs.RCOND_MIN)
+    left_t, _ = matnum.solve((psi_w + 1j * phi_w).conj().T, np.eye(pair.dim), pairs.RCOND_MIN)
+    recon = 2.0 * left_t @ n @ right
+    return matnum.spectral_norm(k - recon) / (1.0 + matnum.spectral_norm(k))
+
+
+@pytest.mark.parametrize("name", ["canonical", "callable", "junitary", "direct-sum", "scale"])
+def test_kernel_identity_residual_evaluates_the_pair_once(rng, monkeypatch, name):
+    pair = _pairs(rng)[name]
+    points = [z for z in _grid(rng, 12) if z.imag > 0] + [0.4 + 1.5j]
+    on_grid, calls = PairEvaluator.on_grid, []
+
+    def counted(self, zs):
+        if self is pair:  # a derived pair also evaluates its base
+            calls.append(tuple(zs))
+        return on_grid(self, zs)
+
+    for z, w in [(points[0], points[1]), (points[2], points[2]), (points[-1], points[3])]:
+        want = _kernel_identity_reference(pair, z, w)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(PairEvaluator, "on_grid", counted)
+            got = pairs.kernel_identity_residual(pair, z, w)
+        assert got == want and calls == [(z, w)]
