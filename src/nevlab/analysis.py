@@ -57,21 +57,25 @@ def _sup_poisson_ratio(z1: complex, z2: complex) -> float:
     """
     x1, y1 = z1.real, z1.imag
     x2, y2 = z2.real, z2.imag
-
-    def ratio(t: float) -> float:
-        return (y2 / y1) * (((t - x1) ** 2 + y1 * y1) / ((t - x2) ** 2 + y2 * y2))
-
-    best = y2 / y1
     a = x1 - x2
-    b = -a * (x1 + x2) + (y2 * y2 - y1 * y1)
-    c = a * x1 * x2 - y2 * y2 * x1 + y1 * y1 * x2
+    return _sup_at_roots(
+        lambda t: (y2 / y1) * (((t - x1) ** 2 + y1 * y1) / ((t - x2) ** 2 + y2 * y2)),
+        y2 / y1, a, -a * (x1 + x2) + (y2 * y2 - y1 * y1),
+        a * x1 * x2 - y2 * y2 * x1 + y1 * y1 * x2,
+    )
+
+
+def _sup_at_roots(f: Callable[[float], float], limit: float, a: float, b: float,
+                  c: float) -> float:
+    """The larger of limit and f at the real roots of a t^2 + b t + c = 0."""
+    best = limit
     if a != 0.0:
         disc = b * b - 4.0 * a * c
         if disc >= 0.0:
             root = float(np.sqrt(disc))
-            best = max(best, ratio((-b + root) / (2 * a)), ratio((-b - root) / (2 * a)))
+            best = max(best, f((-b + root) / (2 * a)), f((-b - root) / (2 * a)))
     elif b != 0.0:
-        best = max(best, ratio(-c / b))
+        best = max(best, f(-c / b))
     return best
 
 
@@ -117,6 +121,21 @@ def random_cone_function(
 # errors orders of magnitude larger.
 HARNACK_CERTIFICATE_TOL = 1e-12
 
+# Fixed floors, not policy fields: each marks round-off or an exact zero.
+ZERO_FLOOR = 1e-300  # below any nonzero finite value: keeps 0 from dividing or counting
+EMPTY_WINDOW_MASS = 1e-12  # trace mass of an empty Stieltjes window is round-off this size
+LOG_FIT_FLOOR = 1e-14  # singular values this small are round-off, not decay, in a log fit
+
+
+def harnack_excess(hp: HarnackPair, anchor, value, scale) -> float:
+    """Largest max(c1 anchor - value, value - c2 anchor) / scale, or 0.0 inside.
+
+    The one Harnack comparison: anchor = h(z1) and value = h(z2), arrays
+    broadcast, each caller with a scale of its own.
+    """
+    excess = np.maximum(hp.c1 * anchor - value, value - hp.c2 * anchor) / scale
+    return max(0.0, float(np.asarray(excess).max(initial=-np.inf)))
+
 
 def certify_harnack(
     z1: complex,
@@ -127,13 +146,9 @@ def certify_harnack(
     """Worst relative sandwich violation over random cone functions."""
     rng = np.random.default_rng(0) if rng is None else rng
     pair = harnack_constants(z1, z2)
-    worst = 0.0
-    for _ in range(trials):
-        h = random_cone_function(rng)
-        h1, h2 = h(pair.z1), h(pair.z2)
-        scale = max(h1, h2, 1e-300)
-        worst = max(worst, (pair.c1 * h1 - h2) / scale, (h2 - pair.c2 * h1) / scale)
-    return worst
+    hs = [random_cone_function(rng) for _ in range(trials)]
+    h1, h2 = np.array([[h(pair.z1), h(pair.z2)] for h in hs]).reshape(-1, 2).T
+    return harnack_excess(pair, h1, h2, np.maximum(np.maximum(h1, h2), ZERO_FLOOR))
 
 
 # -- quadratic forms of the imaginary part ------------------------------------
@@ -178,26 +193,34 @@ def form_sandwich_check(
     rng: np.random.Generator | None = None,
     rtol: float = 1e-10,
 ) -> FormSandwichReport:
-    """Harnack sandwich for the forms u* Im F(z) u against the anchor z0."""
+    """Harnack sandwich for the forms u* Im F(z) u against the anchor z0.
+
+    Unit vectors come in one (trials, n) draw, real parts first; each
+    upper point but z0 takes its forms in one product and one
+    ``harnack_constants`` call, evaluating the family there alone.  The
+    truncation sweep certifies its form ratios with this check.
+    """
     if isinstance(family, HerglotzRep):
         family = FamilyEvaluator.from_rep(family)
     rng = np.random.default_rng(0) if rng is None else rng
+    z0 = complex(z0)
     zs = tuple(z for z in (herglotz.upper_grid() if grid is None else grid) if z.imag > 0)
-    im0 = matnum.imag_part(family(complex(z0)))
-    ims = {z: matnum.imag_part(family(z)) for z in zs}
+    shape = (trials, family.dim)
+    us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
+
+    def forms(z: complex) -> np.ndarray:
+        return np.real(np.einsum("ti,ij,tj->t", us.conj(), matnum.imag_part(family(z)), us))
+
+    t0 = forms(z0)
     worst = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal(family.dim) + 1j * rng.standard_normal(family.dim)
-        u /= np.linalg.norm(u)
-        t0 = float(np.real(u.conj() @ (im0 @ u)))
-        for z in zs:
-            pair = harnack_constants(complex(z0), z)
-            tz = float(np.real(u.conj() @ (ims[z] @ u)))
-            scale = max(abs(t0), abs(tz), 1e-300)
-            worst = max(
-                worst, (pair.c1 * t0 - tz) / scale, (tz - pair.c2 * t0) / scale
-            )
-    return FormSandwichReport(complex(z0), zs, trials, worst, worst <= rtol)
+    for z in zs:
+        if z == z0:  # the anchor lies in its own corridor exactly
+            continue
+        tz = forms(z)
+        scale = np.maximum(np.maximum(np.abs(t0), np.abs(tz)), ZERO_FLOOR)
+        worst = max(worst, harnack_excess(harnack_constants(z0, z), t0, tz, scale))
+    return FormSandwichReport(z0, zs, trials, worst, worst <= rtol)
 
 
 # -- additive splitting F = G + T ----------------------------------------------
@@ -249,7 +272,7 @@ def split_black_box(
         w = herglotz.stieltjes_invert(family, a, b)
         moment = _first_moment(family, a, b)
         mass = float(np.real(np.trace(w)))
-        if mass <= 1e-12:
+        if mass <= EMPTY_WINDOW_MASS:
             continue
         locations.append(float(np.real(np.trace(moment))) / mass)
         weights.append(matnum.herm_part(w))
@@ -311,21 +334,9 @@ def c2_of(z: complex) -> float:
     z = complex(z)
     if z.imag <= 0:
         raise herglotz.DomainError("c2 is defined for Im z > 0")
-
-    def val(t: float) -> float:
-        return abs(1.0 + z * t) / abs(t - z)
-
-    best = abs(z)
-    a = z.real
-    b = -(abs(z) ** 2 - 1.0)
-    c = -z.real
-    if a != 0.0:
-        disc = b * b - 4.0 * a * c
-        root = float(np.sqrt(disc))  # disc = b^2 + 4x^2 >= 0 always
-        best = max(best, val((-b + root) / (2 * a)), val((-b - root) / (2 * a)))
-    elif b != 0.0:
-        best = max(best, val(-c / b))
-    return best
+    # the discriminant b^2 + 4x^2 is never negative
+    return _sup_at_roots(lambda t: abs(1.0 + z * t) / abs(t - z), abs(z), z.real,
+                         -(abs(z) ** 2 - 1.0), -z.real)
 
 
 def _measure_tail(rep: HerglotzRep, z: complex) -> np.ndarray:
@@ -364,9 +375,9 @@ def weak_strong_check(
         u /= np.linalg.norm(u)
         lhs = float(np.linalg.norm(tail @ u))
         rhs = c2 * k_half_norm * float(np.linalg.norm(k_half @ u))
-        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= 1e-300 else np.inf)
+        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= ZERO_FLOOR else np.inf)
         worst = max(worst, ratio)
-        if lhs > rhs * (1.0 + rtol) + 1e-300:
+        if lhs > rhs * (1.0 + rtol) + ZERO_FLOOR:
             violations += 1
     return BoundReport(z, c2, worst, violations, violations == 0)
 
@@ -388,7 +399,7 @@ def factor_check(
     k = matnum.herm_part(rep.measure.k_sigma())
     w, v = np.linalg.eigh(k)
     wmax = float(w[-1]) if w.size else 0.0
-    keep = w > tol.eps_rank * max(wmax, 1e-300)
+    keep = w > tol.eps_rank * max(wmax, ZERO_FLOOR)
     if not np.any(keep):
         return BoundReport(z, c2, 0.0, 0, True)
     vr = v[:, keep]
@@ -414,7 +425,7 @@ class DecayReport:
 
 def fit_log_slope(js: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of log(values) against log(j)."""
-    mask = values > 1e-14
+    mask = values > LOG_FIT_FLOOR
     if mask.sum() < 2:
         return 0.0
     return float(np.polyfit(np.log(js[mask].astype(float)), np.log(values[mask]), 1)[0])

@@ -317,6 +317,5 @@ def form_domain_report(
         lo, hi = float(w[0]), float(w[-1])
         bounds.append((hp.c1, hp.c2))
         extremes.append((lo, hi))
-        scale = max(hi, hp.c2)
-        worst = max(worst, (hp.c1 - lo) / scale, (hi - hp.c2) / scale)
+        worst = max(worst, analysis.harnack_excess(hp, 1.0, w[[0, -1]], max(hi, hp.c2)))
     return FormDomainReport(z0, zs, tuple(bounds), tuple(extremes), worst, worst <= rtol)

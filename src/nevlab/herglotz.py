@@ -389,16 +389,17 @@ def classify(
     grid = default_grid() if grid is None else tuple(grid)
     upper = tuple(complex(z) for z in grid if z.imag > 0)
     offaxis = tuple(complex(z) for z in grid if z.imag != 0)
-    values = family.on_grid(
-        upper + tuple(z.conjugate() for z in upper) + offaxis + (1j,)
-    )
-    sym = _symmetry_residual(values[: len(upper)], values[len(upper) : 2 * len(upper)])
+    conj = tuple(z.conjugate() for z in upper)
+    # one evaluation per distinct point: conj and i often repeat points of offaxis
+    at = {z: k for k, z in enumerate(dict.fromkeys(offaxis + conj + (1j,)))}
+    values = family.on_grid(tuple(at))
+    sym = _symmetry_residual(values[[at[z] for z in upper]], values[[at[z] for z in conj]])
     signs = np.array([np.sign(z.imag) for z in offaxis]).reshape(-1, 1, 1)
-    oks, lams = matnum.is_psd(matnum.imag_part(values[2 * len(upper) : -1]) * signs, tol)
+    oks, lams = matnum.is_psd(matnum.imag_part(values[[at[z] for z in offaxis]]) * signs, tol)
     margin = np.min(lams, initial=np.inf)
     ok_all = sym <= tol.eps_eq and all(oks)
 
-    im_i = matnum.imag_part(values[-1])
+    im_i = matnum.imag_part(values[at[1j]])
     lam_min = float(np.linalg.eigvalsh(matnum.herm_part(im_i))[0])
     if not ok_all:
         return Classification(CLASS_NOT_NEV, lam_min, -1, sym, float(margin))

@@ -16,7 +16,8 @@ holding no more than one (G, n, k) stack at a time; no triangle-inequality
 bound replaces the maximum.  Continuous spectrum has no finite-dimensional
 instance, so it is emulated by a truncation sweep: uniform-in-z decay of
 the smallest form eigenvalue along growing dimensions, with
-Harnack-normalized ratios as the uniformity certificate.
+``analysis.form_sandwich_check`` (Harnack-normalized form ratios) on each
+truncation as the uniformity certificate.
 """
 
 from __future__ import annotations
@@ -61,12 +62,7 @@ class InvarianceReport:
     notes: dict = field(default_factory=dict)
 
     def rows(self) -> list[dict]:
-        out = []
-        for z, w in zip(self.grid, self.witnesses):
-            row = {"z_re": z.real, "z_im": z.imag}
-            row.update(w)
-            out.append(row)
-        return out
+        return [{"z_re": z.real, "z_im": z.imag, **w} for z, w in zip(self.grid, self.witnesses)]
 
 
 def _as_pair(obj) -> PairEvaluator:
@@ -182,12 +178,10 @@ def check_imag_kernel_invariance(
 
     m0 = lam_mins[0]
     scale = 1.0 + matnum.spectral_norm(matnum.imag_part(values[-1]))
-    corridor_worst = 0.0
-    for z, m in zip(grid, lam_mins):
-        hp = analysis.harnack_constants(fold(z0), fold(z))
-        corridor_worst = max(
-            corridor_worst, (hp.c1 * m0 - m) / scale, (m - hp.c2 * m0) / scale
-        )
+    corridor_worst = max(
+        analysis.harnack_excess(analysis.harnack_constants(fold(z0), fold(z)), m0, m, scale)
+        for z, m in zip(grid, lam_mins)
+    )
     passed = worst <= tol.eps_rank and corridor_worst <= harnack_rtol
     return InvarianceReport(
         "imag-kernel-invariance", grid, witnesses, passed, max(worst, corridor_worst),
@@ -320,6 +314,9 @@ def classify_family_pair(
 # -- Schur-class maximum principle ----------------------------------------------
 
 
+UNIMODULAR_TOL = 1e-12  # alpha is given, not computed: allow only the round-off of |alpha|
+
+
 def maximum_principle_schur(
     schur: Callable[[complex], np.ndarray] | PairEvaluator,
     alpha: complex,
@@ -335,7 +332,7 @@ def maximum_principle_schur(
     C(z) - alpha) holds at every point once it holds at one.
     """
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-12:
+    if abs(abs(alpha) - 1.0) > UNIMODULAR_TOL:
         raise ValueError("alpha must be unimodular")
     grid = tuple(z for z in (default_check_grid() if grid is None else grid) if z.imag > 0)
     if isinstance(schur, PairEvaluator):
@@ -388,14 +385,8 @@ class SweepReport:
     passed: bool
 
     def rows(self) -> list[dict]:
-        out = []
-        for n in self.n_list:
-            for z in self.grid:
-                out.append(
-                    {"n": n, "z_re": z.real, "z_im": z.imag,
-                     "sigma_min": self.sigma_min[(n, z)]}
-                )
-        return out
+        return [{"n": n, "z_re": z.real, "z_im": z.imag, "sigma_min": self.sigma_min[(n, z)]}
+                for n in self.n_list for z in self.grid]
 
 
 def sweep_continuous_spectrum(
@@ -413,8 +404,9 @@ def sweep_continuous_spectrum(
     point, the smallest eigenvalue of the folded imaginary part is
     recorded; the sweep passes when it is nonincreasing in n at every z and
     the Harnack-normalized form ratios t_n(z)[u] / t_n(z0)[u] stay inside
-    [c1, c2] for random unit vectors.  A non-monotone sweep is reported,
-    not fatal by itself for the ratio verdict.
+    [c1, c2] for random unit vectors: ratio_worst is the worst violation of
+    ``analysis.form_sandwich_check`` over n.  A non-monotone sweep is
+    reported, not fatal by itself for the ratio verdict.
     """
     n_list = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
@@ -430,35 +422,17 @@ def sweep_continuous_spectrum(
         family = family_sequence(n)
         if family.dim != n:
             raise ValueError(f"family_sequence({n}) produced dim {family.dim}")
-        ims = {}
         for z in grid:
             h = matnum.herm_part(matnum.imag_part(family(z)) * np.sign(z.imag))
-            ims[z] = h
             sigma[(n, z)] = float(np.linalg.eigvalsh(h)[0])
-        im0 = matnum.imag_part(family(z0))
-        us = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
-        t0 = np.real(np.einsum("ti,ij,tj->t", us.conj(), im0, us))
-        for z in upper:
-            if z == z0:
-                continue
-            hp = analysis.harnack_constants(z0, z)
-            tz = np.real(np.einsum("ti,ij,tj->t", us.conj(), matnum.imag_part(family(z)), us))
-            scale = np.maximum(np.maximum(np.abs(t0), np.abs(tz)), 1e-300)
-            viol = np.maximum(hp.c1 * t0 - tz, tz - hp.c2 * t0) / scale
-            ratio_worst = max(ratio_worst, float(np.max(viol)))
+        sandwich = analysis.form_sandwich_check(family, upper, z0, trials, rng)
+        ratio_worst = max(ratio_worst, sandwich.worst_violation)
 
     slack = 1e-12
-    monotone = all(
-        all(
-            sigma[(b, z)] <= sigma[(a, z)] + slack * (1.0 + abs(sigma[(a, z)]))
-            for a, b in zip(n_list, n_list[1:])
-        )
-        for z in grid
-    )
-    decays = [
-        sigma[(n_list[-1], z)] <= 0.5 * sigma[(n_list[0], z)] + 1e-300 for z in grid
-    ]
+    monotone = all(sigma[(b, z)] <= sigma[(a, z)] + slack * (1.0 + abs(sigma[(a, z)]))
+                   for z in grid for a, b in zip(n_list, n_list[1:]))
+    decays = [sigma[(n_list[-1], z)] <= 0.5 * sigma[(n_list[0], z)] + analysis.ZERO_FLOOR
+              for z in grid]
     verdict = "decay" if all(decays) else ("no-decay" if not any(decays) else "mixed")
     ratios_ok = ratio_worst <= ratio_rtol
     return SweepReport(

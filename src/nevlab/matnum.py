@@ -106,20 +106,31 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+# _norms, _herm and _residuals take a (G, m, n) stack that passed _checked
+
+
+def _norms(m: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(m, 2, axis=(-2, -1)) if m.shape[1] * m.shape[2] else np.zeros(len(m))
+
+
+def _herm(m: np.ndarray) -> np.ndarray:
+    return (m + _adjoint(m)) / 2.0
+
+
+def _residuals(m: np.ndarray) -> np.ndarray:
+    scale = _norms(m)
+    return np.divide(_norms(m - _adjoint(m)), scale, out=np.zeros(len(m)), where=scale != 0.0)
+
+
 def spectral_norm(a):
     """Largest singular value; an array of them for a (G, m, n) stack."""
     m, one = _stack(a)
-    if m.shape[1] * m.shape[2] == 0:
-        norms = np.zeros(m.shape[0])
-    else:
-        norms = np.linalg.norm(m, 2, axis=(-2, -1))
-    return float(norms[0]) if one else norms
+    return float(_norms(m)[0]) if one else _norms(m)
 
 
 def herm_part(t) -> np.ndarray:
     """Hermitian part (T + T*)/2 of a square matrix (or of each in a stack)."""
-    m = _checked(t, square=True)
-    return (m + _adjoint(m)) / 2.0
+    return _herm(_checked(t, square=True))
 
 
 def imag_part(t) -> np.ndarray:
@@ -138,17 +149,14 @@ def hermitian_residual(h):
     An array of them for a (G, n, n) stack.
     """
     m, one = _stack(h, square=True)
-    scale = spectral_norm(m)
-    res = np.divide(spectral_norm(m - _adjoint(m)), scale, out=np.zeros(len(m)),
-                    where=scale != 0.0)
-    return float(res[0]) if one else res
+    return float(_residuals(m)[0]) if one else _residuals(m)
 
 
 def _hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     """Hermitian parts of a square stack; HermitianityError unless each is within eps_eq."""
-    if (hermitian_residual(m) > tol.eps_eq).any():
+    if (_residuals(m) > tol.eps_eq).any():
         raise HermitianityError(f"matrix is not Hermitian within eps_eq={tol.eps_eq!r}")
-    return herm_part(m)
+    return _herm(m)
 
 
 def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL):
@@ -163,7 +171,7 @@ def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL):
     m, one = _stack(h, square=True)
     m = _hermitian(m, tol)
     lam = np.linalg.eigvalsh(m)[:, 0] if m.shape[1] else np.zeros(len(m))
-    ok = (lam >= -tol.eps_psd * (1.0 + spectral_norm(m))).tolist()
+    ok = (lam >= -tol.eps_psd * (1.0 + _norms(m))).tolist()
     return (ok[0], float(lam[0])) if one else (ok, lam)
 
 

@@ -145,7 +145,7 @@ def is_maximal_accumulative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TO
 
 
 def is_selfadjoint(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Symmetric with both bottom +/- i top invertible; cross-checked against T*."""
+    """Symmetric with both bottom +/- i top invertible; cross-checked against T* (eps_rank)."""
     if t.dim != t.ambient:
         return False
     if not is_symmetric(t, tol):
@@ -154,7 +154,7 @@ def is_selfadjoint(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> boo
         return False
     if not matnum.definitely_invertible(t.bottom - 1j * t.top, 1.0, RCOND_MIN):
         return False
-    return t.distance(adjoint(t)) <= 1e-8
+    return t.distance(adjoint(t)) <= tol.eps_rank
 
 
 def resolvent_at(t: LinearRelation, z: complex) -> np.ndarray | None:

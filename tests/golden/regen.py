@@ -1,10 +1,13 @@
-"""Regenerate the golden reports of ``nevlab demo`` under tests/golden/demo/.
+"""Regenerate the golden reports under tests/golden/.
 
-Run from the repository root:
+Two jobs have golden reports: ``nevlab demo`` in tests/golden/demo/, and
+the document tests/golden/kinds.json, which reaches the task kinds and
+sweep sequences the demo does not, in tests/golden/kinds/.  Run from the
+repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-``tests/test_golden.py`` compares a fresh demo run against these files.  A
+``tests/test_golden.py`` compares fresh runs against these files.  A
 change that regenerates them says why in CHANGES.md.
 """
 
@@ -14,16 +17,24 @@ import shutil
 import sys
 from pathlib import Path
 
-GOLDEN = Path(__file__).resolve().parent / "demo"
+HERE = Path(__file__).resolve().parent
+
+# report directory -> the nevlab command line that writes it (--out follows)
+JOBS = {
+    "demo": ["demo"],
+    "kinds": ["run", str(HERE / "kinds.json")],
+}
 
 
 def main() -> int:
     from nevlab import cli
 
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    code = cli.main(["demo", "--out", str(GOLDEN)])
-    print(f"nevlab demo exited {code}; reports in {GOLDEN}")
-    return code
+    for name, argv in JOBS.items():
+        out = HERE / name
+        shutil.rmtree(out, ignore_errors=True)
+        code = cli.main(argv + ["--out", str(out)])
+        print(f"nevlab {argv[0]} exited {code}; reports in {out}")
+    return 0
 
 
 if __name__ == "__main__":

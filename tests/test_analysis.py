@@ -65,6 +65,15 @@ class TestFormSandwich:
             report = analysis.form_sandwich_check(random_rep(rng), trials=100, rng=rng)
             assert report.passed
 
+    def test_one_harnack_constants_call_per_compared_point(self, rng, monkeypatch):
+        calls = []
+        constants = analysis.harnack_constants
+        monkeypatch.setattr(analysis, "harnack_constants",
+                            lambda z1, z2: calls.append((z1, z2)) or constants(z1, z2))
+        report = analysis.form_sandwich_check(random_rep(rng, 3), trials=40, rng=rng)
+        assert report.passed
+        assert calls == [(1j, z) for z in herglotz.upper_grid() if z != 1j]
+
     def test_form_value_nonnegative(self, rng):
         fam = FamilyEvaluator.from_rep(random_rep(rng, 3))
         sample = analysis.form_value(fam, 0.5 + 0.7j, cgauss(rng, 3))

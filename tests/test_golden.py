@@ -1,19 +1,24 @@
-"""``nevlab demo`` against its golden reports in tests/golden/demo/.
+"""Each golden job of tests/golden/regen.py against its golden reports.
 
-File names, the exit code, verdicts, integers and strings must match
-exactly.  Floats must agree within 1e-12 relative; values at round-off
-level (a residual of a few ulps) may differ by 1e-14 absolutely, since
-another BLAS rounds them differently.  ``tests/golden/regen.py`` rewrites
-the golden files.
+The jobs are ``nevlab demo`` (tests/golden/demo/) and the document
+tests/golden/kinds.json (tests/golden/kinds/).  File names, the exit
+code, verdicts, integers and strings must match exactly.  Floats must
+agree within 1e-12 relative; values at round-off level (a residual of a
+few ulps) may differ by 1e-14 absolutely, since another BLAS rounds them
+differently.  ``tests/golden/regen.py`` rewrites the golden files.
 """
 
+import importlib.util
 import json
 import math
 from pathlib import Path
 
 from nevlab import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "demo"
+GOLDEN_ROOT = Path(__file__).resolve().parent / "golden"
+_regen = importlib.util.spec_from_file_location("golden_regen", GOLDEN_ROOT / "regen.py")
+regen = importlib.util.module_from_spec(_regen)
+_regen.loader.exec_module(regen)
 REL, ABS = 1e-12, 1e-14
 
 
@@ -44,15 +49,15 @@ def _cell(text: str):
     return text
 
 
-def test_demo_matches_golden_reports(tmp_path):
-    out = tmp_path / "demo"
-    code = cli.main(["demo", "--out", str(out)])
-    names = sorted(p.name for p in GOLDEN.iterdir())
+def _matches_golden(tmp_path, job: str) -> None:
+    golden, out = GOLDEN_ROOT / job, tmp_path / job
+    code = cli.main(regen.JOBS[job] + ["--out", str(out)])
+    names = sorted(p.name for p in golden.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
-    summary = json.loads((GOLDEN / "summary.json").read_text())
+    summary = json.loads((golden / "summary.json").read_text())
     assert code == (0 if summary["passed"] else 1)
     for name in names:
-        got, want = (out / name).read_text(), (GOLDEN / name).read_text()
+        got, want = (out / name).read_text(), (golden / name).read_text()
         if name.endswith(".json"):
             _same(json.loads(got), json.loads(want), name)
         else:
@@ -61,3 +66,13 @@ def test_demo_matches_golden_reports(tmp_path):
             for k, (g, w) in enumerate(zip(rows_got, rows_want)):
                 _same([_cell(c) for c in g.split(",")], [_cell(c) for c in w.split(",")],
                       f"{name}:{k + 1}")
+
+
+def test_demo_matches_golden_reports(tmp_path):
+    _matches_golden(tmp_path, "demo")
+
+
+def test_kinds_document_matches_golden_reports(tmp_path):
+    """Classify on a representation and on pairs, invariance on a transform chain,
+    the sandwich and schatten analyses, conditioning, gap_sweep and two more sweeps."""
+    _matches_golden(tmp_path, "kinds")

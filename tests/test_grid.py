@@ -436,6 +436,36 @@ def test_pair_classification_evaluates_its_pair_once(rng, monkeypatch):
     assert counts["PairEvaluator.on_grid"] == 1
 
 
+@pytest.mark.parametrize("name", ["is_psd", "eig_hermitian", "hermitian_residual"])
+def test_hermitian_primitives_check_their_input_once(rng, monkeypatch, name):
+    calls = []
+    checked = matnum._checked
+    monkeypatch.setattr(matnum, "_checked", lambda *a, **k: calls.append(1) or checked(*a, **k))
+    stack = np.stack([random_psd(rng, 3) for _ in range(4)])
+    getattr(matnum, name)(stack)
+    assert len(calls) == 1
+    getattr(matnum, name)(stack[0])
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_classify_evaluates_each_distinct_point_once(rng, closed):
+    """Off-axis points, conjugates of the upper ones and i: each reaches the rule once."""
+    family = FamilyEvaluator.from_rep(random_rep(rng, 3, 4))
+    want = herglotz.classify(family)
+    grid = herglotz.default_grid() if closed else tuple(_grid(rng, 12)[:7]) + (2j,)
+    seen = []
+    rule = family.grid_fn
+    family.grid_fn = lambda zs: seen.extend(zs) or rule(zs)
+    got = herglotz.classify(family, grid=grid)
+    offaxis = [z for z in grid if z.imag != 0]
+    conj = [z.conjugate() for z in grid if z.imag > 0]
+    assert len(seen) == len(set(seen))
+    assert set(seen) == set(offaxis + conj + [1j])
+    if closed:
+        assert len(seen) == 30 and got == want
+
+
 def test_resolvent_and_schur_take_each_stack_singular_values_once(rng, monkeypatch):
     """The smin witnesses and the invertibility flags share one SVD per stack."""
     pair = pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 3, 4)))

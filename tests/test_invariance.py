@@ -10,7 +10,7 @@ from conftest import (
     rep_with_common_kernel,
     rep_with_pinned_eigenvalue,
 )
-from nevlab import herglotz, invariance, matnum, pairs
+from nevlab import analysis, herglotz, invariance, matnum, pairs, runner
 from nevlab.herglotz import FamilyEvaluator, HerglotzRep
 from nevlab.matnum import TolerancePolicy
 
@@ -223,6 +223,70 @@ class TestSweep:
             invariance.sweep_continuous_spectrum(fam, [16, 8], rng=rng)
         with pytest.raises(ValueError):
             invariance.sweep_continuous_spectrum(fam, [], rng=rng)
+
+
+def _parent_ratio_worst(family_sequence, n_list, grid, trials, seed) -> float:
+    """The sweep's own ratio block before it called form_sandwich_check, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    upper = [z for z in grid if z.imag > 0]
+    z0 = upper[0]
+    ratio_worst = 0.0
+    for n in n_list:
+        family = family_sequence(n)
+        im0 = matnum.imag_part(family(z0))
+        us = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        t0 = np.real(np.einsum("ti,ij,tj->t", us.conj(), im0, us))
+        for z in upper:
+            if z == z0:
+                continue
+            hp = analysis.harnack_constants(z0, z)
+            tz = np.real(np.einsum("ti,ij,tj->t", us.conj(), matnum.imag_part(family(z)), us))
+            scale = np.maximum(np.maximum(np.abs(t0), np.abs(tz)), 1e-300)
+            viol = np.maximum(hp.c1 * t0 - tz, tz - hp.c2 * t0) / scale
+            ratio_worst = max(ratio_worst, float(np.max(viol)))
+    return ratio_worst
+
+
+def _rep_sequence(n: int) -> FamilyEvaluator:
+    """A representation-based sweep sequence: two atoms with weights diag(1/k^2)."""
+    weight = np.diag(1.0 / np.arange(1, n + 1) ** 2)
+    return FamilyEvaluator.from_rep(
+        HerglotzRep.create(np.zeros((n, n)), 0.1 * weight, [(-1.0, weight), (2.0, weight)])
+    )
+
+
+def _squared_sequence(n: int) -> FamilyEvaluator:
+    """z^2 diag(1/k): Im is 2xy diag(1/k), not a positive harmonic function."""
+    return FamilyEvaluator(n, lambda z: z * z * np.diag(1.0 / np.arange(1, n + 1)), "sweep")
+
+
+_SEQUENCES = {**runner._SWEEPS, "rep": _rep_sequence, "z-squared": _squared_sequence}
+
+
+class TestSweepRatios:
+    """The sweep's ratio certificate is form_sandwich_check, with the sweep's old bytes."""
+
+    @pytest.mark.parametrize("name", sorted(_SEQUENCES))
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_ratio_worst_equals_the_parent_ratio_block(self, name, seed):
+        grid = invariance._offaxis(herglotz.default_grid())
+        report = invariance.sweep_continuous_spectrum(
+            _SEQUENCES[name], [3, 6], grid, trials=25, rng=np.random.default_rng(seed)
+        )
+        want = _parent_ratio_worst(_SEQUENCES[name], [3, 6], grid, 25, seed)
+        assert report.ratio_worst == want
+
+    def test_z_squared_fails_the_sandwich_and_the_sweep(self, rng):
+        family = FamilyEvaluator(2, lambda z: z * z * np.eye(2), "test")
+        sandwich = analysis.form_sandwich_check(family, trials=20, rng=rng)
+        assert sandwich.worst_violation == 1.0 and not sandwich.passed
+        sweep = invariance.sweep_continuous_spectrum(
+            lambda n: FamilyEvaluator(n, lambda z: z * z * np.eye(n), "sweep"), [2, 4],
+            trials=20, rng=rng,
+        )
+        assert sweep.ratio_worst > 1e-9
+        assert not sweep.ratios_ok and not sweep.passed
 
 
 class TestReportStructure:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +146,20 @@ def test_tolerance_policy_validation():
         TolerancePolicy(eps_rank=1.5)
     t = TolerancePolicy()
     assert (t.eps_psd, t.eps_rank, t.eps_eq) == (1e-10, 1e-8, 1e-9)
+
+
+def test_no_bare_small_literal_in_a_comparison_outside_matnum():
+    """Thresholds below 1e-6 come from the policy or a named constant, not a literal."""
+    bare = []
+    for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
+        if path.name == "matnum.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                bare += [f"{path.name}:{c.lineno} {c.value!r}" for c in ast.walk(node)
+                         if isinstance(c, ast.Constant) and isinstance(c.value, float)
+                         and 0.0 < abs(c.value) < 1e-6]
+    assert bare == []
 
 
 def test_as_matrix_rejects_nonfinite():

@@ -4,6 +4,7 @@ import pytest
 from conftest import cgauss, mul_pair, random_hermitian, random_rep, random_upper
 from nevlab import herglotz, matnum, pairs, relations
 from nevlab.herglotz import FamilyEvaluator
+from nevlab.matnum import TolerancePolicy
 from nevlab.relations import LinearRelation
 
 
@@ -114,6 +115,16 @@ class TestSymmetryCriteria:
         assert relations.is_symmetric(t)
         assert not relations.is_selfadjoint(t)
         assert not relations.is_maximal_dissipative(t)
+
+    def test_adjoint_cross_check_follows_the_policy(self):
+        """A graph about 1e-7 from its adjoint is selfadjoint under eps_rank = 1e-6."""
+        antisym = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        t = LinearRelation.graph(np.array([[1.0, 0.5], [0.5, -2.0]]) + 2e-7 * antisym)
+        tol = TolerancePolicy(eps_rank=1e-6, eps_eq=1e-6)
+        assert 1e-8 < t.distance(relations.adjoint(t)) < 1e-6
+        assert relations.is_symmetric(t, tol)
+        assert relations.is_selfadjoint(t, tol)
+        assert not relations.is_selfadjoint(t)
 
     def test_mul_equals_adjoint_mul_for_maximal(self, rng):
         p = mul_pair(rng, 3)
