@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entity", required=True)
     p.add_argument(
         "--analyses",
-        default="split,c2,weak_strong,factor,schatten",
+        default="split,c2,weak_strong,factor",
         help="comma-separated list",
     )
     p.add_argument("--z", type=_parse_point, default=2j)

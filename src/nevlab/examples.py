@@ -76,10 +76,11 @@ def _stiffness(n: int, free_first: bool) -> np.ndarray:
     return k
 
 
-def _phi_value(config: SturmLiouvilleConfig, z: complex) -> complex:
-    if config.phi is None:
-        return 0.0 + 0.0j
-    return complex(herglotz.evaluate(config.phi, z)[0, 0])
+def _with_corner(out: np.ndarray, phi: HerglotzRep | None, zs, h: float) -> np.ndarray:
+    """out plus phi(z) / h at each (1, 1) entry, divided in Python: numpy rounds otherwise."""
+    phis = [0j] * len(zs) if phi is None else herglotz.evaluate_grid(phi, zs)[:, 0, 0]
+    out[:, 0, 0] += [complex(p) / h for p in phis]
+    return out
 
 
 def build_interval_family(config: SturmLiouvilleConfig) -> FamilyEvaluator:
@@ -95,13 +96,11 @@ def build_interval_family(config: SturmLiouvilleConfig) -> FamilyEvaluator:
     h = config.length / n
     k = _stiffness(n, free_first=config.phi is not None)
 
-    def fn(z: complex) -> np.ndarray:
-        sign = 1.0 if z.imag > 0 else -1.0
-        out = (sign * 1j / h**2) * k.astype(np.complex128)
-        out[0, 0] += _phi_value(config, z) / h
-        return out
+    def grid_fn(zs) -> np.ndarray:
+        scalars = np.array([(1.0 if z.imag > 0 else -1.0) * 1j / h**2 for z in zs], complex)
+        return _with_corner(np.multiply.outer(scalars, k), config.phi, zs, h)  # K stays real
 
-    return FamilyEvaluator(n, fn, "interval-example", label=config.variant)
+    return FamilyEvaluator(n, None, "interval-example", grid_fn=grid_fn)
 
 
 def build_halfline_family(config: SturmLiouvilleConfig) -> FamilyEvaluator:
@@ -117,12 +116,10 @@ def build_halfline_family(config: SturmLiouvilleConfig) -> FamilyEvaluator:
     h = config.length / n
     k = _stiffness(n, free_first=config.phi is not None) / h**2
 
-    def fn(z: complex) -> np.ndarray:
-        out = k.astype(np.complex128).copy()
-        out[0, 0] += _phi_value(config, z) / h
-        return out
+    def grid_fn(zs) -> np.ndarray:
+        return _with_corner(np.broadcast_to(k, (len(zs), n, n)).astype(complex), config.phi, zs, h)
 
-    return FamilyEvaluator(n, fn, "halfline-example", label=config.variant)
+    return FamilyEvaluator(n, None, "halfline-example", grid_fn=grid_fn)
 
 
 def build_family(config: SturmLiouvilleConfig) -> FamilyEvaluator:
@@ -131,27 +128,22 @@ def build_family(config: SturmLiouvilleConfig) -> FamilyEvaluator:
     return build_interval_family(config)
 
 
-def decay_exponent(
-    family: FamilyEvaluator,
-    z: complex,
-    window: tuple[int, int] | None = None,
-) -> float:
+EXAMPLE_RCOND_MIN = 1e-15  # solve guard here, below matnum's 1e-14: ill conditioned by design
+
+
+def decay_exponent(family: FamilyEvaluator, z: complex) -> float:
     """Fitted slope of log s_j(G(z)^(-1)) against log j over [n/8, n/3]."""
-    return decay_profile(family, z, window)[2]
+    return decay_profile(family, z)[2]
 
 
-def decay_profile(
-    family: FamilyEvaluator,
-    z: complex,
-    window: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Window indices j, singular values s_j(G(z)^(-1)) there, and their fitted slope."""
+def decay_profile(family: FamilyEvaluator, z: complex) -> tuple[np.ndarray, np.ndarray, float]:
+    """Window indices j in [n/8, n/3], s_j(G(z)^(-1)) there, and their fitted slope."""
     z = complex(z)
     if z.imag == 0:
         raise herglotz.DomainError("decay exponent needs z off the real axis")
     n = family.dim
-    lo, hi = window if window is not None else (max(1, n // 8), max(2, n // 3))
-    inv = matnum.inverse(family(z), rcond_min=1e-15)
+    lo, hi = max(1, n // 8), max(2, n // 3)
+    inv = matnum.inverse(family(z), rcond_min=EXAMPLE_RCOND_MIN)
     js = np.arange(lo, hi + 1)
     s = matnum.singular_values(inv)[js - 1]
     return js, s, analysis.fit_log_slope(js, s)
@@ -243,29 +235,31 @@ def build_ex4a(config: Ex4AConfig) -> Ex4A:
     else:
         c = np.eye(n, dtype=np.complex128)
     b_sqrt = np.sqrt(b)
+    eye = np.eye(n)
 
-    def m_fn(z: complex) -> np.ndarray:
-        return (b_sqrt[:, None] * (c - np.eye(n) / z)) * b_sqrt[None, :]
+    def shifted(zs) -> np.ndarray:  # C - 1/z at each point, written into one stack
+        out = np.empty((len(zs), n, n), dtype=np.complex128)
+        for g, z in enumerate(zs):
+            np.subtract(c, eye / z, out=out[g])
+        return out
 
-    def f_tilde_fn(z: complex) -> np.ndarray:
-        return -matnum.inverse(c - np.eye(n) / z, rcond_min=1e-15)
+    def f_tilde(zs) -> np.ndarray:  # one guarded solve per grid
+        return -matnum.solve(shifted(zs), eye, EXAMPLE_RCOND_MIN)[0]
 
-    def f_fn(z: complex) -> np.ndarray:
-        return (f_tilde_fn(z) / b_sqrt[:, None]) / b_sqrt[None, :]
+    def m(zs) -> np.ndarray:
+        return (b_sqrt[:, None] * shifted(zs)) * b_sqrt[None, :]
 
-    return Ex4A(
-        config,
-        b,
-        c,
-        FamilyEvaluator(n, m_fn, "ex4a-m"),
-        FamilyEvaluator(n, f_fn, "ex4a-f"),
-        FamilyEvaluator(n, f_tilde_fn, "ex4a-f-tilde"),
-    )
+    def f(zs) -> np.ndarray:
+        return (f_tilde(zs) / b_sqrt[:, None]) / b_sqrt[None, :]
+
+    return Ex4A(config, b, c, FamilyEvaluator(n, None, "ex4a-m", grid_fn=m),
+                FamilyEvaluator(n, None, "ex4a-f", grid_fn=f),
+                FamilyEvaluator(n, None, "ex4a-f-tilde", grid_fn=f_tilde))
 
 
-def solve_conditioning(ex: Ex4A, z: complex) -> float:
-    """Reciprocal condition of the solve behind F(z); decays like b_n."""
-    return matnum.rcond(ex.m_family(complex(z)))
+def solve_conditioning(ex: Ex4A, zs: Sequence[complex]) -> np.ndarray:
+    """Reciprocal condition of the solve behind F(z) at each z; decays like b_n."""
+    return matnum.rcond(ex.m_family.on_grid(zs))
 
 
 @dataclass(frozen=True)
@@ -278,13 +272,14 @@ class FormDomainReport:
     passed: bool
 
 
+FORM_ANCHOR = 1j  # z0 = i, the point where classify reads Im F as well
+FORM_DOMAIN_TOL = 1e-8  # passing excess: whitening by an eigensolve costs round-off times cond
+
+
 def form_domain_report(
     ex: Ex4A,
     grid: Sequence[complex] | None = None,
-    z0: complex = 1j,
-    n_vectors: int | None = None,
     rng: np.random.Generator | None = None,
-    rtol: float = 1e-8,
 ) -> FormDomainReport:
     """Harnack comparison of the imaginary-part forms on a common test space.
 
@@ -295,11 +290,10 @@ def form_domain_report(
     """
     rng = np.random.default_rng(1) if rng is None else rng
     n = ex.config.n
-    m = n if n_vectors is None else min(n_vectors, n)
-    v = np.linalg.qr(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
     test = np.sqrt(ex.b)[:, None] * v
     zs = tuple(z for z in (herglotz.upper_grid() if grid is None else grid) if z.imag > 0)
-    z0 = complex(z0)
+    z0 = FORM_ANCHOR
 
     def gram(z: complex) -> np.ndarray:
         return matnum.herm_part(test.conj().T @ matnum.imag_part(ex.f_family(z)) @ test)
@@ -318,4 +312,5 @@ def form_domain_report(
         bounds.append((hp.c1, hp.c2))
         extremes.append((lo, hi))
         worst = max(worst, analysis.harnack_excess(hp, 1.0, w[[0, -1]], max(hi, hp.c2)))
-    return FormDomainReport(z0, zs, tuple(bounds), tuple(extremes), worst, worst <= rtol)
+    return FormDomainReport(z0, zs, tuple(bounds), tuple(extremes), worst,
+                            worst <= FORM_DOMAIN_TOL)

@@ -228,7 +228,6 @@ class FamilyEvaluator:
     provenance: str = "custom"
     rep: HerglotzRep | None = None
     offset: np.ndarray | None = None
-    label: str = ""
     grid_fn: Callable[[tuple[complex, ...]], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -252,13 +251,12 @@ class FamilyEvaluator:
         return _symmetry_residual(values[: len(zs)], values[len(zs) :])
 
     @classmethod
-    def from_rep(cls, rep: HerglotzRep, label: str = "") -> "FamilyEvaluator":
-        return cls(rep.dim, None, "herglotz-rep", rep, None, label,
-                   lambda zs: evaluate_grid(rep, zs))
+    def from_rep(cls, rep: HerglotzRep) -> "FamilyEvaluator":
+        return cls(rep.dim, None, "herglotz-rep", rep, None, lambda zs: evaluate_grid(rep, zs))
 
     @classmethod
     def from_rep_with_offset(
-        cls, rep: HerglotzRep, offset, label: str = "", tol: TolerancePolicy = DEFAULT_TOL
+        cls, rep: HerglotzRep, offset, tol: TolerancePolicy = DEFAULT_TOL
     ) -> "FamilyEvaluator":
         t0 = matnum.as_matrix(offset)
         if t0.shape != (rep.dim, rep.dim):
@@ -266,14 +264,12 @@ class FamilyEvaluator:
         if matnum.hermitian_residual(t0) > tol.eps_eq:
             raise matnum.HermitianityError("offset must be Hermitian")
         t0 = matnum.herm_part(t0)
-        return cls(rep.dim, None, "rep-plus-offset", rep, t0, label,
+        return cls(rep.dim, None, "rep-plus-offset", rep, t0,
                    lambda zs: evaluate_grid(rep, zs) + t0)
 
     @classmethod
-    def from_callable(
-        cls, fn: Callable[[complex], np.ndarray], dim: int, label: str = ""
-    ) -> "FamilyEvaluator":
-        return cls(int(dim), fn, "custom", None, None, label)
+    def from_callable(cls, fn: Callable[[complex], np.ndarray], dim: int) -> "FamilyEvaluator":
+        return cls(int(dim), fn, "custom")
 
 
 def _symmetry_residual(at_z: np.ndarray, at_conj: np.ndarray) -> float:
@@ -418,21 +414,19 @@ def strictness_label(lam_min: float, kernel_dim: int, norm: float, tol: Toleranc
     return CLASS_STRICT
 
 
-def stieltjes_invert(
-    family: FamilyEvaluator | HerglotzRep,
-    a: float,
-    b: float,
-    etas: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-    quad_tol: float = 1e-10,
-) -> np.ndarray:
+STIELTJES_ETAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)  # last pair extrapolated, the one before checks it
+QUAD_TOL = 1e-10  # quadrature accuracy, far below the 10 % settling test it feeds
+
+
+def stieltjes_invert(family: FamilyEvaluator | HerglotzRep, a: float, b: float) -> np.ndarray:
     """Approximate total measure weight on (a, b) from boundary values.
 
     Computes (1/pi) * integral_a^b Im F(t + i eta) dt over the geometric
-    eta-sweep and extrapolates the last two values (their error is
-    asymptotically linear in eta).  Raises SweepDivergenceError when the
-    extrapolations from the last two height pairs still differ by more
-    than 10 percent; a small floor tied to the family scale keeps exact
-    zeros (no measure in the window) from tripping the relative test.
+    eta-sweep ``STIELTJES_ETAS`` and extrapolates the last two values (their
+    error is asymptotically linear in eta).  Raises SweepDivergenceError
+    when the extrapolations from the last two height pairs still differ by
+    more than 10 percent; a small floor tied to the family scale keeps
+    exact zeros (no measure in the window) from tripping the relative test.
     """
     if isinstance(family, HerglotzRep):
         if any(a == t or b == t for t in family.measure.locations):
@@ -441,20 +435,11 @@ def stieltjes_invert(
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError("need a < b")
-    etas = tuple(sorted((float(e) for e in etas), reverse=True))
-    if len(etas) < 3:
-        raise ValueError("eta sweep needs at least three heights")
-
+    etas = STIELTJES_ETAS
     estimates = []
     for eta in etas:
-        val, _ = quad_vec(
-            lambda x: matnum.imag_part(family(complex(x, eta))),
-            a,
-            b,
-            epsabs=quad_tol,
-            epsrel=quad_tol,
-            limit=400,
-        )
+        val, _ = quad_vec(lambda x: matnum.imag_part(family(complex(x, eta))), a, b,
+                          epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
         estimates.append(val / np.pi)
 
     def extrapolate(i: int) -> np.ndarray:

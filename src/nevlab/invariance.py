@@ -30,7 +30,7 @@ import numpy as np
 from . import analysis, herglotz, matnum, pairs
 from .herglotz import FamilyEvaluator, HerglotzRep
 from .matnum import DEFAULT_TOL, TolerancePolicy
-from .pairs import RCOND_MIN, PairEvaluator
+from .pairs import PairEvaluator
 
 DEFAULT_CHECK_SEED = 20240817
 
@@ -149,11 +149,13 @@ def check_point_invariance(
     )
 
 
+CORRIDOR_TOL = 1e-8  # passing corridor excess over 1 + ||Im F||: an eigensolve's round-off
+
+
 def check_imag_kernel_invariance(
     family: FamilyEvaluator | HerglotzRep,
     grid: Sequence[complex] | None = None,
     tol: TolerancePolicy = DEFAULT_TOL,
-    harnack_rtol: float = 1e-8,
 ) -> InvarianceReport:
     """Kernel of Im F(z) is z-independent; its positivity level is sandwiched.
 
@@ -182,7 +184,7 @@ def check_imag_kernel_invariance(
         analysis.harnack_excess(analysis.harnack_constants(fold(z0), fold(z)), m0, m, scale)
         for z, m in zip(grid, lam_mins)
     )
-    passed = worst <= tol.eps_rank and corridor_worst <= harnack_rtol
+    passed = worst <= tol.eps_rank and corridor_worst <= CORRIDOR_TOL
     return InvarianceReport(
         "imag-kernel-invariance", grid, witnesses, passed, max(worst, corridor_worst),
         {**notes, "corridor_worst": corridor_worst},
@@ -210,11 +212,11 @@ def check_resolvent_invariance(
     shifted = psis - a * phis
     block_scales = matnum.spectral_norm(np.concatenate([phis, psis], axis=1)) * (1.0 + abs(a))
     smins = matnum.singular_values(shifted)[:, -1]
-    flags = matnum.invertible_from(smins, block_scales, RCOND_MIN)
+    flags = matnum.invertible_from(smins, block_scales)
     witnesses = [{"smin": smin, "regular": int(flag)} for smin, flag in zip(smins.tolist(), flags)]
     upper = [k for k, z in enumerate(grid) if z.imag > 0]
     smins_c = matnum.singular_values(pairs.cayley_values(phis[upper], psis[upper]) - alpha * eye)
-    flags_c = matnum.invertible_from(smins_c[:, -1], 2.0, RCOND_MIN)
+    flags_c = matnum.invertible_from(smins_c[:, -1], 2.0)
     for k, smin_c in zip(upper, smins_c[:, -1].tolist()):
         witnesses[k]["smin_cayley"] = smin_c
     ok_cross = all(flag_c == flags[k] for k, flag_c in zip(upper, flags_c))
@@ -346,9 +348,9 @@ def maximum_principle_schur(
     moved = cs - alpha * eye
     defect_spans = matnum.null_space(defects, tol)
     eig_spans = matnum.null_space(moved, tol)
-    inv_flags = matnum.definitely_invertible(defects, 2.0, RCOND_MIN)
+    inv_flags = matnum.definitely_invertible(defects, 2.0)
     smins = matnum.singular_values(moved)[:, -1] if grid else np.zeros(0)
-    reg_flags = matnum.invertible_from(smins, 2.0, RCOND_MIN)
+    reg_flags = matnum.invertible_from(smins, 2.0)
     witnesses = [
         {
             "defect_kernel_dim": d.shape[1],
@@ -389,31 +391,34 @@ class SweepReport:
                 for n in self.n_list for z in self.grid]
 
 
+SWEEP_RATIO_TOL = 1e-9  # passing ratio violation; the sandwich's 1e-10 would tighten it
+MONOTONE_SLACK = 1e-12  # sigma_min may rise by this, relative, from eigensolve round-off
+
+
 def sweep_continuous_spectrum(
     family_sequence: Callable[[int], FamilyEvaluator],
     n_list: Sequence[int],
     grid: Sequence[complex] | None = None,
-    z0: complex | None = None,
     trials: int = 100,
     rng: np.random.Generator | None = None,
-    ratio_rtol: float = 1e-9,
 ) -> SweepReport:
     """Uniform-in-z decay of sigma_min(Im F_n(z)) along growing truncations.
 
     For each dimension n in the strictly increasing n_list and each grid
     point, the smallest eigenvalue of the folded imaginary part is
     recorded; the sweep passes when it is nonincreasing in n at every z and
-    the Harnack-normalized form ratios t_n(z)[u] / t_n(z0)[u] stay inside
-    [c1, c2] for random unit vectors: ratio_worst is the worst violation of
-    ``analysis.form_sandwich_check`` over n.  A non-monotone sweep is
-    reported, not fatal by itself for the ratio verdict.
+    the Harnack-normalized form ratios t_n(z)[u] / t_n(z0)[u], z0 the first
+    upper grid point, stay inside [c1, c2] for random unit vectors:
+    ratio_worst is the worst violation of ``analysis.form_sandwich_check``
+    over n.  A non-monotone sweep is reported, not fatal by itself for the
+    ratio verdict.
     """
     n_list = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be nonempty and strictly increasing")
     grid = _offaxis(herglotz.default_grid() if grid is None else grid)
     upper = [z for z in grid if z.imag > 0]
-    z0 = upper[0] if z0 is None else complex(z0)
+    z0 = upper[0]
     rng = np.random.default_rng(0) if rng is None else rng
 
     sigma = {}
@@ -428,13 +433,12 @@ def sweep_continuous_spectrum(
         sandwich = analysis.form_sandwich_check(family, upper, z0, trials, rng)
         ratio_worst = max(ratio_worst, sandwich.worst_violation)
 
-    slack = 1e-12
-    monotone = all(sigma[(b, z)] <= sigma[(a, z)] + slack * (1.0 + abs(sigma[(a, z)]))
+    monotone = all(sigma[(b, z)] <= sigma[(a, z)] + MONOTONE_SLACK * (1.0 + abs(sigma[(a, z)]))
                    for z in grid for a, b in zip(n_list, n_list[1:]))
     decays = [sigma[(n_list[-1], z)] <= 0.5 * sigma[(n_list[0], z)] + analysis.ZERO_FLOOR
               for z in grid]
     verdict = "decay" if all(decays) else ("no-decay" if not any(decays) else "mixed")
-    ratios_ok = ratio_worst <= ratio_rtol
+    ratios_ok = ratio_worst <= SWEEP_RATIO_TOL
     return SweepReport(
         n_list, grid, sigma, monotone, ratio_worst, ratios_ok,
         verdict, monotone and ratios_ok and verdict == "decay",

@@ -246,6 +246,9 @@ def range_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     return bases[0] if one else bases
 
 
+COMPLEMENT_CUTOFF = 1e-12  # not eps_rank: an orthonormal basis has singular values 1 or ~0
+
+
 def orthonormal_complement(u) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(U)."""
     m = as_matrix(u)
@@ -253,7 +256,7 @@ def orthonormal_complement(u) -> np.ndarray:
     if m.shape[1] == 0:
         return np.eye(n, dtype=np.complex128)
     uu, s, vh = np.linalg.svd(m, full_matrices=True)
-    nkeep = int(np.count_nonzero(s > 1e-12 * (s[0] if s.size else 1.0)))
+    nkeep = int(np.count_nonzero(s > COMPLEMENT_CUTOFF * (s[0] if s.size else 1.0)))
     return uu[:, nkeep:]
 
 
@@ -313,10 +316,13 @@ def _rconds(m: np.ndarray) -> np.ndarray:
     return np.divide(s[:, -1], s[:, 0], out=np.zeros(m.shape[0]), where=s[:, 0] != 0.0)
 
 
-def definitely_invertible(a, scale=1.0, threshold: float = 1e-12):
+INVERTIBLE_MIN = 1e-12  # least sigma_min / scale that is invertible; pairs guards its solves with it
+
+
+def definitely_invertible(a, scale=1.0):
     """Invertibility decided against an external scale.
 
-    True iff sigma_min(A) >= threshold * max(scale, 1).  Unlike a bare
+    True iff sigma_min(A) >= INVERTIBLE_MIN * max(scale, 1).  Unlike a bare
     reciprocal condition number this stays honest when the whole matrix is
     a round-off residue (for example a 1 x 1 block that should be zero).
     A (G, n, n) stack gives a list of flags; ``scale`` may then hold one
@@ -329,13 +335,13 @@ def definitely_invertible(a, scale=1.0, threshold: float = 1e-12):
     elif rows == 0:
         flags = [True] * count
     else:
-        flags = invertible_from(_svals(m)[:, -1], scale, threshold)
+        flags = invertible_from(_svals(m)[:, -1], scale)
     return flags[0] if one else flags
 
 
-def invertible_from(smins, scale=1.0, threshold: float = 1e-12) -> list[bool]:
+def invertible_from(smins, scale=1.0) -> list[bool]:
     """``definitely_invertible``'s flags from smallest singular values already taken."""
-    return (np.asarray(smins) >= threshold * np.maximum(scale, 1.0)).tolist()
+    return (np.asarray(smins) >= INVERTIBLE_MIN * np.maximum(scale, 1.0)).tolist()
 
 
 def solve(a, b, rcond_min: float = 1e-14):

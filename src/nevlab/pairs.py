@@ -27,7 +27,7 @@ from . import herglotz, matnum
 from .herglotz import FamilyEvaluator, HerglotzRep
 from .matnum import DEFAULT_TOL, TolerancePolicy
 
-RCOND_MIN = 1e-12
+RCOND_MIN = matnum.INVERTIBLE_MIN  # the solve guard is the invertibility threshold
 
 
 class PairAxiomError(ValueError):
@@ -51,7 +51,6 @@ class PairEvaluator:
     dim: int
     fn: Callable[[complex], tuple[np.ndarray, np.ndarray]] | None
     provenance: str = "explicit"
-    label: str = ""
     grid_fn: Callable[[tuple[complex, ...]], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
@@ -76,14 +75,14 @@ class PairEvaluator:
         return np.vstack([phi, psi])
 
     @classmethod
-    def constant(cls, phi0, psi0, label: str = "") -> "PairEvaluator":
+    def constant(cls, phi0, psi0) -> "PairEvaluator":
         phi0, psi0 = matnum.as_matrix(phi0), matnum.as_matrix(psi0)
 
         def grid_fn(zs):
             return (np.broadcast_to(phi0, (len(zs),) + phi0.shape),
                     np.broadcast_to(psi0, (len(zs),) + psi0.shape))
 
-        return cls(phi0.shape[0], None, "constant", label, grid_fn)
+        return cls(phi0.shape[0], None, "constant", grid_fn)
 
 
 def _point_by_point(fn: Callable[[complex], tuple[np.ndarray, np.ndarray]]):
@@ -120,7 +119,7 @@ def canonical_pair(family: FamilyEvaluator | HerglotzRep) -> PairEvaluator:
         phis, _ = matnum.solve(family.on_grid(zs) + shifts * eye, eye, RCOND_MIN)
         return phis, eye - shifts * phis
 
-    return PairEvaluator(family.dim, None, "canonical-from-family", family.label, grid_fn)
+    return PairEvaluator(family.dim, None, "canonical-from-family", grid_fn)
 
 
 @dataclass(frozen=True)
@@ -261,6 +260,9 @@ def krein_j(dim: int) -> np.ndarray:
     return np.block([[zero, -1j * eye], [1j * eye, zero]])
 
 
+RANDOM_STEP = 0.5  # generator norm bound of JUnitary.random: ||W||, ||W^-1|| <= e^0.5
+
+
 @dataclass(frozen=True)
 class JUnitary:
     """Constant 2n x 2n matrix W with W* J W = J (unitary for the J-metric)."""
@@ -306,7 +308,7 @@ class JUnitary:
         return cls.create(np.block([[zero, -eye], [eye, zero]]))
 
     @classmethod
-    def random(cls, dim: int, rng: np.random.Generator, scale: float = 0.5) -> "JUnitary":
+    def random(cls, dim: int, rng: np.random.Generator) -> "JUnitary":
         """Random J-unitary via the exponential of a J-skew generator."""
         from scipy.linalg import expm
 
@@ -317,7 +319,7 @@ class JUnitary:
         b = matnum.herm_part(cgauss(dim))
         c = matnum.herm_part(cgauss(dim))
         gen = np.block([[a, b], [c, -a.conj().T]])
-        return cls.create(expm(scale * gen / max(1.0, matnum.spectral_norm(gen))))
+        return cls.create(expm(RANDOM_STEP * gen / max(1.0, matnum.spectral_norm(gen))))
 
 
 def transform(pair: PairEvaluator, w: JUnitary | np.ndarray) -> PairEvaluator:
@@ -336,7 +338,7 @@ def transform(pair: PairEvaluator, w: JUnitary | np.ndarray) -> PairEvaluator:
         t = w.w @ np.concatenate(pair.on_grid(zs), axis=1)
         return t[:, :d], t[:, d:]
 
-    return PairEvaluator(d, None, "transformed", pair.label, grid_fn)
+    return PairEvaluator(d, None, "transformed", grid_fn)
 
 
 def shift_transform(pair: PairEvaluator, x, tol: TolerancePolicy = DEFAULT_TOL) -> PairEvaluator:
@@ -367,7 +369,7 @@ def herglotz_shift_transform(
         phis, psis = pair.on_grid(zs)
         return phis, psis + herglotz.evaluate_grid(m, zs) @ phis
 
-    return PairEvaluator(pair.dim, None, "transformed", pair.label, grid_fn)
+    return PairEvaluator(pair.dim, None, "transformed", grid_fn)
 
 
 def reparametrized(
@@ -386,7 +388,7 @@ def reparametrized(
         phis, psis = pair.on_grid(zs)
         return phis @ cs, psis @ cs
 
-    return PairEvaluator(pair.dim, None, "explicit", pair.label, grid_fn)
+    return PairEvaluator(pair.dim, None, "explicit", grid_fn)
 
 
 def pair_direct_sum(pa: PairEvaluator, pb: PairEvaluator) -> PairEvaluator:
@@ -401,7 +403,7 @@ def pair_direct_sum(pa: PairEvaluator, pb: PairEvaluator) -> PairEvaluator:
             out.append(block)
         return tuple(out)
 
-    return PairEvaluator(d, None, "explicit", grid_fn=grid_fn)
+    return PairEvaluator(d, None, "explicit", grid_fn)
 
 
 def equivalent(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import matnum
 from .matnum import DEFAULT_TOL, TolerancePolicy
-from .pairs import RCOND_MIN, PairEvaluator, diagonal_kernel
+from .pairs import PairEvaluator, diagonal_kernel
 
 
 @dataclass(frozen=True)
@@ -131,17 +131,13 @@ def is_maximal_dissipative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL
     """
     if t.dim != t.ambient:
         return False
-    return is_dissipative(t, tol) and matnum.definitely_invertible(
-        t.bottom + 1j * t.top, 1.0, RCOND_MIN
-    )
+    return is_dissipative(t, tol) and matnum.definitely_invertible(t.bottom + 1j * t.top)
 
 
 def is_maximal_accumulative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     if t.dim != t.ambient:
         return False
-    return is_accumulative(t, tol) and matnum.definitely_invertible(
-        t.bottom - 1j * t.top, 1.0, RCOND_MIN
-    )
+    return is_accumulative(t, tol) and matnum.definitely_invertible(t.bottom - 1j * t.top)
 
 
 def is_selfadjoint(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -150,9 +146,9 @@ def is_selfadjoint(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> boo
         return False
     if not is_symmetric(t, tol):
         return False
-    if not matnum.definitely_invertible(t.bottom + 1j * t.top, 1.0, RCOND_MIN):
+    if not matnum.definitely_invertible(t.bottom + 1j * t.top):
         return False
-    if not matnum.definitely_invertible(t.bottom - 1j * t.top, 1.0, RCOND_MIN):
+    if not matnum.definitely_invertible(t.bottom - 1j * t.top):
         return False
     return t.distance(adjoint(t)) <= tol.eps_rank
 
@@ -163,7 +159,7 @@ def resolvent_at(t: LinearRelation, z: complex) -> np.ndarray | None:
         return None
     z = complex(z)
     core = t.bottom - z * t.top
-    if not matnum.definitely_invertible(core, 1.0 + abs(z), RCOND_MIN):
+    if not matnum.definitely_invertible(core, 1.0 + abs(z)):
         return None
     x, _ = matnum.solve(core, np.eye(t.ambient, dtype=np.complex128), 1e-14)
     return t.top @ x

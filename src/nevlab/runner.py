@@ -433,6 +433,9 @@ def _run_analysis(p, built, grid, tol, rng):
     return passed, {"analyses": len(rows)}, rows
 
 
+DECAY_SPREAD_TOL = 0.05  # one exponent: at n = 64 the fits spread by up to 0.03 over z
+
+
 def _decay(config, p, grid, rng):
     family = examples.build_family(config)
     slopes, rows = [], []
@@ -444,7 +447,7 @@ def _decay(config, p, grid, rng):
             for j, v in zip(js, s)
         ]
     spread = max(slopes) - min(slopes)
-    return spread <= 0.05, {"spread": spread, "slope": slopes[0]}, rows
+    return spread <= DECAY_SPREAD_TOL, {"spread": spread, "slope": slopes[0]}, rows
 
 
 def _form_domain(config, p, grid, rng):
@@ -462,8 +465,9 @@ def _gap_sweep(config, p, grid, rng):
 
 def _conditioning(config, p, grid, rng):
     ex = examples.build_ex4a(config)
-    rows = [{"z_re": z.real, "z_im": z.imag, "rcond": examples.solve_conditioning(ex, z)}
-            for z in [z for z in grid if z.imag > 0][:5]]
+    zs = [z for z in grid if z.imag > 0][:5]
+    rows = [{"z_re": z.real, "z_im": z.imag, "rcond": rc}
+            for z, rc in zip(zs, examples.solve_conditioning(ex, zs).tolist())]
     return True, {"b_min": float(ex.b.min())}, rows
 
 
@@ -483,14 +487,16 @@ def _run_examples(p, built, grid, tol, rng):
     return _EXAMPLES[p["what"]][1](built[p["entity"]], p, grid, rng)
 
 
+def _times_z(m: np.ndarray) -> FamilyEvaluator:
+    """The family z M of a constant matrix M, one outer product per grid."""
+    return FamilyEvaluator(len(m), None, "sweep",
+                           grid_fn=lambda zs: np.multiply.outer(np.array(zs, complex), m))
+
+
 # n -> the n-dimensional family of a truncation sweep
 _SWEEPS = {
-    "diag-inverse-k": lambda n: FamilyEvaluator(
-        n, lambda z, n=n: z * np.diag(1.0 / np.arange(1, n + 1)), "sweep"
-    ),
-    "scalar-z-identity": lambda n: FamilyEvaluator(
-        n, lambda z, n=n: z * np.eye(n, dtype=complex), "sweep"
-    ),
+    "diag-inverse-k": lambda n: _times_z(np.diag(1.0 / np.arange(1, n + 1))),
+    "scalar-z-identity": lambda n: _times_z(np.eye(n, dtype=complex)),
     "atomic-dyadic": lambda n: FamilyEvaluator.from_rep(
         HerglotzRep.create(
             np.zeros((n, n)), np.zeros((n, n)), [(0.0, np.diag(2.0 ** -np.arange(1, n + 1)))]
@@ -552,8 +558,8 @@ TASKS: dict[str, Kind] = {
 def _build_family(p, built, tol) -> FamilyEvaluator:
     rep = built[p["rep"]]
     if p["offset"] is None:
-        return FamilyEvaluator.from_rep(rep, label=p["name"])
-    return FamilyEvaluator.from_rep_with_offset(rep, p["offset"], label=p["name"], tol=tol)
+        return FamilyEvaluator.from_rep(rep)
+    return FamilyEvaluator.from_rep_with_offset(rep, p["offset"], tol)
 
 
 def _build_transform(p, built, tol) -> PairEvaluator:

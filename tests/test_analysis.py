@@ -221,6 +221,15 @@ class TestSchattenDecay:
         for a, b in zip(plain.slopes, shifted.slopes):
             assert abs(a - b) <= 0.1
 
+    def test_a_window_of_fewer_than_three_indices_cannot_pass(self, rng):
+        """dim 6 leaves one index in the window: its slope 0.0 fits any spectrum."""
+        report = analysis.schatten_decay(FamilyEvaluator.from_rep(random_rep(rng, 6)))
+        assert report.slopes == (0.0,) * len(report.slopes) and report.spread == 0.0
+        assert not report.passed
+        for n, passes in ((17, False), (18, True)):  # windows of 2 and 3 indices
+            fam = FamilyEvaluator(n, lambda z, n=n: z * np.eye(n), "test")
+            assert analysis.schatten_decay(fam).passed == passes
+
     def test_j_range_validation(self):
         fam = FamilyEvaluator(10, lambda z: z * np.eye(10), "test")
         with pytest.raises(ValueError):

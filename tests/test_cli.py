@@ -233,6 +233,15 @@ class TestCommandLine:
         # a generic 2x2 family has no invariant decay exponent to certify
         assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 1
 
+    def test_analysis_defaults_pass_on_the_demo_family(self, tmp_path):
+        """The default list leaves out schatten, whose fit needs dim 18 by default."""
+        doc_path = tmp_path / "demo.json"
+        doc_path.write_text(cli.demo_document_text())
+        out = tmp_path / "o"
+        assert cli.main(["analysis", str(doc_path), "--entity", "fam", "--out", str(out)]) == 0
+        rows = json.loads((out / "analysis-fam.json").read_text())["rows"]
+        assert [r["analysis"] for r in rows] == ["split", "c2", "weak_strong", "factor"]
+
     def test_classify_subcommand(self, tmp_path):
         doc_path = tmp_path / "job.json"
         doc_path.write_text(json.dumps(minimal_doc()))

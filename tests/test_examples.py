@@ -192,7 +192,7 @@ class TestEx4A:
     def test_conditioning_tracks_diagonal_floor(self):
         config = Ex4AConfig(n=30, c_perturbation=0.2, seed=1)
         ex = examples.build_ex4a(config)
-        rc = examples.solve_conditioning(ex, 1j)
+        rc = examples.solve_conditioning(ex, [1j])[0]
         assert rc <= 10 * float(ex.b.min())
         assert rc > 0
 

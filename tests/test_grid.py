@@ -22,7 +22,7 @@ from conftest import (
     random_rep,
     rep_with_common_kernel,
 )
-from nevlab import herglotz, invariance, matnum, pairs
+from nevlab import examples, herglotz, invariance, matnum, pairs, runner
 from nevlab.herglotz import FamilyEvaluator
 from nevlab.matnum import TolerancePolicy
 from nevlab.pairs import PairEvaluator
@@ -103,6 +103,60 @@ def test_rep_values_equal_the_scalar_formula(seed, length):
     assert np.array_equal(FamilyEvaluator.from_rep(rep).on_grid(zs), _pointwise(scalar, 3, zs))
 
 
+def _corner(phi, z: complex, h: float) -> complex:
+    return (0.0 + 0.0j if phi is None else complex(herglotz.evaluate(phi, z)[0, 0])) / h
+
+
+def _library_point_rules(rng) -> dict:
+    """name -> (library family, the point rule it replaced), kept as the reference."""
+    phi = random_rep(rng, 1, 3) if rng.uniform() < 0.7 else None
+    n = int(rng.integers(8, 13))
+    out = {}
+    for variant in (examples.VARIANT_INTERVAL, examples.VARIANT_HALFLINE):
+        config = examples.SturmLiouvilleConfig(n, phi, float(rng.uniform(0.5, 3.0)), variant)
+        h = config.length / n
+        k = examples._stiffness(n, free_first=phi is not None)
+
+        def interval(z, k=k, h=h):
+            out = ((1.0 if z.imag > 0 else -1.0) * 1j / h**2) * k.astype(np.complex128)
+            out[0, 0] += _corner(phi, z, h)
+            return out
+
+        def halfline(z, k=k / h**2, h=h):
+            out = k.astype(np.complex128).copy()
+            out[0, 0] += _corner(phi, z, h)
+            return out
+
+        rule = interval if variant == examples.VARIANT_INTERVAL else halfline
+        out[variant] = (examples.build_family(config), rule)
+    ex = examples.build_ex4a(examples.Ex4AConfig(
+        int(rng.integers(1, 7)), c_perturbation=float(rng.uniform(0.0, 0.8)), seed=int(n)))
+    b_sqrt, eye = np.sqrt(ex.b), np.eye(ex.config.n)
+    f_tilde = lambda z: -matnum.inverse(ex.c - eye / z, rcond_min=1e-15)
+    out["ex4a-m"] = (ex.m_family, lambda z: (b_sqrt[:, None] * (ex.c - eye / z)) * b_sqrt[None, :])
+    out["ex4a-f"] = (ex.f_family, lambda z: (f_tilde(z) / b_sqrt[:, None]) / b_sqrt[None, :])
+    out["ex4a-f-tilde"] = (ex.f_tilde, f_tilde)
+    out["diag-inverse-k"] = (runner._SWEEPS["diag-inverse-k"](n),
+                             lambda z: z * np.diag(1.0 / np.arange(1, n + 1)))
+    out["scalar-z-identity"] = (runner._SWEEPS["scalar-z-identity"](n),
+                                lambda z: z * np.eye(n, dtype=complex))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([0, 1, 40]))
+def test_library_family_values_equal_the_point_rules(seed, length):
+    """Library builders carry stacked rules whose values are the old point rules' values."""
+    rng = np.random.default_rng(seed)
+    zs = _grid(rng, length)
+    rules = _library_point_rules(rng)
+    for name, (family, rule) in rules.items():
+        assert np.array_equal(family.on_grid(zs), _pointwise(rule, family.dim, zs)), name
+    library = [family for family, _ in rules.values()] + list(_families(rng).values())[:3]
+    library.append(runner._SWEEPS["atomic-dyadic"](3))
+    assert all(family.fn is None for family in library)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([0, 1, 40]))
 def test_pair_on_grid_equals_pointwise(seed, length):
@@ -143,8 +197,8 @@ def test_stacked_primitives_equal_per_slice(seed, rows, cols, count):
     assert norms.tolist() == [matnum.spectral_norm(one) for one in stack]
     square = stack[:, :rows, :rows] if rows <= cols else stack[:, :cols, :cols]
     scales = rng.uniform(0.0, 3.0, count)
-    flags = matnum.definitely_invertible(square, scales, 1e-12)
-    assert flags == [matnum.definitely_invertible(one, s, 1e-12) for one, s in zip(square, scales)]
+    flags = matnum.definitely_invertible(square, scales)
+    assert flags == [matnum.definitely_invertible(one, s) for one, s in zip(square, scales)]
     assert matnum.rcond(square).tolist() == [matnum.rcond(one) for one in square]
     herm = square + square.conj().swapaxes(-1, -2)
     for h in (herm, square @ square.conj().swapaxes(-1, -2)):  # Hermitian, then PSD
@@ -315,13 +369,13 @@ def _resolvent_per_point(pair, a, grid):
         phi, psi = pair(z)
         block_scale = matnum.spectral_norm(pair.stacked(z)) * (1.0 + abs(a))
         smin = float(matnum.singular_values(psi - a * phi)[-1])
-        flag = matnum.definitely_invertible(psi - a * phi, block_scale, pairs.RCOND_MIN)
+        flag = matnum.definitely_invertible(psi - a * phi, block_scale)
         flags.append(flag)
         w = {"smin": smin, "regular": int(flag)}
         if z.imag > 0:
             c = _cayley_per_point(pair, z)
             w["smin_cayley"] = float(matnum.singular_values(c - alpha * eye)[-1])
-            flag_c = matnum.definitely_invertible(c - alpha * eye, 2.0, pairs.RCOND_MIN)
+            flag_c = matnum.definitely_invertible(c - alpha * eye, 2.0)
             ok_cross = ok_cross and (flag_c == flag)
         witnesses.append(w)
     constant = len(set(flags)) == 1
@@ -340,9 +394,9 @@ def _schur_per_point(pair, alpha, grid, tol):
         defect = eye - c.conj().T @ c
         defect_spans.append(matnum.null_space(defect, tol))
         eig_spans.append(matnum.null_space(c - alpha * eye, tol))
-        inv_flags.append(matnum.definitely_invertible(defect, 2.0, pairs.RCOND_MIN))
+        inv_flags.append(matnum.definitely_invertible(defect, 2.0))
         smin = float(matnum.singular_values(c - alpha * eye)[-1])
-        reg_flags.append(matnum.definitely_invertible(c - alpha * eye, 2.0, pairs.RCOND_MIN))
+        reg_flags.append(matnum.definitely_invertible(c - alpha * eye, 2.0))
         witnesses.append({"defect_kernel_dim": defect_spans[-1].shape[1],
                           "alpha_kernel_dim": eig_spans[-1].shape[1],
                           "defect_invertible": int(inv_flags[-1]),

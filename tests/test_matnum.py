@@ -162,6 +162,23 @@ def test_no_bare_small_literal_in_a_comparison_outside_matnum():
     assert bare == []
 
 
+def test_no_threshold_is_a_keyword_parameter():
+    """Verdict slacks are named constants or policy fields, not parameters of public functions."""
+    found = []
+    for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                functions += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for fn in functions:
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            found += [f"{path.name}:{fn.lineno} {fn.name}({arg.arg})" for arg in args
+                      if not fn.name.startswith("_")
+                      and (arg.arg in ("rtol", "threshold") or arg.arg.endswith(("_tol", "_rtol")))]
+    assert found == []
+
+
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         matnum.as_matrix([[np.nan, 0.0], [0.0, 1.0]])
