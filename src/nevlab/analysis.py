@@ -188,6 +188,25 @@ class FormSandwichReport:
     passed: bool
 
 
+def _unit_vectors(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
+    """trials random unit vectors in C^n as rows: one real draw, then one imaginary."""
+    shape = (trials, n)
+    us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
+    return us
+
+
+def _forms(us: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """u* im u for every row u of us, as one matrix product."""
+    return np.real(((us.conj() @ im) * us).sum(axis=1))
+
+
+def _form_excess(z0: complex, z: complex, t0: np.ndarray, tz: np.ndarray) -> float:
+    """The Harnack excess of the forms tz at z over the anchor forms t0 at z0."""
+    scale = np.maximum(np.maximum(np.abs(t0), np.abs(tz)), ZERO_FLOOR)
+    return harnack_excess(harnack_constants(z0, z), t0, tz, scale)
+
+
 def form_sandwich_check(
     family: FamilyEvaluator | HerglotzRep,
     grid: Sequence[complex] | None = None,
@@ -197,31 +216,24 @@ def form_sandwich_check(
 ) -> FormSandwichReport:
     """Harnack sandwich for the forms u* Im F(z) u against the anchor z0.
 
-    Unit vectors come in one (trials, n) draw, real parts first; each
-    upper point but z0 takes its forms in one product and one
-    ``harnack_constants`` call, evaluating the family there alone.  The
-    truncation sweep certifies its form ratios with this check.
+    Unit vectors come in one (trials, n) draw, real parts first.  The
+    family is evaluated once at z0 and once at each other upper point,
+    one n x n value at a time; each value's forms are one matrix product
+    (a BLAS call), compared with one ``harnack_constants`` call.  The
+    truncation sweep shares these steps, on values it has already taken.
     """
     if isinstance(family, HerglotzRep):
         family = FamilyEvaluator.from_rep(family)
     rng = np.random.default_rng(0) if rng is None else rng
     z0 = complex(z0)
     zs = tuple(z for z in (herglotz.upper_grid() if grid is None else grid) if z.imag > 0)
-    shape = (trials, family.dim)
-    us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    us /= np.linalg.norm(us, axis=1, keepdims=True)
-
-    def forms(z: complex) -> np.ndarray:
-        return np.real(np.einsum("ti,ij,tj->t", us.conj(), matnum.imag_part(family(z)), us))
-
-    t0 = forms(z0)
+    us = _unit_vectors(rng, trials, family.dim)
+    t0 = _forms(us, matnum.imag_part(family(z0)))
     worst = 0.0
     for z in zs:
         if z == z0:  # the anchor lies in its own corridor exactly
             continue
-        tz = forms(z)
-        scale = np.maximum(np.maximum(np.abs(t0), np.abs(tz)), ZERO_FLOOR)
-        worst = max(worst, harnack_excess(harnack_constants(z0, z), t0, tz, scale))
+        worst = max(worst, _form_excess(z0, z, t0, _forms(us, matnum.imag_part(family(z)))))
     return FormSandwichReport(z0, zs, trials, worst, worst <= SANDWICH_TOL)
 
 

@@ -15,6 +15,11 @@ import sys
 from pathlib import Path
 
 USAGE_ERROR = 2
+# `nevlab analysis` without --analyses: split, weak_strong and factor read
+# representation data, which only these entity kinds carry
+_REP_KINDS = ("herglotz_rep", "family")
+_REP_ANALYSES = "split,c2,weak_strong,factor"
+_REPLESS_ANALYSES = "c2,sandwich"
 
 
 def _pin_threads() -> None:
@@ -91,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entity", required=True)
     p.add_argument(
         "--analyses",
-        default="split,c2,weak_strong,factor",
-        help="comma-separated list",
+        help=f"comma-separated list (default: {_REP_ANALYSES} for an entity with "
+             f"representation data, {_REPLESS_ANALYSES} for one without)",
     )
     p.add_argument("--z", type=_parse_point, default=2j)
 
@@ -154,8 +159,8 @@ def _execute(doc, args) -> int:
 
 def _synthetic_tasks(args, raw: dict) -> list[dict]:
     """The tasks that replace a document's own for the one-shot subcommands."""
+    entities = raw.get("entities") if isinstance(raw.get("entities"), list) else []
     if args.command == "classify":
-        entities = raw.get("entities") if isinstance(raw.get("entities"), list) else []
         names = [args.entity] if args.entity else [
             e.get("name") for e in entities if isinstance(e, dict)]
         return [{"name": f"classify-{n}", "task": "classify", "entity": n} for n in names]
@@ -164,7 +169,12 @@ def _synthetic_tasks(args, raw: dict) -> list[dict]:
     if args.command == "invariance":
         task["a"] = args.a
     elif args.command == "analysis":
-        task["analyses"] = [a for a in args.analyses.split(",") if a]
+        analyses = args.analyses
+        if analyses is None:
+            kind = next((e.get("kind") for e in entities
+                         if isinstance(e, dict) and e.get("name") == args.entity), None)
+            analyses = _REP_ANALYSES if kind in _REP_KINDS else _REPLESS_ANALYSES
+        task["analyses"] = [a for a in analyses.split(",") if a]
         task["z"] = [args.z.real, args.z.imag]
     else:
         task["what"] = args.what

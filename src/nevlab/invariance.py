@@ -15,9 +15,10 @@ spans once and takes the exact worst pairwise distance in O(G) batched
 holding no more than one (G, n, k) stack at a time; no triangle-inequality
 bound replaces the maximum.  Continuous spectrum has no finite-dimensional
 instance, so it is emulated by a truncation sweep: uniform-in-z decay of
-the smallest form eigenvalue along growing dimensions, with
-``analysis.form_sandwich_check`` (Harnack-normalized form ratios) on each
-truncation as the uniformity certificate.
+the smallest form eigenvalue along growing dimensions, with the
+Harnack-normalized form ratios of ``analysis.form_sandwich_check``, taken
+from the same evaluations, on each truncation as the uniformity
+certificate.
 """
 
 from __future__ import annotations
@@ -409,16 +410,19 @@ def sweep_continuous_spectrum(
     recorded; the sweep passes when it is nonincreasing in n at every z and
     the Harnack-normalized form ratios t_n(z)[u] / t_n(z0)[u], z0 the first
     upper grid point, stay inside [c1, c2] for random unit vectors:
-    ratio_worst is the worst violation of ``analysis.form_sandwich_check``
-    over n.  A non-monotone sweep is reported, not fatal by itself for the
+    ratio_worst is the worst violation over n, computed as
+    ``analysis.form_sandwich_check`` computes it.  Each grid point is
+    evaluated once per n and streamed, so one n x n value is live at a
+    time: its imaginary part gives sigma_min and, at an upper point, the
+    forms, one matrix product against the (trials, n) vectors drawn for
+    that n.  A non-monotone sweep is reported, not fatal by itself for the
     ratio verdict.
     """
     n_list = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be nonempty and strictly increasing")
     grid = _offaxis(herglotz.default_grid() if grid is None else grid)
-    upper = [z for z in grid if z.imag > 0]
-    z0 = upper[0]
+    z0 = [z for z in grid if z.imag > 0][0]
     rng = np.random.default_rng(0) if rng is None else rng
 
     sigma = {}
@@ -427,11 +431,15 @@ def sweep_continuous_spectrum(
         family = family_sequence(n)
         if family.dim != n:
             raise ValueError(f"family_sequence({n}) produced dim {family.dim}")
-        for z in grid:
-            h = matnum.herm_part(matnum.imag_part(family(z)) * np.sign(z.imag))
-            sigma[(n, z)] = float(np.linalg.eigvalsh(h)[0])
-        sandwich = analysis.form_sandwich_check(family, upper, z0, trials, rng)
-        ratio_worst = max(ratio_worst, sandwich.worst_violation)
+        us = analysis._unit_vectors(rng, trials, n)
+        for z in grid:  # z0 comes before every other upper point
+            im = matnum.imag_part(family(z))
+            sigma[(n, z)] = float(np.linalg.eigvalsh(matnum.herm_part(im * np.sign(z.imag)))[0])
+            if z == z0:
+                t0 = analysis._forms(us, im)
+            elif z.imag > 0:
+                tz = analysis._forms(us, im)
+                ratio_worst = max(ratio_worst, analysis._form_excess(z0, z, t0, tz))
 
     monotone = all(sigma[(b, z)] <= sigma[(a, z)] + MONOTONE_SLACK * (1.0 + abs(sigma[(a, z)]))
                    for z in grid for a, b in zip(n_list, n_list[1:]))

@@ -74,6 +74,17 @@ class TestFormSandwich:
         assert report.passed
         assert calls == [(1j, z) for z in herglotz.upper_grid() if z != 1j]
 
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_product_forms_equal_the_three_operand_einsum(self, rng, n):
+        """The one-product forms agree with einsum's to round-off of the matrix norm."""
+        for _ in range(5):
+            im = random_hermitian(rng, n)
+            us = analysis._unit_vectors(rng, 100, n)
+            want = np.real(np.einsum("ti,ij,tj->t", us.conj(), im, us))
+            got = analysis._forms(us, im)
+            # |u* im u| <= ||im|| for a unit u, so the norm is the scale of every form
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(im, 2)
+
     def test_form_value_nonnegative(self, rng):
         fam = FamilyEvaluator.from_rep(random_rep(rng, 3))
         sample = analysis.form_value(fam, 0.5 + 0.7j, cgauss(rng, 3))

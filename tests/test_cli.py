@@ -242,6 +242,27 @@ class TestCommandLine:
         rows = json.loads((out / "analysis-fam.json").read_text())["rows"]
         assert [r["analysis"] for r in rows] == ["split", "c2", "weak_strong", "factor"]
 
+    @pytest.mark.parametrize("entity", ["ex", "sl"])
+    def test_analysis_defaults_pass_without_representation_data(self, tmp_path, entity):
+        """split, weak_strong and factor need a rep; a rep-less entity gets c2 and sandwich."""
+        doc_path = tmp_path / "demo.json"
+        doc_path.write_text(cli.demo_document_text())
+        out = tmp_path / "o"
+        assert cli.main(["analysis", str(doc_path), "--entity", entity, "--out", str(out)]) == 0
+        rows = json.loads((out / f"analysis-{entity}.json").read_text())["rows"]
+        assert [r["analysis"] for r in rows] == ["c2", "sandwich"]
+
+    def test_analysis_defaults_keep_the_rep_list_bytes(self, tmp_path):
+        doc_path = tmp_path / "demo.json"
+        doc_path.write_text(cli.demo_document_text())
+        base = ["analysis", str(doc_path), "--entity", "fam", "--format", "both"]
+        assert cli.main([*base, "--out", str(tmp_path / "default")]) == 0
+        assert cli.main([*base, "--out", str(tmp_path / "listed"),
+                         "--analyses", "split,c2,weak_strong,factor"]) == 0
+        for name in ("analysis-fam.json", "analysis-fam.csv", "summary.json"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "listed" / name).read_bytes())
+
     def test_classify_subcommand(self, tmp_path):
         doc_path = tmp_path / "job.json"
         doc_path.write_text(json.dumps(minimal_doc()))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cgauss,
@@ -226,7 +228,11 @@ class TestSweep:
 
 
 def _parent_ratio_worst(family_sequence, n_list, grid, trials, seed) -> float:
-    """The sweep's own ratio block before it called form_sandwich_check, kept as the reference."""
+    """A standalone ratio block, kept as the reference for the sweep's ratio_worst.
+
+    Its draw order, anchor, scale and Harnack constants are its own; its
+    forms are the library's one-product forms, so the two agree bit for bit.
+    """
     rng = np.random.default_rng(seed)
     upper = [z for z in grid if z.imag > 0]
     z0 = upper[0]
@@ -236,12 +242,12 @@ def _parent_ratio_worst(family_sequence, n_list, grid, trials, seed) -> float:
         im0 = matnum.imag_part(family(z0))
         us = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
         us /= np.linalg.norm(us, axis=1, keepdims=True)
-        t0 = np.real(np.einsum("ti,ij,tj->t", us.conj(), im0, us))
+        t0 = analysis._forms(us, im0)
         for z in upper:
             if z == z0:
                 continue
             hp = analysis.harnack_constants(z0, z)
-            tz = np.real(np.einsum("ti,ij,tj->t", us.conj(), matnum.imag_part(family(z)), us))
+            tz = analysis._forms(us, matnum.imag_part(family(z)))
             scale = np.maximum(np.maximum(np.abs(t0), np.abs(tz)), 1e-300)
             viol = np.maximum(hp.c1 * t0 - tz, tz - hp.c2 * t0) / scale
             ratio_worst = max(ratio_worst, float(np.max(viol)))
@@ -262,10 +268,11 @@ def _squared_sequence(n: int) -> FamilyEvaluator:
 
 
 _SEQUENCES = {**runner._SWEEPS, "rep": _rep_sequence, "z-squared": _squared_sequence}
+_SWEEP_GRID = invariance._offaxis(herglotz.default_grid())
 
 
 class TestSweepRatios:
-    """The sweep's ratio certificate is form_sandwich_check, with the sweep's old bytes."""
+    """The sweep's ratios are form_sandwich_check's, with the reference block's bytes."""
 
     @pytest.mark.parametrize("name", sorted(_SEQUENCES))
     @pytest.mark.parametrize("seed", [0, 1, 5])
@@ -275,6 +282,17 @@ class TestSweepRatios:
             _SEQUENCES[name], [3, 6], grid, trials=25, rng=np.random.default_rng(seed)
         )
         want = _parent_ratio_worst(_SEQUENCES[name], [3, 6], grid, 25, seed)
+        assert report.ratio_worst == want
+
+    @pytest.mark.parametrize("name", sorted(_SEQUENCES))
+    def test_ratio_worst_is_the_sandwich_worst_over_n(self, name):
+        report = invariance.sweep_continuous_spectrum(
+            _SEQUENCES[name], [3, 6], _SWEEP_GRID, trials=25, rng=np.random.default_rng(2)
+        )
+        rng = np.random.default_rng(2)
+        upper = [z for z in _SWEEP_GRID if z.imag > 0]
+        want = max(analysis.form_sandwich_check(_SEQUENCES[name](n), upper, upper[0], 25, rng)
+                   .worst_violation for n in (3, 6))
         assert report.ratio_worst == want
 
     def test_z_squared_fails_the_sandwich_and_the_sweep(self, rng):
@@ -287,6 +305,54 @@ class TestSweepRatios:
         )
         assert sweep.ratio_worst > 1e-9
         assert not sweep.ratios_ok and not sweep.passed
+
+
+class TestSweepStreaming:
+    """The sweep evaluates each point once per n and draws as the parent drew."""
+
+    def test_one_family_call_per_grid_point_and_n(self):
+        calls = {}
+
+        def sequence(n):
+            def fn(z):
+                calls[n] = calls.get(n, 0) + 1
+                return z * np.diag(1.0 / np.arange(1, n + 1))
+            return FamilyEvaluator(n, fn, "sweep")
+
+        invariance.sweep_continuous_spectrum(sequence, [4, 8, 16], _SWEEP_GRID, trials=10,
+                                             rng=np.random.default_rng(0))
+        assert calls == {n: len(_SWEEP_GRID) for n in (4, 8, 16)}
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.permutations(_SWEEP_GRID), st.sampled_from(sorted(_SEQUENCES)))
+    def test_grid_order_leaves_the_report(self, perm, name):
+        grid = _SWEEP_GRID
+        # keep the anchor: the first upper point of grid stays first among the upper points
+        z0 = next(z for z in grid if z.imag > 0)
+        first = next(i for i, z in enumerate(perm) if z.imag > 0)
+        at = perm.index(z0)
+        perm[first], perm[at] = perm[at], perm[first]
+
+        def sweep(g):
+            return invariance.sweep_continuous_spectrum(
+                _SEQUENCES[name], [3, 6], g, trials=10, rng=np.random.default_rng(3))
+
+        want, got = sweep(grid), sweep(perm)
+        assert got.sigma_min == want.sigma_min
+        assert got.ratio_worst == want.ratio_worst
+        assert got.passed == want.passed
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_rng_ends_where_the_parent_left_it(self, seed):
+        """One (trials, n) real draw, then one imaginary draw, per n: nothing else."""
+        rng = np.random.default_rng(seed)
+        invariance.sweep_continuous_spectrum(_SEQUENCES["rep"], [3, 5, 8], trials=7, rng=rng)
+        parent = np.random.default_rng(seed)
+        for n in (3, 5, 8):
+            parent.standard_normal((7, n))
+            parent.standard_normal((7, n))
+        assert rng.bit_generator.state == parent.bit_generator.state
+        assert np.array_equal(rng.standard_normal(16), parent.standard_normal(16))
 
 
 class TestReportStructure:
