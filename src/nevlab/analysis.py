@@ -87,9 +87,8 @@ def harnack_constants(z1: complex, z2: complex) -> HarnackPair:
     points swapped, so c1(z1, z2) * c2(z2, z1) = 1 identically and equal
     points give (1, 1).
     """
-    z1, z2 = complex(z1), complex(z2)
-    if z1.imag <= 0 or z2.imag <= 0:
-        raise herglotz.DomainError("Harnack constants need points in C_+")
+    z1 = herglotz.upper_point(z1, "harnack_constants")
+    z2 = herglotz.upper_point(z2, "harnack_constants")
     if z1 == z2:
         return HarnackPair(z1, z2, 1.0, 1.0)
     c2 = max(z2.imag / z1.imag, _sup_poisson_ratio(z1, z2))
@@ -167,9 +166,7 @@ class FormSample:
 
 
 def form_value(family: FamilyEvaluator, z: complex, u) -> FormSample:
-    z = complex(z)
-    if z.imag <= 0:
-        raise herglotz.DomainError("form samples live in C_+")
+    z = herglotz.upper_point(z, "form_value")
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     im = matnum.imag_part(family(z))
     value = float(np.real(u.conj() @ (im @ u)))
@@ -222,11 +219,10 @@ def form_sandwich_check(
     (a BLAS call), compared with one ``harnack_constants`` call.  The
     truncation sweep shares these steps, on values it has already taken.
     """
-    if isinstance(family, HerglotzRep):
-        family = FamilyEvaluator.from_rep(family)
+    family = herglotz.as_family(family)
     rng = np.random.default_rng(0) if rng is None else rng
-    z0 = complex(z0)
-    zs = tuple(z for z in (herglotz.upper_grid() if grid is None else grid) if z.imag > 0)
+    z0 = herglotz.upper_point(z0, "form_sandwich_check")
+    zs = herglotz.upper_points(grid)
     us = _unit_vectors(rng, trials, family.dim)
     t0 = _forms(us, matnum.imag_part(family(z0)))
     worst = 0.0
@@ -342,9 +338,7 @@ def c2_of(z: complex) -> float:
     = 0 (z = x + iy); the limit at infinity contributes |z|.  The value at
     z = i is exactly 1.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise herglotz.DomainError("c2 is defined for Im z > 0")
+    z = herglotz.upper_point(z, "c2_of")
     # the discriminant b^2 + 4x^2 is never negative
     return _sup_at_roots(lambda t: abs(1.0 + z * t) / abs(t - z), abs(z), z.real,
                          -(abs(z) ** 2 - 1.0), -z.real)

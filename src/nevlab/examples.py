@@ -138,9 +138,7 @@ def decay_exponent(family: FamilyEvaluator, z: complex) -> float:
 
 def decay_profile(family: FamilyEvaluator, z: complex) -> tuple[np.ndarray, np.ndarray, float]:
     """Window indices j in [n/8, n/3], s_j(G(z)^(-1)) there, and their fitted slope."""
-    z = complex(z)
-    if z.imag == 0:
-        raise herglotz.DomainError("decay exponent needs z off the real axis")
+    z = herglotz.offaxis_point(z, "decay_profile")
     n = family.dim
     lo, hi = max(1, n // 8), max(2, n // 3)
     inv = matnum.inverse(family(z), rcond_min=EXAMPLE_RCOND_MIN)
@@ -292,7 +290,7 @@ def form_domain_report(
     n = ex.config.n
     v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
     test = np.sqrt(ex.b)[:, None] * v
-    zs = tuple(z for z in (herglotz.upper_grid() if grid is None else grid) if z.imag > 0)
+    zs = herglotz.upper_points(grid)
     z0 = FORM_ANCHOR
 
     def gram(z: complex) -> np.ndarray:

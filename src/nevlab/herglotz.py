@@ -48,15 +48,53 @@ GRID_REAL_PARTS = (-2.0, -0.5, 0.0, 0.7, 3.0)
 GRID_HEIGHTS = (0.1, 1.0, 10.0)
 
 
-def default_grid(conjugates: bool = True) -> tuple[complex, ...]:
-    upper = tuple(complex(x, y) for x in GRID_REAL_PARTS for y in GRID_HEIGHTS)
-    if not conjugates:
-        return upper
+def upper_grid() -> tuple[complex, ...]:
+    return tuple(complex(x, y) for x in GRID_REAL_PARTS for y in GRID_HEIGHTS)
+
+
+def default_grid() -> tuple[complex, ...]:
+    upper = upper_grid()
     return upper + tuple(z.conjugate() for z in upper)
 
 
-def upper_grid() -> tuple[complex, ...]:
-    return default_grid(conjugates=False)
+# -- the point gate: every "for all z off the axis" or "for all z in C_+" of the
+# library reads its points, half-planes and signs here
+
+
+def offaxis_points(grid: Sequence[complex] | None = None) -> tuple[complex, ...]:
+    """The points of grid off the real axis, in grid order (None: ``default_grid()``)."""
+    return tuple(z for z in map(complex, default_grid() if grid is None else grid) if z.imag != 0)
+
+
+def upper_points(grid: Sequence[complex] | None = None) -> tuple[complex, ...]:
+    """The points of grid in C_+, in grid order (None: ``default_grid()``)."""
+    return tuple(z for z in map(complex, default_grid() if grid is None else grid) if z.imag > 0)
+
+
+def imag_signs(zs: Sequence[complex]) -> np.ndarray:
+    """sign(Im z) of each off-axis point, float64 shaped (G, 1, 1) to scale a stack."""
+    return np.array([1.0 if z.imag > 0 else -1.0 for z in zs]).reshape(-1, 1, 1)
+
+
+def upper_point(z: complex, caller: str) -> complex:
+    """z as a complex in C_+, or DomainError naming the caller."""
+    z = complex(z)
+    if z.imag <= 0:
+        raise DomainError(f"{caller} needs a point in C_+, got {z}")
+    return z
+
+
+def offaxis_point(z: complex, caller: str) -> complex:
+    """z as a complex off the real axis, or DomainError naming the caller."""
+    z = complex(z)
+    if z.imag == 0:
+        raise DomainError(f"{caller} needs a point off the real axis, got {z}")
+    return z
+
+
+def conjugate_points(z: complex, w: complex, tol: TolerancePolicy) -> bool:
+    """Whether z = conj(w) within eps_eq * (|z| + |w|): a two-point kernel's diagonal."""
+    return abs(z - np.conj(w)) <= tol.eps_eq * (abs(z) + abs(w))
 
 
 @dataclass(frozen=True)
@@ -199,9 +237,7 @@ def imag_poisson(rep: HerglotzRep, z: complex) -> np.ndarray:
 
     Requires Im z > 0; coincides with imag_part(evaluate(rep, z)).
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("imag_poisson requires Im z > 0")
+    z = upper_point(z, "imag_poisson")
     x, y = z.real, z.imag
     out = rep.b1 * y
     for t, w in zip(rep.measure.locations, rep.measure.weights):
@@ -246,7 +282,7 @@ class FamilyEvaluator:
 
     def symmetry_residual(self, zs: Sequence[complex] | None = None) -> float:
         """Worst relative residual of F(conj z) - F(z)* over the samples."""
-        zs = tuple(default_grid(conjugates=False) if zs is None else zs)
+        zs = upper_grid() if zs is None else tuple(zs)
         values = self.on_grid(zs + tuple(complex(z).conjugate() for z in zs))
         return _symmetry_residual(values[: len(zs)], values[len(zs) :])
 
@@ -270,6 +306,11 @@ class FamilyEvaluator:
     @classmethod
     def from_callable(cls, fn: Callable[[complex], np.ndarray], dim: int) -> "FamilyEvaluator":
         return cls(int(dim), fn, "custom")
+
+
+def as_family(f: FamilyEvaluator | HerglotzRep) -> FamilyEvaluator:
+    """The family of a representation; a family as it is."""
+    return FamilyEvaluator.from_rep(f) if isinstance(f, HerglotzRep) else f
 
 
 def _symmetry_residual(at_z: np.ndarray, at_conj: np.ndarray) -> float:
@@ -317,7 +358,7 @@ def nevanlinna_kernel(
         for t, weight in zip(rep.measure.locations, rep.measure.weights):
             out = out + weight / ((t - z) * (t - w_bar))
         return out
-    if abs(z - np.conj(w)) <= tol.eps_eq * (abs(z) + abs(w)):
+    if conjugate_points(z, w, tol):
         raise DomainError("diagonal z = conj(w) needs representation data")
     fz, fw = f.on_grid((z, w))
     return (fz - fw.conj().T) / (z - np.conj(w))
@@ -380,18 +421,16 @@ def classify(
     definite lower bound lambda_min >= 10 * eps_psd * (1 + ||Im F(i)||)
     upgrades it to uniformly strict.
     """
-    if isinstance(family, HerglotzRep):
-        family = FamilyEvaluator.from_rep(family)
-    grid = default_grid() if grid is None else tuple(grid)
-    upper = tuple(complex(z) for z in grid if z.imag > 0)
-    offaxis = tuple(complex(z) for z in grid if z.imag != 0)
+    family = as_family(family)
+    offaxis = offaxis_points(grid)
+    upper = upper_points(offaxis)
     conj = tuple(z.conjugate() for z in upper)
     # one evaluation per distinct point: conj and i often repeat points of offaxis
     at = {z: k for k, z in enumerate(dict.fromkeys(offaxis + conj + (1j,)))}
     values = family.on_grid(tuple(at))
     sym = _symmetry_residual(values[[at[z] for z in upper]], values[[at[z] for z in conj]])
-    signs = np.array([np.sign(z.imag) for z in offaxis]).reshape(-1, 1, 1)
-    oks, lams = matnum.is_psd(matnum.imag_part(values[[at[z] for z in offaxis]]) * signs, tol)
+    oks, lams = matnum.is_psd(matnum.imag_part(values[[at[z] for z in offaxis]])
+                              * imag_signs(offaxis), tol)
     margin = np.min(lams, initial=np.inf)
     ok_all = sym <= tol.eps_eq and all(oks)
 

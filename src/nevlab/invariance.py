@@ -36,19 +36,14 @@ from .pairs import PairEvaluator
 DEFAULT_CHECK_SEED = 20240817
 
 
-def default_check_grid(
-    n_random: int = 10, seed: int = DEFAULT_CHECK_SEED
-) -> tuple[complex, ...]:
-    """The 30-point deterministic grid plus seeded random spot checks."""
-    base = herglotz.default_grid()
-    if n_random <= 0:
-        return base
-    rng = np.random.default_rng(seed)
+def default_check_grid() -> tuple[complex, ...]:
+    """The 30-point default grid plus ten seeded spot checks, five conjugate pairs."""
+    rng = np.random.default_rng(DEFAULT_CHECK_SEED)
     extra = []
-    for _ in range((n_random + 1) // 2):
+    for _ in range(5):
         z = complex(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-1.0, 1.0))
-        extra += [z, np.conj(z)]
-    return base + tuple(extra[:n_random])
+        extra += [z, z.conjugate()]
+    return herglotz.default_grid() + tuple(extra)
 
 
 @dataclass
@@ -76,28 +71,10 @@ def _as_pair(obj) -> PairEvaluator:
 
 def _offaxis(grid) -> tuple[complex, ...]:
     """The off-axis points of grid (default: the check grid); DomainError if none."""
-    grid = default_check_grid() if grid is None else grid
-    out = tuple(complex(z) for z in grid if complex(z).imag != 0)
+    out = herglotz.offaxis_points(default_check_grid() if grid is None else grid)
     if not out:
         raise herglotz.DomainError("the grid has no point off the real axis")
     return out
-
-
-def _by_shape(fn, mats: list[np.ndarray]) -> list:
-    """fn on each matrix, in one batched call per distinct matrix shape."""
-    out: list = [None] * len(mats)
-    groups: dict[tuple, list[int]] = {}
-    for k, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(k)
-    for idx in groups.values():
-        for k, result in zip(idx, fn(np.stack([mats[k] for k in idx]))):
-            out[k] = result
-    return out
-
-
-def _signs(grid) -> np.ndarray:
-    """sign(Im z) per point, shaped to scale a (G, n, n) stack."""
-    return np.array([np.sign(z.imag) for z in grid], dtype=np.complex128).reshape(-1, 1, 1)
 
 
 def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
@@ -123,6 +100,27 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
     return worst, {"dim": dims[0]}
 
 
+def _image_span_check(statement: str, key: str, grid, kernel_of, mapped_by, tol, notes):
+    """Whether span(B ker A), A and B given as stacks, is one subspace over the grid.
+
+    One null-space call takes the stack, one range-space call each distinct
+    image shape.  Pass requires a constant dimension and pairwise subspace
+    distances at most tol.eps_rank; each witness holds its dimension under key.
+    """
+    images = [b @ k for b, k in zip(mapped_by, matnum.null_space(kernel_of, tol))]
+    spans: list = [None] * len(images)
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(images):
+        groups.setdefault(m.shape, []).append(k)
+    for idx in groups.values():
+        for k, span in zip(idx, matnum.range_space(np.stack([images[k] for k in idx]), tol)):
+            spans[k] = span
+    witnesses = [{key: span.shape[1]} for span in spans]
+    worst, drift = _span_drift(spans, witnesses)
+    return InvarianceReport(statement, grid, witnesses, worst <= tol.eps_rank, worst,
+                            {**notes, **drift})
+
+
 def check_point_invariance(
     obj,
     a: float,
@@ -132,22 +130,13 @@ def check_point_invariance(
     """Eigenspace at a real value a is the same at every grid point.
 
     The space at z is {f : (f, a f) in the snapshot relation}, computed as
-    Phi(z) applied to the null space of Psi(z) - a Phi(z).  Pass requires a
-    constant dimension and pairwise subspace distances at most tol.eps_rank.
+    Phi(z) applied to the null space of Psi(z) - a Phi(z).
     """
-    pair = _as_pair(obj)
     a = float(a)
     grid = _offaxis(grid)
-    phis, psis = pair.on_grid(grid)
-    params = matnum.null_space(psis - a * phis, tol)
-    spans = _by_shape(lambda m: matnum.range_space(m, tol),
-                      [phi @ p for phi, p in zip(phis, params)])
-    witnesses = [{"eigenspace_dim": span.shape[1]} for span in spans]
-    worst, notes = _span_drift(spans, witnesses)
-    return InvarianceReport(
-        "point-spectrum-invariance", grid, witnesses, worst <= tol.eps_rank, worst,
-        {"a": a, **notes},
-    )
+    phis, psis = _as_pair(obj).on_grid(grid)
+    return _image_span_check("point-spectrum-invariance", "eigenspace_dim", grid,
+                             psis - a * phis, phis, tol, {"a": a})
 
 
 CORRIDOR_TOL = 1e-8  # passing corridor excess over 1 + ||Im F||: an eigensolve's round-off
@@ -164,13 +153,11 @@ def check_imag_kernel_invariance(
     Besides kernel constancy, the smallest eigenvalue must stay inside the
     Harnack corridor [c1 m(z0), c2 m(z0)] of the anchor (first grid point).
     """
-    if isinstance(family, HerglotzRep):
-        family = FamilyEvaluator.from_rep(family)
+    family = herglotz.as_family(family)
     grid = _offaxis(grid)
-    fold = lambda z: z if z.imag > 0 else np.conj(z)
-    z0 = grid[0]
-    values = family.on_grid(grid + (fold(z0),))
-    hs = matnum.imag_part(values[:-1]) * _signs(grid)
+    folded = [complex(z.real, abs(z.imag)) for z in grid]  # the C_+ point of each
+    values = family.on_grid(grid + (folded[0],))
+    hs = matnum.imag_part(values[:-1]) * herglotz.imag_signs(grid)
     spans = matnum.null_space(hs, tol)
     lam_mins = np.linalg.eigvalsh(matnum.herm_part(hs))[:, 0].tolist()
     witnesses = [{"kernel_dim": span.shape[1], "lam_min": lam}
@@ -182,8 +169,8 @@ def check_imag_kernel_invariance(
     m0 = lam_mins[0]
     scale = 1.0 + matnum.spectral_norm(matnum.imag_part(values[-1]))
     corridor_worst = max(
-        analysis.harnack_excess(analysis.harnack_constants(fold(z0), fold(z)), m0, m, scale)
-        for z, m in zip(grid, lam_mins)
+        analysis.harnack_excess(analysis.harnack_constants(folded[0], z), m0, m, scale)
+        for z, m in zip(folded, lam_mins)
     )
     passed = worst <= tol.eps_rank and corridor_worst <= CORRIDOR_TOL
     return InvarianceReport(
@@ -215,7 +202,7 @@ def check_resolvent_invariance(
     smins = matnum.singular_values(shifted)[:, -1]
     flags = matnum.invertible_from(smins, block_scales)
     witnesses = [{"smin": smin, "regular": int(flag)} for smin, flag in zip(smins.tolist(), flags)]
-    upper = [k for k, z in enumerate(grid) if z.imag > 0]
+    upper = np.flatnonzero(herglotz.imag_signs(grid) > 0)
     smins_c = matnum.singular_values(pairs.cayley_values(phis[upper], psis[upper]) - alpha * eye)
     flags_c = matnum.invertible_from(smins_c[:, -1], 2.0)
     for k, smin_c in zip(upper, smins_c[:, -1].tolist()):
@@ -253,18 +240,10 @@ def check_mul_invariance(
     grid: Sequence[complex] | None = None,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> InvarianceReport:
-    """The multivalued part of the snapshot relation has a constant span."""
-    pair = _as_pair(obj)
+    """The multivalued part of the snapshot relation, Psi(z) ker Phi(z), has a constant span."""
     grid = _offaxis(grid)
-    phis, psis = pair.on_grid(grid)
-    kernels = matnum.null_space(phis, tol)
-    spans = _by_shape(lambda m: matnum.range_space(m, tol),
-                      [psi @ k for psi, k in zip(psis, kernels)])
-    witnesses = [{"mul_dim": span.shape[1]} for span in spans]
-    worst, notes = _span_drift(spans, witnesses)
-    return InvarianceReport(
-        "mul-invariance", grid, witnesses, worst <= tol.eps_rank, worst, notes
-    )
+    phis, psis = _as_pair(obj).on_grid(grid)
+    return _image_span_check("mul-invariance", "mul_dim", grid, phis, psis, tol, {})
 
 
 # -- classification of families presented by pairs ------------------------------
@@ -300,9 +279,7 @@ def classify_family_pair(
     condition numbers).  Non-strict families split into single-valued (R)
     and genuinely multivalued (R~) by the kernel of Phi.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise herglotz.DomainError("classification point must lie in C_+")
+    z = herglotz.upper_point(z, "classify_family_pair")
     phi, psi = pair(z)
     kern = matnum.herm_part(pairs.diagonal_kernel(phi, psi, z, tol))
     lam_min = float(np.linalg.eigvalsh(kern)[0])
@@ -337,7 +314,7 @@ def maximum_principle_schur(
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > UNIMODULAR_TOL:
         raise ValueError("alpha must be unimodular")
-    grid = tuple(z for z in (default_check_grid() if grid is None else grid) if z.imag > 0)
+    grid = herglotz.upper_points(default_check_grid() if grid is None else grid)
     if isinstance(schur, PairEvaluator):
         cs = pairs.cayley_values(*schur.on_grid(grid))
     elif grid:
@@ -422,7 +399,9 @@ def sweep_continuous_spectrum(
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be nonempty and strictly increasing")
     grid = _offaxis(herglotz.default_grid() if grid is None else grid)
-    z0 = [z for z in grid if z.imag > 0][0]
+    upper = herglotz.upper_points(grid)
+    z0 = upper[0]
+    signs = herglotz.imag_signs(grid)
     rng = np.random.default_rng(0) if rng is None else rng
 
     sigma = {}
@@ -432,12 +411,12 @@ def sweep_continuous_spectrum(
         if family.dim != n:
             raise ValueError(f"family_sequence({n}) produced dim {family.dim}")
         us = analysis._unit_vectors(rng, trials, n)
-        for z in grid:  # z0 comes before every other upper point
+        for z, sign in zip(grid, signs):  # z0 comes before every other upper point
             im = matnum.imag_part(family(z))
-            sigma[(n, z)] = float(np.linalg.eigvalsh(matnum.herm_part(im * np.sign(z.imag)))[0])
+            sigma[(n, z)] = float(np.linalg.eigvalsh(matnum.herm_part(im * sign))[0])
             if z == z0:
                 t0 = analysis._forms(us, im)
-            elif z.imag > 0:
+            elif z in upper:
                 tz = analysis._forms(us, im)
                 ratio_worst = max(ratio_worst, analysis._form_excess(z0, z, t0, tz))
 

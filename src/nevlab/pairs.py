@@ -109,13 +109,11 @@ def canonical_pair(family: FamilyEvaluator | HerglotzRep) -> PairEvaluator:
     dissipative / accumulative.  Over a grid the guard and the solve are
     one batched call each; the first failing point raises.
     """
-    if isinstance(family, HerglotzRep):
-        family = FamilyEvaluator.from_rep(family)
+    family = herglotz.as_family(family)
     eye = np.eye(family.dim, dtype=np.complex128)
 
     def grid_fn(zs):
-        shifts = np.array([(1.0 if z.imag > 0 else -1.0) * 1j for z in zs],
-                          dtype=np.complex128).reshape(-1, 1, 1)
+        shifts = herglotz.imag_signs(zs) * 1j
         phis, _ = matnum.solve(family.on_grid(zs) + shifts * eye, eye, RCOND_MIN)
         return phis, eye - shifts * phis
 
@@ -143,12 +141,11 @@ def validate(
     Each axiom is decided for every sample at once, on the stacks of one
     grid evaluation.
     """
-    zs = herglotz.default_grid() if z_samples is None else tuple(z_samples)
-    offaxis = tuple(complex(z) for z in zs if z.imag != 0)
+    offaxis = herglotz.offaxis_points(z_samples)
     count = len(offaxis)
     phis, psis = pair.on_grid(offaxis + tuple(z.conjugate() for z in offaxis))
     phi, psi, phib, psib = phis[:count], psis[:count], phis[count:], psis[count:]
-    signs = np.array([np.sign(z.imag) for z in offaxis]).reshape(-1, 1, 1)
+    signs = herglotz.imag_signs(offaxis)
     forms = -1j * (_adjoint(phi) @ psi - _adjoint(psi) @ phi) / signs
     scales = 1.0 + matnum.spectral_norm(forms)
     lams = np.linalg.eigvalsh(matnum.herm_part(forms))[:, 0]
@@ -193,7 +190,7 @@ def diagonal_kernel(
 
 
 def _reject_conjugates(z: complex, w: complex, tol: TolerancePolicy) -> None:
-    if abs(z - np.conj(w)) <= tol.eps_eq * (abs(z) + abs(w)):
+    if herglotz.conjugate_points(z, w, tol):
         raise DiagonalKernelError("pair kernel undefined at z = conj(w)")
 
 
@@ -209,22 +206,18 @@ def cayley_values(phis: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
 def cayley(pair: PairEvaluator, z: complex) -> np.ndarray:
     """Cayley transform (Psi - i Phi)(Psi + i Phi)^(-1), a contraction on C_+."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise herglotz.DomainError("Cayley transform requires Im z > 0")
-    phis, psis = pair.on_grid((z,))
+    phis, psis = pair.on_grid((herglotz.upper_point(z, "cayley"),))
     return cayley_values(phis, psis)[0]
 
 
 def schur_kernel(pair: PairEvaluator, z: complex, w: complex) -> np.ndarray:
     """Schur-class kernel (I - C(w)* C(z)) / (-i (z - conj w)) on C_+."""
-    return _schur_kernel(pair, complex(z), complex(w))[0]
+    return _schur_kernel(pair, z, w)[0]
 
 
 def _schur_kernel(pair: PairEvaluator, z: complex, w: complex):
     """The Schur kernel at (z, w) with the pair's blocks there, from one grid evaluation."""
-    if z.imag <= 0 or w.imag <= 0:
-        raise herglotz.DomainError("Schur kernel requires both points in C_+")
+    z, w = herglotz.upper_point(z, "schur_kernel"), herglotz.upper_point(w, "schur_kernel")
     phis, psis = pair.on_grid((z, w))
     cz, cw = cayley_values(phis, psis)
     eye = np.eye(pair.dim, dtype=np.complex128)
@@ -415,10 +408,7 @@ def equivalent(
     """True iff both pairs span the same graph at every sample point."""
     if pair1.dim != pair2.dim:
         return False
-    zs = herglotz.default_grid() if z_samples is None else z_samples
-    for z in zs:
-        if z.imag == 0:
-            continue
+    for z in herglotz.offaxis_points(z_samples):
         u = matnum.range_space(pair1.stacked(z), tol)
         v = matnum.range_space(pair2.stacked(z), tol)
         if matnum.subspace_distance(u, v) > tol.eps_rank:

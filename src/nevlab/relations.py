@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matnum
+from . import herglotz, matnum
 from .matnum import DEFAULT_TOL, TolerancePolicy
 from .pairs import PairEvaluator, diagonal_kernel
 
@@ -67,10 +67,7 @@ def from_pair_at(
     pair: PairEvaluator, z: complex, tol: TolerancePolicy = DEFAULT_TOL
 ) -> LinearRelation:
     """Snapshot of a pair at one point off the real axis."""
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("pair snapshots are taken off the real axis")
-    return LinearRelation.from_span(pair.stacked(z), tol)
+    return LinearRelation.from_span(pair.stacked(herglotz.offaxis_point(z, "from_pair_at")), tol)
 
 
 @dataclass(frozen=True)
@@ -219,9 +216,7 @@ def symmetric_core(
     pair kernel at z; coincides with intersect(T, adjoint(T)) for the
     snapshot T at z.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("symmetric core is computed from a point in C_+")
+    z = herglotz.upper_point(z, "symmetric_core")
     phi, psi = pair(z)
     kern = matnum.herm_part(diagonal_kernel(phi, psi, z, tol))
     params = matnum.null_space(kern, tol)

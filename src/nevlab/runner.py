@@ -301,8 +301,8 @@ def _fail(p: dict, why: str) -> RunError:
 
 # entity type -> the family a task reads it as
 _AS_FAMILY = {
-    HerglotzRep: FamilyEvaluator.from_rep,
-    FamilyEvaluator: lambda family: family,
+    HerglotzRep: herglotz.as_family,
+    FamilyEvaluator: herglotz.as_family,
     examples.SturmLiouvilleConfig: examples.build_family,
     examples.Ex4AConfig: lambda config: examples.build_ex4a(config).f_family,
 }
@@ -403,7 +403,7 @@ def _factor(family, p, grid, tol, rng):
 
 
 def _schatten(family, p, grid, tol, rng):
-    dr = analysis.schatten_decay(family, [w for w in grid if w.imag > 0])
+    dr = analysis.schatten_decay(family, herglotz.upper_points(grid))
     return (min(dr.slopes) if dr.slopes else 0.0), dr.spread, dr.passed
 
 
@@ -439,7 +439,7 @@ DECAY_SPREAD_TOL = 0.05  # one exponent: at n = 64 the fits spread by up to 0.03
 def _decay(config, p, grid, rng):
     family = examples.build_family(config)
     slopes, rows = [], []
-    for z in [z for z in grid if z.imag > 0][:5]:
+    for z in herglotz.upper_points(grid)[:5]:
         js, s, slope = examples.decay_profile(family, z)
         slopes.append(slope)
         rows += [  # plot-ready series: j against s_j
@@ -465,7 +465,7 @@ def _gap_sweep(config, p, grid, rng):
 
 def _conditioning(config, p, grid, rng):
     ex = examples.build_ex4a(config)
-    zs = [z for z in grid if z.imag > 0][:5]
+    zs = herglotz.upper_points(grid)[:5]
     rows = [{"z_re": z.real, "z_im": z.imag, "rcond": rc}
             for z, rc in zip(zs, examples.solve_conditioning(ex, zs).tolist())]
     return True, {"b_min": float(ex.b.min())}, rows

@@ -7,12 +7,16 @@ repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-``tests/test_golden.py`` compares fresh runs against these files.  A
-change that regenerates them says why in CHANGES.md.
+It also records the host in tests/golden/host.json: the numpy version and
+the name and version of the BLAS and LAPACK numpy was built against.
+``tests/test_golden.py`` compares fresh runs against these files, byte for
+byte on a host that matches that record.  A change that regenerates them
+says why in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -26,6 +30,19 @@ JOBS = {
 }
 
 
+def host() -> dict:
+    """The numpy version and the BLAS and LAPACK it was built against, by name and version."""
+    import numpy as np
+
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):  # a numpy before 1.26 only prints its configuration
+        deps = {}
+    return {"numpy": np.__version__,
+            **{lib: {key: deps.get(lib, {}).get(key) for key in ("name", "version")}
+               for lib in ("blas", "lapack")}}
+
+
 def main() -> int:
     from nevlab import cli
 
@@ -34,6 +51,7 @@ def main() -> int:
         shutil.rmtree(out, ignore_errors=True)
         code = cli.main(argv + ["--out", str(out)])
         print(f"nevlab {argv[0]} exited {code}; reports in {out}")
+    (HERE / "host.json").write_text(json.dumps(host(), indent=2, sort_keys=True) + "\n")
     return 0
 
 

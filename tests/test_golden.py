@@ -5,7 +5,9 @@ tests/golden/kinds.json (tests/golden/kinds/).  File names, the exit
 code, verdicts, integers and strings must match exactly.  Floats must
 agree within 1e-12 relative; values at round-off level (a residual of a
 few ulps) may differ by 1e-14 absolutely, since another BLAS rounds them
-differently.  ``tests/golden/regen.py`` rewrites the golden files.
+differently.  On the host recorded in tests/golden/host.json (numpy
+version, BLAS and LAPACK name and version) every file must match byte for
+byte.  ``tests/golden/regen.py`` rewrites the golden files and the record.
 """
 
 import importlib.util
@@ -20,6 +22,7 @@ _regen = importlib.util.spec_from_file_location("golden_regen", GOLDEN_ROOT / "r
 regen = importlib.util.module_from_spec(_regen)
 _regen.loader.exec_module(regen)
 REL, ABS = 1e-12, 1e-14
+RECORDED_HOST = json.loads((GOLDEN_ROOT / "host.json").read_text()) == regen.host()
 
 
 def _same(got, want, where: str) -> None:
@@ -66,6 +69,8 @@ def _matches_golden(tmp_path, job: str) -> None:
             for k, (g, w) in enumerate(zip(rows_got, rows_want)):
                 _same([_cell(c) for c in g.split(",")], [_cell(c) for c in w.split(",")],
                       f"{name}:{k + 1}")
+        if RECORDED_HOST:
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_demo_matches_golden_reports(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     cgauss,
+    random_hermitian,
     random_offaxis,
     random_psd,
     random_rep,
@@ -256,6 +257,23 @@ def test_symmetry_and_positivity_property(seed, y):
     )
     ok, _ = matnum.is_psd(matnum.imag_part(value))
     assert ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(1e-2, 1e2), st.booleans()),
+                    min_size=1, max_size=8),
+    offset=st.booleans(),
+)
+def test_symmetry_residual_property(seed, points, offset):
+    """F(conj z) = F(z)* to round-off on random off-axis grids, with or without an offset."""
+    gen = np.random.default_rng(seed)
+    rep = random_rep(gen, int(gen.integers(1, 5)), 4, uniform=False)
+    family = (FamilyEvaluator.from_rep_with_offset(rep, random_hermitian(gen, rep.dim))
+              if offset else FamilyEvaluator.from_rep(rep))
+    grid = [complex(x, y if above else -y) for x, y, above in points]
+    assert family.symmetry_residual(grid) <= 1e-12
 
 
 def test_measure_requires_psd_weights():

@@ -179,6 +179,43 @@ def test_no_threshold_is_a_keyword_parameter():
     assert found == []
 
 
+# Functions outside herglotz.py that may still decide a half-plane themselves, and why.
+OWN_POINT_DECISIONS = {
+    ("runner.py", "_upper_point"): "document rule: its error line is tested and exits 2",
+    ("runner.py", "_grid"): "document rule: its error line is tested and exits 2",
+    ("examples.py", "build_interval_family"):
+        "its +-i/h^2 is a Python complex: numpy's complex division rounds otherwise",
+}
+
+
+def _decides_points(node) -> bool:
+    """Whether node compares .imag with 0, builds sign(.imag), or filters a comprehension by .imag."""
+    def imag(n):
+        return any(isinstance(m, ast.Attribute) and m.attr == "imag" for m in ast.walk(n))
+
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        return (any(isinstance(o, ast.Attribute) and o.attr == "imag" for o in operands)
+                and any(isinstance(o, ast.Constant) and type(o.value) in (int, float)
+                        and o.value == 0 for o in operands))
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return name == "sign" and any(imag(arg) for arg in node.args)
+    return isinstance(node, ast.comprehension) and any(imag(cond) for cond in node.ifs)
+
+
+def test_points_are_decided_in_herglotz_only():
+    """Grid filters, half-plane guards and sign arrays live in herglotz's point gate."""
+    found = set()
+    for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
+        if path.name == "herglotz.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if any(_decides_points(node) for node in ast.walk(top)):
+                found.add((path.name, getattr(top, "name", f"line {top.lineno}")))
+    assert found == set(OWN_POINT_DECISIONS)
+
+
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         matnum.as_matrix([[np.nan, 0.0], [0.0, 1.0]])
