@@ -242,7 +242,7 @@ def build_ex4a(config: Ex4AConfig) -> Ex4A:
         return out
 
     def f_tilde(zs) -> np.ndarray:  # one guarded solve per grid
-        return -matnum.solve(shifted(zs), eye, EXAMPLE_RCOND_MIN)[0]
+        return -matnum.inverse(shifted(zs), EXAMPLE_RCOND_MIN)
 
     def m(zs) -> np.ndarray:
         return (b_sqrt[:, None] * shifted(zs)) * b_sqrt[None, :]

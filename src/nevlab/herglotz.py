@@ -20,7 +20,8 @@ recovers measure weight from boundary values (Stieltjes inversion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -245,6 +246,40 @@ def imag_poisson(rep: HerglotzRep, z: complex) -> np.ndarray:
     return out
 
 
+MEMO_BYTES = 1 << 18  # what one evaluator keeps: every point of a small family, none from n = 128
+MEMO_MATRIX_BYTES = 512  # Python objects behind one kept matrix (header, view, key, slot), measured
+
+
+class ValueMemo:
+    """An evaluator's values by point, (Re z, Im z) with -0.0 read as 0.0.
+
+    ``stacks`` hands the rule only the distinct points not yet seen, in grid
+    order, and keeps a copy of their values while it holds at most
+    MEMO_BYTES, each matrix counted with MEMO_MATRIX_BYTES besides its
+    entries; no returned stack is one it keeps.  The rule must be pure.
+    """
+
+    def __init__(self):
+        self.values, self.nbytes = {}, 0  # (Re z, Im z) -> value blocks; their bytes
+        self.lock = threading.Lock()  # evaluators may be shared between threads
+
+    def stacks(self, zs: tuple[complex, ...], rule) -> tuple[np.ndarray, ...]:
+        """rule's (G, n, n) stacks at zs; rule maps distinct points to such a tuple."""
+        keys = [(z.real + 0.0, z.imag + 0.0) for z in zs]
+        new = {k: z for k, z in zip(keys, zs) if k not in self.values}
+        stacks = rule(tuple(new.values())) if new or not zs else ()
+        nbytes = sum(s.nbytes + MEMO_MATRIX_BYTES * len(s) for s in stacks)
+        with self.lock:  # keep the block unless another thread kept one of its points
+            if new and self.nbytes + nbytes <= MEMO_BYTES and self.values.keys().isdisjoint(new):
+                self.nbytes += nbytes
+                self.values.update(zip(new, zip(*(s.copy() for s in stacks))))
+        if len(new) == len(keys):
+            return stacks
+        fresh = dict(zip(new, zip(*stacks)))
+        per_point = [fresh[k] if k in fresh else self.values[k] for k in keys]
+        return tuple(np.stack(part) for part in zip(*per_point))
+
+
 @dataclass
 class FamilyEvaluator:
     """A rule z -> F(z) on the complex plane off the real axis.
@@ -257,6 +292,8 @@ class FamilyEvaluator:
     exactly one rule: a library-built family carries a stacked rule
     ``grid_fn`` (points -> (G, n, n) stack); a user-supplied rule ``fn``
     (one point -> matrix) becomes a grid rule that calls it point by point.
+    Values are memoised per point (``ValueMemo``), so either rule must be
+    pure: the same point always gives the same matrix.
     """
 
     dim: int
@@ -265,6 +302,7 @@ class FamilyEvaluator:
     rep: HerglotzRep | None = None
     offset: np.ndarray | None = None
     grid_fn: Callable[[tuple[complex, ...]], np.ndarray] | None = None
+    memo: ValueMemo = field(default_factory=ValueMemo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.fn is None) == (self.grid_fn is None):
@@ -277,8 +315,8 @@ class FamilyEvaluator:
 
     def on_grid(self, zs: Sequence[complex]) -> np.ndarray:
         """F at every point of zs as a (G, n, n) stack, shape and finiteness checked once."""
-        zs = tuple(complex(z) for z in zs)
-        return matnum.as_stack(self.grid_fn(zs), len(zs), self.dim, "family produced")
+        return self.memo.stacks(tuple(complex(z) for z in zs), lambda new: (
+            matnum.as_stack(self.grid_fn(new), len(new), self.dim, "family produced"),))[0]
 
     def symmetry_residual(self, zs: Sequence[complex] | None = None) -> float:
         """Worst relative residual of F(conj z) - F(z)* over the samples."""
@@ -424,17 +462,14 @@ def classify(
     family = as_family(family)
     offaxis = offaxis_points(grid)
     upper = upper_points(offaxis)
-    conj = tuple(z.conjugate() for z in upper)
-    # one evaluation per distinct point: conj and i often repeat points of offaxis
-    at = {z: k for k, z in enumerate(dict.fromkeys(offaxis + conj + (1j,)))}
-    values = family.on_grid(tuple(at))
-    sym = _symmetry_residual(values[[at[z] for z in upper]], values[[at[z] for z in conj]])
-    oks, lams = matnum.is_psd(matnum.imag_part(values[[at[z] for z in offaxis]])
-                              * imag_signs(offaxis), tol)
+    count, signs = len(offaxis), imag_signs(offaxis)
+    values = family.on_grid(offaxis + tuple(z.conjugate() for z in upper) + (1j,))
+    sym = _symmetry_residual(values[:count][signs[:, 0, 0] > 0], values[count:-1])
+    oks, lams = matnum.is_psd(matnum.imag_part(values[:count]) * signs, tol)
     margin = np.min(lams, initial=np.inf)
     ok_all = sym <= tol.eps_eq and all(oks)
 
-    im_i = matnum.imag_part(values[at[1j]])
+    im_i = matnum.imag_part(values[-1])
     lam_min = float(np.linalg.eigvalsh(matnum.herm_part(im_i))[0])
     if not ok_all:
         return Classification(CLASS_NOT_NEV, lam_min, -1, sym, float(margin))

@@ -10,10 +10,11 @@ its entity once per grid (one ``on_grid`` call) and takes its
 decompositions in batches, one stacked ``matnum`` call per kind; every
 slice is the matrix the one-point path factorizes, so the report bytes are
 those of a point-by-point loop.  A span check on G grid points stacks the
-spans once and takes the exact worst pairwise distance in O(G) batched
-``matnum.subspace_distances`` calls, one per row of the upper triangle,
-holding no more than one (G, n, k) stack at a time; no triangle-inequality
-bound replaces the maximum.  Continuous spectrum has no finite-dimensional
+spans once and takes the exact worst of its G(G-1)/2 pairwise distances
+in ``matnum.subspace_distances`` calls over the index pairs of the upper
+triangle, each gathering at most SPAN_CHUNK_BYTES of bases (one call on
+the check grid); no triangle-inequality bound replaces the maximum.
+Continuous spectrum has no finite-dimensional
 instance, so it is emulated by a truncation sweep: uniform-in-z decay of
 the smallest form eigenvalue along growing dimensions, with the
 Harnack-normalized form ratios of ``analysis.form_sandwich_check``, taken
@@ -69,12 +70,15 @@ def _as_pair(obj) -> PairEvaluator:
     raise TypeError(f"expected a pair or family, got {type(obj)!r}")
 
 
-def _offaxis(grid) -> tuple[complex, ...]:
-    """The off-axis points of grid (default: the check grid); DomainError if none."""
-    out = herglotz.offaxis_points(default_check_grid() if grid is None else grid)
+def _offaxis(grid, points=herglotz.offaxis_points, where="off the real axis"):
+    """The off-axis (or chosen) points of grid, default the check grid; DomainError if none."""
+    out = points(default_check_grid() if grid is None else grid)
     if not out:
-        raise herglotz.DomainError("the grid has no point off the real axis")
+        raise herglotz.DomainError(f"the grid has no point {where}")
     return out
+
+
+SPAN_CHUNK_BYTES = 1 << 20  # bases gathered per pairwise distance call in _span_drift
 
 
 def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
@@ -94,9 +98,11 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
     if witnesses:
         for w, d in zip(witnesses, matnum.subspace_distances(stack, stack[0])):
             w["distance"] = float(d)
-    # row by row, so no temporary is larger than one (G, n, k) stack
-    worst = max((float(matnum.subspace_distances(stack[i], stack[i + 1:]).max())
-                 for i in range(len(stack) - 1)), default=0.0)
+    ii, jj = np.triu_indices(len(stack), 1)
+    chunk = max(1, SPAN_CHUNK_BYTES // max(1, 2 * stack[0].nbytes))
+    worst = max((float(matnum.subspace_distances(stack[ii[k:k + chunk]],
+                                                 stack[jj[k:k + chunk]]).max())
+                 for k in range(0, len(ii), chunk)), default=0.0)
     return worst, {"dim": dims[0]}
 
 
@@ -282,10 +288,11 @@ def classify_family_pair(
     z = herglotz.upper_point(z, "classify_family_pair")
     phi, psi = pair(z)
     kern = matnum.herm_part(pairs.diagonal_kernel(phi, psi, z, tol))
-    lam_min = float(np.linalg.eigvalsh(kern)[0])
+    lams = np.linalg.eigvalsh(kern)
+    lam_min = float(lams[0])
     kernel_dim, mul_dim = (b.shape[1] for b in matnum.null_space(np.stack([kern, phi]), tol))
     rc_phi, rc_psi = matnum.rcond(np.stack([phi, psi])).tolist()
-    label = herglotz.strictness_label(lam_min, kernel_dim, matnum.spectral_norm(kern), tol)
+    label = herglotz.strictness_label(lam_min, kernel_dim, float(np.abs(lams).max()), tol)
     if label == herglotz.CLASS_PLAIN and mul_dim > 0:
         label = CLASS_FAMILY
     return PairClassification(label, lam_min, kernel_dim, mul_dim, rc_phi, rc_psi)
@@ -314,20 +321,18 @@ def maximum_principle_schur(
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > UNIMODULAR_TOL:
         raise ValueError("alpha must be unimodular")
-    grid = herglotz.upper_points(default_check_grid() if grid is None else grid)
+    grid = _offaxis(grid, herglotz.upper_points, "in C_+")
     if isinstance(schur, PairEvaluator):
         cs = pairs.cayley_values(*schur.on_grid(grid))
-    elif grid:
-        cs = np.stack([matnum.as_matrix(schur(z)) for z in grid])
     else:
-        cs = np.zeros((0, 0, 0), dtype=np.complex128)
+        cs = np.stack([matnum.as_matrix(schur(z)) for z in grid])
     eye = np.eye(cs.shape[-1], dtype=np.complex128)
     defects = eye - cs.conj().swapaxes(-1, -2) @ cs
     moved = cs - alpha * eye
     defect_spans = matnum.null_space(defects, tol)
     eig_spans = matnum.null_space(moved, tol)
     inv_flags = matnum.definitely_invertible(defects, 2.0)
-    smins = matnum.singular_values(moved)[:, -1] if grid else np.zeros(0)
+    smins = matnum.singular_values(moved)[:, -1]
     reg_flags = matnum.invertible_from(smins, 2.0)
     witnesses = [
         {
@@ -399,7 +404,7 @@ def sweep_continuous_spectrum(
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be nonempty and strictly increasing")
     grid = _offaxis(herglotz.default_grid() if grid is None else grid)
-    upper = herglotz.upper_points(grid)
+    upper = _offaxis(grid, herglotz.upper_points, "in C_+")
     z0 = upper[0]
     signs = herglotz.imag_signs(grid)
     rng = np.random.default_rng(0) if rng is None else rng

@@ -18,7 +18,7 @@ indefinite (Krein) inner product on H + H, and graph-equivalence testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,18 +46,22 @@ class PairEvaluator:
     a library-built pair carries a stacked rule ``grid_fn`` (points ->
     (Phi stack, Psi stack)), and a user-supplied ``fn`` becomes a grid
     rule that calls it point by point; exactly one of the two is given.
+    Values are memoised per point (``herglotz.ValueMemo``), so either rule
+    must be pure.
     """
 
     dim: int
     fn: Callable[[complex], tuple[np.ndarray, np.ndarray]] | None
     provenance: str = "explicit"
     grid_fn: Callable[[tuple[complex, ...]], tuple[np.ndarray, np.ndarray]] | None = None
+    memo: herglotz.ValueMemo = field(default_factory=herglotz.ValueMemo, init=False,
+                                     repr=False, compare=False)
 
     def __post_init__(self):
         if (self.fn is None) == (self.grid_fn is None):
             raise TypeError("a pair needs exactly one of fn and grid_fn")
-        if self.grid_fn is None:
-            self.grid_fn = _point_by_point(self.fn)
+        if self.grid_fn is None:  # (Phi list, Psi list) from the point rule
+            self.grid_fn = lambda zs, fn=self.fn: [list(b) for b in zip(*map(fn, zs))] or [[], []]
 
     def __call__(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
         phis, psis = self.on_grid((z,))
@@ -65,10 +69,9 @@ class PairEvaluator:
 
     def on_grid(self, zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
         """(Phi, Psi) at every point of zs as two (G, n, n) stacks, checked once."""
-        zs = tuple(complex(z) for z in zs)
-        phis, psis = self.grid_fn(zs)
-        return (matnum.as_stack(phis, len(zs), self.dim, "pair block"),
-                matnum.as_stack(psis, len(zs), self.dim, "pair block"))
+        return self.memo.stacks(tuple(complex(z) for z in zs), lambda new: tuple(
+            matnum.as_stack(blocks, len(new), self.dim, "pair block")
+            for blocks in self.grid_fn(new)))
 
     def stacked(self, z: complex) -> np.ndarray:
         phi, psi = self(z)
@@ -85,20 +88,6 @@ class PairEvaluator:
         return cls(phi0.shape[0], None, "constant", grid_fn)
 
 
-def _point_by_point(fn: Callable[[complex], tuple[np.ndarray, np.ndarray]]):
-    """The grid rule that calls the point rule fn at each point: (Phi list, Psi list)."""
-
-    def grid_fn(zs):
-        phis, psis = [], []
-        for z in zs:
-            phi, psi = fn(z)
-            phis.append(phi)
-            psis.append(psi)
-        return phis, psis
-
-    return grid_fn
-
-
 def canonical_pair(family: FamilyEvaluator | HerglotzRep) -> PairEvaluator:
     """Canonical pair Phi = (F(z) +/- i)^(-1), Psi = I -/+ i Phi of a family.
 
@@ -106,15 +95,15 @@ def canonical_pair(family: FamilyEvaluator | HerglotzRep) -> PairEvaluator:
     axis and Psi(z) - i Phi(z) = I below it.  The stacked columns span the
     graph of F(z).  Raises a conditioning error when F(z) +/- i is not
     reliably invertible, which signals that the family is not maximal
-    dissipative / accumulative.  Over a grid the guard and the solve are
-    one batched call each; the first failing point raises.
+    dissipative / accumulative.  Over a grid the inverse and its guard are
+    one batched call; the first failing point raises.
     """
     family = herglotz.as_family(family)
     eye = np.eye(family.dim, dtype=np.complex128)
 
     def grid_fn(zs):
         shifts = herglotz.imag_signs(zs) * 1j
-        phis, _ = matnum.solve(family.on_grid(zs) + shifts * eye, eye, RCOND_MIN)
+        phis = matnum.inverse(family.on_grid(zs) + shifts * eye, RCOND_MIN)
         return phis, eye - shifts * phis
 
     return PairEvaluator(family.dim, None, "canonical-from-family", grid_fn)
@@ -170,14 +159,13 @@ def pair_kernel(
 ) -> np.ndarray:
     """Two-point kernel (Phi(w)* Psi(z) - Psi(w)* Phi(z)) / (z - conj w).
 
-    Hermitian and PSD on the diagonal w = z for Im z > 0, where the pair is
-    evaluated once.  Points with z = conj(w) are rejected: the pair kernel
-    has no derivative branch.
+    Hermitian and PSD on the diagonal w = z for Im z > 0.  Points with
+    z = conj(w) are rejected: the pair kernel has no derivative branch.
     """
     z, w = complex(z), complex(w)
     _reject_conjugates(z, w, tol)
-    phis, psis = pair.on_grid((z,) if w == z else (z, w))
-    return _kernel(phis[0], psis[0], phis[-1], psis[-1], z, w)
+    phis, psis = pair.on_grid((z, w))
+    return _kernel(phis[0], psis[0], phis[1], psis[1], z, w)
 
 
 def diagonal_kernel(
@@ -233,8 +221,8 @@ def kernel_identity_residual(pair: PairEvaluator, z: complex, w: complex) -> flo
     k, phis, psis = _schur_kernel(pair, z, w)
     _reject_conjugates(z, w, DEFAULT_TOL)
     n = _kernel(phis[0], psis[0], phis[1], psis[1], z, w)
-    right, _ = matnum.solve(psis[0] + 1j * phis[0], np.eye(pair.dim), RCOND_MIN)
-    left_t, _ = matnum.solve((psis[1] + 1j * phis[1]).conj().T, np.eye(pair.dim), RCOND_MIN)
+    right, left_t = matnum.inverse(
+        np.stack([psis[0] + 1j * phis[0], (psis[1] + 1j * phis[1]).conj().T]), RCOND_MIN)
     recon = 2.0 * left_t @ n @ right
     return matnum.spectral_norm(k - recon) / (1.0 + matnum.spectral_norm(k))
 
@@ -405,12 +393,16 @@ def equivalent(
     z_samples: Sequence[complex] | None = None,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> bool:
-    """True iff both pairs span the same graph at every sample point."""
+    """True iff both pairs span the same graph at every sample point (one evaluation each)."""
     if pair1.dim != pair2.dim:
         return False
-    for z in herglotz.offaxis_points(z_samples):
-        u = matnum.range_space(pair1.stacked(z), tol)
-        v = matnum.range_space(pair2.stacked(z), tol)
-        if matnum.subspace_distance(u, v) > tol.eps_rank:
+    zs = herglotz.offaxis_points(z_samples)
+    us, vs = (matnum.range_space(np.concatenate(p.on_grid(zs), 1), tol) for p in (pair1, pair2))
+    widths = [u.shape[1] for u in us]
+    if widths != [v.shape[1] for v in vs]:
+        return False
+    for width in set(widths):  # one batched distance call per span dimension
+        u, v = (np.stack([b for b in bases if b.shape[1] == width]) for bases in (us, vs))
+        if matnum.subspace_distances(u, v).max() > tol.eps_rank:
             return False
     return True

@@ -158,8 +158,7 @@ def resolvent_at(t: LinearRelation, z: complex) -> np.ndarray | None:
     core = t.bottom - z * t.top
     if not matnum.definitely_invertible(core, 1.0 + abs(z)):
         return None
-    x, _ = matnum.solve(core, np.eye(t.ambient, dtype=np.complex128), 1e-14)
-    return t.top @ x
+    return t.top @ matnum.inverse(core)
 
 
 def intersect(

@@ -7,6 +7,8 @@ tests pin all three to the one-point results with ``==``, not a tolerance,
 and count the grid calls so that a per-point loop cannot come back quietly.
 """
 
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -22,7 +24,7 @@ from conftest import (
     random_rep,
     rep_with_common_kernel,
 )
-from nevlab import examples, herglotz, invariance, matnum, pairs, runner
+from nevlab import examples, herglotz, invariance, matnum, pairs, relations, runner
 from nevlab.herglotz import FamilyEvaluator
 from nevlab.matnum import TolerancePolicy
 from nevlab.pairs import PairEvaluator
@@ -244,11 +246,11 @@ def test_stack_solve_against_one_rhs_keeps_numpy1_semantics(rng, monkeypatch, co
     """One B for a whole (G, n, n) stack, with G = 1, G = n and G != n."""
     a = cgauss(rng, count, 3, 3) + 3.0 * np.eye(3)
     b = cgauss(rng, 3, 2)
-    pair = pairs.canonical_pair(random_rep(rng, 3, 4))
+    rep = random_rep(rng, 3, 4)
     zs = _grid(rng, 40)[:count]
-    want, want_pair = matnum.solve(a, b)[0], pair.on_grid(zs)
+    want, want_pair = matnum.solve(a, b)[0], pairs.canonical_pair(rep).on_grid(zs)
     monkeypatch.setattr(np.linalg, "solve", _numpy1_solve(np.linalg.solve))
-    got, got_pair = matnum.solve(a, b)[0], pair.on_grid(zs)
+    got, got_pair = matnum.solve(a, b)[0], pairs.canonical_pair(rep).on_grid(zs)  # a new memo
     assert np.array_equal(got, want)
     assert all(np.array_equal(g, w) for g, w in zip(got_pair, want_pair))
     for k in range(count):
@@ -341,7 +343,8 @@ def _check_runs(a: float):
 def test_checks_on_rep_family_equal_per_point_checks(rng, kind):
     rep = random_rep(rng, 4, 4) if kind == "generic" else rep_with_common_kernel(rng, 4)[0]
     batched = FamilyEvaluator.from_rep(rep)
-    pointwise = FamilyEvaluator.from_callable(batched, batched.dim)
+    # its own twin, so that no value comes from batched's memo
+    pointwise = FamilyEvaluator.from_callable(FamilyEvaluator.from_rep(rep), batched.dim)
     for name, run in _check_runs(float(rng.uniform(-2, 2))).items():
         got, want = run(batched), run(pointwise)
         if isinstance(got, invariance.InvarianceReport):
@@ -428,6 +431,10 @@ def test_resolvent_and_schur_equal_the_point_loop(seed, kind):
     for grid in (invariance.default_check_grid(), _grid(rng, 40)[:7], [-1j, 2 - 0.5j]):
         got = invariance.check_resolvent_invariance(pair, a, grid, tol)
         assert _fields(got) == _resolvent_per_point(pair, a, grid)
+        if not any(z.imag > 0 for z in grid):  # the Schur check needs a point in C_+
+            with pytest.raises(herglotz.DomainError, match=r"no point in C_\+"):
+                invariance.maximum_principle_schur(pair, alpha, grid, tol)
+            continue
         got = invariance.maximum_principle_schur(pair, alpha, grid, tol)
         assert _fields(got) == _schur_per_point(pair, alpha, grid, tol)
 
@@ -505,8 +512,9 @@ def test_hermitian_primitives_check_their_input_once(rng, monkeypatch, name):
 @pytest.mark.parametrize("closed", [True, False])
 def test_classify_evaluates_each_distinct_point_once(rng, closed):
     """Off-axis points, conjugates of the upper ones and i: each reaches the rule once."""
-    family = FamilyEvaluator.from_rep(random_rep(rng, 3, 4))
-    want = herglotz.classify(family)
+    rep = random_rep(rng, 3, 4)
+    family = FamilyEvaluator.from_rep(rep)
+    want = herglotz.classify(FamilyEvaluator.from_rep(rep))  # a second memo: family's stays empty
     grid = herglotz.default_grid() if closed else tuple(_grid(rng, 12)[:7]) + (2j,)
     seen = []
     rule = family.grid_fn
@@ -571,3 +579,213 @@ def test_kernel_identity_residual_evaluates_the_pair_once(rng, monkeypatch, name
             patch.setattr(PairEvaluator, "on_grid", counted)
             got = pairs.kernel_identity_residual(pair, z, w)
         assert got == want and calls == [(z, w)]
+
+
+# -- the value memo: a hit is the fresh value, and each point reaches a rule once ----
+
+
+def _library_evaluators(seed: int) -> dict:
+    """Every library family and pair of this module, built afresh from one seed."""
+    out = {f"family-{k}": v for k, v in _families(np.random.default_rng(seed)).items()}
+    out.update({f"pair-{k}": v for k, v in _pairs(np.random.default_rng(seed)).items()})
+    rules = _library_point_rules(np.random.default_rng(seed))
+    out.update({f"example-{k}": family for k, (family, _) in rules.items()})
+    return out
+
+
+def _memo_grids(rng) -> tuple[list[complex], list[complex]]:
+    """A first grid, then one repeating and permuting it with the other sign of each zero."""
+    height, x = 10.0 ** rng.uniform(-1, 1), float(rng.uniform(-3, 3))
+    first = _grid(rng, 6) + [complex(0.0, height), complex(x, 0.0)]
+    second = first + _grid(rng, 4) + [complex(-0.0, height), complex(x, -0.0)]
+    second = [second[i] for i in rng.permutation(len(second))]
+    return first, second + second[::3]
+
+
+def _values(evaluator, zs):
+    out = evaluator.on_grid(zs)
+    return out if isinstance(out, tuple) else (out,)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_memo_hits_equal_fresh_evaluations(seed):
+    rng = np.random.default_rng(seed)
+    first, second = _memo_grids(rng)
+    evaluators = _library_evaluators(seed)
+    for evaluator in evaluators.values():
+        _values(evaluator, first)
+    fresh = {}  # a new evaluator per distinct point: no memo is involved
+    for z in dict.fromkeys(second):
+        for name, evaluator in _library_evaluators(seed).items():
+            fresh[name, z] = _values(evaluator, (z,))
+    for name, evaluator in evaluators.items():
+        got = _values(evaluator, second)
+        for k, z in enumerate(second):
+            assert all(np.array_equal(g[k], w[0]) for g, w in zip(got, fresh[name, z])), (name, z)
+
+
+def test_memo_reads_minus_zero_as_zero():
+    seen = []
+    family = FamilyEvaluator.from_callable(lambda z: seen.append(z) or z * np.eye(2), 2)
+    family.on_grid([complex(0.0, 1.0), complex(-0.0, 1.0), complex(0.5, 0.0)])
+    family.on_grid([complex(0.5, -0.0), complex(-0.0, 1.0)])
+    assert seen == [1j, 0.5]
+
+
+@pytest.mark.parametrize("name", ["family-rep", "family-callable", "pair-canonical",
+                                  "pair-constant", "pair-junitary", "example-ex4a-f"])
+def test_writing_into_a_returned_stack_changes_no_later_result(name):
+    """All points new, all seen, some of each, and one point: each result is the caller's own."""
+    rng = np.random.default_rng(7)
+    grid = _grid(rng, 8)
+    evaluator = _library_evaluators(11)[name]
+    want = [w.copy() for w in _values(_library_evaluators(11)[name], grid)]
+    for zs in (grid, grid, grid[::-1] + _grid(rng, 2), grid[2:3]):
+        got = _values(evaluator, zs)
+        for g in got:
+            if g.flags.writeable:  # a constant pair's unseen points come as read-only views
+                g[...] = np.nan
+    for g, w in zip(_values(evaluator, grid), want):
+        assert np.array_equal(g, w)
+    point = evaluator(grid[0])
+    for block in point if isinstance(point, tuple) else (point,):
+        block[...] = 0.0
+    for g, w in zip(_values(evaluator, grid), want):
+        assert np.array_equal(g, w)
+
+
+def _held(evaluator) -> int:
+    """Bytes of the matrices an evaluator's memo keeps, with their object overhead."""
+    kept = [v for values in evaluator.memo.values.values() for v in values]
+    return sum(v.nbytes + herglotz.MEMO_MATRIX_BYTES for v in kept)
+
+
+def test_large_family_memo_stays_within_the_budget():
+    """n = 400 on the 30-point default grid, all at once and one point at a time."""
+    for one_by_one in (False, True):
+        family = runner._SWEEPS["diag-inverse-k"](400)
+        grid = herglotz.default_grid()
+        if one_by_one:
+            for z in grid:
+                family(z)
+        else:
+            family.on_grid(grid)
+        assert _held(family) == family.memo.nbytes <= herglotz.MEMO_BYTES
+    small = FamilyEvaluator.from_rep(random_rep(np.random.default_rng(0), 5, 4))
+    small.on_grid(invariance.default_check_grid())
+    assert len(small.memo.values) == 40  # a small family keeps the whole check grid
+
+
+def test_memo_stays_consistent_under_threads():
+    """Six threads on one family: every result exact, the memo's byte count exact."""
+    rep = random_rep(np.random.default_rng(3), 3, 4)
+    family = FamilyEvaluator.from_rep(rep)
+    grid = _grid(np.random.default_rng(4), 40)
+    want = FamilyEvaluator.from_rep(rep).on_grid(grid)
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            idx = rng.permutation(len(grid))[: int(rng.integers(1, 12))]
+            if not np.array_equal(family.on_grid([grid[i] for i in idx]), want[idx]):
+                errors.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert _held(family) == family.memo.nbytes <= herglotz.MEMO_BYTES
+
+
+def test_a_unit_reaches_each_rule_once_per_point(rng, monkeypatch):
+    """Checks, canonical pair, pair classification, pair kernels and snapshots, as one unit."""
+    reached: Counter = Counter()
+    memos = []  # kept alive, so no two evaluators share an id
+    stacks = herglotz.ValueMemo.stacks
+
+    def counted(self, zs, rule):
+        memos.append(self)
+
+        def counting_rule(new):
+            reached.update((id(self), z.real + 0.0, z.imag + 0.0) for z in new)
+            return rule(new)
+
+        return stacks(self, zs, counting_rule)
+
+    monkeypatch.setattr(herglotz.ValueMemo, "stacks", counted)
+    rep, kernel = random_rep(rng, 3, 4), rep_with_common_kernel(rng, 2)[0]
+    family = FamilyEvaluator.from_callable(lambda z: herglotz.evaluate(rep, z), 3)
+    both = herglotz.family_direct_sum(family, FamilyEvaluator.from_rep(kernel))
+    grid = invariance.default_check_grid()
+    a = float(rng.uniform(-2, 2))
+    for obj in (family, both):
+        invariance.check_point_invariance(obj, a, grid)
+        invariance.check_resolvent_invariance(obj, a, grid)
+        invariance.check_boundedness_invariance(obj, grid)
+        invariance.check_imag_kernel_invariance(obj, grid)
+        invariance.check_mul_invariance(obj, grid)
+        pair = pairs.canonical_pair(obj)
+        points = [complex(rng.uniform(-3, 3), 10.0 ** rng.uniform(-1, 1)) for _ in range(3)]
+        for z in [1j, *points, *grid[:5]]:
+            invariance.classify_family_pair(pair, z=z)
+        moved = pairs.transform(pair, pairs.JUnitary.random(pair.dim, rng))
+        for z in points:
+            for w in points:
+                pairs.pair_kernel(pair, z, w)
+                pairs.pair_kernel(moved, z, w)
+            relations.from_pair_at(pair, z)
+    assert reached and max(reached.values()) == 1
+
+
+def _equivalent_loop(pair1, pair2, zs) -> bool:
+    """The point-by-point test that the grid form of ``pairs.equivalent`` replaced."""
+    if pair1.dim != pair2.dim:
+        return False
+    for z in herglotz.offaxis_points(zs):
+        u, v = matnum.range_space(pair1.stacked(z)), matnum.range_space(pair2.stacked(z))
+        if matnum.subspace_distance(u, v) > TolerancePolicy().eps_rank:
+            return False
+    return True
+
+
+def _rank_varying(scale: float) -> PairEvaluator:
+    """[Phi; Psi] of rank 1 right of the imaginary axis and 2 left of it; scale keeps the span."""
+    return PairEvaluator(2, lambda z: (np.diag([scale, 0.0]),
+                                       np.diag([scale, 0.0 if z.real > 0 else 3.0 * scale])))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_equivalent_equals_the_point_loop(seed):
+    rng = np.random.default_rng(seed)
+    named = _pairs(rng)
+    base = named["canonical"]
+    candidates = [base, pairs.reparametrized(base, np.diag([2.0, 1.0]) + 0.1 * cgauss(rng, 2, 2)),
+                  named["flip"], named["scale"], named["constant"], _rank_varying(1.0),
+                  _rank_varying(2.5), mul_pair(rng)]
+    grid = _grid(rng, 10) + [0.5, complex(0.0, 2.0), complex(-0.0, -2.0)]
+    verdicts = set()
+    for p in candidates:
+        for q in candidates:
+            got = pairs.equivalent(p, q, grid)
+            assert got == _equivalent_loop(p, q, grid)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    assert pairs.equivalent(_rank_varying(1.0), _rank_varying(2.5), grid)
+    assert pairs.equivalent(base, named["flip"], []) and pairs.equivalent(base, base, [0.5])
+
+
+def test_equivalent_evaluates_each_pair_once(rng, monkeypatch):
+    one, two = pairs.canonical_pair(random_rep(rng, 2, 3)), _rank_varying(1.0)
+    counts = _count_calls(monkeypatch)
+    pairs.equivalent(one, two, invariance.default_check_grid())
+    assert counts["PairEvaluator.on_grid"] == 2 and counts["PairEvaluator.__call__"] == 0

@@ -438,6 +438,24 @@ class TestReportStructure:
         assert report.notes.get("reason") == "dimension varies"
 
 
+class TestNoUpperPoint:
+    """Checks anchored in C_+ raise DomainError on a grid without a point there."""
+
+    def test_sweep(self):
+        def sequence(n):
+            return FamilyEvaluator(n, lambda z: z * np.diag(1.0 / np.arange(1, n + 1)), "sweep")
+
+        with pytest.raises(herglotz.DomainError, match=r"no point in C_\+"):
+            invariance.sweep_continuous_spectrum(sequence, [2, 4], [-1j, 2 - 1j], trials=5)
+
+    @pytest.mark.parametrize("grid", [[-1j, 0.5], [-1j, 2 - 1j], []])
+    def test_schur_maximum_principle(self, grid):
+        pair = pairs.canonical_pair(HerglotzRep.create(np.eye(2), np.eye(2)))
+        for schur in (pair, lambda z: np.eye(2, dtype=complex)):
+            with pytest.raises(herglotz.DomainError, match=r"no point in C_\+"):
+                invariance.maximum_principle_schur(schur, 1.0, grid)
+
+
 def _span_drift_loop(spans, witnesses=None):
     """The one-pair-at-a-time engine, kept as the reference for the batched one."""
     dims = sorted({s.shape[1] for s in spans})
@@ -473,6 +491,12 @@ class TestSpanDrift:
             assert got == want and got_w == want_w
             assert all(type(w["distance"]) is float for w in got_w)
             assert invariance._span_drift(spans) == _span_drift_loop(spans)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 700])  # one pair a call, a few pairs a call
+    def test_chunked_equals_pairwise_loop(self, rng, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(invariance, "SPAN_CHUNK_BYTES", chunk_bytes)
+        for vary in (False, True):
+            self.test_batched_equals_pairwise_loop(rng, vary)
 
     def test_check_spans_equal_pairwise_loop(self, rng, monkeypatch):
         fam = FamilyEvaluator.from_rep(random_rep(rng, 3, 4))

@@ -129,6 +129,74 @@ def test_solve_rejects_ill_conditioned():
         matnum.solve(np.diag([1.0, 1e-15]), np.eye(2))
 
 
+RCOND_MIN = 1e-12  # the pair guard's threshold: pairs.RCOND_MIN
+
+
+def _planted(rng, n: int, rcond: float) -> np.ndarray:
+    """U diag(s) V* with s from 1 down to rcond: rcond_2 is rcond."""
+    u, _ = np.linalg.qr(cgauss(rng, n, n))
+    v, _ = np.linalg.qr(cgauss(rng, n, n))
+    s = np.concatenate([[1.0], np.sort(rng.uniform(0.3, 1.0, n - 2))[::-1], [rcond]])
+    return (u * s) @ v.conj().T
+
+
+def _decision(fn, a):
+    """(value, None) or (None, the ConditioningError text)."""
+    try:
+        return fn(a), None
+    except matnum.ConditioningError as exc:
+        return None, str(exc)
+
+
+# rcond just above and just below the threshold, far above it, and between it and the
+# Frobenius bound's factor, which only the SVD decides
+PLANTED_RCONDS = (1.01 * RCOND_MIN, 0.99 * RCOND_MIN, 1e-2, 3.0 * RCOND_MIN, 0.5 * RCOND_MIN)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       picks=st.lists(st.sampled_from(PLANTED_RCONDS), min_size=1, max_size=6))
+def test_inverse_decides_planted_stacks_as_the_svd_guard(seed, n, picks):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_planted(rng, n, rc) for rc in picks])
+    svd_guard = lambda a: matnum.solve(a, np.broadcast_to(np.eye(n), a.shape), RCOND_MIN)[0]
+    for a in (stack, *stack):  # the stack names its first failing matrix
+        got, got_err = _decision(lambda m: matnum.inverse(m, RCOND_MIN), a)
+        want, want_err = _decision(svd_guard, a if a.ndim == 3 else a[None])
+        assert got_err == want_err
+        if want_err is None:
+            assert np.array_equal(got, want if a.ndim == 3 else want[0])
+    fails = [rc < RCOND_MIN for rc in picks]
+    assert (_decision(lambda m: matnum.inverse(m, RCOND_MIN), stack)[1] is None) == (not any(fails))
+
+
+def test_inverse_skips_the_svd_when_the_bound_certifies(rng, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    good = np.stack([_planted(rng, 4, 1e-3) for _ in range(3)])
+    matnum.inverse(good, RCOND_MIN)
+    assert calls == []
+    with pytest.raises(matnum.ConditioningError):
+        matnum.inverse(np.concatenate([good, _planted(rng, 4, 0.99 * RCOND_MIN)[None]]),
+                       RCOND_MIN)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("singular", [np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 0.0, 2.0])])
+def test_exactly_singular_inverse_is_a_conditioning_error(singular):
+    """LAPACK's bare LinAlgError never escapes: the SVD guard names the matrix."""
+    with pytest.raises(matnum.ConditioningError, match="solve rejected: reciprocal condition"):
+        matnum.inverse(singular)
+    with pytest.raises(matnum.ConditioningError, match="condition 0.000e"):
+        matnum.inverse(np.stack([np.eye(3), singular, np.eye(3)]))
+
+
+def test_spectral_norm_is_numpy_2_norm(rng):
+    stack = cgauss(rng, 6, 4, 3)
+    assert matnum.spectral_norm(stack).tolist() == np.linalg.norm(stack, 2, axis=(1, 2)).tolist()
+
+
 def test_singular_values_descending():
     np.testing.assert_allclose(matnum.singular_values(np.diag([3.0, 1.0])), [3.0, 1.0])
 
