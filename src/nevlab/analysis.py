@@ -222,7 +222,7 @@ def form_sandwich_check(
     family = herglotz.as_family(family)
     rng = np.random.default_rng(0) if rng is None else rng
     z0 = herglotz.upper_point(z0, "form_sandwich_check")
-    zs = herglotz.upper_points(grid)
+    zs = herglotz.upper_points(grid, "form_sandwich_check")
     us = _unit_vectors(rng, trials, family.dim)
     t0 = _forms(us, matnum.imag_part(family(z0)))
     worst = 0.0
@@ -238,6 +238,7 @@ def form_sandwich_check(
 SPLIT_TOL = 1e-8  # passing residual of T = F - G: from representation data G is exact
 BLACK_BOX_SPLIT_TOL = 1e-2  # the same when G comes from quadrature, good to about 1 %
 FAR_HEIGHT = 1e6  # Y in B1 = Im F(iY) / Y; the measure adds O(1 / Y^2) to that reading
+MOMENT_ETAS = (1e-3, 1e-4)  # heights of the first moment's boundary integral, extrapolated
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,8 @@ def split_bounded_imag(
     """
     if family.rep is None:
         raise ValueError("split needs representation data; use split_black_box")
-    return _certify_split(family, family.rep, grid, SPLIT_TOL)
+    return _certify_split(family, family.rep, herglotz.offaxis_points(grid, "split_bounded_imag"),
+                          SPLIT_TOL)
 
 
 def split_black_box(
@@ -277,11 +279,12 @@ def split_black_box(
     the far-field value Im F(i Y) / Y.  The Hermitian rest is lumped into
     T.  Tolerances are relaxed to BLACK_BOX_SPLIT_TOL.
     """
+    zs = herglotz.offaxis_points(grid, "split_black_box")
     dim = family.dim
     weights, locations = [], []
     for a, b in atom_windows:
         w = herglotz.stieltjes_invert(family, a, b)
-        moment = _first_moment(family, a, b)
+        moment = herglotz.boundary_extrapolations(family, a, b, MOMENT_ETAS, power=1)[-1]
         mass = float(np.real(np.trace(w)))
         if mass <= EMPTY_WINDOW_MASS:
             continue
@@ -294,12 +297,11 @@ def split_black_box(
     b1 = _clip_psd(b1)
     atoms = [(t, _clip_psd(w)) for t, w in zip(locations, weights)]
     g = HerglotzRep.create(np.zeros((dim, dim)), b1, atoms if atoms else None)
-    return _certify_split(family, g, grid, BLACK_BOX_SPLIT_TOL)
+    return _certify_split(family, g, zs, BLACK_BOX_SPLIT_TOL)
 
 
-def _certify_split(family, g: HerglotzRep, grid, rtol: float) -> SplitResult:
-    """T = F - G on the grid must be constant and Hermitian, relative to rtol."""
-    zs = tuple(herglotz.default_grid() if grid is None else grid)
+def _certify_split(family, g: HerglotzRep, zs: tuple[complex, ...], rtol: float) -> SplitResult:
+    """T = F - G at the off-axis points zs must be constant and Hermitian, relative to rtol."""
     values = family.on_grid(zs) - herglotz.evaluate_grid(g, zs)
     mean = sum(values) / len(values)  # slice by slice in grid order; np.sum would pair them
     scale = 1.0 + matnum.spectral_norm(mean)
@@ -307,18 +309,6 @@ def _certify_split(family, g: HerglotzRep, grid, rtol: float) -> SplitResult:
     herm_res = matnum.spectral_norm(mean - mean.conj().T) / scale
     passed = constancy <= rtol and herm_res <= rtol
     return SplitResult(g, matnum.herm_part(mean), constancy, herm_res, passed)
-
-
-def _first_moment(family: FamilyEvaluator, a: float, b: float) -> np.ndarray:
-    from scipy.integrate import quad_vec
-
-    etas = (1e-3, 1e-4)
-    vals = []
-    for eta in etas:
-        v, _ = quad_vec(lambda x: x * matnum.imag_part(family(complex(x, eta))), a, b,
-                        epsabs=herglotz.QUAD_TOL, epsrel=herglotz.QUAD_TOL, limit=400)
-        vals.append(v / np.pi)
-    return vals[-1] + (vals[-1] - vals[-2]) * (etas[-1] / (etas[-2] - etas[-1]))
 
 
 def _clip_psd(h: np.ndarray) -> np.ndarray:
@@ -437,29 +427,21 @@ def fit_log_slope(js: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(np.log(js[mask].astype(float)), np.log(values[mask]), 1)[0])
 
 
-def schatten_decay(
-    family: FamilyEvaluator,
-    grid: Sequence[complex] | None = None,
-    j_range: Sequence[int] | None = None,
-) -> DecayReport:
-    """Fitted exponent of s_j(F(z)) over the middle third of j_range, per z.
+def schatten_decay(family: FamilyEvaluator, grid: Sequence[complex] | None = None) -> DecayReport:
+    """Fitted exponent of s_j(F(z)), j in the middle third of 1 ... max(2, dim // 2), per z in C_+.
 
     The verdict is invariance of the exponent across the grid (spread at
     most SPREAD_TOL) from a window of at least MIN_FIT_POINTS indices, so
-    with the default j_range a family of dim below 18 fails; ``decaying``
-    records whether any decay was seen at all.
+    a family of dim below 18 fails; ``decaying`` records whether any
+    decay was seen at all.
     """
-    zs = tuple(herglotz.upper_grid() if grid is None else grid)
-    if j_range is None:
-        j_range = range(1, min(family.dim, max(2, family.dim // 2)) + 1)
-    js = np.asarray(sorted(j_range), dtype=int)
-    if js[0] < 1 or js[-1] > family.dim:
-        raise ValueError("j_range must lie within [1, dim]")
+    zs = herglotz.upper_points(grid, "schatten_decay")
+    js = np.arange(1, min(family.dim, max(2, family.dim // 2)) + 1)
     third = len(js) // 3
     window = js[third : max(third + 1, 2 * third)] if len(js) >= 3 else js
     slopes = [fit_log_slope(window, s[window - 1])
               for s in matnum.singular_values(family.on_grid(zs))]
-    spread = max(slopes) - min(slopes) if slopes else 0.0
+    spread = max(slopes) - min(slopes)
     decaying = any(m < -0.05 for m in slopes)
     passed = len(window) >= MIN_FIT_POINTS and spread <= SPREAD_TOL
     return DecayReport(zs, tuple(slopes), spread, decaying, passed)

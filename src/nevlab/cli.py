@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.0, help="real spectral point")
 
     p = sub.add_parser("harnack", help="Harnack constants and certificates")
-    common(p, with_doc=False)
+    p.add_argument("--seed", type=int, default=None, help="certificate seed (default 0)")
     p.add_argument("--z1", type=_parse_point, default=1j)
     p.add_argument("--z2", type=_parse_point, default=2j)
     p.add_argument("--trials", type=_parse_trials, default=1000)

@@ -129,6 +129,7 @@ def build_family(config: SturmLiouvilleConfig) -> FamilyEvaluator:
 
 
 EXAMPLE_RCOND_MIN = 1e-15  # solve guard here, below matnum's 1e-14: ill conditioned by design
+GAP_STEP = 0.1  # the gap sweep's fixed grid step h: its interval [0, n h] grows with n
 
 
 def decay_exponent(family: FamilyEvaluator, z: complex) -> float:
@@ -151,18 +152,17 @@ def halfline_gap_sweep(
     phi: HerglotzRep | None,
     a_values: Sequence[float],
     n_list: Sequence[int],
-    h: float = 0.1,
     zs: Sequence[complex] = (1j,),
 ) -> list[dict]:
     """Distance from real points a >= 0 to the truncated half-line spectrum.
 
-    The interval [0, L] grows with n (L = n h at fixed step h), so the
-    eigenvalue spacing near a shrinks and sigma_min(F_n(z) - a) decays for
-    every z simultaneously.  Returns one row per (n, z, a).
+    The interval [0, L] grows with n (L = n GAP_STEP), so the eigenvalue
+    spacing near a shrinks and sigma_min(F_n(z) - a) decays for every z
+    simultaneously.  Returns one row per (n, z, a).
     """
     rows = []
     for n in n_list:
-        config = SturmLiouvilleConfig(n=n, phi=phi, length=n * h, variant=VARIANT_HALFLINE)
+        config = SturmLiouvilleConfig(n=n, phi=phi, length=n * GAP_STEP, variant=VARIANT_HALFLINE)
         family = build_halfline_family(config)
         for z in zs:
             fz = family(complex(z))
@@ -177,16 +177,17 @@ def halfline_gap_sweep(
 
 # -- decaying-diagonal construction ---------------------------------------------
 
+B_FLOOR = 1e-6  # least diagonal entry b_j; the default 2^-j falls below it from j = 20 on
+
 
 @dataclass(frozen=True)
 class Ex4AConfig:
     """Dimension, diagonal decay rule and perturbation scale for C = I + sS."""
 
     n: int
-    b_decay: Sequence[float] | None = None  # default 2^-j, floored
+    b_decay: Sequence[float] | None = None  # default 2^-j, floored at B_FLOOR
     c_perturbation: float = 0.0
     seed: int = 0
-    b_floor: float = 1e-6
 
     def __post_init__(self):
         if self.n < 1:
@@ -205,7 +206,7 @@ class Ex4AConfig:
                 raise ValueError("b_decay must be strictly decreasing")
             if np.any(raw <= 0):
                 raise ValueError("b_decay must be positive")
-        return np.maximum(raw, self.b_floor)
+        return np.maximum(raw, B_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -290,7 +291,7 @@ def form_domain_report(
     n = ex.config.n
     v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
     test = np.sqrt(ex.b)[:, None] * v
-    zs = herglotz.upper_points(grid)
+    zs = herglotz.upper_points(grid, "form_domain_report")
     z0 = FORM_ANCHOR
 
     def gram(z: complex) -> np.ndarray:

@@ -62,14 +62,24 @@ def default_grid() -> tuple[complex, ...]:
 # library reads its points, half-planes and signs here
 
 
-def offaxis_points(grid: Sequence[complex] | None = None) -> tuple[complex, ...]:
-    """The points of grid off the real axis, in grid order (None: ``default_grid()``)."""
-    return tuple(z for z in map(complex, default_grid() if grid is None else grid) if z.imag != 0)
+def offaxis_points(grid: Sequence[complex] | None = None, caller: str = "") -> tuple[complex, ...]:
+    """The points of grid off the real axis, in grid order (None: ``default_grid()``).
+
+    A caller named here quantifies over them: none raises DomainError naming it.
+    """
+    return _points(grid, lambda z: z.imag != 0, caller, "off the real axis")
 
 
-def upper_points(grid: Sequence[complex] | None = None) -> tuple[complex, ...]:
-    """The points of grid in C_+, in grid order (None: ``default_grid()``)."""
-    return tuple(z for z in map(complex, default_grid() if grid is None else grid) if z.imag > 0)
+def upper_points(grid: Sequence[complex] | None = None, caller: str = "") -> tuple[complex, ...]:
+    """The points of grid in C_+, in grid order (None: ``default_grid()``); caller as above."""
+    return _points(grid, lambda z: z.imag > 0, caller, "in C_+")
+
+
+def _points(grid, keep, caller: str, where: str) -> tuple[complex, ...]:
+    zs = tuple(z for z in map(complex, default_grid() if grid is None else grid) if keep(z))
+    if caller and not zs:
+        raise DomainError(f"{caller}: the grid has no point {where}")
+    return zs
 
 
 def imag_signs(zs: Sequence[complex]) -> np.ndarray:
@@ -225,25 +235,17 @@ def evaluate_grid(rep: HerglotzRep, zs: Sequence[complex]) -> np.ndarray:
 
 
 def derivative(rep: HerglotzRep, z: complex) -> np.ndarray:
-    """Complex derivative B1 + sum_j W_j / (t_j - z)^2."""
-    z = _check_point(rep, z)
-    out = rep.b1.astype(np.complex128).copy()
-    for t, w in zip(rep.measure.locations, rep.measure.weights):
-        out = out + w / (t - z) ** 2
-    return out
+    """Complex derivative B1 + sum_j W_j / (t_j - z)^2, the kernel N(z, conj z)."""
+    return _kernels(rep, (z,), (complex(z).conjugate(),), DEFAULT_TOL)[0, 0]
 
 
 def imag_poisson(rep: HerglotzRep, z: complex) -> np.ndarray:
-    """Imaginary part in Poisson form, B1 y + sum_j y/((x-t_j)^2+y^2) W_j.
+    """Imaginary part in Poisson form, B1 y + sum_j y/((x-t_j)^2+y^2) W_j = y N(z, z).
 
     Requires Im z > 0; coincides with imag_part(evaluate(rep, z)).
     """
     z = upper_point(z, "imag_poisson")
-    x, y = z.real, z.imag
-    out = rep.b1 * y
-    for t, w in zip(rep.measure.locations, rep.measure.weights):
-        out = out + (y / ((x - t) ** 2 + y * y)) * w
-    return out
+    return z.imag * _kernels(rep, (z,), (z,), DEFAULT_TOL)[0, 0]
 
 
 MEMO_BYTES = 1 << 18  # what one evaluator keeps: every point of a small family, none from n = 128
@@ -319,8 +321,8 @@ class FamilyEvaluator:
             matnum.as_stack(self.grid_fn(new), len(new), self.dim, "family produced"),))[0]
 
     def symmetry_residual(self, zs: Sequence[complex] | None = None) -> float:
-        """Worst relative residual of F(conj z) - F(z)* over the samples."""
-        zs = upper_grid() if zs is None else tuple(zs)
+        """Worst relative residual of F(conj z) - F(z)* over the off-axis samples."""
+        zs = upper_grid() if zs is None else offaxis_points(zs)
         values = self.on_grid(zs + tuple(complex(z).conjugate() for z in zs))
         return _symmetry_residual(values[: len(zs)], values[len(zs) :])
 
@@ -372,6 +374,31 @@ def family_direct_sum(fa: FamilyEvaluator, fb: FamilyEvaluator) -> FamilyEvaluat
     return FamilyEvaluator(fa.dim + fb.dim, None, "direct-sum", grid_fn=grid_fn)
 
 
+def _kernels(f: HerglotzRep | FamilyEvaluator, zs: Sequence[complex], ws: Sequence[complex],
+             tol: TolerancePolicy) -> np.ndarray:
+    """The (G, H, n, n) block N(z_i, w_k) of ``nevanlinna_kernel``.
+
+    One pass per atom, each (t_j - z)(t_j - conj w) a Python complex
+    product; without representation data, the quotient of one evaluation.
+    """
+    zs, ws = [complex(z) for z in zs], [complex(w) for w in ws]
+    shape = (len(zs), len(ws), 1, 1)
+    rep = f if isinstance(f, HerglotzRep) else f.rep
+    if rep is not None:
+        zs = [_check_point(rep, z) for z in zs]
+        w_bars = [_check_point(rep, w.conjugate()) for w in ws]
+        out = np.broadcast_to(rep.b1, shape[:2] + rep.b1.shape).astype(np.complex128)
+        for t, weight in zip(rep.measure.locations, rep.measure.weights):
+            denoms = [(t - z) * (t - w_bar) for z in zs for w_bar in w_bars]
+            out = out + weight / np.array(denoms, dtype=np.complex128).reshape(shape)
+        return out
+    if any(conjugate_points(z, w, tol) for z in zs for w in ws):
+        raise DomainError("diagonal z = conj(w) needs representation data")
+    values = f.on_grid(zs + ws)
+    fz, fw_adj = values[: len(zs), None], values[None, len(zs) :].conj().swapaxes(-1, -2)
+    return (fz - fw_adj) / np.subtract.outer(zs, np.conj(ws)).reshape(shape)
+
+
 def nevanlinna_kernel(
     f: HerglotzRep | FamilyEvaluator,
     z: complex,
@@ -388,18 +415,7 @@ def nevanlinna_kernel(
     Without representation data the plain quotient is used, and the
     diagonal (within eps_eq * (|z| + |w|)) raises DomainError.
     """
-    z, w = complex(z), complex(w)
-    rep = f if isinstance(f, HerglotzRep) else f.rep
-    if rep is not None:
-        z, w_bar = _check_point(rep, z), _check_point(rep, np.conj(w))
-        out = rep.b1.astype(np.complex128).copy()
-        for t, weight in zip(rep.measure.locations, rep.measure.weights):
-            out = out + weight / ((t - z) * (t - w_bar))
-        return out
-    if conjugate_points(z, w, tol):
-        raise DomainError("diagonal z = conj(w) needs representation data")
-    fz, fw = f.on_grid((z, w))
-    return (fz - fw.conj().T) / (z - np.conj(w))
+    return _kernels(f, (z,), (w,), tol)[0, 0]
 
 
 def kernel_gram(
@@ -411,19 +427,12 @@ def kernel_gram(
     """Gram matrix G[i, j] = <N(z_j, z_i) h_j, h_i> of the difference kernel.
 
     PSD (within eps_psd) for every function of the class; rank-deficient
-    when point/vector pairs repeat.
+    when point/vector pairs repeat.  One kernel block, one contraction.
     """
     if len(points) != len(vectors):
         raise ValueError("points and vectors must have equal length")
-    n = len(points)
-    hs = [np.asarray(h, dtype=np.complex128).reshape(-1) for h in vectors]
-    gram = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        for i in range(j, n):
-            kern = nevanlinna_kernel(f, points[j], points[i], tol)
-            gram[i, j] = hs[i].conj() @ (kern @ hs[j])
-            gram[j, i] = np.conj(gram[i, j])
-    return gram
+    hs = np.array([np.ravel(h) for h in vectors], dtype=np.complex128).reshape(len(points), f.dim)
+    return np.einsum("ia,jiab,jb->ij", hs.conj(), _kernels(f, points, points, tol), hs)
 
 
 CLASS_NOT_NEV = "not-R"
@@ -460,7 +469,7 @@ def classify(
     upgrades it to uniformly strict.
     """
     family = as_family(family)
-    offaxis = offaxis_points(grid)
+    offaxis = offaxis_points(grid, "classify")
     upper = upper_points(offaxis)
     count, signs = len(offaxis), imag_signs(offaxis)
     values = family.on_grid(offaxis + tuple(z.conjugate() for z in upper) + (1j,))
@@ -492,35 +501,36 @@ STIELTJES_ETAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)  # last pair extrapolated, the o
 QUAD_TOL = 1e-10  # quadrature accuracy, far below the 10 % settling test it feeds
 
 
+def boundary_extrapolations(family: FamilyEvaluator, a: float, b: float,
+                            etas: Sequence[float], power: int = 0) -> list[np.ndarray]:
+    """Extrapolations to eta = 0 of (1/pi) integral_a^b x^power Im F(x + i eta) dx.
+
+    One for each consecutive pair of heights, linear: the integral's error
+    is asymptotically linear in eta.
+    """
+    values = [quad_vec(lambda x: x**power * matnum.imag_part(family(complex(x, eta))), a, b,
+                       epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)[0] / np.pi for eta in etas]
+    return [last + (last - prev) * (eta / (eta_prev - eta))
+            for prev, last, eta_prev, eta in zip(values, values[1:], etas, etas[1:])]
+
+
 def stieltjes_invert(family: FamilyEvaluator | HerglotzRep, a: float, b: float) -> np.ndarray:
     """Approximate total measure weight on (a, b) from boundary values.
 
-    Computes (1/pi) * integral_a^b Im F(t + i eta) dt over the geometric
-    eta-sweep ``STIELTJES_ETAS`` and extrapolates the last two values (their
-    error is asymptotically linear in eta).  Raises SweepDivergenceError
-    when the extrapolations from the last two height pairs still differ by
-    more than 10 percent; a small floor tied to the family scale keeps
-    exact zeros (no measure in the window) from tripping the relative test.
+    Takes the last two ``boundary_extrapolations`` over the geometric
+    eta-sweep ``STIELTJES_ETAS``.  Raises SweepDivergenceError when they
+    still differ by more than 10 percent; a small floor tied to the family
+    scale keeps exact zeros (no measure in the window) from tripping the
+    relative test.  With representation data an endpoint on an atom
+    raises PoleError.
     """
-    if isinstance(family, HerglotzRep):
-        if any(a == t or b == t for t in family.measure.locations):
-            raise PoleError("interval endpoints must avoid atom locations")
-        family = FamilyEvaluator.from_rep(family)
+    family = as_family(family)
+    if family.rep is not None and any(a == t or b == t for t in family.rep.measure.locations):
+        raise PoleError("interval endpoints must avoid atom locations")
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError("need a < b")
-    etas = STIELTJES_ETAS
-    estimates = []
-    for eta in etas:
-        val, _ = quad_vec(lambda x: matnum.imag_part(family(complex(x, eta))), a, b,
-                          epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
-        estimates.append(val / np.pi)
-
-    def extrapolate(i: int) -> np.ndarray:
-        prev, last = estimates[i - 1], estimates[i]
-        return last + (last - prev) * (etas[i] / (etas[i - 1] - etas[i]))
-
-    older, final = extrapolate(len(etas) - 2), extrapolate(len(etas) - 1)
+    older, final = boundary_extrapolations(family, a, b, STIELTJES_ETAS)[-2:]
     floor = 1e-6 * (1.0 + matnum.spectral_norm(matnum.imag_part(family(1j))))
     drift = matnum.spectral_norm(final - older)
     if drift > 0.10 * matnum.spectral_norm(final) + floor:

@@ -70,12 +70,9 @@ def _as_pair(obj) -> PairEvaluator:
     raise TypeError(f"expected a pair or family, got {type(obj)!r}")
 
 
-def _offaxis(grid, points=herglotz.offaxis_points, where="off the real axis"):
-    """The off-axis (or chosen) points of grid, default the check grid; DomainError if none."""
-    out = points(default_check_grid() if grid is None else grid)
-    if not out:
-        raise herglotz.DomainError(f"the grid has no point {where}")
-    return out
+def _offaxis(grid, caller: str, points=herglotz.offaxis_points):
+    """The gate's off-axis (or chosen) points of grid, default the check grid, for caller."""
+    return points(default_check_grid() if grid is None else grid, caller)
 
 
 SPAN_CHUNK_BYTES = 1 << 20  # bases gathered per pairwise distance call in _span_drift
@@ -139,7 +136,7 @@ def check_point_invariance(
     Phi(z) applied to the null space of Psi(z) - a Phi(z).
     """
     a = float(a)
-    grid = _offaxis(grid)
+    grid = _offaxis(grid, "check_point_invariance")
     phis, psis = _as_pair(obj).on_grid(grid)
     return _image_span_check("point-spectrum-invariance", "eigenspace_dim", grid,
                              psis - a * phis, phis, tol, {"a": a})
@@ -160,7 +157,7 @@ def check_imag_kernel_invariance(
     Harnack corridor [c1 m(z0), c2 m(z0)] of the anchor (first grid point).
     """
     family = herglotz.as_family(family)
-    grid = _offaxis(grid)
+    grid = _offaxis(grid, "check_imag_kernel_invariance")
     folded = [complex(z.real, abs(z.imag)) for z in grid]  # the C_+ point of each
     values = family.on_grid(grid + (folded[0],))
     hs = matnum.imag_part(values[:-1]) * herglotz.imag_signs(grid)
@@ -200,7 +197,7 @@ def check_resolvent_invariance(
     pair = _as_pair(obj)
     a = float(a)
     alpha = (a - 1j) / (a + 1j)
-    grid = _offaxis(grid)
+    grid = _offaxis(grid, "check_resolvent_invariance")
     eye = np.eye(pair.dim, dtype=np.complex128)
     phis, psis = pair.on_grid(grid)
     shifted = psis - a * phis
@@ -230,7 +227,7 @@ def check_boundedness_invariance(
 ) -> InvarianceReport:
     """Rank of Phi(z) (full rank = operator part bounded) is z-independent."""
     pair = _as_pair(obj)
-    grid = _offaxis(grid)
+    grid = _offaxis(grid, "check_boundedness_invariance")
     ranks = matnum.rank(pair.on_grid(grid)[0], tol)
     witnesses = [{"phi_rank": r, "bounded": int(r == pair.dim)} for r in ranks]
     constant = len(set(ranks)) == 1
@@ -247,7 +244,7 @@ def check_mul_invariance(
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> InvarianceReport:
     """The multivalued part of the snapshot relation, Psi(z) ker Phi(z), has a constant span."""
-    grid = _offaxis(grid)
+    grid = _offaxis(grid, "check_mul_invariance")
     phis, psis = _as_pair(obj).on_grid(grid)
     return _image_span_check("mul-invariance", "mul_dim", grid, phis, psis, tol, {})
 
@@ -321,7 +318,7 @@ def maximum_principle_schur(
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > UNIMODULAR_TOL:
         raise ValueError("alpha must be unimodular")
-    grid = _offaxis(grid, herglotz.upper_points, "in C_+")
+    grid = _offaxis(grid, "maximum_principle_schur", herglotz.upper_points)
     if isinstance(schur, PairEvaluator):
         cs = pairs.cayley_values(*schur.on_grid(grid))
     else:
@@ -403,8 +400,8 @@ def sweep_continuous_spectrum(
     n_list = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
         raise ValueError("n_list must be nonempty and strictly increasing")
-    grid = _offaxis(herglotz.default_grid() if grid is None else grid)
-    upper = _offaxis(grid, herglotz.upper_points, "in C_+")
+    grid = herglotz.offaxis_points(grid, "sweep_continuous_spectrum")
+    upper = herglotz.upper_points(grid, "sweep_continuous_spectrum")
     z0 = upper[0]
     signs = herglotz.imag_signs(grid)
     rng = np.random.default_rng(0) if rng is None else rng

@@ -310,8 +310,8 @@ def rcond(a):
 
 
 def _rconds(m: np.ndarray) -> np.ndarray:
-    if m.shape[1] != m.shape[2] or m.shape[1] == 0:
-        return np.zeros(m.shape[0])
+    if m.shape[1] != m.shape[2] or m.shape[1] == 0:  # a 0 x 0 matrix is invertible
+        return np.full(m.shape[0], float(m.shape[1] == m.shape[2]))
     s = _svals(m)
     return np.divide(s[:, -1], s[:, 0], out=np.zeros(m.shape[0]), where=s[:, 0] != 0.0)
 
@@ -355,7 +355,7 @@ def solve(a, b, rcond_min: float = 1e-14):
     """
     m = _checked(a, square=True)
     rb = _checked(b, (1, 2, 3))
-    rc = _rconds(m.reshape((-1,) + m.shape[-2:]))
+    rc = _rconds(m if m.ndim == 3 else m[None])
     failing = rc < rcond_min
     if failing.any():
         raise ConditioningError(

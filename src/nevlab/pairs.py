@@ -81,9 +81,8 @@ class PairEvaluator:
     def constant(cls, phi0, psi0) -> "PairEvaluator":
         phi0, psi0 = matnum.as_matrix(phi0), matnum.as_matrix(psi0)
 
-        def grid_fn(zs):
-            return (np.broadcast_to(phi0, (len(zs),) + phi0.shape),
-                    np.broadcast_to(psi0, (len(zs),) + psi0.shape))
+        def grid_fn(zs):  # stacks of their own, writable like every returned stack
+            return np.repeat(phi0[None], len(zs), 0), np.repeat(psi0[None], len(zs), 0)
 
         return cls(phi0.shape[0], None, "constant", grid_fn)
 
@@ -130,7 +129,7 @@ def validate(
     Each axiom is decided for every sample at once, on the stacks of one
     grid evaluation.
     """
-    offaxis = herglotz.offaxis_points(z_samples)
+    offaxis = herglotz.offaxis_points(z_samples, "validate")
     count = len(offaxis)
     phis, psis = pair.on_grid(offaxis + tuple(z.conjugate() for z in offaxis))
     phi, psi, phib, psib = phis[:count], psis[:count], phis[count:], psis[count:]
@@ -163,26 +162,21 @@ def pair_kernel(
     z = conj(w) are rejected: the pair kernel has no derivative branch.
     """
     z, w = complex(z), complex(w)
-    _reject_conjugates(z, w, tol)
     phis, psis = pair.on_grid((z, w))
-    return _kernel(phis[0], psis[0], phis[1], psis[1], z, w)
+    return _kernel(phis[0], psis[0], phis[1], psis[1], z, w, tol)
 
 
 def diagonal_kernel(
     phi: np.ndarray, psi: np.ndarray, z: complex, tol: TolerancePolicy = DEFAULT_TOL
 ) -> np.ndarray:
     """``pair_kernel(pair, z, z)`` from the blocks (Phi, Psi) = pair(z)."""
-    z = complex(z)
-    _reject_conjugates(z, z, tol)
-    return _kernel(phi, psi, phi, psi, z, z)
+    return _kernel(phi, psi, phi, psi, complex(z), complex(z), tol)
 
 
-def _reject_conjugates(z: complex, w: complex, tol: TolerancePolicy) -> None:
+def _kernel(phi_z, psi_z, phi_w, psi_w, z, w, tol: TolerancePolicy) -> np.ndarray:
+    """The pair kernel at (z, w) from the blocks there; DiagonalKernelError at z = conj(w)."""
     if herglotz.conjugate_points(z, w, tol):
         raise DiagonalKernelError("pair kernel undefined at z = conj(w)")
-
-
-def _kernel(phi_z, psi_z, phi_w, psi_w, z: complex, w: complex) -> np.ndarray:
     return (phi_w.conj().T @ psi_z - psi_w.conj().T @ phi_z) / (z - np.conj(w))
 
 
@@ -219,8 +213,7 @@ def kernel_identity_residual(pair: PairEvaluator, z: complex, w: complex) -> flo
     """
     z, w = complex(z), complex(w)
     k, phis, psis = _schur_kernel(pair, z, w)
-    _reject_conjugates(z, w, DEFAULT_TOL)
-    n = _kernel(phis[0], psis[0], phis[1], psis[1], z, w)
+    n = _kernel(phis[0], psis[0], phis[1], psis[1], z, w, DEFAULT_TOL)
     right, left_t = matnum.inverse(
         np.stack([psis[0] + 1j * phis[0], (psis[1] + 1j * phis[1]).conj().T]), RCOND_MIN)
     recon = 2.0 * left_t @ n @ right
@@ -394,9 +387,9 @@ def equivalent(
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> bool:
     """True iff both pairs span the same graph at every sample point (one evaluation each)."""
+    zs = herglotz.offaxis_points(z_samples, "equivalent")
     if pair1.dim != pair2.dim:
         return False
-    zs = herglotz.offaxis_points(z_samples)
     us, vs = (matnum.range_space(np.concatenate(p.on_grid(zs), 1), tol) for p in (pair1, pair2))
     widths = [u.shape[1] for u in us]
     if widths != [v.shape[1] for v in vs]:

@@ -404,7 +404,7 @@ def _factor(family, p, grid, tol, rng):
 
 def _schatten(family, p, grid, tol, rng):
     dr = analysis.schatten_decay(family, herglotz.upper_points(grid))
-    return (min(dr.slopes) if dr.slopes else 0.0), dr.spread, dr.passed
+    return min(dr.slopes), dr.spread, dr.passed
 
 
 def _sandwich(family, p, grid, tol, rng):

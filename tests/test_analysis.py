@@ -240,8 +240,3 @@ class TestSchattenDecay:
         for n, passes in ((17, False), (18, True)):  # windows of 2 and 3 indices
             fam = FamilyEvaluator(n, lambda z, n=n: z * np.eye(n), "test")
             assert analysis.schatten_decay(fam).passed == passes
-
-    def test_j_range_validation(self):
-        fam = FamilyEvaluator(10, lambda z: z * np.eye(10), "test")
-        with pytest.raises(ValueError):
-            analysis.schatten_decay(fam, j_range=range(1, 40))

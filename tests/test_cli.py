@@ -481,6 +481,14 @@ def test_harnack_trials_capped(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--out", "x"], ["--format", "json"], ["--grid", "0,1"],
+                                  ["--tol-psd", "1e-9"], ["--tol-rank", "1e-9"],
+                                  ["--tol-eq", "1e-9"]])
+def test_harnack_reads_only_its_own_flags(flag, capsys):
+    assert cli.main(["harnack", "--trials", "5", *flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_pin_threads_overrides_host_setting(monkeypatch):
     names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
              "NUMEXPR_NUM_THREADS")

@@ -117,7 +117,7 @@ class TestHalflineFamily:
 
     def test_gap_sweep_fills_positive_axis(self):
         rows = examples.halfline_gap_sweep(
-            phi_linear(), a_values=[0.5, 2.0], n_list=[16, 32, 64, 128], h=0.1
+            phi_linear(), a_values=[0.5, 2.0], n_list=[16, 32, 64, 128]
         )
         for a in (0.5, 2.0):
             gaps = [r["gap"] for r in rows if r["a"] == a]
@@ -127,8 +127,7 @@ class TestHalflineFamily:
     def test_gap_sweep_decays_for_every_z_simultaneously(self):
         zs = (1j, 2 + 0.5j, -1 + 3j)
         rows = examples.halfline_gap_sweep(
-            phi_linear(), a_values=[0.5, 2.0], n_list=[16, 32, 64, 128, 256],
-            h=0.1, zs=zs,
+            phi_linear(), a_values=[0.5, 2.0], n_list=[16, 32, 64, 128, 256], zs=zs,
         )
         for z in zs:
             for a in (0.5, 2.0):

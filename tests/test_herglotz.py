@@ -9,10 +9,11 @@ from conftest import (
     random_offaxis,
     random_psd,
     random_rep,
+    random_upper,
     rep_with_common_kernel,
     rep_with_pinned_eigenvalue,
 )
-from nevlab import herglotz, matnum
+from nevlab import analysis, herglotz, matnum
 from nevlab.herglotz import FamilyEvaluator, HerglotzRep, OperatorMeasure
 from nevlab.matnum import TolerancePolicy
 
@@ -295,3 +296,114 @@ def test_family_direct_sum_blocks(rng):
     np.testing.assert_allclose(v[:2, :2], fa(z))
     np.testing.assert_allclose(v[2:, 2:], fb(z))
     assert matnum.spectral_norm(v[:2, 2:]) == 0.0
+
+
+# -- the kernel block and its slices, against the formulas they replaced --------
+
+
+def _closed_form_kernel(rep, z, w):
+    """B1 + sum_j W_j / ((t_j - z)(t_j - conj w)), one atom at a time."""
+    out = rep.b1.astype(np.complex128).copy()
+    for t, weight in zip(rep.measure.locations, rep.measure.weights):
+        out = out + weight / ((t - z) * (t - np.conj(w)))
+    return out
+
+
+def _quotient_kernel(family, z, w):
+    fz, fw = family.on_grid((z, w))
+    return (fz - fw.conj().T) / (z - np.conj(w))
+
+
+def _derivative_loop(rep, z):
+    out = rep.b1.astype(np.complex128).copy()
+    for t, w in zip(rep.measure.locations, rep.measure.weights):
+        out = out + w / (t - z) ** 2
+    return out
+
+
+def _poisson_loop(rep, z):
+    x, y = z.real, z.imag
+    out = rep.b1 * y
+    for t, w in zip(rep.measure.locations, rep.measure.weights):
+        out = out + (y / ((x - t) ** 2 + y * y)) * w
+    return out
+
+
+def _gram_loop(rep, points, vectors):
+    n = len(points)
+    gram = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        for i in range(j, n):
+            gram[i, j] = vectors[i].conj() @ (_closed_form_kernel(rep, points[j], points[i])
+                                              @ vectors[j])
+            gram[j, i] = np.conj(gram[i, j])
+    return gram
+
+
+def _grid_with_conjugates(gen, count):
+    """count random off-axis points, then the conjugates of the first half."""
+    zs = random_offaxis(gen, count)
+    return zs + [z.conjugate() for z in zs[: count // 2]]
+
+
+def _relative(a, b):
+    return matnum.spectral_norm(a - b) / matnum.spectral_norm(b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_slice_of_the_kernel_block_is_the_closed_form_bit_for_bit(seed):
+    gen = np.random.default_rng(seed)
+    rep = random_rep(gen, int(gen.integers(1, 5)), 6, uniform=False)
+    zs, ws = _grid_with_conjugates(gen, 6), _grid_with_conjugates(gen, 4)
+    block = herglotz._kernels(rep, zs, ws, TolerancePolicy())
+    assert block.shape == (len(zs), len(ws), rep.dim, rep.dim)
+    for i, z in enumerate(zs):
+        for k, w in enumerate(ws):
+            want = _closed_form_kernel(rep, z, w)
+            assert block[i, k].tobytes() == want.tobytes()
+            assert herglotz.nevanlinna_kernel(rep, z, w).tobytes() == want.tobytes()
+        assert herglotz.derivative(rep, z).tobytes() == _derivative_loop(rep, z).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_quotient_block_is_the_plain_quotient_bit_for_bit(seed):
+    gen = np.random.default_rng(seed)
+    rep = random_rep(gen, 3, 4)
+    family = FamilyEvaluator.from_callable(lambda z: herglotz.evaluate(rep, z), 3)
+    zs, ws = random_offaxis(gen, 5), random_upper(gen, 3)
+    block = herglotz._kernels(family, zs, ws, TolerancePolicy())
+    for i, z in enumerate(zs):
+        for k, w in enumerate(ws):
+            assert block[i, k].tobytes() == _quotient_kernel(family, z, w).tobytes()
+    with pytest.raises(herglotz.DomainError, match="diagonal z = conj"):
+        herglotz._kernels(family, zs, ws + [zs[2].conjugate()], TolerancePolicy())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poisson_form_and_gram_equal_their_loops(seed):
+    gen = np.random.default_rng(seed)
+    rep = random_rep(gen, int(gen.integers(1, 5)), 6, uniform=False)
+    zs = _grid_with_conjugates(gen, 6)
+    for z in random_upper(gen, 4):
+        poisson = herglotz.imag_poisson(rep, z)
+        slice_ = herglotz._kernels(rep, [z], [z], TolerancePolicy())[0, 0]
+        assert np.array_equal(poisson, z.imag * slice_)
+        assert _relative(poisson, _poisson_loop(rep, z)) <= 1e-13
+    vectors = [cgauss(gen, rep.dim) for _ in zs]
+    assert _relative(herglotz.kernel_gram(rep, zs, vectors), _gram_loop(rep, zs, vectors)) <= 1e-13
+
+
+def test_stieltjes_inversion_rejects_an_atom_endpoint_of_a_family_too():
+    for f in (INVERSE_REP(), FamilyEvaluator.from_rep(INVERSE_REP())):
+        with pytest.raises(herglotz.PoleError):
+            herglotz.stieltjes_invert(f, 0.0, 1.0)
+
+
+def test_boundary_extrapolations_give_the_weight_and_the_first_moment():
+    family = FamilyEvaluator.from_rep(scalar_rep(atoms=((0.5, 2.0),)))
+    weight = herglotz.boundary_extrapolations(family, 0.0, 1.0, herglotz.STIELTJES_ETAS)
+    assert len(weight) == len(herglotz.STIELTJES_ETAS) - 1
+    assert np.array_equal(weight[-1], herglotz.stieltjes_invert(family, 0.0, 1.0))
+    moment = herglotz.boundary_extrapolations(family, 0.0, 1.0, analysis.MOMENT_ETAS, power=1)
+    np.testing.assert_allclose(weight[-1], [[2.0]], rtol=1e-3)
+    np.testing.assert_allclose(moment[-1], [[1.0]], rtol=1e-3)

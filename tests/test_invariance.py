@@ -268,7 +268,7 @@ def _squared_sequence(n: int) -> FamilyEvaluator:
 
 
 _SEQUENCES = {**runner._SWEEPS, "rep": _rep_sequence, "z-squared": _squared_sequence}
-_SWEEP_GRID = invariance._offaxis(herglotz.default_grid())
+_SWEEP_GRID = herglotz.offaxis_points(herglotz.default_grid())
 
 
 class TestSweepRatios:
@@ -277,7 +277,7 @@ class TestSweepRatios:
     @pytest.mark.parametrize("name", sorted(_SEQUENCES))
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_ratio_worst_equals_the_parent_ratio_block(self, name, seed):
-        grid = invariance._offaxis(herglotz.default_grid())
+        grid = herglotz.offaxis_points(herglotz.default_grid())
         report = invariance.sweep_continuous_spectrum(
             _SEQUENCES[name], [3, 6], grid, trials=25, rng=np.random.default_rng(seed)
         )

@@ -192,6 +192,20 @@ def test_exactly_singular_inverse_is_a_conditioning_error(singular):
         matnum.inverse(np.stack([np.eye(3), singular, np.eye(3)]))
 
 
+def test_a_zero_by_zero_matrix_is_invertible_and_solves_to_the_empty_solution():
+    from nevlab import relations
+
+    empty = np.zeros((0, 0))
+    assert matnum.definitely_invertible(empty) and matnum.rcond(empty) == 1.0
+    assert matnum.rcond(np.zeros((2, 0, 0))).tolist() == [1.0, 1.0]
+    assert matnum.inverse(empty).shape == (0, 0)
+    assert matnum.inverse(np.zeros((2, 0, 0))).shape == (2, 0, 0)
+    x, rc = matnum.solve(empty, np.zeros((0, 3)))
+    assert x.shape == (0, 3) and rc == 1.0
+    point = relations.LinearRelation(0, np.zeros((0, 0), dtype=np.complex128))
+    assert relations.resolvent_at(point, 1j).shape == (0, 0)
+
+
 def test_spectral_norm_is_numpy_2_norm(rng):
     stack = cgauss(rng, 6, 4, 3)
     assert matnum.spectral_norm(stack).tolist() == np.linalg.norm(stack, 2, axis=(1, 2)).tolist()

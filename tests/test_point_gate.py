@@ -5,8 +5,10 @@ grid through ``herglotz.offaxis_points`` or ``herglotz.upper_points``, so
 real points mixed into a grid change no report: they are dropped before
 anything is evaluated.  The representation below has atoms at three of
 the real points, so a verifier that evaluated one would raise a
-PoleError.  A function defined at one point of C_+, or at one point off
-the axis, rejects any other point with a DomainError.
+PoleError.  A verifier whose grid has no point of the kind it quantifies
+over raises a DomainError naming itself.  A function defined at one point
+of C_+, or at one point off the axis, rejects any other point with a
+DomainError.
 """
 
 import numpy as np
@@ -53,6 +55,10 @@ VERIFIERS = {
     "form_domain": lambda g: examples.form_domain_report(EX, g, rng=np.random.default_rng(1)),
     "sweep": lambda g: invariance.sweep_continuous_spectrum(
         runner._SWEEPS["atomic-dyadic"], (2, 4), g, trials=20, rng=np.random.default_rng(0)),
+    "symmetry_residual": lambda g: FAMILY.symmetry_residual(g),
+    "schatten": lambda g: analysis.schatten_decay(FAMILY, g),
+    "split": lambda g: (lambda r: (r.constancy, r.hermitian_residual, r.passed,
+                                   r.t_constant.tolist()))(analysis.split_bounded_imag(FAMILY, g)),
 }
 
 
@@ -60,6 +66,35 @@ VERIFIERS = {
 def test_real_points_in_the_grid_change_no_report(name):
     verify = VERIFIERS[name]
     assert verify(_mixed(GRID)) == verify(GRID)
+
+
+OFFAXIS_VERDICTS = {  # each quantifies over the off-axis points of its grid
+    "classify": lambda g: herglotz.classify(FamilyEvaluator(1, lambda z: np.array([[-z]])), grid=g),
+    "validate": lambda g: pairs.validate(PAIR, g),
+    "equivalent": lambda g: pairs.equivalent(PAIR, pairs.flip_transform(PAIR), g),
+    "split_bounded_imag": lambda g: analysis.split_bounded_imag(FAMILY, g),
+    "split_black_box": lambda g: analysis.split_black_box(FAMILY, [(1.0, 2.0)], g),
+    "check_point_invariance": lambda g: invariance.check_point_invariance(PAIR, 0.5, g),
+    "sweep_continuous_spectrum": lambda g: invariance.sweep_continuous_spectrum(
+        runner._SWEEPS["atomic-dyadic"], (2, 4), g, trials=5),
+}
+UPPER_VERDICTS = {  # each quantifies over the points of its grid in C_+
+    "form_sandwich_check": lambda g: analysis.form_sandwich_check(REP, g, trials=5),
+    "schatten_decay": lambda g: analysis.schatten_decay(FAMILY, g),
+    "form_domain_report": lambda g: examples.form_domain_report(EX, g),
+    "maximum_principle_schur": lambda g: invariance.maximum_principle_schur(PAIR, 1.0, g),
+}
+
+
+@pytest.mark.parametrize("name, grid", [(name, grid) for name in OFFAXIS_VERDICTS
+                                        for grid in ((), (0.5, 2.0))]
+                         + [(name, grid) for name in UPPER_VERDICTS
+                            for grid in ((), (0.5, 2.0), (-1j, 2.0 - 1j))])
+def test_a_verdict_over_an_empty_grid_raises_naming_itself(name, grid):
+    verdict = OFFAXIS_VERDICTS.get(name) or UPPER_VERDICTS[name]
+    where = "off the real axis" if name in OFFAXIS_VERDICTS else r"in C_\+"
+    with pytest.raises(herglotz.DomainError, match=f"^{name}: the grid has no point {where}$"):
+        verdict(grid)
 
 
 UPPER_GUARDS = {
