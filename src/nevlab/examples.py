@@ -142,9 +142,8 @@ def decay_profile(family: FamilyEvaluator, z: complex) -> tuple[np.ndarray, np.n
     z = herglotz.offaxis_point(z, "decay_profile")
     n = family.dim
     lo, hi = max(1, n // 8), max(2, n // 3)
-    inv = matnum.inverse(family(z), rcond_min=EXAMPLE_RCOND_MIN)
     js = np.arange(lo, hi + 1)
-    s = matnum.singular_values(inv)[js - 1]
+    s = matnum.inverse_singular_values(family(z), EXAMPLE_RCOND_MIN)[js - 1]
     return js, s, analysis.fit_log_slope(js, s)
 
 
@@ -285,7 +284,8 @@ def form_domain_report(
     Test vectors are B^(1/2) images of an orthonormal set, the natural
     domain of the forms; the generalized eigenvalues of the Gram pair
     (Q(z), Q(z0)) must land inside [c1, c2], which is the desk-scale
-    reading of a z-independent form domain with equivalent norms.
+    reading of a z-independent form domain with equivalent norms.  They are
+    the eigenvalues of W* Im F(z) W for W = test Q(z0)^(-1/2), formed once.
     """
     rng = np.random.default_rng(1) if rng is None else rng
     n = ex.config.n
@@ -293,20 +293,18 @@ def form_domain_report(
     test = np.sqrt(ex.b)[:, None] * v
     zs = herglotz.upper_points(grid, "form_domain_report")
     z0 = FORM_ANCHOR
-
-    def gram(z: complex) -> np.ndarray:
-        return matnum.herm_part(test.conj().T @ matnum.imag_part(ex.f_family(z)) @ test)
-
-    q0 = gram(z0)
-    w0, v0 = np.linalg.eigh(q0)
+    im0 = matnum.imag_part(ex.f_family(z0))
+    w0, v0 = np.linalg.eigh(matnum.herm_part(test.conj().T @ im0 @ test))  # the Gram Q(z0)
     if w0[0] <= 0:
         raise ValueError("anchor form is numerically singular on the test space")
-    q0_isqrt = (v0 / np.sqrt(w0)) @ v0.conj().T
+    white = test @ ((v0 / np.sqrt(w0)) @ v0.conj().T)  # W* Im F(z) W = Q0^(-1/2) Q(z) Q0^(-1/2)
+    white_adj = white.conj().T
     bounds, extremes = [], []
     worst = 0.0
     for z in zs:
         hp = analysis.harnack_constants(z0, z)
-        w = np.linalg.eigvalsh(matnum.herm_part(q0_isqrt @ gram(z) @ q0_isqrt))
+        im = im0 if z == z0 else matnum.imag_part(ex.f_family(z))
+        w = np.linalg.eigvalsh(matnum.herm_part(white_adj @ im @ white))
         lo, hi = float(w[0]), float(w[-1])
         bounds.append((hp.c1, hp.c2))
         extremes.append((lo, hi))

@@ -321,8 +321,11 @@ class FamilyEvaluator:
             matnum.as_stack(self.grid_fn(new), len(new), self.dim, "family produced"),))[0]
 
     def symmetry_residual(self, zs: Sequence[complex] | None = None) -> float:
-        """Worst relative residual of F(conj z) - F(z)* over the off-axis samples."""
-        zs = upper_grid() if zs is None else offaxis_points(zs)
+        """Worst relative residual of F(conj z) - F(z)* over the off-axis samples.
+
+        None means ``upper_grid()``; samples without an off-axis point raise DomainError.
+        """
+        zs = upper_grid() if zs is None else offaxis_points(zs, "symmetry_residual")
         values = self.on_grid(zs + tuple(complex(z).conjugate() for z in zs))
         return _symmetry_residual(values[: len(zs)], values[len(zs) :])
 
@@ -506,10 +509,16 @@ def boundary_extrapolations(family: FamilyEvaluator, a: float, b: float,
     """Extrapolations to eta = 0 of (1/pi) integral_a^b x^power Im F(x + i eta) dx.
 
     One for each consecutive pair of heights, linear: the integral's error
-    is asymptotically linear in eta.
+    is asymptotically linear in eta.  The integrand calls the family's rule
+    past its value memo, which would fill with nodes never asked for again.
     """
-    values = [quad_vec(lambda x: x**power * matnum.imag_part(family(complex(x, eta))), a, b,
-                       epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)[0] / np.pi for eta in etas]
+    def integrand(x: float, eta: float) -> np.ndarray:
+        z = (complex(x, eta),)
+        value = matnum.as_stack(family.grid_fn(z), 1, family.dim, "family produced")[0]
+        return x**power * matnum.imag_part(value)
+
+    values = [quad_vec(integrand, a, b, args=(eta,), epsabs=QUAD_TOL, epsrel=QUAD_TOL,
+                       limit=400)[0] / np.pi for eta in etas]
     return [last + (last - prev) * (eta / (eta_prev - eta))
             for prev, last, eta_prev, eta in zip(values, values[1:], etas, etas[1:])]
 

@@ -160,9 +160,10 @@ def check_imag_kernel_invariance(
     grid = _offaxis(grid, "check_imag_kernel_invariance")
     folded = [complex(z.real, abs(z.imag)) for z in grid]  # the C_+ point of each
     values = family.on_grid(grid + (folded[0],))
-    hs = matnum.imag_part(values[:-1]) * herglotz.imag_signs(grid)
-    spans = matnum.null_space(hs, tol)
-    lam_mins = np.linalg.eigvalsh(matnum.herm_part(hs))[:, 0].tolist()
+    # conjugate points fold onto one matrix: each distinct one meets eigh once
+    spans, lams = matnum.hermitian_kernels(
+        matnum.imag_part(values[:-1]) * herglotz.imag_signs(grid), tol)
+    lam_mins = lams.tolist()
     witnesses = [{"kernel_dim": span.shape[1], "lam_min": lam}
                  for span, lam in zip(spans, lam_mins)]
     worst, notes = _span_drift(spans, witnesses)
@@ -371,6 +372,7 @@ class SweepReport:
                 for n in self.n_list for z in self.grid]
 
 
+SWEEP_KEY_BYTES = 1 << 22  # folded Im F_n one truncation keeps results for: six at n = 200
 SWEEP_RATIO_TOL = 1e-9  # passing ratio violation; the sandwich's 1e-10 would tighten it
 MONOTONE_SLACK = 1e-12  # sigma_min may rise by this, relative, from eigensolve round-off
 
@@ -392,10 +394,13 @@ def sweep_continuous_spectrum(
     ratio_worst is the worst violation over n, computed as
     ``analysis.form_sandwich_check`` computes it.  Each grid point is
     evaluated once per n and streamed, so one n x n value is live at a
-    time: its imaginary part gives sigma_min and, at an upper point, the
-    forms, one matrix product against the (trials, n) vectors drawn for
-    that n.  A non-monotone sweep is reported, not fatal by itself for the
-    ratio verdict.
+    time: its folded imaginary part gives sigma_min and, at an upper point,
+    the forms, one matrix product against the (trials, n) vectors drawn for
+    that n.  Both are kept per n by the bytes of that folded part, for at
+    most SWEEP_KEY_BYTES of them, so a matrix met again (at a conjugate
+    point, or at every point of a height for z M) is not decomposed again.
+    A non-monotone sweep is reported, not fatal by itself for the ratio
+    verdict.
     """
     n_list = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
@@ -413,14 +418,22 @@ def sweep_continuous_spectrum(
         if family.dim != n:
             raise ValueError(f"family_sequence({n}) produced dim {family.dim}")
         us = analysis._unit_vectors(rng, trials, n)
+        seen, room = {}, SWEEP_KEY_BYTES  # bytes of sign * Im F_n(z) -> [sigma_min, forms]
         for z, sign in zip(grid, signs):  # z0 comes before every other upper point
-            im = matnum.imag_part(family(z))
-            sigma[(n, z)] = float(np.linalg.eigvalsh(matnum.herm_part(im * sign))[0])
+            folded = matnum.imag_part(family(z)) * sign
+            key = folded.tobytes()
+            entry = seen.get(key)
+            if entry is None:
+                entry = [float(np.linalg.eigvalsh(matnum.herm_part(folded))[0]), None]
+                if len(key) <= room:
+                    seen[key], room = entry, room - len(key)
+            sigma[(n, z)] = entry[0]
+            if z in upper and entry[1] is None:  # here folded is Im F_n(z) itself
+                entry[1] = analysis._forms(us, folded)
             if z == z0:
-                t0 = analysis._forms(us, im)
+                t0 = entry[1]
             elif z in upper:
-                tz = analysis._forms(us, im)
-                ratio_worst = max(ratio_worst, analysis._form_excess(z0, z, t0, tz))
+                ratio_worst = max(ratio_worst, analysis._form_excess(z0, z, t0, entry[1]))
 
     monotone = all(sigma[(b, z)] <= sigma[(a, z)] + MONOTONE_SLACK * (1.0 + abs(sigma[(a, z)]))
                    for z in grid for a, b in zip(n_list, n_list[1:]))

@@ -4,6 +4,13 @@ Everything downstream (kernels, relations, verifiers) routes its numerical
 equality, rank and positivity decisions through this module so that one
 tolerance policy governs the whole library.  All decisions are relative to
 the spectral norm; rank decisions use singular values, never determinants.
+The |lambda| of a Hermitian matrix are its singular values, so Hermitian
+rank and norm decisions read them from the one ``eigh`` or ``eigvalsh``
+that also gives lambda_min, and s_j(A^(-1)) is 1 / s_(n+1-j)(A).  A
+decomposition is a pure function of the bytes of its input: a stack that
+holds one matrix several times (conjugate points of a folded family, say)
+decomposes it once and hands the result to every copy, so the reuse gives
+the bits a fresh call would.
 """
 
 from __future__ import annotations
@@ -152,11 +159,48 @@ def hermitian_residual(h):
     return float(_residuals(m)[0]) if one else _residuals(m)
 
 
+def _pow2(m: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, the power of two in (max |m_ij| / 2, max |m_ij|] (1/2 for zero)."""
+    return np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(1, 2), initial=0.0))[1] - 1)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack, each matrix scaled by _pow2 before its entries are squared."""
+    scale = _pow2(m)
+    unit = m / scale[:, None, None]
+    return scale * np.sqrt((unit.real**2 + unit.imag**2).sum(axis=(1, 2)))
+
+
 def _hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Hermitian parts of a square stack; HermitianityError unless each is within eps_eq."""
-    if (_residuals(m) > tol.eps_eq).any():
-        raise HermitianityError(f"matrix is not Hermitian within eps_eq={tol.eps_eq!r}")
-    return _herm(m)
+    """Hermitian parts of a square stack; HermitianityError unless each is within eps_eq.
+
+    A stack equal to its adjoint has residual 0 and passes at once.  Else a
+    matrix H passes without an SVD when sqrt(n) ||H - H*||_F <= eps_eq ||H||_F / 2:
+    ||H - H*||_2 <= ||H - H*||_F and ||H||_F <= sqrt(n) ||H||_2, so its
+    ``hermitian_residual`` is at most eps_eq / 2, and the factor 2 covers the
+    round-off of the two norms.  H is divided by a power of two first, which
+    changes no bit of H - H* but its exponent and keeps both norms finite.
+    The others meet the exact rule, with its message.
+    """
+    adj = _adjoint(m)
+    if not (m == adj).all():
+        unit = m / _pow2(m)[:, None, None]
+        size = _frobenius(unit)
+        bound = np.sqrt(m.shape[-1]) * _frobenius(unit - _adjoint(unit))
+        exact = ~((bound <= 0.5 * tol.eps_eq * size) & (size > 0.0))
+        if exact.any() and (_residuals(m[exact]) > tol.eps_eq).any():
+            raise HermitianityError(f"matrix is not Hermitian within eps_eq={tol.eps_eq!r}")
+    return (m + adj) / 2.0
+
+
+def _distinct(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A stack's distinct matrices by exact bytes, first seen first; where each slice went."""
+    keys = [a.tobytes() for a in m]
+    firsts: dict[bytes, int] = {}
+    for k, key in enumerate(keys):
+        firsts.setdefault(key, k)
+    slot = {key: j for j, key in enumerate(firsts)}
+    return m[list(firsts.values())], [slot[key] for key in keys]
 
 
 def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL):
@@ -164,14 +208,16 @@ def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL):
 
     The input must be Hermitian within ``eps_eq`` relative to its norm; it is
     symmetrized before the eigendecomposition to remove round-off asymmetry.
+    The norm in the floor is max |lambda|, from the same ``eigvalsh``.
     A (G, n, n) stack takes one batched ``eigvalsh`` and gives a list of
     verdicts with an array of lambda_min; if any matrix is not Hermitian,
     the call raises.
     """
     m, one = _stack(h, square=True)
     m = _hermitian(m, tol)
-    lam = np.linalg.eigvalsh(m)[:, 0] if m.shape[1] else np.zeros(len(m))
-    ok = (lam >= -tol.eps_psd * (1.0 + _norms(m))).tolist()
+    lams = np.linalg.eigvalsh(m) if m.shape[1] else np.zeros((len(m), 1))
+    lam, norm = lams[:, 0], np.maximum(-lams[:, 0], lams[:, -1])  # ||H||_2 = max |lambda|
+    ok = (lam >= -tol.eps_psd * (1.0 + norm)).tolist()
     return (ok[0], float(lam[0])) if one else (ok, lam)
 
 
@@ -184,6 +230,28 @@ def eig_hermitian(h, tol: TolerancePolicy = DEFAULT_TOL):
     m, one = _stack(h, square=True)
     w, v = np.linalg.eigh(_hermitian(m, tol))
     return (w[0], v[0]) if one else (w, v)
+
+
+def hermitian_kernels(h, tol: TolerancePolicy = DEFAULT_TOL):
+    """``null_space`` bases and lambda_min of Hermitian matrices from one ``eigh``.
+
+    The basis holds the eigenvectors with |lambda| <= eps_rank * max |lambda|,
+    null_space's rule read from the eigenvalues, the singular values of a
+    Hermitian matrix; for the zero matrix it is the identity, and a 0 x 0
+    matrix has lambda_min 0.  A (G, n, n) stack gives a list of G bases and
+    an array of lambda_min, and its distinct matrices (by exact bytes) go
+    through one batched ``eigh``, each once.
+    """
+    m, one = _stack(h, square=True)
+    m, where = _distinct(_hermitian(m, tol))
+    lams, vecs = np.linalg.eigh(m) if m.shape[1] else (np.zeros((len(m), 0)), m)
+    # lambda ascends, so |lambda| <= cut is the run of columns between the two tails
+    cut = tol.eps_rank * np.abs(lams).max(axis=1, initial=0.0, keepdims=True)
+    starts = np.count_nonzero(lams < -cut, axis=1)[where].tolist()
+    stops = (lams.shape[1] - np.count_nonzero(lams > cut, axis=1))[where].tolist()
+    bases = [v[:, a:b] for v, a, b in zip(vecs[where], starts, stops)]  # no two share memory
+    lam_mins = (lams[:, 0] if m.shape[1] else np.zeros(len(m)))[where]
+    return (bases[0], float(lam_mins[0])) if one else (bases, lam_mins)
 
 
 def _svals(m: np.ndarray) -> np.ndarray:
@@ -312,8 +380,21 @@ def rcond(a):
 def _rconds(m: np.ndarray) -> np.ndarray:
     if m.shape[1] != m.shape[2] or m.shape[1] == 0:  # a 0 x 0 matrix is invertible
         return np.full(m.shape[0], float(m.shape[1] == m.shape[2]))
-    s = _svals(m)
-    return np.divide(s[:, -1], s[:, 0], out=np.zeros(m.shape[0]), where=s[:, 0] != 0.0)
+    return _rconds_from(_svals(m))
+
+
+def _rconds_from(s: np.ndarray) -> np.ndarray:
+    """s_min / s_max of each row of (G, k >= 1) descending singular values, 0 for a zero matrix."""
+    return np.divide(s[:, -1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] != 0.0)
+
+
+def _guard(rc: np.ndarray, rcond_min: float) -> None:
+    """The solve guard: ConditioningError for the first reciprocal condition below rcond_min."""
+    failing = rc < rcond_min
+    if failing.any():
+        raise ConditioningError(
+            f"solve rejected: reciprocal condition {rc[failing.argmax()]:.3e} < {rcond_min:.0e}"
+        )
 
 
 INVERTIBLE_MIN = 1e-12  # least sigma_min / scale that is invertible; pairs guards its solves with it
@@ -356,11 +437,7 @@ def solve(a, b, rcond_min: float = 1e-14):
     m = _checked(a, square=True)
     rb = _checked(b, (1, 2, 3))
     rc = _rconds(m if m.ndim == 3 else m[None])
-    failing = rc < rcond_min
-    if failing.any():
-        raise ConditioningError(
-            f"solve rejected: reciprocal condition {rc[failing.argmax()]:.3e} < {rcond_min:.0e}"
-        )
+    _guard(rc, rcond_min)
     if m.ndim == 3 and rb.ndim == 2:
         # one B for the whole stack, broadcast here: numpy < 2 reads a 2-d B
         # against a 3-d A as a stack of vectors
@@ -388,3 +465,17 @@ def inverse(a, rcond_min: float = 1e-14) -> np.ndarray:
     if not certified.all():
         x, _ = solve(m, eye, rcond_min)
     return x[0] if one else x
+
+
+def inverse_singular_values(a, rcond_min: float = 1e-14) -> np.ndarray:
+    """Singular values of A^(-1), descending, as 1 / s_(n+1-j)(A) from one SVD of A.
+
+    ``solve``'s guard decides from the same values and raises its
+    ConditioningError, so no inverse is formed.
+    """
+    m = _checked(a, (2,), square=True)
+    if m.size == 0:
+        return np.zeros(0)
+    s = _svals(m[None])
+    _guard(_rconds_from(s), rcond_min)
+    return 1.0 / s[0, ::-1]

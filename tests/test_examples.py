@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import cgauss, random_upper
-from nevlab import examples, herglotz, matnum
+from nevlab import analysis, examples, herglotz, matnum
 from nevlab.examples import Ex4AConfig, SturmLiouvilleConfig
 from nevlab.herglotz import HerglotzRep
 
@@ -96,6 +98,26 @@ class TestDecayExponent:
         fam = examples.build_interval_family(SturmLiouvilleConfig(n=8, phi=phi_zero()))
         with pytest.raises(herglotz.DomainError):
             examples.decay_exponent(fam, 1.0)
+
+    def test_profile_is_the_inverse_profile_without_an_inverse(self):
+        fam = examples.build_interval_family(SturmLiouvilleConfig(n=64, phi=phi_linear()))
+        js, s, slope = examples.decay_profile(fam, 0.7 + 0.1j)
+        inverse = matnum.inverse(fam(0.7 + 0.1j), examples.EXAMPLE_RCOND_MIN)
+        np.testing.assert_allclose(s, matnum.singular_values(inverse)[js - 1], rtol=1e-12)
+        assert slope == pytest.approx(analysis.fit_log_slope(js, s), rel=0, abs=0)
+
+    @pytest.mark.parametrize("rcond", [1e-17, 0.5 * examples.EXAMPLE_RCOND_MIN])
+    def test_near_singular_value_raises_the_solve_guard_error(self, rng, rcond):
+        n = 16
+        u, _ = np.linalg.qr(cgauss(rng, n, n))
+        v, _ = np.linalg.qr(cgauss(rng, n, n))
+        g = (u * np.geomspace(1.0, rcond, n)) @ v.conj().T
+        fam = herglotz.FamilyEvaluator.from_callable(lambda z: g, n)
+        with pytest.raises(matnum.ConditioningError) as solved:
+            matnum.solve(g, np.eye(n), examples.EXAMPLE_RCOND_MIN)
+        with pytest.raises(matnum.ConditioningError) as got:
+            examples.decay_profile(fam, 1j)
+        assert str(got.value) == str(solved.value)
 
 
 class TestHalflineFamily:
@@ -218,6 +240,33 @@ class TestFormDomainReport:
         ex = examples.build_ex4a(Ex4AConfig(n=30, c_perturbation=0.5, seed=9))
         report = examples.form_domain_report(ex)
         assert report.passed
+
+    def test_whitened_extremes_are_the_generalized_ones(self):
+        """W* Im F(z) W, W = test Q(z0)^(-1/2), against Q(z0)^(-1/2) Q(z) Q(z0)^(-1/2)."""
+        ex = examples.build_ex4a(Ex4AConfig(n=20, c_perturbation=0.3, seed=2))
+        report = examples.form_domain_report(ex, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        v = np.linalg.qr(cgauss(rng, 20, 20))[0]
+        test = np.sqrt(ex.b)[:, None] * v
+
+        def gram(z):
+            return matnum.herm_part(test.conj().T @ matnum.imag_part(ex.f_family(z)) @ test)
+
+        w0, v0 = np.linalg.eigh(gram(1j))
+        isqrt = (v0 / np.sqrt(w0)) @ v0.conj().T
+        for z, (lo, hi) in zip(report.grid, report.extremes):
+            w = np.linalg.eigvalsh(matnum.herm_part(isqrt @ gram(z) @ isqrt))
+            np.testing.assert_allclose([lo, hi], w[[0, -1]], rtol=1e-10)
+
+    def test_the_anchor_is_evaluated_once(self):
+        """At n = 128 the value memo keeps nothing, so the report itself must not ask twice."""
+        ex = examples.build_ex4a(Ex4AConfig(n=128, c_perturbation=0.3, seed=2))
+        seen = []
+        rule = ex.f_family.grid_fn
+        ex.f_family.grid_fn = lambda zs: seen.extend(zs) or rule(zs)
+        report = examples.form_domain_report(ex)
+        assert ex.f_family.memo.values == {}
+        assert 1j in report.grid and Counter(seen) == Counter(report.grid)
 
     def test_bounds_contain_extremes(self):
         ex = examples.build_ex4a(Ex4AConfig(n=12, c_perturbation=0.4, seed=4))

@@ -407,3 +407,25 @@ def test_boundary_extrapolations_give_the_weight_and_the_first_moment():
     moment = herglotz.boundary_extrapolations(family, 0.0, 1.0, analysis.MOMENT_ETAS, power=1)
     np.testing.assert_allclose(weight[-1], [[2.0]], rtol=1e-3)
     np.testing.assert_allclose(moment[-1], [[1.0]], rtol=1e-3)
+
+
+def test_boundary_integrals_leave_the_value_memo_to_the_grid():
+    """The quadrature's nodes are never asked for again, so none of them fills the memo."""
+    family = FamilyEvaluator.from_rep(random_rep(np.random.default_rng(5), 2, 3))
+    herglotz.boundary_extrapolations(family, 0.0, 1.0, herglotz.STIELTJES_ETAS)
+    assert family.memo.values == {} and family.memo.nbytes == 0
+    herglotz.stieltjes_invert(family, 0.0, 1.0)
+    assert list(family.memo.values) == [(0.0, 1.0)]  # its scale, F(i)
+    grid = herglotz.default_grid()
+    family.on_grid(grid)
+    assert len(family.memo.values) == len(set(grid) | {1j})
+
+
+@pytest.mark.parametrize("zs", [[0.5, 2.0], [], [3.0]])
+def test_symmetry_residual_needs_an_offaxis_point(zs):
+    """F(z) = iz is not symmetric; a grid on the axis must not read as perfect symmetry."""
+    family = FamilyEvaluator.from_callable(lambda z: np.array([[1j * z]]), 1)
+    assert family.symmetry_residual([1j]) == 1.0
+    with pytest.raises(herglotz.DomainError, match="symmetry_residual"):
+        family.symmetry_residual(zs)
+    assert family.symmetry_residual() == family.symmetry_residual(herglotz.upper_grid())

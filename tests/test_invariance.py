@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,6 +307,87 @@ class TestSweepRatios:
         )
         assert sweep.ratio_worst > 1e-9
         assert not sweep.ratios_ok and not sweep.passed
+
+
+def _sweep_loop(family_sequence, n_list, grid, trials, seed):
+    """sigma_min and ratio_worst with every point decomposed afresh: the reference for reuse."""
+    rng = np.random.default_rng(seed)
+    z0 = next(z for z in grid if z.imag > 0)
+    sigma, ratio_worst = {}, 0.0
+    for n in n_list:
+        family = family_sequence(n)
+        us = analysis._unit_vectors(rng, trials, n)
+        for z in grid:
+            im = matnum.imag_part(family(z))
+            sigma[(n, z)] = float(np.linalg.eigvalsh(matnum.herm_part(im * np.sign(z.imag)))[0])
+            if z == z0:
+                t0 = analysis._forms(us, im)
+            elif z.imag > 0:
+                tz = analysis._forms(us, im)
+                ratio_worst = max(ratio_worst, analysis._form_excess(z0, z, t0, tz))
+    return sigma, ratio_worst
+
+
+# distinct heights: no two points share a folded Im F_n for any sequence
+_DISTINCT_GRID = (0.3 + 0.5j, -1.0 + 1.3j, 2.0 - 0.2j, 0.5 + 2.5j, -0.7 - 0.9j, 0.0 + 0.35j)
+
+
+def _count_eigvalsh(monkeypatch) -> Counter:
+    """Matrices handed to np.linalg.eigvalsh, by dimension."""
+    sizes: Counter = Counter()
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *r, **k: sizes.update([np.shape(a)[-1]]) or eigvalsh(a, *r, **k))
+    return sizes
+
+
+class TestSweepReuse:
+    """A folded Im F_n met again reuses its sigma_min and forms, bit for bit."""
+
+    @pytest.mark.parametrize("grid", [_SWEEP_GRID, _DISTINCT_GRID], ids=["default", "distinct"])
+    @pytest.mark.parametrize("name", sorted(_SEQUENCES))
+    def test_report_equals_the_loop_without_reuse(self, monkeypatch, name, grid):
+        families = {n: _SEQUENCES[name](n) for n in (3, 6, 12)}  # built before counting
+        sizes = _count_eigvalsh(monkeypatch)
+        report = invariance.sweep_continuous_spectrum(
+            families.get, [3, 6, 12], grid, trials=20, rng=np.random.default_rng(4))
+        if grid is _DISTINCT_GRID:
+            assert sizes == {n: len(grid) for n in (3, 6, 12)}
+        sigma, ratio_worst = _sweep_loop(_SEQUENCES[name], [3, 6, 12], grid, 20, 4)
+        assert list(report.sigma_min) == list(sigma)
+        assert np.array(list(report.sigma_min.values())).tobytes() == \
+            np.array(list(sigma.values())).tobytes()
+        assert report.ratio_worst == ratio_worst
+
+    def test_diag_inverse_k_takes_six_eigensolves_per_n(self, monkeypatch):
+        sizes = _count_eigvalsh(monkeypatch)
+        invariance.sweep_continuous_spectrum(runner._SWEEPS["diag-inverse-k"], [4, 8, 16],
+                                             trials=10, rng=np.random.default_rng(0))
+        assert sizes == {4: 6, 8: 6, 16: 6}  # 30 each without reuse
+
+    def test_without_room_every_point_is_decomposed(self, monkeypatch):
+        monkeypatch.setattr(invariance, "SWEEP_KEY_BYTES", 0)
+        sizes = _count_eigvalsh(monkeypatch)
+        report = invariance.sweep_continuous_spectrum(
+            runner._SWEEPS["diag-inverse-k"], [4, 8], trials=10, rng=np.random.default_rng(0))
+        assert sizes == {4: 30, 8: 30}
+        sigma, ratio_worst = _sweep_loop(runner._SWEEPS["diag-inverse-k"], [4, 8],
+                                         herglotz.default_grid(), 10, 0)
+        assert report.sigma_min == sigma and report.ratio_worst == ratio_worst
+
+
+def test_imag_kernel_decomposes_each_folded_matrix_once(rng, monkeypatch):
+    """The 40-point check grid folds onto 20 matrices, each meeting one eigh."""
+    rep = random_rep(rng, 3, 4)
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: seen.append(len(a)) or eigh(a))
+    sizes = _count_eigvalsh(monkeypatch)
+    report = invariance.check_imag_kernel_invariance(rep)
+    assert len(report.grid) == 40 and seen == [20] and not sizes
+    for z, w in zip(report.grid, report.witnesses):  # conjugate points read one matrix
+        twin = report.witnesses[report.grid.index(z.conjugate())]
+        assert (w["kernel_dim"], w["lam_min"]) == (twin["kernel_dim"], twin["lam_min"])
 
 
 class TestSweepStreaming:

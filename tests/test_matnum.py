@@ -206,6 +206,139 @@ def test_a_zero_by_zero_matrix_is_invertible_and_solves_to_the_empty_solution():
     assert relations.resolvent_at(point, 1j).shape == (0, 0)
 
 
+# -- Hermitian decisions: the certified gate and the norm read from eigenvalues
+
+
+def _raises_hermitianity(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except matnum.HermitianityError as exc:
+        assert str(exc).startswith("matrix is not Hermitian within eps_eq=")
+        return True
+    return False
+
+
+def _skewed(rng, n: int, amount: float) -> np.ndarray:
+    """A Hermitian matrix plus amount times a skew-Hermitian one, at a scale over six decades."""
+    h, k = cgauss(rng, n, n), cgauss(rng, n, n)
+    return 10.0 ** rng.uniform(-3.0, 3.0) * ((h + h.conj().T) + amount * (k - k.conj().T))
+
+
+HERMITIAN_PRIMITIVES = (matnum.is_psd, matnum.eig_hermitian, matnum.hermitian_kernels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), side=st.sampled_from([-1, 1]),
+       amounts=st.lists(st.sampled_from([0.0, 1e-15, 1e-9, 1e-4]), min_size=1, max_size=5))
+def test_hermitian_gate_decides_planted_residuals_as_the_svd_rule(seed, n, side, amounts):
+    """eps_eq planted at (1 + side 1e-6) times the largest residual, where the SVD rule decides."""
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_skewed(rng, n, amount) for amount in amounts])
+    residuals = matnum.hermitian_residual(stack)
+    worst = float(residuals.max())
+    if worst == 0.0:  # no threshold to plant: an exactly Hermitian stack passes
+        assert not any(_raises_hermitianity(fn, stack) for fn in HERMITIAN_PRIMITIVES)
+        return
+    tol = TolerancePolicy(eps_eq=worst * (1.0 + side * 1e-6))
+    for fn in HERMITIAN_PRIMITIVES:
+        assert _raises_hermitianity(fn, stack, tol) == (side < 0)
+        for one, residual in zip(stack, residuals):
+            assert _raises_hermitianity(fn, one, tol) == (residual > tol.eps_eq)
+
+
+def test_hermitian_gate_takes_no_svd_on_a_hermitian_stack(rng, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    stack = np.stack([_skewed(rng, 5, amount) for amount in (0.0, 1e-15, 0.0)])
+    for fn in HERMITIAN_PRIMITIVES:
+        fn(stack)
+    assert calls == []
+    assert _raises_hermitianity(matnum.is_psd, np.stack([stack[0], _skewed(rng, 5, 1e-4)]))
+    assert calls == [1, 1]  # the exact rule: two norms of the one uncertified matrix
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_hermitian_gate_is_scale_free(scale):
+    """Entries near under- or overflow certify nothing the exact rule would reject."""
+    skew = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert _raises_hermitianity(matnum.is_psd, skew)
+    assert matnum.is_psd(scale * np.eye(2)) == (True, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), side=st.sampled_from([-1, 1]),
+       eps_psd=st.sampled_from([1e-3, 1e-6]))
+def test_psd_scale_from_eigenvalues_decides_planted_margins_as_the_svd_norm(seed, n, side, eps_psd):
+    """lambda_min planted at -eps_psd (1 + ||H||) (1 + side 1e-6).
+
+    ||H|| read as max |lambda| decides as ||H|| read as sigma_max does.
+    """
+    rng = np.random.default_rng(seed)
+    tol = TolerancePolicy(eps_psd=eps_psd)
+    norm = 10.0 ** rng.uniform(0.0, 3.0)
+    lam = np.concatenate([[-eps_psd * (1.0 + norm) * (1.0 + side * 1e-6)],
+                          rng.uniform(0.0, norm, n - 2), [norm]])
+    u, _ = np.linalg.qr(cgauss(rng, n, n))
+    h = matnum.herm_part((u * lam) @ u.conj().T)
+    stack = np.stack([h, h[::-1, ::-1], np.eye(n)])
+    oks, lams = matnum.is_psd(stack, tol)
+    svd_rule = (lams >= -tol.eps_psd * (1.0 + matnum.spectral_norm(stack))).tolist()
+    assert oks == svd_rule == [side < 0, side < 0, True]
+    assert matnum.is_psd(h, tol) == (oks[0], lams[0])
+
+
+def test_hermitian_kernels_equal_null_space_and_eigvalsh(rng):
+    n = 5
+    u, _ = np.linalg.qr(cgauss(rng, n, n))
+    mats = [(u[:, :k] * rng.uniform(0.5, 2.0, k)) @ u[:, :k].conj().T for k in range(n + 1)]
+    mats += [np.zeros((n, n)), -mats[3], mats[2]]  # the zero matrix, a negative one, a repeat
+    stack = np.stack(mats)
+    bases, lams = matnum.hermitian_kernels(stack)
+    want = matnum.null_space(stack)
+    widths = [n - k for k in range(n + 1)] + [n, 2, 3]
+    assert [b.shape for b in bases] == [w.shape for w in want] == [(n, k) for k in widths]
+    for b, w in zip(bases, want):
+        assert matnum.subspace_distance(b, w) <= 1e-12
+    np.testing.assert_allclose(lams, np.linalg.eigvalsh(stack)[:, 0], rtol=0, atol=1e-14)
+    assert np.array_equal(bases[-1], bases[2]) and lams[-1] == lams[2]
+    bases[-1][...] = 0.0  # a repeat hands out a basis of its own
+    assert not np.array_equal(bases[-1], bases[2])
+    one, lam = matnum.hermitian_kernels(stack[3])
+    assert np.array_equal(one, bases[3]) and lam == lams[3]
+    empty, lam0 = matnum.hermitian_kernels(np.zeros((2, 0, 0)))
+    assert [b.shape for b in empty] == [(0, 0), (0, 0)] and lam0.tolist() == [0.0, 0.0]
+
+
+def test_hermitian_kernels_decompose_each_distinct_matrix_once(rng, monkeypatch):
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: seen.append(len(a)) or eigh(a))
+    h = _skewed(rng, 4, 0.0)
+    matnum.hermitian_kernels(np.stack([h, -h, h, h.copy(), -h]))
+    assert seen == [2]
+
+
+def test_inverse_singular_values_are_those_of_the_inverse(rng):
+    for n in (1, 3, 8):
+        a = _planted(rng, n, 1e-6) if n > 1 else np.array([[2.0 + 1j]])
+        got = matnum.inverse_singular_values(a)
+        np.testing.assert_allclose(got, matnum.singular_values(matnum.inverse(a)), rtol=1e-9)
+        assert np.all(np.diff(got) <= 0.0)
+    assert matnum.inverse_singular_values(np.zeros((0, 0))).shape == (0,)
+
+
+@pytest.mark.parametrize("rcond", [0.99 * RCOND_MIN, 0.0])
+def test_inverse_singular_values_guard_as_solve_does(rng, rcond):
+    a = _planted(rng, 6, rcond)
+    with pytest.raises(matnum.ConditioningError) as solved:
+        matnum.solve(a, np.eye(6), RCOND_MIN)
+    with pytest.raises(matnum.ConditioningError) as got:
+        matnum.inverse_singular_values(a, RCOND_MIN)
+    assert str(got.value) == str(solved.value)
+    assert matnum.inverse_singular_values(_planted(rng, 6, 1.01 * RCOND_MIN), RCOND_MIN)[0] > 0
+
+
 def test_spectral_norm_is_numpy_2_norm(rng):
     stack = cgauss(rng, 6, 4, 3)
     assert matnum.spectral_norm(stack).tolist() == np.linalg.norm(stack, 2, axis=(1, 2)).tolist()
