@@ -312,7 +312,7 @@ def _certify_split(family, g: HerglotzRep, zs: tuple[complex, ...], rtol: float)
 
 
 def _clip_psd(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(matnum.herm_part(h))
+    w, v = matnum.herm_part_eig(h, vectors=True)
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
@@ -358,8 +358,7 @@ def weak_strong_check(
     z = complex(z)
     rng = np.random.default_rng(0) if rng is None else rng
     c2 = c2_of(z)
-    k = rep.measure.k_sigma()
-    w, v = np.linalg.eigh(matnum.herm_part(k))
+    w, v = matnum.herm_part_eig(rep.measure.k_sigma(), vectors=True)
     k_half = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     k_half_norm = matnum.spectral_norm(k_half)
     tail = _measure_tail(rep, z)
@@ -389,12 +388,8 @@ def factor_check(
     """
     z = complex(z)
     c2 = c2_of(z)
-    k = matnum.herm_part(rep.measure.k_sigma())
-    w, v = np.linalg.eigh(k)
-    wmax = float(w[-1]) if w.size else 0.0
-    keep = w > tol.eps_rank * max(wmax, ZERO_FLOOR)
-    if not np.any(keep):
-        return BoundReport(z, c2, 0.0, 0, True)
+    w, v = matnum.herm_part_eig(rep.measure.k_sigma(), vectors=True)
+    keep = w > tol.eps_rank * max(float(w.max(initial=0.0)), ZERO_FLOOR)
     vr = v[:, keep]
     dr = w[keep]
     tail = _measure_tail(rep, z)

@@ -289,12 +289,12 @@ def form_domain_report(
     """
     rng = np.random.default_rng(1) if rng is None else rng
     n = ex.config.n
-    v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    v = matnum.qr_q(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     test = np.sqrt(ex.b)[:, None] * v
     zs = herglotz.upper_points(grid, "form_domain_report")
     z0 = FORM_ANCHOR
     im0 = matnum.imag_part(ex.f_family(z0))
-    w0, v0 = np.linalg.eigh(matnum.herm_part(test.conj().T @ im0 @ test))  # the Gram Q(z0)
+    w0, v0 = matnum.herm_part_eig(test.conj().T @ im0 @ test, vectors=True)  # the Gram Q(z0)
     if w0[0] <= 0:
         raise ValueError("anchor form is numerically singular on the test space")
     white = test @ ((v0 / np.sqrt(w0)) @ v0.conj().T)  # W* Im F(z) W = Q0^(-1/2) Q(z) Q0^(-1/2)
@@ -304,7 +304,7 @@ def form_domain_report(
     for z in zs:
         hp = analysis.harnack_constants(z0, z)
         im = im0 if z == z0 else matnum.imag_part(ex.f_family(z))
-        w = np.linalg.eigvalsh(matnum.herm_part(white_adj @ im @ white))
+        w = matnum.herm_part_eig(white_adj @ im @ white)
         lo, hi = float(w[0]), float(w[-1])
         bounds.append((hp.c1, hp.c2))
         extremes.append((lo, hi))

@@ -358,11 +358,9 @@ def as_family(f: FamilyEvaluator | HerglotzRep) -> FamilyEvaluator:
 
 def _symmetry_residual(at_z: np.ndarray, at_conj: np.ndarray) -> float:
     """Worst relative spectral residual of F(conj z) - F(z)* over two value stacks."""
-    if len(at_z) == 0:
-        return 0.0
     a, b = at_conj, at_z.conj().swapaxes(-1, -2)
     scale = 1.0 + np.maximum(matnum.spectral_norm(a), matnum.spectral_norm(b))
-    return float(np.max(matnum.spectral_norm(a - b) / scale))
+    return float(np.max(matnum.spectral_norm(a - b) / scale, initial=0.0))
 
 
 def family_direct_sum(fa: FamilyEvaluator, fb: FamilyEvaluator) -> FamilyEvaluator:
@@ -482,7 +480,7 @@ def classify(
     ok_all = sym <= tol.eps_eq and all(oks)
 
     im_i = matnum.imag_part(values[-1])
-    lam_min = float(np.linalg.eigvalsh(matnum.herm_part(im_i))[0])
+    lam_min = float(matnum.herm_part_eig(im_i)[0])
     if not ok_all:
         return Classification(CLASS_NOT_NEV, lam_min, -1, sym, float(margin))
 

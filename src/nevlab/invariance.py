@@ -161,7 +161,7 @@ def check_imag_kernel_invariance(
     folded = [complex(z.real, abs(z.imag)) for z in grid]  # the C_+ point of each
     values = family.on_grid(grid + (folded[0],))
     # conjugate points fold onto one matrix: each distinct one meets eigh once
-    spans, lams = matnum.hermitian_kernels(
+    spans, lams, norms = matnum._hermitian_kernels(
         matnum.imag_part(values[:-1]) * herglotz.imag_signs(grid), tol)
     lam_mins = lams.tolist()
     witnesses = [{"kernel_dim": span.shape[1], "lam_min": lam}
@@ -170,8 +170,9 @@ def check_imag_kernel_invariance(
     if "dim" not in notes:
         return InvarianceReport("imag-kernel-invariance", grid, witnesses, False, 1.0, notes)
 
-    m0 = lam_mins[0]
-    scale = 1.0 + matnum.spectral_norm(matnum.imag_part(values[-1]))
+    # in C_+ the anchor's Im F is the first folded matrix, whose eigenvalues are at hand
+    norm0 = norms[0] if grid[0] == folded[0] else matnum.spectral_norm(matnum.imag_part(values[-1]))
+    m0, scale = lam_mins[0], 1.0 + float(norm0)
     corridor_worst = max(
         analysis.harnack_excess(analysis.harnack_constants(folded[0], z), m0, m, scale)
         for z, m in zip(folded, lam_mins)
@@ -286,7 +287,7 @@ def classify_family_pair(
     z = herglotz.upper_point(z, "classify_family_pair")
     phi, psi = pair(z)
     kern = matnum.herm_part(pairs.diagonal_kernel(phi, psi, z, tol))
-    lams = np.linalg.eigvalsh(kern)
+    lams = matnum.herm_part_eig(kern)
     lam_min = float(lams[0])
     kernel_dim, mul_dim = (b.shape[1] for b in matnum.null_space(np.stack([kern, phi]), tol))
     rc_phi, rc_psi = matnum.rcond(np.stack([phi, psi])).tolist()
@@ -396,11 +397,11 @@ def sweep_continuous_spectrum(
     evaluated once per n and streamed, so one n x n value is live at a
     time: its folded imaginary part gives sigma_min and, at an upper point,
     the forms, one matrix product against the (trials, n) vectors drawn for
-    that n.  Both are kept per n by the bytes of that folded part, for at
-    most SWEEP_KEY_BYTES of them, so a matrix met again (at a conjugate
-    point, or at every point of a height for z M) is not decomposed again.
-    A non-monotone sweep is reported, not fatal by itself for the ratio
-    verdict.
+    that n.  Both are kept per n by the bytes of that folded part, -0.0
+    read as 0.0, for at most SWEEP_KEY_BYTES of them, so a matrix met again
+    (at a conjugate point, or at every point of a height for z M) is not
+    decomposed again.  A non-monotone sweep is reported, not fatal by
+    itself for the ratio verdict.
     """
     n_list = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
@@ -421,10 +422,10 @@ def sweep_continuous_spectrum(
         seen, room = {}, SWEEP_KEY_BYTES  # bytes of sign * Im F_n(z) -> [sigma_min, forms]
         for z, sign in zip(grid, signs):  # z0 comes before every other upper point
             folded = matnum.imag_part(family(z)) * sign
-            key = folded.tobytes()
+            key = (folded + 0.0).tobytes()  # -0.0 entries are 0.0 in the key
             entry = seen.get(key)
             if entry is None:
-                entry = [float(np.linalg.eigvalsh(matnum.herm_part(folded))[0]), None]
+                entry = [float(matnum.herm_part_eig(folded)[0]), None]
                 if len(key) <= room:
                     seen[key], room = entry, room - len(key)
             sigma[(n, z)] = entry[0]

@@ -6,15 +6,18 @@ tolerance policy governs the whole library.  All decisions are relative to
 the spectral norm; rank decisions use singular values, never determinants.
 The |lambda| of a Hermitian matrix are its singular values, so Hermitian
 rank and norm decisions read them from the one ``eigh`` or ``eigvalsh``
-that also gives lambda_min, and s_j(A^(-1)) is 1 / s_(n+1-j)(A).  A
-decomposition is a pure function of the bytes of its input: a stack that
-holds one matrix several times (conjugate points of a folded family, say)
-decomposes it once and hands the result to every copy, so the reuse gives
-the bits a fresh call would.
+that also gives lambda_min, and s_j(A^(-1)) is 1 / s_(n+1-j)(A).  Every
+SVD, eigensolve and QR runs in ``_lapack``, which looks numpy's routine
+up at call time, decomposes each distinct matrix of a stack once (equal
+first words, then equal weighted hashes of the words, flag candidates
+that equal bytes confirm; a stack without repeats reaches LAPACK as it
+is) and builds numpy 2's empty results.  Each caller keeps its LAPACK job
+(values only or full SVD, ``eigvalsh`` or ``eigh``): the jobs round differently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +116,43 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _lapack(kind: str, m: np.ndarray):
+    """numpy's ``kind`` of each distinct matrix of a checked (G, rows, cols) stack, once.
+
+    kind: "svdvals", "svd" (full), "svd_thin", "eigvalsh", "eigh" or "qr" (reduced).
+    """
+    count, rows, cols = m.shape
+    if 0 in m.shape:  # numpy 2's results, built here: numpy < 2 rejects some empty shapes
+        k, eye = min(rows, cols), lambda r, c: np.zeros((count, r, c), np.complex128) + np.eye(r, c)
+        s = np.zeros((count, k))  # every value stack is empty, and k = cols for an eigensolve
+        return {"svdvals": lambda: s, "eigvalsh": lambda: s,
+                "svd": lambda: (eye(rows, rows), s, eye(cols, cols)),
+                "svd_thin": lambda: (eye(rows, k), s, eye(k, cols)),
+                "eigh": lambda: (s, eye(k, k)), "qr": lambda: (eye(rows, k), eye(k, cols))}[kind]()
+    routine = {"svdvals": lambda a: np.linalg.svd(a, compute_uv=False), "svd": np.linalg.svd,
+               "svd_thin": lambda a: np.linalg.svd(a, full_matrices=False),
+               "eigvalsh": np.linalg.eigvalsh, "eigh": np.linalg.eigh, "qr": np.linalg.qr}[kind]
+    if count > 1:  # repeats: equal first words, equal hashes of all words, then equal bytes
+        words = np.ascontiguousarray(m).reshape(count, -1).view(np.uint64)
+        if len(set(words[:, 0].tolist())) < count and len(set((words @ np.arange(
+                1, 2 * words.shape[1], 2, dtype=np.uint64)).tolist())) < count:
+            keys = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
+            first = dict(zip(reversed(keys), range(count - 1, -1, -1)))  # bytes -> first index
+            owners = np.fromiter(map(first.get, keys), int, count) if len(first) < count else None
+            del keys, first  # no key outlives the search
+            if owners is not None:
+                picks = np.flatnonzero(owners == np.arange(count))
+                slots = np.searchsorted(picks, owners)
+                out = routine(m[picks])
+                return tuple(r[slots] for r in out) if isinstance(out, tuple) else out[slots]
+    return routine(m)
+
+
 # _norms, _herm and _residuals take a (G, m, n) stack that passed _checked
 
 
 def _norms(m: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(m, compute_uv=False)[:, 0] if m.shape[1] * m.shape[2] else np.zeros(len(m))
+    return _lapack("svdvals", m).max(axis=1, initial=0.0)
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
@@ -193,16 +228,6 @@ def _hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     return (m + adj) / 2.0
 
 
-def _distinct(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """A stack's distinct matrices by exact bytes, first seen first; where each slice went."""
-    keys = [a.tobytes() for a in m]
-    firsts: dict[bytes, int] = {}
-    for k, key in enumerate(keys):
-        firsts.setdefault(key, k)
-    slot = {key: j for j, key in enumerate(firsts)}
-    return m[list(firsts.values())], [slot[key] for key in keys]
-
-
 def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL):
     """PSD test for a Hermitian matrix; returns (verdict, lambda_min).
 
@@ -214,9 +239,9 @@ def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL):
     the call raises.
     """
     m, one = _stack(h, square=True)
-    m = _hermitian(m, tol)
-    lams = np.linalg.eigvalsh(m) if m.shape[1] else np.zeros((len(m), 1))
-    lam, norm = lams[:, 0], np.maximum(-lams[:, 0], lams[:, -1])  # ||H||_2 = max |lambda|
+    lams = _lapack("eigvalsh", _hermitian(m, tol))
+    lam = lams[:, 0] if lams.shape[1] else np.zeros(len(m))  # lambda_min of 0 x 0 is 0
+    norm = np.abs(lams).max(axis=1, initial=0.0)  # ||H||_2 = max |lambda|
     ok = (lam >= -tol.eps_psd * (1.0 + norm)).tolist()
     return (ok[0], float(lam[0])) if one else (ok, lam)
 
@@ -228,7 +253,7 @@ def eig_hermitian(h, tol: TolerancePolicy = DEFAULT_TOL):
     from one batched ``eigh``.
     """
     m, one = _stack(h, square=True)
-    w, v = np.linalg.eigh(_hermitian(m, tol))
+    w, v = _lapack("eigh", _hermitian(m, tol))
     return (w[0], v[0]) if one else (w, v)
 
 
@@ -239,39 +264,51 @@ def hermitian_kernels(h, tol: TolerancePolicy = DEFAULT_TOL):
     null_space's rule read from the eigenvalues, the singular values of a
     Hermitian matrix; for the zero matrix it is the identity, and a 0 x 0
     matrix has lambda_min 0.  A (G, n, n) stack gives a list of G bases and
-    an array of lambda_min, and its distinct matrices (by exact bytes) go
-    through one batched ``eigh``, each once.
+    an array of lambda_min from one batched ``eigh``.
     """
     m, one = _stack(h, square=True)
-    m, where = _distinct(_hermitian(m, tol))
-    lams, vecs = np.linalg.eigh(m) if m.shape[1] else (np.zeros((len(m), 0)), m)
-    # lambda ascends, so |lambda| <= cut is the run of columns between the two tails
-    cut = tol.eps_rank * np.abs(lams).max(axis=1, initial=0.0, keepdims=True)
-    starts = np.count_nonzero(lams < -cut, axis=1)[where].tolist()
-    stops = (lams.shape[1] - np.count_nonzero(lams > cut, axis=1))[where].tolist()
-    bases = [v[:, a:b] for v, a, b in zip(vecs[where], starts, stops)]  # no two share memory
-    lam_mins = (lams[:, 0] if m.shape[1] else np.zeros(len(m)))[where]
+    bases, lam_mins, _ = _hermitian_kernels(m, tol)
     return (bases[0], float(lam_mins[0])) if one else (bases, lam_mins)
 
 
-def _svals(m: np.ndarray) -> np.ndarray:
-    """(G, k) singular values, descending, of a (G, m, n) stack."""
-    if min(m.shape[1:]) == 0:
-        return np.zeros((m.shape[0], 0))
-    return np.linalg.svd(m, compute_uv=False)
+def _hermitian_kernels(m: np.ndarray, tol: TolerancePolicy):
+    """``hermitian_kernels`` of a checked square stack, with max |lambda| of each matrix."""
+    lams, vecs = _lapack("eigh", _hermitian(m, tol))
+    norms = np.abs(lams).max(axis=1, initial=0.0)
+    # lambda ascends, so |lambda| <= cut is the run of columns between the two tails
+    cut = tol.eps_rank * norms[:, None]
+    starts = np.count_nonzero(lams < -cut, axis=1).tolist()
+    stops = (lams.shape[1] - np.count_nonzero(lams > cut, axis=1)).tolist()
+    lam_mins = lams[:, 0] if lams.shape[1] else np.zeros(len(m))  # lambda_min of 0 x 0 is 0
+    return [v[:, a:b] for v, a, b in zip(vecs, starts, stops)], lam_mins, norms
+
+
+def herm_part_eig(t, vectors: bool = False):
+    """``eigvalsh`` of ``herm_part(t)``, or ``eigh`` with ``vectors``, per matrix of a stack.
+
+    Unlike ``eig_hermitian`` it has no Hermitian gate: t may be far from Hermitian.
+    """
+    m, one = _stack(t, square=True)
+    out = _lapack("eigh" if vectors else "eigvalsh", _herm(m))
+    return (tuple(r[0] for r in out) if vectors else out[0]) if one else out
+
+
+def qr_q(a) -> np.ndarray:
+    """Q of the reduced QR factorization of a matrix A."""
+    return _lapack("qr", as_matrix(a)[None])[0][0]
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values in descending order; one row per matrix of a stack."""
     m, one = _stack(a)
-    s = _svals(m)
+    s = _lapack("svdvals", m)
     return s[0] if one else s
 
 
 def rank(a, tol: TolerancePolicy = DEFAULT_TOL):
     """Numerical rank (a list of ranks for a stack), cut off per matrix."""
     m, one = _stack(a)
-    s = _svals(m)
+    s = _lapack("svdvals", m)
     ranks = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1).tolist()
     return ranks[0] if one else ranks
 
@@ -286,15 +323,9 @@ def null_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     differ).
     """
     m, one = _stack(a)
-    count, rows, ncols = m.shape
-    if ncols == 0:
-        bases = [np.zeros((0, 0), dtype=np.complex128) for _ in range(count)]
-    elif rows == 0:
-        bases = [np.eye(ncols, dtype=np.complex128) for _ in range(count)]
-    else:
-        _, s, vh = np.linalg.svd(m)
-        nkeep = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1)
-        bases = [v[k:].conj().T for v, k in zip(vh, nkeep)]
+    _, s, vh = _lapack("svd", m)
+    nkeep = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1)
+    bases = [v[k:].conj().T for v, k in zip(vh, nkeep)]
     return bases[0] if one else bases
 
 
@@ -304,13 +335,9 @@ def range_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     A (G, m, n) stack takes one batched SVD and gives a list of G bases.
     """
     m, one = _stack(a)
-    count, rows, ncols = m.shape
-    if ncols == 0 or rows == 0:
-        bases = [np.zeros((rows, 0), dtype=np.complex128) for _ in range(count)]
-    else:
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        nkeep = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1)
-        bases = [v[:, :k] for v, k in zip(u, nkeep)]
+    u, s, _ = _lapack("svd_thin", m)
+    nkeep = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1)
+    bases = [v[:, :k] for v, k in zip(u, nkeep)]
     return bases[0] if one else bases
 
 
@@ -319,13 +346,8 @@ COMPLEMENT_CUTOFF = 1e-12  # not eps_rank: an orthonormal basis has singular val
 
 def orthonormal_complement(u) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(U)."""
-    m = as_matrix(u)
-    n = m.shape[0]
-    if m.shape[1] == 0:
-        return np.eye(n, dtype=np.complex128)
-    uu, s, vh = np.linalg.svd(m, full_matrices=True)
-    nkeep = int(np.count_nonzero(s > COMPLEMENT_CUTOFF * (s[0] if s.size else 1.0)))
-    return uu[:, nkeep:]
+    uu, s, _ = _lapack("svd", as_matrix(u)[None])
+    return uu[0][:, np.count_nonzero(s[0] > COMPLEMENT_CUTOFF * s[0, :1]):]
 
 
 def subspace_distances(us, vs) -> np.ndarray:
@@ -343,12 +365,11 @@ def subspace_distances(us, vs) -> np.ndarray:
     lead = np.broadcast_shapes(mu.shape[:-2], mv.shape[:-2])  # ValueError if they do not
     if not (np.isfinite(mu).all() and np.isfinite(mv).all()):
         raise ValueError("basis contains NaN or Inf entries")
-    if min(mu.shape[-2:]) == 0 or 0 in lead:
-        return np.zeros(lead)
     # sin(theta_max) = || (I - U U*) V ||_2; the residual form avoids the
     # sqrt(eps) loss of computing sines from principal-angle cosines
     resid = mv - mu @ (mu.conj().swapaxes(-1, -2) @ mv)
-    return np.minimum(1.0, np.linalg.svd(resid, compute_uv=False).max(axis=-1))
+    resid = resid.reshape((math.prod(lead),) + resid.shape[-2:])
+    return np.minimum(1.0, _norms(resid).reshape(lead))
 
 
 def subspace_distance(u, v) -> float:
@@ -373,28 +394,23 @@ def rcond(a):
     An array of them for a (G, n, n) stack.
     """
     m, one = _stack(a)
-    rc = _rconds(m)
+    rc = _rconds(m, _lapack("svdvals", m))
     return float(rc[0]) if one else rc
 
 
-def _rconds(m: np.ndarray) -> np.ndarray:
-    if m.shape[1] != m.shape[2] or m.shape[1] == 0:  # a 0 x 0 matrix is invertible
-        return np.full(m.shape[0], float(m.shape[1] == m.shape[2]))
-    return _rconds_from(_svals(m))
+def _rconds(m: np.ndarray, s: np.ndarray, rcond_min: float = 0.0) -> np.ndarray:
+    """s_min / s_max from each matrix's singular values s: 0 if zero or not square, 1 if 0 x 0.
 
-
-def _rconds_from(s: np.ndarray) -> np.ndarray:
-    """s_min / s_max of each row of (G, k >= 1) descending singular values, 0 for a zero matrix."""
-    return np.divide(s[:, -1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] != 0.0)
-
-
-def _guard(rc: np.ndarray, rcond_min: float) -> None:
-    """The solve guard: ConditioningError for the first reciprocal condition below rcond_min."""
-    failing = rc < rcond_min
-    if failing.any():
+    The solve guard: ConditioningError for the first one below rcond_min.
+    """
+    rc = np.full(len(m), float(m.shape[1] == m.shape[2]))
+    if m.shape[1] == m.shape[2] != 0:
+        rc = np.divide(s[:, -1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] != 0.0)
+    if (failing := rc < rcond_min).any():
         raise ConditioningError(
             f"solve rejected: reciprocal condition {rc[failing.argmax()]:.3e} < {rcond_min:.0e}"
         )
+    return rc
 
 
 INVERTIBLE_MIN = 1e-12  # least sigma_min / scale that is invertible; pairs guards its solves with it
@@ -410,13 +426,9 @@ def definitely_invertible(a, scale=1.0):
     scale per matrix.
     """
     m, one = _stack(a)
-    count, rows, ncols = m.shape
-    if rows != ncols:
-        flags = [False] * count
-    elif rows == 0:
-        flags = [True] * count
-    else:
-        flags = invertible_from(_svals(m)[:, -1], scale)
+    flags = [False] * len(m)
+    if m.shape[1] == m.shape[2]:  # a 0 x 0 matrix has sigma_min = +inf
+        flags = invertible_from(_lapack("svdvals", m).min(axis=1, initial=np.inf), scale)
     return flags[0] if one else flags
 
 
@@ -434,15 +446,14 @@ def solve(a, b, rcond_min: float = 1e-14):
     an array of rconds, and the first matrix of the stack that fails the
     guard raises.
     """
-    m = _checked(a, square=True)
+    m, one = _stack(a, square=True)
     rb = _checked(b, (1, 2, 3))
-    rc = _rconds(m if m.ndim == 3 else m[None])
-    _guard(rc, rcond_min)
-    if m.ndim == 3 and rb.ndim == 2:
+    rc = _rconds(m, _lapack("svdvals", m), rcond_min)
+    if not one and rb.ndim == 2:
         # one B for the whole stack, broadcast here: numpy < 2 reads a 2-d B
         # against a 3-d A as a stack of vectors
         rb = np.broadcast_to(rb, m.shape[:1] + rb.shape)
-    return np.linalg.solve(m, rb), (float(rc[0]) if m.ndim == 2 else rc)
+    return np.linalg.solve(m[0] if one else m, rb), (float(rc[0]) if one else rc)
 
 
 def inverse(a, rcond_min: float = 1e-14) -> np.ndarray:
@@ -473,9 +484,7 @@ def inverse_singular_values(a, rcond_min: float = 1e-14) -> np.ndarray:
     ``solve``'s guard decides from the same values and raises its
     ConditioningError, so no inverse is formed.
     """
-    m = _checked(a, (2,), square=True)
-    if m.size == 0:
-        return np.zeros(0)
-    s = _svals(m[None])
-    _guard(_rconds_from(s), rcond_min)
+    m = _checked(a, (2,), square=True)[None]
+    s = _lapack("svdvals", m)
+    _rconds(m, s, rcond_min)
     return 1.0 / s[0, ::-1]

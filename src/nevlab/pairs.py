@@ -136,7 +136,7 @@ def validate(
     signs = herglotz.imag_signs(offaxis)
     forms = -1j * (_adjoint(phi) @ psi - _adjoint(psi) @ phi) / signs
     scales = 1.0 + matnum.spectral_norm(forms)
-    lams = np.linalg.eigvalsh(matnum.herm_part(forms))[:, 0]
+    lams = matnum.herm_part_eig(forms)[:, 0]
     residuals = (matnum.spectral_norm(_adjoint(psib) @ phi - _adjoint(phib) @ psi)
                  / (1.0 + matnum.spectral_norm(phi) * matnum.spectral_norm(psi)))
     rconds = matnum.rcond(psi + signs * 1j * phi)

@@ -167,8 +167,6 @@ def intersect(
     """Subspace intersection, via the null space of the stacked bases."""
     if t1.ambient != t2.ambient:
         raise matnum.MatrixShapeError("relations live in different spaces")
-    if t1.dim == 0 or t2.dim == 0:
-        return LinearRelation(t1.ambient, np.zeros((2 * t1.ambient, 0), complex))
     coeffs = matnum.null_space(np.hstack([t1.basis, -t2.basis]), tol)
     vectors = t1.basis @ coeffs[: t1.dim]
     return LinearRelation(t1.ambient, matnum.range_space(vectors, tol))
@@ -200,8 +198,6 @@ def contains(
     small: LinearRelation, big: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
     """Subspace containment, tested against the projection onto the big span."""
-    if small.dim == 0:
-        return True
     proj = big.basis @ (big.basis.conj().T @ small.basis)
     return matnum.spectral_norm(small.basis - proj) <= tol.eps_rank
 

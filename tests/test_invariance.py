@@ -359,11 +359,12 @@ class TestSweepReuse:
             np.array(list(sigma.values())).tobytes()
         assert report.ratio_worst == ratio_worst
 
-    def test_diag_inverse_k_takes_six_eigensolves_per_n(self, monkeypatch):
+    def test_diag_inverse_k_takes_three_eigensolves_per_n(self, monkeypatch):
+        """z diag(1/k) folds onto one Im F_n per height: -0.0 entries do not split the key."""
         sizes = _count_eigvalsh(monkeypatch)
         invariance.sweep_continuous_spectrum(runner._SWEEPS["diag-inverse-k"], [4, 8, 16],
                                              trials=10, rng=np.random.default_rng(0))
-        assert sizes == {4: 6, 8: 6, 16: 6}  # 30 each without reuse
+        assert sizes == {4: 3, 8: 3, 16: 3}  # 30 each without reuse
 
     def test_without_room_every_point_is_decomposed(self, monkeypatch):
         monkeypatch.setattr(invariance, "SWEEP_KEY_BYTES", 0)

@@ -319,6 +319,21 @@ def test_hermitian_kernels_decompose_each_distinct_matrix_once(rng, monkeypatch)
     assert seen == [2]
 
 
+def test_herm_part_eig_takes_no_hermitian_gate(rng):
+    """Eigen-data of herm_part(x), bit for bit, where the gated primitives raise."""
+    x = _skewed(rng, 5, 1e-6)
+    assert 1e-7 < matnum.hermitian_residual(x) < 1e-5
+    h = matnum.herm_part(x)
+    assert matnum.herm_part_eig(x).tobytes() == np.linalg.eigvalsh(h).tobytes()
+    for got, want in zip(matnum.herm_part_eig(x, vectors=True), np.linalg.eigh(h)):
+        assert got.tobytes() == want.tobytes()
+    stack = np.stack([x, x.T, x])
+    want = np.linalg.eigvalsh(matnum.herm_part(stack))
+    assert matnum.herm_part_eig(stack).tobytes() == want.tobytes()
+    for fn in HERMITIAN_PRIMITIVES:
+        assert _raises_hermitianity(fn, x)
+
+
 def test_inverse_singular_values_are_those_of_the_inverse(rng):
     for n in (1, 3, 8):
         a = _planted(rng, n, 1e-6) if n > 1 else np.array([[2.0 + 1j]])
@@ -508,3 +523,124 @@ def test_subspace_distances_reject_nonfinite(bad, where):
 def test_subspace_distances_reject_mismatched_bases(us, vs):
     with pytest.raises(matnum.MatrixShapeError):
         matnum.subspace_distances(us, vs)
+
+
+# -- the one decomposition site: _lapack
+
+_NUMPY_KINDS = {
+    "svdvals": ("svd", lambda a: np.linalg.svd(a, compute_uv=False)),
+    "svd": ("svd", np.linalg.svd),
+    "svd_thin": ("svd", lambda a: np.linalg.svd(a, full_matrices=False)),
+    "eigvalsh": ("eigvalsh", np.linalg.eigvalsh),
+    "eigh": ("eigh", np.linalg.eigh),
+    "qr": ("qr", np.linalg.qr),
+}
+
+
+def _results(out) -> tuple:
+    return tuple(out) if isinstance(out, tuple) else (out,)
+
+
+def _lapack_calls(monkeypatch, kind: str) -> list:
+    """The arrays handed to kind's numpy routine."""
+    name = _NUMPY_KINDS[kind][0]
+    routine, seen = getattr(np.linalg, name), []
+    monkeypatch.setattr(np.linalg, name, lambda a, *r, **k: seen.append(a) or routine(a, *r, **k))
+    return seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(_NUMPY_KINDS)), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 4), cols=st.integers(1, 4),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_lapack_equals_one_numpy_call_per_matrix(kind, seed, rows, cols, picks):
+    """Planted exact repeats decompose once and get the bits of a call of their own.
+
+    Matrix 1 is matrix 0 with its zero entries negated: bytes apart, so never merged.
+    """
+    cols = rows if kind.startswith("eig") else cols
+    rng = np.random.default_rng(seed)
+    pool = cgauss(rng, 4, rows, cols)
+    pool[0, 0] = 0.0
+    pool[1] = np.where(pool[0] == 0.0, -pool[0], pool[0])
+    stack = pool[picks]
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _lapack_calls(patch, kind)
+        got = _results(matnum._lapack(kind, stack))
+    distinct = len({a.tobytes() for a in stack})
+    assert [len(a) for a in seen] == [distinct]
+    if distinct == len(stack):
+        assert seen[0] is stack
+    for j, a in enumerate(stack):
+        want = _results(_NUMPY_KINDS[kind][1](a))
+        assert [r[j].tobytes() for r in got] == [w.tobytes() for w in want]
+        assert [(r.shape[1:], r.dtype) for r in got] == [(w.shape, w.dtype) for w in want]
+
+
+def test_lapack_confirms_each_hash_hit_by_bytes(rng, monkeypatch):
+    """Matrices with one word hash but different bytes are decomposed each on its own.
+
+    The hash weighs word i of a matrix by 2i + 1, so adding 3 to word 0 and
+    taking 1 from word 1 keeps it, and so does flipping an even number of signs.
+    """
+    a = cgauss(rng, 2, 2)
+    b = a.copy()
+    b.reshape(-1).view(np.uint64)[:2] += np.array([3, -1]).astype(np.uint64)
+    stack = np.stack([a, b, -a, a, -a, b])
+    seen = _lapack_calls(monkeypatch, "svdvals")
+    got = matnum._lapack("svdvals", stack)
+    assert [len(x) for x in seen] == [3]
+    assert [s.tobytes() for s in got] == \
+        [np.linalg.svd(x, compute_uv=False).tobytes() for x in stack]
+
+
+@pytest.mark.parametrize("kind, shape", [
+    (kind, shape) for kind in sorted(_NUMPY_KINDS)
+    for shape in [(3, 0, 2), (3, 2, 0), (3, 0, 0), (1, 0, 3), (0, 2, 2)]
+    if shape[1] == shape[2] or not kind.startswith("eig")  # an eigensolve takes square ones
+])
+def test_lapack_builds_numpy_2_empty_results(monkeypatch, kind, shape):
+    stack = np.zeros(shape, dtype=np.complex128)
+    seen = _lapack_calls(monkeypatch, kind)
+    got = _results(matnum._lapack(kind, stack))
+    monkeypatch.undo()
+    assert seen == []
+    want = _results(_NUMPY_KINDS[kind][1](stack))
+    assert [(r.shape, r.dtype, r.tobytes()) for r in got] == \
+        [(w.shape, w.dtype, w.tobytes()) for w in want]
+
+
+_DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "cholesky", "lstsq",
+                   "pinv", "inv", "det"}
+_LINALG_SITES = {**{name: {("matnum.py", "_lapack")} for name in _DECOMPOSITIONS},
+                 "solve": {("matnum.py", "solve"), ("matnum.py", "inverse")}}
+_LINALG_ANYWHERE = {("numpy", "norm"), ("numpy", "LinAlgError"), ("scipy", "expm")}
+
+
+def _linalg_uses(tree):
+    """(top-level definition, library, name) of each numpy.linalg or scipy.linalg use."""
+    libs = {"np": "numpy", "numpy": "numpy", "scipy": "scipy"}
+    for top in tree.body:
+        owner = getattr(top, "name", f"line {top.lineno}")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg" and isinstance(node.value.value, ast.Name)):
+                yield owner, libs.get(node.value.value.id, node.value.value.id), node.attr
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                yield from ((owner, node.module.split(".")[0], a.name) for a in node.names)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield from ((owner, "import", a.name) for a in node.names if "linalg" in a.name)
+
+
+def test_decompositions_run_in_one_matnum_entry():
+    """numpy's SVD, eigensolves and QR are called in matnum._lapack only; solve in two places."""
+    found, entry = [], set()
+    for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
+        for owner, lib, name in _linalg_uses(ast.parse(path.read_text())):
+            if (path.name, owner) == ("matnum.py", "_lapack"):
+                entry.add(name)
+            allowed = _LINALG_SITES.get(name, set()) if lib == "numpy" else set()
+            if (lib, name) not in _LINALG_ANYWHERE and (path.name, owner) not in allowed:
+                found.append(f"{path.name}:{owner} {lib} {name}")
+    assert found == []
+    assert {"svd", "eigh", "eigvalsh", "qr"} <= entry  # the walk sees the entry's own calls

@@ -176,6 +176,15 @@ class TestSumsAndIntersections:
         t2 = LinearRelation.graph(2 * np.eye(2))
         assert relations.intersect(t1, t2).dim == 0
 
+    def test_zero_relation_meets_and_sits_in_any_relation(self, rng):
+        zero = LinearRelation(2, np.zeros((4, 0), dtype=complex))
+        t = LinearRelation.graph(cgauss(rng, 2, 2))
+        for a, b in ((zero, t), (t, zero), (zero, zero)):
+            out = relations.intersect(a, b)
+            assert out.basis.shape == (4, 0) and out.basis.dtype == np.complex128
+        assert relations.contains(zero, t) and relations.contains(zero, zero)
+        assert not relations.contains(t, zero)
+
     def test_operator_sum_with_zero_relation_keeps_mul(self):
         zero = LinearRelation(1, np.zeros((2, 0), dtype=complex))
         out = relations.operator_sum(LinearRelation.pure_mul(1), zero)
