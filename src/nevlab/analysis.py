@@ -389,11 +389,10 @@ def factor_check(
     z = complex(z)
     c2 = c2_of(z)
     w, v = matnum.herm_part_eig(rep.measure.k_sigma(), vectors=True)
-    keep = w > tol.eps_rank * max(float(w.max(initial=0.0)), ZERO_FLOOR)
-    vr = v[:, keep]
-    dr = w[keep]
+    start = len(w) - matnum.rank_from(w, tol)  # K is PSD and w ascends: its range is the top
+    root = v[:, start:] / np.sqrt(w[start:])
     tail = _measure_tail(rep, z)
-    middle = (vr / np.sqrt(dr)).conj().T @ tail @ (vr / np.sqrt(dr))
+    middle = root.conj().T @ tail @ root
     norm = matnum.spectral_norm(middle)
     passed = norm <= c2 * (1.0 + BOUND_TOL)
     return BoundReport(z, c2, norm / c2 if c2 > 0 else norm, 0 if passed else 1, passed)

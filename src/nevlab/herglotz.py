@@ -359,8 +359,8 @@ def as_family(f: FamilyEvaluator | HerglotzRep) -> FamilyEvaluator:
 def _symmetry_residual(at_z: np.ndarray, at_conj: np.ndarray) -> float:
     """Worst relative spectral residual of F(conj z) - F(z)* over two value stacks."""
     a, b = at_conj, at_z.conj().swapaxes(-1, -2)
-    scale = 1.0 + np.maximum(matnum.spectral_norm(a), matnum.spectral_norm(b))
-    return float(np.max(matnum.spectral_norm(a - b) / scale, initial=0.0))
+    na, nb, nd = matnum.spectral_norm(np.concatenate([a, b, a - b])).reshape(3, len(a))
+    return float(np.max(nd / (1.0 + np.maximum(na, nb)), initial=0.0))
 
 
 def family_direct_sum(fa: FamilyEvaluator, fb: FamilyEvaluator) -> FamilyEvaluator:
@@ -464,10 +464,8 @@ def classify(
     """Classify a family as not-R / R / R^s / R^u.
 
     Membership is screened on the full grid (half-plane dissipativity and
-    the symmetry F(conj z) = F(z)*); the subclass decision is made from the
-    single value Im F(i):  trivial kernel gives the strict class, and a
-    definite lower bound lambda_min >= 10 * eps_psd * (1 + ||Im F(i)||)
-    upgrades it to uniformly strict.
+    the symmetry F(conj z) = F(z)*); the subclass decision is ``strictness``
+    of the single value Im F(i), read from its one eigensolve.
     """
     family = as_family(family)
     offaxis = offaxis_points(grid, "classify")
@@ -476,26 +474,24 @@ def classify(
     values = family.on_grid(offaxis + tuple(z.conjugate() for z in upper) + (1j,))
     sym = _symmetry_residual(values[:count][signs[:, 0, 0] > 0], values[count:-1])
     oks, lams = matnum.is_psd(matnum.imag_part(values[:count]) * signs, tol)
-    margin = np.min(lams, initial=np.inf)
-    ok_all = sym <= tol.eps_eq and all(oks)
-
-    im_i = matnum.imag_part(values[-1])
-    lam_min = float(matnum.herm_part_eig(im_i)[0])
-    if not ok_all:
-        return Classification(CLASS_NOT_NEV, lam_min, -1, sym, float(margin))
-
-    kernel_dim = matnum.null_space(im_i, tol).shape[1]
-    label = strictness_label(lam_min, kernel_dim, matnum.spectral_norm(im_i), tol)
-    return Classification(label, lam_min, kernel_dim, sym, float(margin))
+    margin = float(np.min(lams, initial=np.inf))
+    label, lam_min, kernel_dim = strictness(matnum.herm_part_eig(matnum.imag_part(values[-1])), tol)
+    if not (sym <= tol.eps_eq and all(oks)):
+        label, kernel_dim = CLASS_NOT_NEV, -1
+    return Classification(label, lam_min, kernel_dim, sym, margin)
 
 
-def strictness_label(lam_min: float, kernel_dim: int, norm: float, tol: TolerancePolicy) -> str:
-    """R / R^s / R^u from a PSD kernel value at one point; see ``classify``."""
+def strictness(lams, tol: TolerancePolicy) -> tuple[str, float, int]:
+    """(label, lambda_min, kernel_dim) of a PSD kernel value from its ascending eigenvalues.
+
+    A kernel (n - ``rank_from``) gives R; else lambda_min >= 10 eps_psd (1 + max |lambda|)
+    gives the uniformly strict R^u, and anything less the strict R^s.
+    """
+    lam_min, kernel_dim = float(lams[0]), len(lams) - matnum.rank_from(lams, tol)
     if kernel_dim > 0:
-        return CLASS_PLAIN
-    if lam_min >= 10.0 * tol.eps_psd * (1.0 + norm):
-        return CLASS_UNIFORM
-    return CLASS_STRICT
+        return CLASS_PLAIN, lam_min, kernel_dim
+    uniform = lam_min >= 10.0 * tol.eps_psd * (1.0 + float(np.abs(lams).max()))
+    return (CLASS_UNIFORM if uniform else CLASS_STRICT), lam_min, kernel_dim
 
 
 STIELTJES_ETAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)  # last pair extrapolated, the one before checks it

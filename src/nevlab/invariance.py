@@ -158,11 +158,9 @@ def check_imag_kernel_invariance(
     """
     family = herglotz.as_family(family)
     grid = _offaxis(grid, "check_imag_kernel_invariance")
-    folded = [complex(z.real, abs(z.imag)) for z in grid]  # the C_+ point of each
-    values = family.on_grid(grid + (folded[0],))
     # conjugate points fold onto one matrix: each distinct one meets eigh once
     spans, lams, norms = matnum._hermitian_kernels(
-        matnum.imag_part(values[:-1]) * herglotz.imag_signs(grid), tol)
+        matnum.imag_part(family.on_grid(grid)) * herglotz.imag_signs(grid), tol)
     lam_mins = lams.tolist()
     witnesses = [{"kernel_dim": span.shape[1], "lam_min": lam}
                  for span, lam in zip(spans, lam_mins)]
@@ -170,9 +168,8 @@ def check_imag_kernel_invariance(
     if "dim" not in notes:
         return InvarianceReport("imag-kernel-invariance", grid, witnesses, False, 1.0, notes)
 
-    # in C_+ the anchor's Im F is the first folded matrix, whose eigenvalues are at hand
-    norm0 = norms[0] if grid[0] == folded[0] else matnum.spectral_norm(matnum.imag_part(values[-1]))
-    m0, scale = lam_mins[0], 1.0 + float(norm0)
+    folded = [complex(z.real, abs(z.imag)) for z in grid]  # the C_+ point of each
+    m0, scale = lam_mins[0], 1.0 + float(norms[0])  # both from the anchor's folded Im F
     corridor_worst = max(
         analysis.harnack_excess(analysis.harnack_constants(folded[0], z), m0, m, scale)
         for z, m in zip(folded, lam_mins)
@@ -194,7 +191,8 @@ def check_resolvent_invariance(
 
     The flag is invertibility of Psi(z) - a Phi(z); on upper points it must
     match invertibility of C(z) - alpha with alpha = (a - i)/(a + i), the
-    Cayley image of a.
+    Cayley image of a.  Both flags are decided against the fixed
+    ``matnum.INVERTIBLE_MIN``, not the policy: ``tol`` is not read.
     """
     pair = _as_pair(obj)
     a = float(a)
@@ -286,12 +284,12 @@ def classify_family_pair(
     """
     z = herglotz.upper_point(z, "classify_family_pair")
     phi, psi = pair(z)
-    kern = matnum.herm_part(pairs.diagonal_kernel(phi, psi, z, tol))
-    lams = matnum.herm_part_eig(kern)
-    lam_min = float(lams[0])
-    kernel_dim, mul_dim = (b.shape[1] for b in matnum.null_space(np.stack([kern, phi]), tol))
-    rc_phi, rc_psi = matnum.rcond(np.stack([phi, psi])).tolist()
-    label = herglotz.strictness_label(lam_min, kernel_dim, float(np.abs(lams).max()), tol)
+    lams = matnum.herm_part_eig(pairs.diagonal_kernel(phi, psi, z, tol))
+    label, lam_min, kernel_dim = herglotz.strictness(lams, tol)
+    blocks = np.stack([phi, psi])  # one SVD gives ker Phi and both rconds
+    s = matnum.singular_values(blocks)
+    mul_dim = pair.dim - matnum.rank_from(s[0], tol)
+    rc_phi, rc_psi = matnum.rcond_from(blocks, s).tolist()
     if label == herglotz.CLASS_PLAIN and mul_dim > 0:
         label = CLASS_FAMILY
     return PairClassification(label, lam_min, kernel_dim, mul_dim, rc_phi, rc_psi)

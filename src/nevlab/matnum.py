@@ -4,14 +4,14 @@ Everything downstream (kernels, relations, verifiers) routes its numerical
 equality, rank and positivity decisions through this module so that one
 tolerance policy governs the whole library.  All decisions are relative to
 the spectral norm; rank decisions use singular values, never determinants.
-The |lambda| of a Hermitian matrix are its singular values, so Hermitian
-rank and norm decisions read them from the one ``eigh`` or ``eigvalsh``
-that also gives lambda_min, and s_j(A^(-1)) is 1 / s_(n+1-j)(A).  Every
-SVD, eigensolve and QR runs in ``_lapack``, which looks numpy's routine
-up at call time, decomposes each distinct matrix of a stack once (equal
-first words, then equal weighted hashes of the words, flag candidates
-that equal bytes confirm; a stack without repeats reaches LAPACK as it
-is) and builds numpy 2's empty results.  Each caller keeps its LAPACK job
+Four rules decide from values already taken, so one decomposition serves
+every witness of a matrix: ``rank_from``, ``psd_from``, ``rcond_from`` and
+``invertible_from``; s_j(A^(-1)) is 1 / s_(n+1-j)(A).  Every SVD,
+eigensolve and QR runs in ``_lapack``, which looks numpy's routine up at
+call time, decomposes each distinct matrix of a stack once (equal first
+words, then equal weighted hashes of the words, flag candidates that
+equal bytes confirm; a stack without repeats reaches LAPACK as it is)
+and builds numpy 2's empty results.  Each caller keeps its LAPACK job
 (values only or full SVD, ``eigvalsh`` or ``eigh``): the jobs round differently.
 """
 
@@ -233,17 +233,24 @@ def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL):
 
     The input must be Hermitian within ``eps_eq`` relative to its norm; it is
     symmetrized before the eigendecomposition to remove round-off asymmetry.
-    The norm in the floor is max |lambda|, from the same ``eigvalsh``.
-    A (G, n, n) stack takes one batched ``eigvalsh`` and gives a list of
-    verdicts with an array of lambda_min; if any matrix is not Hermitian,
-    the call raises.
+    ``psd_from`` decides from its ``eigvalsh``.  A (G, n, n) stack takes one
+    batched ``eigvalsh`` and gives a list of verdicts with an array of
+    lambda_min; if any matrix is not Hermitian, the call raises.
     """
     m, one = _stack(h, square=True)
     lams = _lapack("eigvalsh", _hermitian(m, tol))
-    lam = lams[:, 0] if lams.shape[1] else np.zeros(len(m))  # lambda_min of 0 x 0 is 0
-    norm = np.abs(lams).max(axis=1, initial=0.0)  # ||H||_2 = max |lambda|
-    ok = (lam >= -tol.eps_psd * (1.0 + norm)).tolist()
-    return (ok[0], float(lam[0])) if one else (ok, lam)
+    return psd_from(lams[0] if one else lams, tol)
+
+
+def psd_from(lams, tol: TolerancePolicy = DEFAULT_TOL):
+    """``is_psd``'s (verdict, lambda_min) from ascending eigenvalues; a list and an array for rows.
+
+    PSD when lambda_min >= -eps_psd * (1 + max |lambda|); lambda_min of 0 x 0 is 0.
+    """
+    rows = np.atleast_2d(lams)
+    lam = rows[:, 0] if rows.shape[1] else np.zeros(len(rows))
+    ok = (lam >= -tol.eps_psd * (1.0 + np.abs(rows).max(axis=1, initial=0.0))).tolist()
+    return (ok[0], float(lam[0])) if np.ndim(lams) == 1 else (ok, lam)
 
 
 def eig_hermitian(h, tol: TolerancePolicy = DEFAULT_TOL):
@@ -260,11 +267,10 @@ def eig_hermitian(h, tol: TolerancePolicy = DEFAULT_TOL):
 def hermitian_kernels(h, tol: TolerancePolicy = DEFAULT_TOL):
     """``null_space`` bases and lambda_min of Hermitian matrices from one ``eigh``.
 
-    The basis holds the eigenvectors with |lambda| <= eps_rank * max |lambda|,
-    null_space's rule read from the eigenvalues, the singular values of a
-    Hermitian matrix; for the zero matrix it is the identity, and a 0 x 0
-    matrix has lambda_min 0.  A (G, n, n) stack gives a list of G bases and
-    an array of lambda_min from one batched ``eigh``.
+    The basis holds the eigenvectors that ``rank_from`` does not count,
+    null_space's rule read from the eigenvalues; for the zero matrix it is
+    the identity, and a 0 x 0 matrix has lambda_min 0.  A (G, n, n) stack
+    gives a list of G bases and an array of lambda_min from one batched ``eigh``.
     """
     m, one = _stack(h, square=True)
     bases, lam_mins, _ = _hermitian_kernels(m, tol)
@@ -274,13 +280,8 @@ def hermitian_kernels(h, tol: TolerancePolicy = DEFAULT_TOL):
 def _hermitian_kernels(m: np.ndarray, tol: TolerancePolicy):
     """``hermitian_kernels`` of a checked square stack, with max |lambda| of each matrix."""
     lams, vecs = _lapack("eigh", _hermitian(m, tol))
-    norms = np.abs(lams).max(axis=1, initial=0.0)
-    # lambda ascends, so |lambda| <= cut is the run of columns between the two tails
-    cut = tol.eps_rank * norms[:, None]
-    starts = np.count_nonzero(lams < -cut, axis=1).tolist()
-    stops = (lams.shape[1] - np.count_nonzero(lams > cut, axis=1)).tolist()
-    lam_mins = lams[:, 0] if lams.shape[1] else np.zeros(len(m))  # lambda_min of 0 x 0 is 0
-    return [v[:, a:b] for v, a, b in zip(vecs, starts, stops)], lam_mins, norms
+    bases = [v[:, ~kept] for v, kept in zip(vecs, _kept(lams, tol))]  # the uncounted columns
+    return bases, psd_from(lams, tol)[1], np.abs(lams).max(axis=1, initial=0.0)
 
 
 def herm_part_eig(t, vectors: bool = False):
@@ -305,27 +306,35 @@ def singular_values(a) -> np.ndarray:
     return s[0] if one else s
 
 
+def _kept(values: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """|v| > eps_rank * max |v| along the last axis: the one rank cutoff."""
+    size = np.abs(values)
+    return size > tol.eps_rank * size.max(axis=-1, keepdims=True, initial=0.0)
+
+
+def rank_from(values, tol: TolerancePolicy = DEFAULT_TOL):
+    """Rank from singular values or Hermitian eigenvalues already taken; a list for (G, k) rows."""
+    return np.count_nonzero(_kept(np.asarray(values), tol), axis=-1).tolist()
+
+
 def rank(a, tol: TolerancePolicy = DEFAULT_TOL):
     """Numerical rank (a list of ranks for a stack), cut off per matrix."""
     m, one = _stack(a)
-    s = _lapack("svdvals", m)
-    ranks = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1).tolist()
+    ranks = rank_from(_lapack("svdvals", m), tol)
     return ranks[0] if one else ranks
 
 
 def null_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     """Orthonormal basis of the (numerical) null space of A.
 
-    Columns are right singular vectors whose singular values fall at or
-    below ``eps_rank * sigma_max``; for the zero matrix the full identity
-    basis is returned.  A (G, m, n) stack takes one batched SVD with the
-    cutoff set per matrix, and gives a list of G bases (their widths may
-    differ).
+    Columns are right singular vectors whose singular values ``rank_from``
+    does not count; for the zero matrix the full identity basis is
+    returned.  A (G, m, n) stack takes one batched SVD with the cutoff set
+    per matrix, and gives a list of G bases (their widths may differ).
     """
     m, one = _stack(a)
     _, s, vh = _lapack("svd", m)
-    nkeep = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1)
-    bases = [v[k:].conj().T for v, k in zip(vh, nkeep)]
+    bases = [v[k:].conj().T for v, k in zip(vh, rank_from(s, tol))]
     return bases[0] if one else bases
 
 
@@ -336,8 +345,7 @@ def range_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     """
     m, one = _stack(a)
     u, s, _ = _lapack("svd_thin", m)
-    nkeep = np.count_nonzero(s > tol.eps_rank * s[:, :1], axis=1)
-    bases = [v[:, :k] for v, k in zip(u, nkeep)]
+    bases = [v[:, :k] for v, k in zip(u, rank_from(s, tol))]
     return bases[0] if one else bases
 
 
@@ -394,11 +402,11 @@ def rcond(a):
     An array of them for a (G, n, n) stack.
     """
     m, one = _stack(a)
-    rc = _rconds(m, _lapack("svdvals", m))
+    rc = rcond_from(m, _lapack("svdvals", m))
     return float(rc[0]) if one else rc
 
 
-def _rconds(m: np.ndarray, s: np.ndarray, rcond_min: float = 0.0) -> np.ndarray:
+def rcond_from(m: np.ndarray, s: np.ndarray, rcond_min: float = 0.0) -> np.ndarray:
     """s_min / s_max from each matrix's singular values s: 0 if zero or not square, 1 if 0 x 0.
 
     The solve guard: ConditioningError for the first one below rcond_min.
@@ -448,7 +456,7 @@ def solve(a, b, rcond_min: float = 1e-14):
     """
     m, one = _stack(a, square=True)
     rb = _checked(b, (1, 2, 3))
-    rc = _rconds(m, _lapack("svdvals", m), rcond_min)
+    rc = rcond_from(m, _lapack("svdvals", m), rcond_min)
     if not one and rb.ndim == 2:
         # one B for the whole stack, broadcast here: numpy < 2 reads a 2-d B
         # against a 3-d A as a stack of vectors
@@ -486,5 +494,5 @@ def inverse_singular_values(a, rcond_min: float = 1e-14) -> np.ndarray:
     """
     m = _checked(a, (2,), square=True)[None]
     s = _lapack("svdvals", m)
-    _rconds(m, s, rcond_min)
+    rcond_from(m, s, rcond_min)
     return 1.0 / s[0, ::-1]

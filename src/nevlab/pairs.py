@@ -134,15 +134,15 @@ def validate(
     phis, psis = pair.on_grid(offaxis + tuple(z.conjugate() for z in offaxis))
     phi, psi, phib, psib = phis[:count], psis[:count], phis[count:], psis[count:]
     signs = herglotz.imag_signs(offaxis)
-    forms = -1j * (_adjoint(phi) @ psi - _adjoint(psi) @ phi) / signs
-    scales = 1.0 + matnum.spectral_norm(forms)
-    lams = matnum.herm_part_eig(forms)[:, 0]
+    lams = matnum.herm_part_eig(-1j * (_adjoint(phi) @ psi - _adjoint(psi) @ phi) / signs)
+    oks, lam_mins = matnum.psd_from(lams, tol)
+    margins = lam_mins / (1.0 + np.abs(lams).max(axis=1, initial=0.0))
+    norm_phi, norm_psi = matnum.spectral_norm(np.concatenate([phi, psi])).reshape(2, count)
     residuals = (matnum.spectral_norm(_adjoint(psib) @ phi - _adjoint(phib) @ psi)
-                 / (1.0 + matnum.spectral_norm(phi) * matnum.spectral_norm(psi)))
+                 / (1.0 + norm_phi * norm_psi))
     rconds = matnum.rcond(psi + signs * 1j * phi)
-    passed = bool((lams >= -tol.eps_psd * scales).all() and (residuals <= tol.eps_eq).all()
-                  and (rconds >= RCOND_MIN).all())
-    return PairValidation(offaxis, tuple((lams / scales).tolist()), tuple(residuals.tolist()),
+    passed = all(oks) and bool((residuals <= tol.eps_eq).all() and (rconds >= RCOND_MIN).all())
+    return PairValidation(offaxis, tuple(margins.tolist()), tuple(residuals.tolist()),
                           tuple(rconds.tolist()), passed)
 
 

@@ -143,9 +143,8 @@ def is_selfadjoint(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> boo
         return False
     if not is_symmetric(t, tol):
         return False
-    if not matnum.definitely_invertible(t.bottom + 1j * t.top):
-        return False
-    if not matnum.definitely_invertible(t.bottom - 1j * t.top):
+    if not all(matnum.definitely_invertible(np.stack([t.bottom + 1j * t.top,
+                                                      t.bottom - 1j * t.top]))):
         return False
     return t.distance(adjoint(t)) <= tol.eps_rank
 

@@ -627,3 +627,229 @@ class TestSchurGridPermutation:
                 assert r1.worst == pytest.approx(r2.worst, rel=1e-12, abs=1e-14)
                 verdicts.add(r1.passed)
         assert verdicts == {True, False}
+
+
+# -- one decomposition per matrix: the class rules against the parent's code -------
+
+
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def _parent_label(lam_min: float, kernel_dim: int, norm: float, tol) -> str:
+    if kernel_dim > 0:
+        return herglotz.CLASS_PLAIN
+    if lam_min >= 10.0 * tol.eps_psd * (1.0 + norm):
+        return herglotz.CLASS_UNIFORM
+    return herglotz.CLASS_STRICT
+
+
+def _parent_classify(family, tol=TolerancePolicy()) -> herglotz.Classification:
+    """herglotz.classify with Im F(i) decomposed three times, kept as the reference."""
+    offaxis = herglotz.offaxis_points(None, "classify")
+    upper = herglotz.upper_points(offaxis)
+    count, signs = len(offaxis), herglotz.imag_signs(offaxis)
+    values = family.on_grid(offaxis + tuple(z.conjugate() for z in upper) + (1j,))
+    a, b = values[count:-1], values[:count][signs[:, 0, 0] > 0].conj().swapaxes(-1, -2)
+    scale = 1.0 + np.maximum(_svdvals(a).max(axis=1), _svdvals(b).max(axis=1))
+    sym = float(np.max(_svdvals(a - b).max(axis=1) / scale, initial=0.0))
+    forms = matnum.imag_part(values[:count]) * signs
+    lams = np.linalg.eigvalsh((forms + forms.conj().swapaxes(-1, -2)) / 2.0)
+    oks = lams[:, 0] >= -tol.eps_psd * (1.0 + np.abs(lams).max(axis=1))
+    margin = float(np.min(lams[:, 0], initial=np.inf))
+    im_i = matnum.imag_part(values[-1])
+    lam_min = float(np.linalg.eigvalsh((im_i + im_i.conj().T) / 2.0)[0])
+    if not (sym <= tol.eps_eq and oks.all()):
+        return herglotz.Classification(herglotz.CLASS_NOT_NEV, lam_min, -1, sym, margin)
+    s = _svdvals(im_i)
+    kernel_dim = len(s) - int(np.count_nonzero(s > tol.eps_rank * s[0]))
+    label = _parent_label(lam_min, kernel_dim, float(s[0]), tol)
+    return herglotz.Classification(label, lam_min, kernel_dim, sym, margin)
+
+
+def _parent_classify_family_pair(pair, tol=TolerancePolicy(), z=1j):
+    """invariance.classify_family_pair with kern and Phi each decomposed twice, the reference."""
+    phi, psi = pair(z)
+    kern = matnum.herm_part(pairs.diagonal_kernel(phi, psi, z, tol))
+    lams = np.linalg.eigvalsh((kern + kern.conj().T) / 2.0)
+    _, s, _ = np.linalg.svd(np.stack([kern, phi]))
+    kernel_dim, mul_dim = (len(r) - int(np.count_nonzero(r > tol.eps_rank * r[0])) for r in s)
+    sv = _svdvals(np.stack([phi, psi]))
+    rc_phi, rc_psi = (np.divide(sv[:, -1], sv[:, 0], out=np.zeros(2), where=sv[:, 0] != 0.0)
+                      .tolist())
+    label = _parent_label(float(lams[0]), kernel_dim, float(np.abs(lams).max()), tol)
+    if label == herglotz.CLASS_PLAIN and mul_dim > 0:
+        label = invariance.CLASS_FAMILY
+    return invariance.PairClassification(label, float(lams[0]), kernel_dim, mul_dim,
+                                         rc_phi, rc_psi)
+
+
+def _corpus_family(rng) -> FamilyEvaluator:
+    """Dims 1-5: planted common kernels, rank-one atoms, weights from 1e-10 to 1, near-ties.
+
+    One direction sits near the rank cutoff or the uniform threshold in a
+    third of the draws; one draw in ten adds i c H, which breaks the symmetry.
+    """
+    n = int(rng.integers(1, 6))
+    q, _ = np.linalg.qr(cgauss(rng, n, n))
+    p = q[:, int(rng.integers(0, n)) if rng.uniform() < 0.4 else 0:]  # kernel: the dropped columns
+    scales = 10.0 ** rng.uniform(-10.0, 0.0, p.shape[1])
+    near = rng.choice([1e-8, 1e-9, 0.0], p=[0.2, 0.15, 0.65])
+    if near and len(scales):
+        scales[0] = near * 10.0 ** rng.uniform(-0.3, 0.3)
+    d = (p * np.sqrt(scales)) @ p.conj().T
+
+    def weight(rank: int, scale: float) -> np.ndarray:
+        g = cgauss(rng, n, rank)
+        return scale * d @ (g @ g.conj().T) @ d.conj().T
+
+    b0 = cgauss(rng, n, n)
+    b1 = weight(n, 0.5) if rng.uniform() < 0.6 else np.zeros((n, n))
+    atoms = [(float(t), weight(1 if rng.uniform() < 0.5 else n, 10.0 ** rng.uniform(-10.0, 0.0)))
+             for t in np.unique(rng.uniform(-5.0, 5.0, int(rng.integers(0, 4))))]
+    rep = HerglotzRep.create((b0 + b0.conj().T) / 2.0, b1, atoms or None)
+    if rng.uniform() < 0.1:
+        h = 10.0 ** rng.uniform(-12.0, 0.0) * cgauss(rng, n, n)
+        return FamilyEvaluator(n, lambda z: herglotz.evaluate(rep, z) + 1j * (h + h.conj().T),
+                               "test")
+    return FamilyEvaluator.from_rep(rep)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (matnum.ConditioningError, ValueError) as exc:
+        return type(exc).__name__
+
+
+class TestClassRules:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_classifiers_equal_the_parent_on_a_seeded_corpus(self, seed):
+        """500 families a seed, each classified, and its canonical pair at i and one more point."""
+        rng = np.random.default_rng(1000 + seed)
+        labels = Counter()
+        for _ in range(500):
+            fam = _corpus_family(rng)
+            got = herglotz.classify(fam)
+            assert got == _parent_classify(fam)
+            labels[got.label] += 1
+            pair = pairs.canonical_pair(fam)
+            if rng.uniform() < 0.3:  # a {0} x C direction: R~ or a mul_dim next to a strict part
+                pair = pairs.pair_direct_sum(pair, MUL())
+            for z in (1j, random_upper(rng, 1)[0]):
+                got = _outcome(invariance.classify_family_pair, pair, z=z)
+                assert got == _outcome(_parent_classify_family_pair, pair, z=z)
+                labels["pair " + getattr(got, "label", got)] += 1
+        classes = {"not-R", "R", "R^s", "R^u"}
+        assert classes | {"pair " + c for c in ("R", "R~", "R^s", "R^u")} <= set(labels)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), side=st.sampled_from([-1, 1]))
+    def test_kernel_dim_flips_at_a_planted_eps_rank(self, seed, n, side):
+        """eps_rank = |lambda_k| / max |lambda| (1 + side 1e-6): lambda_k in the kernel or not."""
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(cgauss(rng, n, n))
+        b1 = (u * 10.0 ** -np.arange(0.0, 2.0 * n, 2.0)) @ u.conj().T  # two decades apart
+        fam = FamilyEvaluator.from_rep(HerglotzRep.create(np.zeros((n, n)), b1))
+        pair = pairs.canonical_pair(fam)
+        phi, psi = pair(1j)
+        values = [matnum.herm_part_eig(matnum.imag_part(fam(1j))),
+                  matnum.herm_part_eig(pairs.diagonal_kernel(phi, psi, 1j))]
+        k = int(rng.integers(0, n - 1))  # not the largest
+        for classify, lams in zip((herglotz.classify, invariance.classify_family_pair), values):
+            sizes = np.abs(lams)
+            tol = TolerancePolicy(eps_rank=sizes[k] / sizes.max() * (1.0 + side * 1e-6))
+            want = int(np.count_nonzero(sizes <= sizes[k])) - (side < 0)
+            assert classify(fam if classify is herglotz.classify else pair, tol).kernel_dim == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), side=st.sampled_from([-1, 1]))
+    def test_uniform_threshold_flips_at_a_planted_eps_psd(self, seed, n, side):
+        """eps_psd = lambda_min / (10 (1 + max |lambda|)) (1 + side 1e-6): R^s above, R^u below."""
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(cgauss(rng, n, n))
+        b1 = (u * rng.uniform(1e-3, 2.0, n)) @ u.conj().T
+        fam = FamilyEvaluator.from_rep(HerglotzRep.create(np.zeros((n, n)), b1))
+        lams = matnum.herm_part_eig(matnum.imag_part(fam(1j)))
+        tol = TolerancePolicy(eps_psd=lams[0] / (10.0 * (1.0 + np.abs(lams).max()))
+                              * (1.0 + side * 1e-6))
+        want = "R^s" if side > 0 else "R^u"
+        assert herglotz.strictness(lams, tol) == (want, lams[0], 0)
+        assert herglotz.classify(fam, tol).label == want
+
+
+def _decompositions(monkeypatch) -> list:
+    """(numpy routine, input stack, values only) of every SVD and eigensolve from here on."""
+    seen = []
+    for name in ("svd", "eigvalsh", "eigh"):
+        def spy(a, *r, _name=name, _fn=getattr(np.linalg, name), **k):
+            seen.append((_name, np.array(a), k.get("compute_uv") is False))
+            return _fn(a, *r, **k)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+def _meets(stack: np.ndarray, matrices) -> bool:
+    """Whether a slice of stack is, to the last bit, one of matrices or its Hermitian part."""
+    keys = {m.tobytes() for m in matrices} | {matnum.herm_part(m).tobytes() for m in matrices}
+    return stack.shape[-2:] == matrices[0].shape and any(
+        x.tobytes() in keys for x in stack.reshape((-1,) + stack.shape[-2:]))
+
+
+class TestDecompositionCounts:
+    def test_classify_family_pair_takes_one_eigvalsh_and_one_values_svd(self, rng, monkeypatch):
+        for pair in (pairs.canonical_pair(random_rep(rng, 3, 4)), mul_pair(rng, 3)):
+            pair(1j)  # evaluated (and memoised) before counting
+            seen = _decompositions(monkeypatch)
+            invariance.classify_family_pair(pair)
+            monkeypatch.undo()
+            assert [(name, a.shape[0], values) for name, a, values in seen] == \
+                [("eigvalsh", 1, False), ("svd", 2, True)]
+
+    def test_classify_decomposes_im_f_at_i_once(self, rng, monkeypatch):
+        fam = FamilyEvaluator.from_rep(random_rep(rng, 3, 4))
+        im_i = matnum.imag_part(fam(1j))
+        seen = _decompositions(monkeypatch)
+        herglotz.classify(fam, grid=[0.5 + 2j, -1.0 - 0.3j, 2.0 + 0.7j])
+        monkeypatch.undo()
+        assert [name for name, a, _ in seen if _meets(a, [im_i])] == ["eigvalsh"]
+
+    def test_validate_takes_no_svd_of_its_forms(self, rng, monkeypatch):
+        pair = pairs.canonical_pair(random_rep(rng, 3, 4))
+        zs = herglotz.default_grid()
+        phis, psis = pair.on_grid(zs)
+        signs = herglotz.imag_signs(zs)
+        forms = -1j * (phis.conj().swapaxes(-1, -2) @ psis - psis.conj().swapaxes(-1, -2) @ phis)
+        seen = _decompositions(monkeypatch)
+        assert pairs.validate(pair).passed
+        monkeypatch.undo()
+        assert [name for name, a, _ in seen if _meets(a, list(forms / signs))] == ["eigvalsh"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: FamilyEvaluator.from_rep(random_rep(rng, 3, 4)),
+    lambda rng: FamilyEvaluator(2, lambda z: z * z * np.eye(2), "test"),  # outside the corridor
+])
+def test_imag_kernel_anchor_below_the_axis_comes_from_the_folded_stack(rng, monkeypatch, make):
+    """Each distinct point is evaluated once and no SVD meets the anchor; the parent's verdict."""
+    family = make(rng)
+    seen = []
+    grid = (0.4 - 0.8j, 1.0 + 0.5j, -2.0 + 3.0j, 1.0 - 0.5j, -0.3 - 1.7j, 1.0 + 0.5j)
+    counted = FamilyEvaluator(family.dim, lambda z: seen.append(z) or family(z), "test")
+    folded = [complex(z.real, abs(z.imag)) for z in grid]
+    anchor = matnum.imag_part(family(folded[0]))
+    calls = _decompositions(monkeypatch)
+    report = invariance.check_imag_kernel_invariance(counted, grid)
+    monkeypatch.undo()
+    assert sorted(seen, key=str) == sorted(set(grid), key=str)
+    assert not any(_meets(a, [anchor]) for name, a, _ in calls if name == "svd")
+    stack = matnum.imag_part(family.on_grid(grid)) * herglotz.imag_signs(grid)
+    assert [w["kernel_dim"] for w in report.witnesses] == \
+        [b.shape[1] for b in matnum.null_space(stack)]
+    lam_mins = [w["lam_min"] for w in report.witnesses]
+    scale = 1.0 + matnum.spectral_norm(anchor)  # the parent's second source for the anchor
+    want = max(analysis.harnack_excess(analysis.harnack_constants(folded[0], z), lam_mins[0], m,
+                                       scale) for z, m in zip(folded, lam_mins))
+    assert report.notes["corridor_worst"] == pytest.approx(want, rel=1e-12, abs=0.0)
+    span_worst = invariance._span_drift(matnum.hermitian_kernels(stack)[0])[0]
+    assert report.passed == (span_worst <= 1e-8 and want <= invariance.CORRIDOR_TOL)

@@ -310,6 +310,84 @@ def test_hermitian_kernels_equal_null_space_and_eigvalsh(rng):
     assert [b.shape for b in empty] == [(0, 0), (0, 0)] and lam0.tolist() == [0.0, 0.0]
 
 
+def _ranked(rng, rows: int, cols: int, rank: int, scale: float) -> np.ndarray:
+    """U diag(s) V*, rows x cols, with min(rank, rows, cols) values s in scale * [0.5, 2]."""
+    k = min(rank, rows, cols)
+    u, _ = np.linalg.qr(cgauss(rng, rows, rows))
+    v, _ = np.linalg.qr(cgauss(rng, cols, cols))
+    return (u[:, :k] * (scale * rng.uniform(0.5, 2.0, k))) @ v[:, :k].conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 4), cols=st.integers(0, 4),
+       ranks=st.lists(st.integers(0, 4), min_size=0, max_size=4))
+def test_rank_from_singular_values_is_rank_and_the_basis_widths(seed, rows, cols, ranks):
+    """Zero, rank-deficient, empty and single stacks: one count behind every rank decision."""
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((len(ranks), rows, cols), dtype=np.complex128)
+    for k, r in enumerate(ranks):
+        stack[k] = _ranked(rng, rows, cols, r, 10.0 ** rng.uniform(-3.0, 3.0))
+    got = matnum.rank_from(matnum.singular_values(stack))
+    assert got == matnum.rank(stack)
+    assert got == [cols - b.shape[1] for b in matnum.null_space(stack)]
+    assert got == [b.shape[1] for b in matnum.range_space(stack)]
+    assert got == [min(r, rows, cols) for r in ranks]
+    for one, want in zip(stack, got):
+        assert matnum.rank_from(matnum.singular_values(one)) == matnum.rank(one) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 5),
+       ranks=st.lists(st.integers(0, 5), min_size=0, max_size=4))
+def test_rank_from_hermitian_eigenvalues_is_the_hermitian_kernel_widths(seed, n, ranks):
+    """Indefinite Hermitian matrices of planted rank: rank_from counts what the kernel omits."""
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((len(ranks), n, n), dtype=np.complex128)
+    for k, r in enumerate(ranks):
+        u, _ = np.linalg.qr(cgauss(rng, n, n))
+        lam = rng.choice([-1.0, 1.0], min(r, n)) * rng.uniform(0.5, 2.0, min(r, n))
+        stack[k] = matnum.herm_part((u[:, :len(lam)] * lam) @ u[:, :len(lam)].conj().T)
+    lams, _ = matnum.eig_hermitian(stack)
+    bases, _ = matnum.hermitian_kernels(stack)
+    got = matnum.rank_from(lams)
+    assert got == [n - b.shape[1] for b in bases] == [min(r, n) for r in ranks]
+    assert got == [matnum.rank_from(matnum.eig_hermitian(one)[0]) for one in stack]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 5), count=st.integers(0, 4),
+       sides=st.lists(st.sampled_from([-1, 0, 1]), min_size=4, max_size=4))
+def test_psd_from_is_is_psd(seed, n, count, sides):
+    """lambda_min planted on both sides of the floor, or far from it; stacks of 0 to 4."""
+    rng = np.random.default_rng(seed)
+    tol = TolerancePolicy()
+    stack = np.zeros((count, n, n), dtype=np.complex128)
+    for k in range(count):
+        if n:
+            norm = 10.0 ** rng.uniform(-2.0, 2.0)
+            lam = np.concatenate([rng.uniform(0.0, norm, n - 1), [norm]])
+            lam[0] = -tol.eps_psd * (1.0 + norm) * (1.0 + sides[k] * 1e-6) if sides[k] else lam[0]
+            u, _ = np.linalg.qr(cgauss(rng, n, n))
+            stack[k] = matnum.herm_part((u * lam) @ u.conj().T)
+    oks, lam_mins = matnum.psd_from(matnum.herm_part_eig(stack), tol)
+    want_oks, want_mins = matnum.is_psd(stack, tol)
+    assert oks == want_oks and lam_mins.tobytes() == want_mins.tobytes()
+    for one in stack:
+        assert matnum.psd_from(matnum.herm_part_eig(one), tol) == matnum.is_psd(one, tol)
+    assert matnum.psd_from(np.zeros(0), tol) == matnum.is_psd(np.zeros((0, 0)), tol) == (True, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), side=st.sampled_from([-1, 1]))
+def test_psd_from_flips_at_a_planted_eps_psd(seed, n, side):
+    """eps_psd planted at -lambda_min / (1 + max |lambda|) (1 + side 1e-6): PSD exactly above it."""
+    rng = np.random.default_rng(seed)
+    lams = np.sort(np.concatenate([[-10.0 ** rng.uniform(-6.0, -2.0)],
+                                   rng.uniform(-1e-3, 10.0, n - 1)]))
+    eps_psd = -lams[0] / (1.0 + np.abs(lams).max()) * (1.0 + side * 1e-6)
+    assert matnum.psd_from(lams, TolerancePolicy(eps_psd=eps_psd)) == (side > 0, lams[0])
+
+
 def test_hermitian_kernels_decompose_each_distinct_matrix_once(rng, monkeypatch):
     seen = []
     eigh = np.linalg.eigh
@@ -644,3 +722,36 @@ def test_decompositions_run_in_one_matnum_entry():
                 found.append(f"{path.name}:{owner} {lib} {name}")
     assert found == []
     assert {"svd", "eigh", "eigvalsh", "qr"} <= entry  # the walk sees the entry's own calls
+
+
+# Functions that read eps_psd: the PSD floor, the uniform threshold, and a form's sign check.
+EPS_PSD_READERS = {("matnum.py", "psd_from"), ("herglotz.py", "strictness"),
+                   ("analysis.py", "form_value")}
+
+
+def _functions(tree):
+    """(name, node) of each function, at top level or in a class."""
+    for top in tree.body:
+        for node in [top] + (top.body if isinstance(top, ast.ClassDef) else []):
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, node
+
+
+def test_rank_and_psd_decisions_stay_in_matnum():
+    """No eps_rank cutoff is formed outside matnum; eps_psd is read by three functions only.
+
+    Comparisons such as d <= tol.eps_rank stay allowed: a distance is not a rank.
+    """
+    scaled, readers = [], set()
+    for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text())):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "eps_psd":
+                    readers.add((path.name, name))
+                if (path.name != "matnum.py" and isinstance(node, ast.BinOp)
+                        and isinstance(node.op, ast.Mult)
+                        and any(isinstance(o, ast.Attribute) and o.attr == "eps_rank"
+                                for o in (node.left, node.right))):
+                    scaled.append(f"{path.name}:{node.lineno} {name}")
+    assert scaled == []
+    assert readers == EPS_PSD_READERS
