@@ -134,11 +134,11 @@ def validate(
     phis, psis = pair.on_grid(offaxis + tuple(z.conjugate() for z in offaxis))
     phi, psi, phib, psib = phis[:count], psis[:count], phis[count:], psis[count:]
     signs = herglotz.imag_signs(offaxis)
-    lams = matnum.herm_part_eig(-1j * (_adjoint(phi) @ psi - _adjoint(psi) @ phi) / signs)
+    lams = matnum.herm_part_eig(-1j * boundary_form(phi, psi, phi, psi) / signs)
     oks, lam_mins = matnum.psd_from(lams, tol)
     margins = lam_mins / (1.0 + np.abs(lams).max(axis=1, initial=0.0))
     norm_phi, norm_psi = matnum.spectral_norm(np.concatenate([phi, psi])).reshape(2, count)
-    residuals = (matnum.spectral_norm(_adjoint(psib) @ phi - _adjoint(phib) @ psi)
+    residuals = (matnum.spectral_norm(boundary_form(psi, phi, psib, phib))  # -D(z, conj z)
                  / (1.0 + norm_phi * norm_psi))
     rconds = matnum.rcond(psi + signs * 1j * phi)
     passed = all(oks) and bool((residuals <= tol.eps_eq).all() and (rconds >= RCOND_MIN).all())
@@ -148,6 +148,15 @@ def validate(
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
+
+
+def boundary_form(phi_z, psi_z, phi_w, psi_w) -> np.ndarray:
+    """D(z, w) = Phi(w)* Psi(z) - Psi(w)* Phi(z) = i T(w)* J T(z), slice by slice of a stack.
+
+    T = [Phi; Psi] and J = ``krein_j``.  The pair kernel is D(z, w) / (z - conj w); the
+    positivity axiom reads -i D(z, z), and a relation's snapshot form is D at one point.
+    """
+    return _adjoint(phi_w) @ psi_z - _adjoint(psi_w) @ phi_z
 
 
 def pair_kernel(
@@ -177,7 +186,7 @@ def _kernel(phi_z, psi_z, phi_w, psi_w, z, w, tol: TolerancePolicy) -> np.ndarra
     """The pair kernel at (z, w) from the blocks there; DiagonalKernelError at z = conj(w)."""
     if herglotz.conjugate_points(z, w, tol):
         raise DiagonalKernelError("pair kernel undefined at z = conj(w)")
-    return (phi_w.conj().T @ psi_z - psi_w.conj().T @ phi_z) / (z - np.conj(w))
+    return boundary_form(phi_z, psi_z, phi_w, psi_w) / (z - np.conj(w))
 
 
 def cayley_values(phis: np.ndarray, psis: np.ndarray) -> np.ndarray:
@@ -313,18 +322,6 @@ def transform(pair: PairEvaluator, w: JUnitary | np.ndarray) -> PairEvaluator:
         return t[:, :d], t[:, d:]
 
     return PairEvaluator(d, None, "transformed", grid_fn)
-
-
-def shift_transform(pair: PairEvaluator, x, tol: TolerancePolicy = DEFAULT_TOL) -> PairEvaluator:
-    return transform(pair, JUnitary.shift(x, tol))
-
-
-def scale_transform(pair: PairEvaluator, y, tol: TolerancePolicy = DEFAULT_TOL) -> PairEvaluator:
-    return transform(pair, JUnitary.scale(y, tol))
-
-
-def flip_transform(pair: PairEvaluator) -> PairEvaluator:
-    return transform(pair, JUnitary.flip(pair.dim))
 
 
 def herglotz_shift_transform(

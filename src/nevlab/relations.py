@@ -17,7 +17,7 @@ import numpy as np
 
 from . import herglotz, matnum
 from .matnum import DEFAULT_TOL, TolerancePolicy
-from .pairs import PairEvaluator, diagonal_kernel
+from .pairs import PairEvaluator, boundary_form, diagonal_kernel
 
 
 @dataclass(frozen=True)
@@ -99,25 +99,22 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     return LinearRelation(t.ambient, matnum.orthonormal_complement(flipped))
 
 
-def _boundary_form(t: LinearRelation) -> np.ndarray:
-    """-i (top* bottom - bottom* top), the Hermitian form deciding dissipativity."""
-    phi, psi = t.top, t.bottom
-    return matnum.herm_part(-1j * (phi.conj().T @ psi - psi.conj().T @ phi))
-
-
 def is_symmetric(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    phi, psi = t.top, t.bottom
-    form = phi.conj().T @ psi - psi.conj().T @ phi
-    return matnum.spectral_norm(form) <= tol.eps_eq * (1.0 + matnum.spectral_norm(psi))
+    """The boundary form of [top; bottom] vanishes."""
+    form = boundary_form(t.top, t.bottom, t.top, t.bottom)
+    return matnum.spectral_norm(form) <= tol.eps_eq * (1.0 + matnum.spectral_norm(t.bottom))
 
 
 def is_dissipative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    ok, _ = matnum.is_psd(_boundary_form(t), tol)
+    """-i times the boundary form of [top; bottom] is PSD."""
+    form = boundary_form(t.top, t.bottom, t.top, t.bottom)
+    ok, _ = matnum.is_psd(matnum.herm_part(-1j * form), tol)
     return ok
 
 
 def is_accumulative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    ok, _ = matnum.is_psd(-_boundary_form(t), tol)
+    form = boundary_form(t.top, t.bottom, t.top, t.bottom)
+    ok, _ = matnum.is_psd(-matnum.herm_part(-1j * form), tol)
     return ok
 
 

@@ -35,7 +35,7 @@ from .document import (OUTPUT_FORMATS, VERSION_TAG, DocumentError, JobDocument, 
                        real)
 from .herglotz import FamilyEvaluator, HerglotzRep
 from .matnum import DEFAULT_TOL, TolerancePolicy
-from .pairs import PairEvaluator
+from .pairs import JUnitary, PairEvaluator
 
 
 class RunError(RuntimeError):
@@ -594,13 +594,13 @@ _REP = Kind(
 )
 
 _STEPS = {
-    "shift": Kind(lambda p, pair, built, tol: pairs.shift_transform(pair, p["x"], tol),
+    "shift": Kind(lambda p, pair, built, tol: pairs.transform(pair, JUnitary.shift(p["x"], tol)),
                   {"x": (_MATRIX, _REQUIRED)}),
-    "scale": Kind(lambda p, pair, built, tol: pairs.scale_transform(pair, p["y"], tol),
+    "scale": Kind(lambda p, pair, built, tol: pairs.transform(pair, JUnitary.scale(p["y"], tol)),
                   {"y": (_MATRIX, _REQUIRED)}),
-    "flip": Kind(lambda p, pair, built, tol: pairs.flip_transform(pair), {}),
+    "flip": Kind(lambda p, pair, built, tol: pairs.transform(pair, JUnitary.flip(pair.dim)), {}),
     "junitary": Kind(
-        lambda p, pair, built, tol: pairs.transform(pair, pairs.JUnitary.create(p["w"], tol)),
+        lambda p, pair, built, tol: pairs.transform(pair, JUnitary.create(p["w"], tol)),
         {"w": (_MATRIX, _REQUIRED)}),
     "herglotz_shift": Kind(  # M must be uniformly strict
         lambda p, pair, built, tol: pairs.herglotz_shift_transform(pair, built[p["m"]], tol),

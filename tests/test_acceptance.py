@@ -111,7 +111,7 @@ def test_criterion_03_cayley_schur_chain():
     collection.append(mul_pair(rng, 3))
     base = pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 3)))
     collection.append(pairs.transform(base, JUnitary.random(3, rng)))
-    collection.append(pairs.flip_transform(base))
+    collection.append(pairs.transform(base, JUnitary.flip(base.dim)))
     upper = herglotz.upper_grid()
     norm_ok, resid_ok = True, True
     worst_norm, worst_resid = 0.0, 0.0
@@ -186,7 +186,7 @@ def test_criterion_05_junitary_kernel_invariance():
                     worst,
                     matnum.spectral_norm(n1 - n2) / (1.0 + matnum.spectral_norm(n1)),
                 )
-    flipped = pairs.flip_transform(pair)
+    flipped = pairs.transform(pair, JUnitary.flip(pair.dim))
     inverse_neg = FamilyEvaluator(
         3, lambda z: -matnum.inverse(herglotz.evaluate(rep, z)), "inverse"
     )

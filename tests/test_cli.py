@@ -584,3 +584,80 @@ def test_reference_to_unknown_kind_reports_one_error(tmp_path, capsys):
     assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
     lines = [line for line in capsys.readouterr().err.splitlines() if "'u'" in line]
     assert len(lines) == 1 and "unknown kind ['x']" in lines[0]
+
+
+def test_errored_tasks_record_their_error(tmp_path, capsys):
+    """A task that raises becomes a failed report with its message; the run goes on."""
+    raw = _with(_analysis("weak_strong", name="ws", entity="ex"),
+                _analysis("split", name="sp", entity="ex"), entities=[EX4A])
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    ws = json.loads((tmp_path / "out" / "ws.json").read_text())
+    assert (ws["passed"], ws["rows"]) == (False, [])
+    assert ws["summary"] == {"error": "task 'ws': weak_strong needs representation data"}
+    sp = json.loads((tmp_path / "out" / "sp.json").read_text())
+    assert sp["summary"] == {"error": "split needs representation data; use split_black_box"}
+
+
+ROTATED = {"name": "q", "kind": "pair", "pair": {"type": "transform", "base": "p",
+                                                 "steps": [{"op": "rotate"}]}}
+# (document, the line it must print); each is rejected before anything runs
+REJECTED_WITH_MESSAGE = {
+    "missing-parameter": (minimal_doc(entities=[{"name": "r", "kind": "herglotz_rep",
+                                                 "b1": EYE1}], tasks=[]),
+                          "entity 'r': missing parameter 'b0'"),
+    "entity-not-object": (minimal_doc(entities=[3], tasks=[]),
+                          "entities[0] must be an object, got 3"),
+    "unknown-pair-type": (_with(entities=[{**PAIR, "pair": {"type": "cayley", "family": "f"}}]),
+                          "entity 'p': pair type must be one of canonical, constant, "
+                          "transform, got 'cayley'"),
+    "unknown-step-op": (_with(entities=[PAIR, ROTATED]),
+                        "entity 'q': pair steps [0] op must be one of shift, scale, flip, "
+                        "junitary, herglotz_shift, got 'rotate'"),
+    "ragged-matrix": (_with(entities=[_rep(b0=[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]])]),
+                      "entity 'g': b0 must be a matrix: nested arrays of [re, im] pairs"),
+    "non-square-matrix": (_with(entities=[_rep(b0=[[[0.0, 0.0], [0.0, 0.0]]])]),
+                          "entity 'g': b0 must be a square matrix, got 1 x 2"),
+    "root-not-object": ([minimal_doc()], "document root must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_WITH_MESSAGE))
+def test_rejected_document_names_its_fault(case, tmp_path, capsys):
+    raw, message = REJECTED_WITH_MESSAGE[case]
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"document error: {message}" in err and "Traceback" not in err
+    assert _files(tmp_path) == {doc_path}
+
+
+def test_examples_subcommand_reports_conditioning(tmp_path):
+    doc_path = tmp_path / "demo.json"
+    doc_path.write_text(cli.demo_document_text())
+    out = tmp_path / "o"
+    assert cli.main(["examples", str(doc_path), "--entity", "ex", "--what", "conditioning",
+                     "--out", str(out)]) == 0
+    assert json.loads((out / "examples-ex.json").read_text())["passed"]
+
+
+def test_seed_override_moves_only_the_seeded_reports(tmp_path):
+    assert cli.main(["demo", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["demo", "--seed", "5", "--out", str(tmp_path / "b")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").glob("*.json"))
+    moved = [n for n in names
+             if (tmp_path / "a" / n).read_bytes() != (tmp_path / "b" / n).read_bytes()]
+    assert moved == ["analysis-fam.json", "form-domain-ex.json", "sweep-diag.json"]
+
+
+@pytest.mark.parametrize("z1, message", [
+    ("0,-1", "error: harnack_constants needs a point in C_+"),
+    ("1", "argument --z1: expected a point as 're,im', got '1'"),
+])
+def test_harnack_rejects_a_bad_point(z1, message, capsys):
+    assert cli.main(["harnack", "--z1", z1]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

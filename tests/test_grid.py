@@ -66,9 +66,9 @@ def _pairs(rng) -> dict:
         "canonical-callable": pairs.canonical_pair(fams["callable"]),
         "constant": PairEvaluator.constant(cgauss(rng, 2, 2), cgauss(rng, 2, 2)),
         "direct-sum": mul_pair(rng),
-        "shift": pairs.shift_transform(base, random_hermitian(rng, 2)),
-        "scale": pairs.scale_transform(base, y),
-        "flip": pairs.flip_transform(base),
+        "shift": pairs.transform(base, pairs.JUnitary.shift(random_hermitian(rng, 2))),
+        "scale": pairs.transform(base, pairs.JUnitary.scale(y)),
+        "flip": pairs.transform(base, pairs.JUnitary.flip(base.dim)),
         "junitary": pairs.transform(base, pairs.JUnitary.random(2, rng)),
         "herglotz-shift": pairs.herglotz_shift_transform(base, random_rep(rng, 2, 3)),
         "reparametrized": pairs.reparametrized(base, chi),

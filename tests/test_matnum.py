@@ -755,3 +755,36 @@ def test_rank_and_psd_decisions_stay_in_matnum():
                     scaled.append(f"{path.name}:{node.lineno} {name}")
     assert scaled == []
     assert readers == EPS_PSD_READERS
+
+
+def _is_adjoint(node) -> bool:
+    """_adjoint(m), m.conj().T or m.conj().swapaxes(...)."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "_adjoint"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        node, attr = node.func.value, node.func.attr
+        if attr != "swapaxes":
+            return False
+    elif isinstance(node, ast.Attribute) and node.attr == "T":
+        node = node.value
+    else:
+        return False
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "conj")
+
+
+def _is_adjoint_product(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and _is_adjoint(node.left))
+
+
+def test_the_j_form_is_written_once():
+    """A* B - C* D, the J-form of pairs and relations, is written in pairs.boundary_form only."""
+    found = []
+    for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                        and _is_adjoint_product(node.left) and _is_adjoint_product(node.right)):
+                    found.append((path.name, getattr(top, "name", f"line {top.lineno}")))
+    assert found == [("pairs.py", "boundary_form")]

@@ -1,8 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cgauss, mul_pair, random_rep, random_upper
-from nevlab import herglotz, matnum, pairs, relations
+from conftest import cgauss, mul_pair, random_hermitian, random_rep, random_upper
+from nevlab import herglotz, invariance, matnum, pairs, relations
 from nevlab.herglotz import FamilyEvaluator, HerglotzRep
 from nevlab.pairs import JUnitary, PairEvaluator
 
@@ -143,7 +147,7 @@ class TestTransforms:
 
     def test_flip_gives_inverse_negative(self, rng):
         p = pairs.canonical_pair(LINEAR())
-        flipped = pairs.flip_transform(p)
+        flipped = pairs.transform(p, JUnitary.flip(p.dim))
         inverse_neg = pairs.canonical_pair(scalar_family(lambda z: -1 / z))
         for z in random_upper(rng, 4):
             r1 = relations.from_pair_at(flipped, z)
@@ -155,7 +159,7 @@ class TestTransforms:
 
     def test_hermitian_shift_is_affine(self, rng):
         p = pairs.canonical_pair(LINEAR())
-        shifted = pairs.shift_transform(p, [[1.0]])
+        shifted = pairs.transform(p, JUnitary.shift([[1.0]]))
         target = pairs.canonical_pair(scalar_family(lambda z: z + 1))
         for z in random_upper(rng, 4):
             assert relations.from_pair_at(shifted, z).distance(
@@ -169,7 +173,7 @@ class TestTransforms:
     def test_scale_transform_valid(self, rng):
         p = pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 2)))
         y = cgauss(rng, 2, 2) + 3 * np.eye(2)
-        q = pairs.scale_transform(p, y)
+        q = pairs.transform(p, JUnitary.scale(y))
         assert pairs.validate(q).passed
         # the congruence moves the graph but preserves the kernel
         n1 = pairs.pair_kernel(p, 1j, 2j)
@@ -224,6 +228,77 @@ class TestTransforms:
             assert pairs.validate(q, random_upper(rng, 3)).passed
 
 
+def _drawn_pair(rng, kind: str, dim: int, planted: bool) -> PairEvaluator:
+    """A pair of dim 1-4 with a generic block of dim >= 1.
+
+    ``planted`` adds a constant self-adjoint direction {1, t}, which lies in
+    the kernel of N(z, z); "multivalued" adds the direction {0, 1}.  The
+    generic block keeps N(z, z) from vanishing entirely, a case the rank
+    rule misreads (``test_vanishing_kernel_keeps_its_dimension_under_junitary``).
+    """
+    parts = []
+    if planted and dim > 1:
+        parts.append(PairEvaluator.constant(np.eye(1), rng.standard_normal((1, 1))))
+    if kind == "multivalued" and dim > len(parts) + 1:
+        parts.append(MUL())
+    rest = dim - len(parts)
+    if kind == "constant":
+        parts.append(PairEvaluator.constant(cgauss(rng, rest, rest), cgauss(rng, rest, rest)))
+    else:
+        parts.append(pairs.canonical_pair(random_rep(rng, rest, 3)))
+    return functools.reduce(pairs.pair_direct_sum, parts)
+
+
+def _strictness(c) -> tuple:
+    """The kernel's own witnesses: R~ is R with a multivalued part, which W moves."""
+    label = herglotz.CLASS_PLAIN if c.label == invariance.CLASS_FAMILY else c.label
+    return label, c.kernel_dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+       kind=st.sampled_from(["canonical", "constant", "multivalued"]), planted=st.booleans())
+def test_pair_checks_are_j_invariant(seed, dim, kind, planted):
+    """The boundary form, the kernel's class witnesses and the axioms are J-invariant.
+
+    A random J-unitary moves the multivalued part (``flip`` swaps it with
+    the kernel of Psi), so mul_dim is compared under shift and scale, the
+    J-unitaries [[Y^-1, 0], [X Y^-1, Y*]] that keep ker Phi.  The a-dependent
+    witnesses are left out: ``flip`` sends the eigenvalue a to -1/a.
+    """
+    rng = np.random.default_rng(seed)
+    p = _drawn_pair(rng, kind, dim, planted)
+    moved = pairs.transform(p, JUnitary.random(p.dim, rng))
+    z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0))
+    w = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0)) * rng.choice([1.0, -1.0])
+    (phis, psis), (mphis, mpsis) = p.on_grid((z, w)), moved.on_grid((z, w))
+    d = pairs.boundary_form(phis[0], psis[0], phis[1], psis[1])
+    d_moved = pairs.boundary_form(mphis[0], mpsis[0], mphis[1], mpsis[1])
+    size = np.prod(matnum.spectral_norm(np.concatenate([phis, psis], axis=1)))  # |T(z)| |T(w)|
+    assert matnum.spectral_norm(d_moved - d) <= 1e-12 * size
+
+    before, after = invariance.classify_family_pair(p), invariance.classify_family_pair(moved)
+    assert _strictness(before) == _strictness(after)
+    assert abs(before.lam_min - after.lam_min) <= 1e-12 * (1.0 + abs(before.lam_min))
+    assert pairs.validate(p).passed == pairs.validate(moved).passed
+
+    y = np.eye(p.dim) + 0.3 * cgauss(rng, p.dim, p.dim) / p.dim
+    kept = pairs.transform(pairs.transform(p, JUnitary.scale(y)),
+                           JUnitary.shift(random_hermitian(rng, p.dim)))
+    c = invariance.classify_family_pair(kept)
+    assert (c.label, c.kernel_dim, c.mul_dim) == (before.label, before.kernel_dim,
+                                                   before.mul_dim)
+    assert pairs.validate(kept).passed == pairs.validate(p).passed
+
+
+@pytest.mark.xfail(strict=True, reason="rank_from cuts at eps_rank times the largest "
+                   "eigenvalue, so a kernel that vanishes up to round-off reads as full rank")
+def test_vanishing_kernel_keeps_its_dimension_under_junitary(rng):
+    assert invariance.classify_family_pair(MUL()).kernel_dim == 1
+    moved = pairs.transform(MUL(), JUnitary.random(1, rng))
+    assert invariance.classify_family_pair(moved).kernel_dim == 1
+
+
 class TestEquivalence:
     def test_reparametrization_is_equivalent(self, rng):
         p = pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 2)))
@@ -237,7 +312,7 @@ class TestEquivalence:
 
     def test_junitary_moves_graph(self, rng):
         p = pairs.canonical_pair(LINEAR())
-        assert not pairs.equivalent(p, pairs.flip_transform(p))
+        assert not pairs.equivalent(p, pairs.transform(p, JUnitary.flip(p.dim)))
         assert pairs.equivalent(p, pairs.transform(p, JUnitary.shift([[0.0]])))
 
 

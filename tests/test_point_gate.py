@@ -71,7 +71,8 @@ def test_real_points_in_the_grid_change_no_report(name):
 OFFAXIS_VERDICTS = {  # each quantifies over the off-axis points of its grid
     "classify": lambda g: herglotz.classify(FamilyEvaluator(1, lambda z: np.array([[-z]])), grid=g),
     "validate": lambda g: pairs.validate(PAIR, g),
-    "equivalent": lambda g: pairs.equivalent(PAIR, pairs.flip_transform(PAIR), g),
+    "equivalent": lambda g: pairs.equivalent(
+        PAIR, pairs.transform(PAIR, pairs.JUnitary.flip(PAIR.dim)), g),
     "split_bounded_imag": lambda g: analysis.split_bounded_imag(FAMILY, g),
     "split_black_box": lambda g: analysis.split_black_box(FAMILY, [(1.0, 2.0)], g),
     "check_point_invariance": lambda g: invariance.check_point_invariance(PAIR, 0.5, g),

@@ -247,8 +247,9 @@ class TestCritConsistency:
         candidates = [
             pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 3))),
             mul_pair(rng, 3),
-            pairs.flip_transform(
-                pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 2)))
+            pairs.transform(
+                pairs.canonical_pair(FamilyEvaluator.from_rep(random_rep(rng, 2))),
+                pairs.JUnitary.flip(2),
             ),
         ]
         for p in candidates:
