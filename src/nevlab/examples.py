@@ -20,7 +20,8 @@ against a bounded perturbation C = I + sS:
   M(z) = B^(1/2) (C - 1/z) B^(1/2),       F(z) = -M(z)^(-1),
 
 whose solves degrade like 1 / b_n, the truncation shadow of an unbounded
-function with moving domains; the form of Im F factors through B^(-1/2).
+function with moving domains; the form of Im F factors through B^(-1/2),
+so its form-domain report reads the spectrum of C and solves nothing.
 """
 
 from __future__ import annotations
@@ -271,43 +272,38 @@ class FormDomainReport:
 
 
 FORM_ANCHOR = 1j  # z0 = i, the point where classify reads Im F as well
-FORM_DOMAIN_TOL = 1e-8  # passing excess: whitening by an eigensolve costs round-off times cond
+FORM_DOMAIN_TOL = 1e-8  # passing excess: the closed-form ratios are exact to a few ulps
 
 
-def form_domain_report(
-    ex: Ex4A,
-    grid: Sequence[complex] | None = None,
-    rng: np.random.Generator | None = None,
-) -> FormDomainReport:
+def form_domain_report(ex: Ex4A, grid: Sequence[complex] | None = None,
+                       rng: np.random.Generator | None = None) -> FormDomainReport:
     """Harnack comparison of the imaginary-part forms on a common test space.
 
-    Test vectors are B^(1/2) images of an orthonormal set, the natural
-    domain of the forms; the generalized eigenvalues of the Gram pair
-    (Q(z), Q(z0)) must land inside [c1, c2], which is the desk-scale
-    reading of a z-independent form domain with equivalent norms.  They are
-    the eigenvalues of W* Im F(z) W for W = test Q(z0)^(-1/2), formed once.
+    Test vectors are B^(1/2) V for a unitary V, the natural domain of the
+    forms; the generalized eigenvalues of the Gram pair (Q(z), Q(z0)) must
+    land inside [c1, c2], the desk-scale reading of a z-independent form
+    domain with equivalent norms.  With C = U diag(lambda) U*, Q(z) is
+    (U* V)* diag(Im c_k(z)) (U* V) for c_k(z) = z / (1 - lambda_k z), and a
+    congruence keeps generalized eigenvalues: they are Im c_k(z) / Im c_k(z0)
+    for every V, from one ``eigvalsh`` of C.  rng is not read.  F's solve
+    guard, at z0 and at each point, reads rcond(C - 1/z) off |lambda_k - 1/z|.
     """
-    rng = np.random.default_rng(1) if rng is None else rng
-    n = ex.config.n
-    v = matnum.qr_q(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    test = np.sqrt(ex.b)[:, None] * v
     zs = herglotz.upper_points(grid, "form_domain_report")
     z0 = FORM_ANCHOR
-    im0 = matnum.imag_part(ex.f_family(z0))
-    w0, v0 = matnum.herm_part_eig(test.conj().T @ im0 @ test, vectors=True)  # the Gram Q(z0)
-    if w0[0] <= 0:
+    lam = matnum.herm_part_eig(ex.c)
+    pts = np.array((z0,) + zs)[:, None]  # the anchor first, then the grid
+    d = (1.0 - lam * pts.real) ** 2 + (lam * pts.imag) ** 2  # |z|^2 |lambda_k - 1/z|^2
+    matnum.rcond_from(np.broadcast_to(ex.c, (len(d),) + ex.c.shape), np.sqrt(np.sort(d)[:, ::-1]),
+                      EXAMPLE_RCOND_MIN)
+    im = pts.imag / d  # Im c_k(z)
+    if im[0].min() <= 0:
         raise ValueError("anchor form is numerically singular on the test space")
-    white = test @ ((v0 / np.sqrt(w0)) @ v0.conj().T)  # W* Im F(z) W = Q0^(-1/2) Q(z) Q0^(-1/2)
-    white_adj = white.conj().T
-    bounds, extremes = [], []
-    worst = 0.0
-    for z in zs:
+    bounds, extremes, worst = [], [], 0.0
+    for z, ratio in zip(zs, im[1:] / im[0]):
         hp = analysis.harnack_constants(z0, z)
-        im = im0 if z == z0 else matnum.imag_part(ex.f_family(z))
-        w = matnum.herm_part_eig(white_adj @ im @ white)
-        lo, hi = float(w[0]), float(w[-1])
+        lo, hi = float(ratio.min()), float(ratio.max())
         bounds.append((hp.c1, hp.c2))
         extremes.append((lo, hi))
-        worst = max(worst, analysis.harnack_excess(hp, 1.0, w[[0, -1]], max(hi, hp.c2)))
+        worst = max(worst, analysis.harnack_excess(hp, 1.0, ratio, max(hi, hp.c2)))
     return FormDomainReport(z0, zs, tuple(bounds), tuple(extremes), worst,
                             worst <= FORM_DOMAIN_TOL)

@@ -451,7 +451,7 @@ def _decay(config, p, grid, rng):
 
 
 def _form_domain(config, p, grid, rng):
-    fr = examples.form_domain_report(examples.build_ex4a(config), grid, rng=rng)
+    fr = examples.form_domain_report(examples.build_ex4a(config), grid)
     rows = [{"z_re": z.real, "z_im": z.imag, "c1": b[0], "c2": b[1],
              "gen_eig_min": e[0], "gen_eig_max": e[1]}
             for z, b, e in zip(fr.grid, fr.bounds, fr.extremes)]

@@ -47,6 +47,13 @@ class TestHarnackConstants:
             analysis.harnack_constants(1j, -2j)
 
 
+@pytest.mark.xfail(strict=True, raises=OverflowError, reason="a stationary point near "
+                   "-b/a squares past the float range when the real parts differ by < 1e-154")
+def test_harnack_constants_at_a_tiny_real_part():
+    hp = analysis.harnack_constants(1j, 1e-200 + 2j)
+    assert (hp.c1, hp.c2) == (0.5, 2.0)  # the constants of 2i, which it tends to
+
+
 class TestFormSandwich:
     def test_linear_family_exact(self, rng):
         report = analysis.form_sandwich_check(

@@ -650,7 +650,7 @@ def test_seed_override_moves_only_the_seeded_reports(tmp_path):
     names = sorted(p.name for p in (tmp_path / "a").glob("*.json"))
     moved = [n for n in names
              if (tmp_path / "a" / n).read_bytes() != (tmp_path / "b" / n).read_bytes()]
-    assert moved == ["analysis-fam.json", "form-domain-ex.json", "sweep-diag.json"]
+    assert moved == ["analysis-fam.json", "sweep-diag.json"]
 
 
 @pytest.mark.parametrize("z1, message", [

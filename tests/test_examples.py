@@ -1,7 +1,11 @@
-from collections import Counter
+from contextlib import ExitStack
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cgauss, random_upper
 from nevlab import analysis, examples, herglotz, matnum
@@ -228,6 +232,25 @@ class TestEx4A:
             examples.build_ex4a(Ex4AConfig(n=3, b_decay=[0.5, 0.5, 0.1]))
 
 
+def _assert_matches_dense(ex, grid, rng):
+    """The report's extremes, excess and verdict against the whitened dense rule."""
+    n = ex.config.n
+    test = np.sqrt(ex.b)[:, None] * matnum.qr_q(cgauss(rng, n, n))
+    im0 = matnum.imag_part(ex.f_family(1j))
+    w0, v0 = matnum.herm_part_eig(test.conj().T @ im0 @ test, vectors=True)
+    white = test @ ((v0 / np.sqrt(w0)) @ v0.conj().T)
+    extremes, worst = [], 0.0
+    for z in herglotz.upper_points(grid):
+        w = matnum.herm_part_eig(white.conj().T @ matnum.imag_part(ex.f_family(z)) @ white)
+        hp = analysis.harnack_constants(1j, z)
+        extremes.append((w[0], w[-1]))
+        worst = max(worst, analysis.harnack_excess(hp, 1.0, w[[0, -1]], max(w[-1], hp.c2)))
+    report = examples.form_domain_report(ex, grid)
+    np.testing.assert_allclose(report.extremes, extremes, rtol=1e-12)
+    assert report.worst_violation == pytest.approx(worst, rel=0, abs=1e-12)
+    assert report.passed == (worst <= examples.FORM_DOMAIN_TOL)
+
+
 class TestFormDomainReport:
     def test_unperturbed_exact_proportionality(self):
         ex = examples.build_ex4a(Ex4AConfig(n=10, c_perturbation=0.0))
@@ -258,21 +281,90 @@ class TestFormDomainReport:
             w = np.linalg.eigvalsh(matnum.herm_part(isqrt @ gram(z) @ isqrt))
             np.testing.assert_allclose([lo, hi], w[[0, -1]], rtol=1e-10)
 
-    def test_the_anchor_is_evaluated_once(self):
-        """At n = 128 the value memo keeps nothing, so the report itself must not ask twice."""
-        ex = examples.build_ex4a(Ex4AConfig(n=128, c_perturbation=0.3, seed=2))
-        seen = []
-        rule = ex.f_family.grid_fn
-        ex.f_family.grid_fn = lambda zs: seen.extend(zs) or rule(zs)
-        report = examples.form_domain_report(ex)
-        assert ex.f_family.memo.values == {}
-        assert 1j in report.grid and Counter(seen) == Counter(report.grid)
+    @settings(max_examples=25, deadline=None)
+    @given(grid=st.none() | st.lists(st.builds(
+        complex, st.integers(-10**6, 10**6).map(lambda k: k / 1000), st.floats(1e-3, 1e3)),
+        min_size=1, max_size=20))
+    def test_the_report_takes_one_eigensolve_and_no_solve(self, grid):
+        """For any grid: no rule of the example runs, and LAPACK sees C alone, once.
 
-    def test_bounds_contain_extremes(self):
-        ex = examples.build_ex4a(Ex4AConfig(n=12, c_perturbation=0.4, seed=4))
-        report = examples.form_domain_report(ex)
-        for (c1, c2), (lo, hi) in zip(report.bounds, report.extremes):
-            assert c1 * (1 - 1e-8) <= lo and hi <= c2 * (1 + 1e-8)
+        Real parts lie on a 1e-3 lattice: harnack_constants overflows for 0 < |Re z| < 1e-154,
+        pinned in test_analysis.py::test_harnack_constants_at_a_tiny_real_part.
+        """
+        ex = examples.build_ex4a(Ex4AConfig(n=128, c_perturbation=0.3, seed=2))
+        rules, seen = [], []
+        lapack = matnum._lapack
+        with ExitStack() as stack:
+            for fam in (ex.f_family, ex.f_tilde, ex.m_family):
+                stack.enter_context(mock.patch.object(
+                    fam, "grid_fn", lambda zs, rule=fam.grid_fn: rules.append(zs) or rule(zs)))
+            stack.enter_context(mock.patch.object(
+                matnum, "_lapack", lambda kind, m: seen.append((kind, m.shape)) or lapack(kind, m)))
+            examples.form_domain_report(ex, grid)
+        assert rules == [] and seen == [("eigvalsh", (1, 128, 128))]
+
+    def test_the_anchor_row_is_exactly_one(self):
+        ex = examples.build_ex4a(Ex4AConfig(n=30, c_perturbation=0.5, seed=9))
+        report = examples.form_domain_report(ex, [2 + 1j, 1j, 1j])
+        assert report.extremes[1:] == ((1.0, 1.0), (1.0, 1.0))
+
+    def test_extremes_match_the_dense_generalized_eigenvalues(self):
+        """40 small configs against the report as 15 inverses and a whitening computed it.
+
+        The dense rule loses about eps |F(z)| / Im F(z) to cancellation in Im F, 7e-12 at
+        z = 1000 + 1i, so its far points keep arg z in [pi/4, 3pi/4] and its points at
+        Im z = 1e-3 keep Re z below the first pole 1/lambda_max > 0.52 of C - 1/z.
+        """
+        for n in range(1, 41):
+            seed = n - 1
+            rng = np.random.default_rng(seed)
+            decay = None if seed % 2 else np.sort(10.0 ** -rng.uniform(0, 8, n))[::-1]
+            ex = examples.build_ex4a(Ex4AConfig(
+                n=n, b_decay=decay, c_perturbation=float(rng.uniform(0, 0.89)), seed=seed))
+            grid = (list(herglotz.upper_grid())
+                    + list(rng.uniform(-3.0, 0.5, 3) + 1e-3j)
+                    + list(1e3 * np.exp(1j * rng.uniform(np.pi / 4, 3 * np.pi / 4, 3))) + [1e3j])
+            _assert_matches_dense(ex, grid, rng)
+
+    def test_large_n_extremes_match_the_dense_generalized_eigenvalues(self):
+        ex = examples.build_ex4a(Ex4AConfig(n=200, c_perturbation=0.3, seed=3))
+        _assert_matches_dense(ex, None, np.random.default_rng(3))
+
+    def test_extremes_are_exact_where_the_dense_rule_is_not(self):
+        """Against 40-digit ratios Im c_k(z) / Im c_k(i) of C's computed eigenvalues, at points
+        the dense rule misses: far out near the axis and next to a pole of (C - 1/z)^(-1)."""
+        ex = examples.build_ex4a(Ex4AConfig(n=12, c_perturbation=0.6, seed=8))
+        lam = [mpmath.mpf(float(x)) for x in np.linalg.eigvalsh(ex.c)]
+        grid = [1e3 + 1j, -1e3 + 1e-3j, 1 / float(lam[0]) + 1e-3j, 2.0 + 1e-3j]
+        report = examples.form_domain_report(ex, grid)
+        with mpmath.workdps(40):
+            for z, got in zip(grid, report.extremes):
+                z = mpmath.mpc(z)
+                ratios = [z.imag * (1 + x * x) / abs(1 - x * z) ** 2 for x in lam]
+                np.testing.assert_allclose(got, [float(min(ratios)), float(max(ratios))],
+                                           rtol=1e-14)
+
+    @pytest.mark.parametrize("eps, fails", [(1e-18, True), (1e-13, False)])
+    def test_solve_guard_matches_the_family(self, eps, fails):
+        """z = 1/lambda_k + i eps puts rcond(C - 1/z) a decade or more off EXAMPLE_RCOND_MIN.
+
+        At n = 2 the dense SVD resolves the planted rcond (2e-17); from n = 3 on it floors
+        at the 1e-16 to 2e-15 round-off of C's spectrum, where the two estimates may split.
+        """
+        ex = examples.build_ex4a(Ex4AConfig(n=2, c_perturbation=0.5, seed=0))
+        lam = np.linalg.eigvalsh(ex.c)
+        z = 1 / lam[0] + 1j * eps
+        s = np.abs(lam - 1 / z)
+        for rc in (matnum.rcond(ex.c - np.eye(2) / z), s.min() / s.max()):
+            assert (rc * 10 <= examples.EXAMPLE_RCOND_MIN) if fails else (
+                rc >= 10 * examples.EXAMPLE_RCOND_MIN)
+        for call in (lambda: ex.f_family(z), lambda: examples.form_domain_report(ex, [z])):
+            if fails:
+                with pytest.raises(matnum.ConditioningError,
+                                   match="^solve rejected: reciprocal condition"):
+                    call()
+            else:
+                call()
 
 
 def test_config_validation():
