@@ -6,8 +6,8 @@ tolerance policy governs the whole library.  All decisions are relative to
 the spectral norm; rank decisions use singular values, never determinants.
 Four rules decide from values already taken, so one decomposition serves
 every witness of a matrix: ``rank_from``, ``psd_from``, ``rcond_from`` and
-``invertible_from``; s_j(A^(-1)) is 1 / s_(n+1-j)(A).  Every SVD,
-eigensolve and QR runs in ``_lapack``, which looks numpy's routine up at
+``invertible_from``; s_j(A^(-1)) is 1 / s_(n+1-j)(A).  Every SVD and
+eigensolve runs in ``_lapack``, which looks numpy's routine up at
 call time, decomposes each distinct matrix of a stack once (equal first
 words, then equal weighted hashes of the words, flag candidates that
 equal bytes confirm; a stack without repeats reaches LAPACK as it is)
@@ -119,7 +119,7 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def _lapack(kind: str, m: np.ndarray):
     """numpy's ``kind`` of each distinct matrix of a checked (G, rows, cols) stack, once.
 
-    kind: "svdvals", "svd" (full), "svd_thin", "eigvalsh", "eigh" or "qr" (reduced).
+    kind: "svdvals", "svd" (full), "svd_thin", "eigvalsh" or "eigh".
     """
     count, rows, cols = m.shape
     if 0 in m.shape:  # numpy 2's results, built here: numpy < 2 rejects some empty shapes
@@ -128,10 +128,10 @@ def _lapack(kind: str, m: np.ndarray):
         return {"svdvals": lambda: s, "eigvalsh": lambda: s,
                 "svd": lambda: (eye(rows, rows), s, eye(cols, cols)),
                 "svd_thin": lambda: (eye(rows, k), s, eye(k, cols)),
-                "eigh": lambda: (s, eye(k, k)), "qr": lambda: (eye(rows, k), eye(k, cols))}[kind]()
+                "eigh": lambda: (s, eye(k, k))}[kind]()
     routine = {"svdvals": lambda a: np.linalg.svd(a, compute_uv=False), "svd": np.linalg.svd,
                "svd_thin": lambda a: np.linalg.svd(a, full_matrices=False),
-               "eigvalsh": np.linalg.eigvalsh, "eigh": np.linalg.eigh, "qr": np.linalg.qr}[kind]
+               "eigvalsh": np.linalg.eigvalsh, "eigh": np.linalg.eigh}[kind]
     if count > 1:  # repeats: equal first words, equal hashes of all words, then equal bytes
         words = np.ascontiguousarray(m).reshape(count, -1).view(np.uint64)
         if len(set(words[:, 0].tolist())) < count and len(set((words @ np.arange(
@@ -292,11 +292,6 @@ def herm_part_eig(t, vectors: bool = False):
     m, one = _stack(t, square=True)
     out = _lapack("eigh" if vectors else "eigvalsh", _herm(m))
     return (tuple(r[0] for r in out) if vectors else out[0]) if one else out
-
-
-def qr_q(a) -> np.ndarray:
-    """Q of the reduced QR factorization of a matrix A."""
-    return _lapack("qr", as_matrix(a)[None])[0][0]
 
 
 def singular_values(a) -> np.ndarray:

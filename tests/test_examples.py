@@ -235,7 +235,7 @@ class TestEx4A:
 def _assert_matches_dense(ex, grid, rng):
     """The report's extremes, excess and verdict against the whitened dense rule."""
     n = ex.config.n
-    test = np.sqrt(ex.b)[:, None] * matnum.qr_q(cgauss(rng, n, n))
+    test = np.sqrt(ex.b)[:, None] * np.linalg.qr(cgauss(rng, n, n))[0]
     im0 = matnum.imag_part(ex.f_family(1j))
     w0, v0 = matnum.herm_part_eig(test.conj().T @ im0 @ test, vectors=True)
     white = test @ ((v0 / np.sqrt(w0)) @ v0.conj().T)
@@ -302,6 +302,12 @@ class TestFormDomainReport:
                 matnum, "_lapack", lambda kind, m: seen.append((kind, m.shape)) or lapack(kind, m)))
             examples.form_domain_report(ex, grid)
         assert rules == [] and seen == [("eigvalsh", (1, 128, 128))]
+
+    def test_bounds_contain_extremes(self):
+        ex = examples.build_ex4a(Ex4AConfig(n=12, c_perturbation=0.4, seed=4))
+        report = examples.form_domain_report(ex)
+        for (c1, c2), (lo, hi) in zip(report.bounds, report.extremes):
+            assert c1 * (1 - 1e-8) <= lo and hi <= c2 * (1 + 1e-8)
 
     def test_the_anchor_row_is_exactly_one(self):
         ex = examples.build_ex4a(Ex4AConfig(n=30, c_perturbation=0.5, seed=9))

@@ -611,7 +611,6 @@ _NUMPY_KINDS = {
     "svd_thin": ("svd", lambda a: np.linalg.svd(a, full_matrices=False)),
     "eigvalsh": ("eigvalsh", np.linalg.eigvalsh),
     "eigh": ("eigh", np.linalg.eigh),
-    "qr": ("qr", np.linalg.qr),
 }
 
 
@@ -711,7 +710,7 @@ def _linalg_uses(tree):
 
 
 def test_decompositions_run_in_one_matnum_entry():
-    """numpy's SVD, eigensolves and QR are called in matnum._lapack only; solve in two places."""
+    """numpy's SVD and eigensolves are called in matnum._lapack only; solve in two places."""
     found, entry = [], set()
     for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
         for owner, lib, name in _linalg_uses(ast.parse(path.read_text())):
@@ -721,7 +720,7 @@ def test_decompositions_run_in_one_matnum_entry():
             if (lib, name) not in _LINALG_ANYWHERE and (path.name, owner) not in allowed:
                 found.append(f"{path.name}:{owner} {lib} {name}")
     assert found == []
-    assert {"svd", "eigh", "eigvalsh", "qr"} <= entry  # the walk sees the entry's own calls
+    assert {"svd", "eigh", "eigvalsh"} <= entry  # the walk sees the entry's own calls
 
 
 # Functions that read eps_psd: the PSD floor, the uniform threshold, and a form's sign check.
