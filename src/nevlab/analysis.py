@@ -68,14 +68,19 @@ def _sup_poisson_ratio(z1: complex, z2: complex) -> float:
 def _sup_at_roots(f: Callable[[float], float], limit: float, a: float, b: float,
                   c: float) -> float:
     """The larger of limit and f at the real roots of a t^2 + b t + c = 0."""
-    best = limit
+    best, roots = limit, []
     if a != 0.0:
         disc = b * b - 4.0 * a * c
         if disc >= 0.0:
             root = float(np.sqrt(disc))
-            best = max(best, f((-b + root) / (2 * a)), f((-b - root) / (2 * a)))
+            roots = [(-b + root) / (2 * a), (-b - root) / (2 * a)]
     elif b != 0.0:
-        best = max(best, f(-c / b))
+        roots = [-c / b]
+    for t in roots:
+        try:
+            best = max(best, f(t))
+        except OverflowError:  # only at |t| past about 1e154, where f is its limit
+            pass
     return best
 
 
@@ -334,9 +339,11 @@ def c2_of(z: complex) -> float:
                          -(abs(z) ** 2 - 1.0), -z.real)
 
 
-def _measure_tail(rep: HerglotzRep, z: complex) -> np.ndarray:
-    """F(z) - B1 z - B0, the part of the function carried by the measure."""
-    return herglotz.evaluate(rep, z) - rep.b1 * complex(z) - rep.b0
+def _bound_inputs(rep: HerglotzRep, z: complex):
+    """z as a complex, c2(z), K's ascending eigenpairs and the measure tail F(z) - B1 z - B0."""
+    z = complex(z)
+    w, v = matnum.herm_part_eig(rep.measure.k_sigma(), vectors=True)
+    return z, c2_of(z), w, v, herglotz.evaluate(rep, z) - rep.b1 * z - rep.b0
 
 
 @dataclass(frozen=True)
@@ -355,13 +362,10 @@ def weak_strong_check(
     rng: np.random.Generator | None = None,
 ) -> BoundReport:
     """Vector bound ||(F(z) - B1 z - B0) u|| <= c2(z) ||K^(1/2)|| ||K^(1/2) u||."""
-    z = complex(z)
     rng = np.random.default_rng(0) if rng is None else rng
-    c2 = c2_of(z)
-    w, v = matnum.herm_part_eig(rep.measure.k_sigma(), vectors=True)
+    z, c2, w, v, tail = _bound_inputs(rep, z)
     k_half = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     k_half_norm = matnum.spectral_norm(k_half)
-    tail = _measure_tail(rep, z)
     worst, violations = 0.0, 0
     for _ in range(trials):
         u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
@@ -386,12 +390,9 @@ def factor_check(
     rank cutoff); the measure tail lives on that range, so the compression
     loses nothing.
     """
-    z = complex(z)
-    c2 = c2_of(z)
-    w, v = matnum.herm_part_eig(rep.measure.k_sigma(), vectors=True)
+    z, c2, w, v, tail = _bound_inputs(rep, z)
     start = len(w) - matnum.rank_from(w, tol)  # K is PSD and w ascends: its range is the top
     root = v[:, start:] / np.sqrt(w[start:])
-    tail = _measure_tail(rep, z)
     middle = root.conj().T @ tail @ root
     norm = matnum.spectral_norm(middle)
     passed = norm <= c2 * (1.0 + BOUND_TOL)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from . import matnum
 from .matnum import DEFAULT_TOL, TolerancePolicy
@@ -358,21 +357,15 @@ def as_family(f: FamilyEvaluator | HerglotzRep) -> FamilyEvaluator:
 
 def _symmetry_residual(at_z: np.ndarray, at_conj: np.ndarray) -> float:
     """Worst relative spectral residual of F(conj z) - F(z)* over two value stacks."""
-    a, b = at_conj, at_z.conj().swapaxes(-1, -2)
+    a, b = at_conj, matnum._adjoint(at_z)
     na, nb, nd = matnum.spectral_norm(np.concatenate([a, b, a - b])).reshape(3, len(a))
     return float(np.max(nd / (1.0 + np.maximum(na, nb)), initial=0.0))
 
 
 def family_direct_sum(fa: FamilyEvaluator, fb: FamilyEvaluator) -> FamilyEvaluator:
     """Block-diagonal direct sum of two families."""
-
-    def grid_fn(zs):
-        out = np.zeros((len(zs),) + (fa.dim + fb.dim,) * 2, dtype=np.complex128)
-        out[:, : fa.dim, : fa.dim] = fa.on_grid(zs)
-        out[:, fa.dim :, fa.dim :] = fb.on_grid(zs)
-        return out
-
-    return FamilyEvaluator(fa.dim + fb.dim, None, "direct-sum", grid_fn=grid_fn)
+    return FamilyEvaluator(fa.dim + fb.dim, None, "direct-sum",
+                           grid_fn=lambda zs: matnum._block_diag(fa.on_grid(zs), fb.on_grid(zs)))
 
 
 def _kernels(f: HerglotzRep | FamilyEvaluator, zs: Sequence[complex], ws: Sequence[complex],
@@ -396,7 +389,7 @@ def _kernels(f: HerglotzRep | FamilyEvaluator, zs: Sequence[complex], ws: Sequen
     if any(conjugate_points(z, w, tol) for z in zs for w in ws):
         raise DomainError("diagonal z = conj(w) needs representation data")
     values = f.on_grid(zs + ws)
-    fz, fw_adj = values[: len(zs), None], values[None, len(zs) :].conj().swapaxes(-1, -2)
+    fz, fw_adj = values[: len(zs), None], matnum._adjoint(values[None, len(zs) :])
     return (fz - fw_adj) / np.subtract.outer(zs, np.conj(ws)).reshape(shape)
 
 
@@ -506,6 +499,8 @@ def boundary_extrapolations(family: FamilyEvaluator, a: float, b: float,
     is asymptotically linear in eta.  The integrand calls the family's rule
     past its value memo, which would fill with nodes never asked for again.
     """
+    from scipy.integrate import quad_vec  # here, so that importing nevlab loads no scipy
+
     def integrand(x: float, eta: float) -> np.ndarray:
         z = (complex(x, eta),)
         value = matnum.as_stack(family.grid_fn(z), 1, family.dim, "family produced")[0]

@@ -324,7 +324,7 @@ def maximum_principle_schur(
     else:
         cs = np.stack([matnum.as_matrix(schur(z)) for z in grid])
     eye = np.eye(cs.shape[-1], dtype=np.complex128)
-    defects = eye - cs.conj().swapaxes(-1, -2) @ cs
+    defects = eye - matnum._adjoint(cs) @ cs
     moved = cs - alpha * eye
     defect_spans = matnum.null_space(defects, tol)
     eig_spans = matnum.null_space(moved, tol)

@@ -116,6 +116,14 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (G, m + n, m + n) stack of diag(A_g, B_g) from (G, m, m) and (G, n, n) stacks."""
+    m, n = a.shape[-1], b.shape[-1]
+    out = np.zeros((len(a), m + n, m + n), dtype=np.complex128)
+    out[:, :m, :m], out[:, m:, m:] = a, b
+    return out
+
+
 def _lapack(kind: str, m: np.ndarray):
     """numpy's ``kind`` of each distinct matrix of a checked (G, rows, cols) stack, once.
 
@@ -328,9 +336,15 @@ def null_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     per matrix, and gives a list of G bases (their widths may differ).
     """
     m, one = _stack(a)
-    _, s, vh = _lapack("svd", m)
-    bases = [v[k:].conj().T for v, k in zip(vh, rank_from(s, tol))]
+    bases = _spaces(m, tol)[1]
     return bases[0] if one else bases
+
+
+def _spaces(m: np.ndarray, tol: TolerancePolicy) -> tuple[list, list]:
+    """Column-space and null-space bases of each matrix of a checked stack, from one full SVD."""
+    u, s, vh = _lapack("svd", m)
+    ranks = rank_from(s, tol)
+    return [x[:, :k] for x, k in zip(u, ranks)], [_adjoint(v[k:]) for v, k in zip(vh, ranks)]
 
 
 def range_space(a, tol: TolerancePolicy = DEFAULT_TOL):
@@ -370,7 +384,7 @@ def subspace_distances(us, vs) -> np.ndarray:
         raise ValueError("basis contains NaN or Inf entries")
     # sin(theta_max) = || (I - U U*) V ||_2; the residual form avoids the
     # sqrt(eps) loss of computing sines from principal-angle cosines
-    resid = mv - mu @ (mu.conj().swapaxes(-1, -2) @ mv)
+    resid = mv - mu @ (_adjoint(mu) @ mv)
     resid = resid.reshape((math.prod(lead),) + resid.shape[-2:])
     return np.minimum(1.0, _norms(resid).reshape(lead))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import herglotz, matnum
 from .herglotz import FamilyEvaluator, HerglotzRep
-from .matnum import DEFAULT_TOL, TolerancePolicy
+from .matnum import DEFAULT_TOL, TolerancePolicy, _adjoint
 
 RCOND_MIN = matnum.INVERTIBLE_MIN  # the solve guard is the invertibility threshold
 
@@ -144,10 +144,6 @@ def validate(
     passed = all(oks) and bool((residuals <= tol.eps_eq).all() and (rconds >= RCOND_MIN).all())
     return PairValidation(offaxis, tuple(margins.tolist()), tuple(residuals.tolist()),
                           tuple(rconds.tolist()), passed)
-
-
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def boundary_form(phi_z, psi_z, phi_w, psi_w) -> np.ndarray:
@@ -364,17 +360,8 @@ def reparametrized(
 
 def pair_direct_sum(pa: PairEvaluator, pb: PairEvaluator) -> PairEvaluator:
     """Block-diagonal direct sum of two pairs."""
-    d = pa.dim + pb.dim
-
-    def grid_fn(zs):
-        out = []
-        for a, b in zip(pa.on_grid(zs), pb.on_grid(zs)):
-            block = np.zeros((len(zs), d, d), dtype=np.complex128)
-            block[:, : pa.dim, : pa.dim], block[:, pa.dim :, pa.dim :] = a, b
-            out.append(block)
-        return tuple(out)
-
-    return PairEvaluator(d, None, "explicit", grid_fn)
+    return PairEvaluator(pa.dim + pb.dim, None, "explicit", lambda zs: tuple(
+        matnum._block_diag(a, b) for a, b in zip(pa.on_grid(zs), pb.on_grid(zs))))
 
 
 def equivalent(

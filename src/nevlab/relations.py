@@ -81,13 +81,11 @@ class RelationParts:
 def parts(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> RelationParts:
     """Domain, range, kernel and multivalued part as orthonormal bases.
 
-    mul = {g : (0, g) in T} comes from the null space of the top block,
-    ker = {f : (f, 0) in T} from the null space of the bottom block.
+    One full SVD of both blocks gives dom, ran and the null spaces carrying mul = {g : (0, g)
+    in T} and ker = {f : (f, 0) in T}, so dim dom + dim mul = dim ran + dim ker = dim T.
     """
-    dom = matnum.range_space(t.top, tol)
-    ran = matnum.range_space(t.bottom, tol)
-    mul_params = matnum.null_space(t.top, tol)
-    ker_params = matnum.null_space(t.bottom, tol)
+    blocks = matnum._checked(np.stack([t.top, t.bottom]), (3,))
+    (dom, ran), (mul_params, ker_params) = matnum._spaces(blocks, tol)
     mul = matnum.range_space(t.bottom @ mul_params, tol)
     ker = matnum.range_space(t.top @ ker_params, tol)
     return RelationParts(dom, ran, ker, mul)
@@ -112,12 +110,6 @@ def is_dissipative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> boo
     return ok
 
 
-def is_accumulative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    form = boundary_form(t.top, t.bottom, t.top, t.bottom)
-    ok, _ = matnum.is_psd(-matnum.herm_part(-1j * form), tol)
-    return ok
-
-
 def is_maximal_dissipative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Dissipative with invertible bottom + i top (full parameter count needed).
 
@@ -128,10 +120,17 @@ def is_maximal_dissipative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL
     return is_dissipative(t, tol) and matnum.definitely_invertible(t.bottom + 1j * t.top)
 
 
+def _negative(t: LinearRelation) -> LinearRelation:
+    """-T = {(f, -g) : (f, g) in T}: T is (maximal) accumulative iff -T is (maximal) dissipative."""
+    return LinearRelation(t.ambient, np.vstack([t.top, -t.bottom]))
+
+
+def is_accumulative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    return is_dissipative(_negative(t), tol)
+
+
 def is_maximal_accumulative(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    if t.dim != t.ambient:
-        return False
-    return is_accumulative(t, tol) and matnum.definitely_invertible(t.bottom - 1j * t.top)
+    return is_maximal_dissipative(_negative(t), tol)
 
 
 def is_selfadjoint(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

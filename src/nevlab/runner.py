@@ -51,13 +51,7 @@ class TaskReport:
     rows: list[dict] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "task": self.task,
-            "passed": self.passed,
-            "summary": self.summary,
-            "rows": self.rows,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}  # asdict would deep-copy rows
 
 
 MAX_DIM = 1024  # entity n and n_list entries; decay alone takes seconds per point there

@@ -47,9 +47,8 @@ class TestHarnackConstants:
             analysis.harnack_constants(1j, -2j)
 
 
-@pytest.mark.xfail(strict=True, raises=OverflowError, reason="a stationary point near "
-                   "-b/a squares past the float range when the real parts differ by < 1e-154")
 def test_harnack_constants_at_a_tiny_real_part():
+    """A stationary point near -b/a lies past 1e154, where the Poisson ratio is its limit."""
     hp = analysis.harnack_constants(1j, 1e-200 + 2j)
     assert (hp.c1, hp.c2) == (0.5, 2.0)  # the constants of 2i, which it tends to
 
@@ -96,6 +95,10 @@ class TestFormSandwich:
         fam = FamilyEvaluator.from_rep(random_rep(rng, 3))
         sample = analysis.form_value(fam, 0.5 + 0.7j, cgauss(rng, 3))
         assert sample.value >= 0.0
+
+    def test_form_value_rejects_a_negative_form(self):
+        with pytest.raises(ValueError, match="negative beyond tolerance"):
+            analysis.form_value(scalar_family(lambda z: -z), 1j, [1.0])
 
 
 class TestSplit:
@@ -200,6 +203,12 @@ class TestModulusBound:
         op = analysis.factor_check(rep, z)
         vec = analysis.weak_strong_check(rep, z, trials=40, rng=rng)
         assert vec.worst_ratio <= op.worst_ratio + 1e-9
+
+    def test_weak_strong_counts_violations_below_the_true_bound(self, rng, monkeypatch):
+        rep = HerglotzRep.create(np.zeros((2, 2)), np.zeros((2, 2)), [(0.0, np.eye(2))])
+        monkeypatch.setattr(analysis, "c2_of", lambda z: 0.5)  # c2(i) is 1, attained here
+        report = analysis.weak_strong_check(rep, 1j, trials=10, rng=rng)
+        assert report.bound == 0.5 and report.violations > 0 and not report.passed
 
     def test_rank_deficient_measure(self, rng):
         w = np.zeros((3, 3))

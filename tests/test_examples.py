@@ -282,15 +282,10 @@ class TestFormDomainReport:
             np.testing.assert_allclose([lo, hi], w[[0, -1]], rtol=1e-10)
 
     @settings(max_examples=25, deadline=None)
-    @given(grid=st.none() | st.lists(st.builds(
-        complex, st.integers(-10**6, 10**6).map(lambda k: k / 1000), st.floats(1e-3, 1e3)),
-        min_size=1, max_size=20))
+    @given(grid=st.none() | st.lists(
+        st.builds(complex, st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)), min_size=1, max_size=20))
     def test_the_report_takes_one_eigensolve_and_no_solve(self, grid):
-        """For any grid: no rule of the example runs, and LAPACK sees C alone, once.
-
-        Real parts lie on a 1e-3 lattice: harnack_constants overflows for 0 < |Re z| < 1e-154,
-        pinned in test_analysis.py::test_harnack_constants_at_a_tiny_real_part.
-        """
+        """For any grid: no rule of the example runs, and LAPACK sees C alone, once."""
         ex = examples.build_ex4a(Ex4AConfig(n=128, c_perturbation=0.3, seed=2))
         rules, seen = [], []
         lapack = matnum._lapack

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -429,3 +434,14 @@ def test_symmetry_residual_needs_an_offaxis_point(zs):
     with pytest.raises(herglotz.DomainError, match="symmetry_residual"):
         family.symmetry_residual(zs)
     assert family.symmetry_residual() == family.symmetry_residual(herglotz.upper_grid())
+
+
+def test_scipy_integrate_is_loaded_only_by_the_boundary_integral():
+    """Importing the library's other entry points leaves scipy.integrate unloaded."""
+    src = str(Path(herglotz.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, nevlab.runner, nevlab.invariance, nevlab.relations, nevlab.examples; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

@@ -777,13 +777,52 @@ def _is_adjoint_product(node) -> bool:
             and _is_adjoint(node.left))
 
 
-def test_the_j_form_is_written_once():
-    """A* B - C* D, the J-form of pairs and relations, is written in pairs.boundary_form only."""
+def _written_in(match) -> list:
+    """(module, top-level definition) of each node of the package that ``match`` accepts."""
     found = []
     for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
-                        and _is_adjoint_product(node.left) and _is_adjoint_product(node.right)):
-                    found.append((path.name, getattr(top, "name", f"line {top.lineno}")))
+            found += [(path.name, getattr(top, "name", f"line {top.lineno}"))
+                      for node in ast.walk(top) if match(node)]
+    return found
+
+
+def test_the_j_form_is_written_once():
+    """A* B - C* D, the J-form of pairs and relations, is written in pairs.boundary_form only."""
+    found = _written_in(lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                        and _is_adjoint_product(node.left) and _is_adjoint_product(node.right))
     assert found == [("pairs.py", "boundary_form")]
+
+
+def test_the_adjoint_is_written_once():
+    """m.conj().swapaxes(...) appears in matnum._adjoint only, and no other module defines one."""
+    def conj_swapaxes(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "swapaxes" and isinstance(node.func.value, ast.Call)
+                and isinstance(node.func.value.func, ast.Attribute)
+                and node.func.value.func.attr == "conj")
+
+    assert _written_in(conj_swapaxes) == [("matnum.py", "_adjoint")]
+    assert _written_in(lambda node: isinstance(node, ast.FunctionDef)
+                       and node.name == "_adjoint") == [("matnum.py", "_adjoint")]
+
+
+def _bounded_slices(target) -> int:
+    """How many bounded slices (:m, m:) index an assignment target such as out[:, :m, :m]."""
+    if not (isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Tuple)):
+        return 0
+    return sum(isinstance(e, ast.Slice) and (e.lower or e.upper) is not None
+               for e in target.slice.elts)
+
+
+def test_the_block_diagonal_assembly_is_written_once():
+    """Blocks are written into a stack in matnum._block_diag only, and both direct sums call it."""
+    def block_write(node):
+        return isinstance(node, ast.Assign) and any(
+            _bounded_slices(e) >= 2 for t in node.targets
+            for e in (t.elts if isinstance(t, ast.Tuple) else [t]))
+
+    assert set(_written_in(block_write)) == {("matnum.py", "_block_diag")}
+    assert _written_in(lambda node: isinstance(node, ast.Attribute)
+                       and node.attr == "_block_diag") == [
+        ("herglotz.py", "family_direct_sum"), ("pairs.py", "pair_direct_sum")]

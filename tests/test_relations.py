@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cgauss, mul_pair, random_hermitian, random_rep, random_upper
 from nevlab import herglotz, matnum, pairs, relations
@@ -54,6 +56,27 @@ class TestParts:
     def test_pure_mul_parts(self):
         p = relations.parts(LinearRelation.pure_mul(1))
         assert p.dom.shape[1] == 0 and p.mul.shape[1] == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), k=st.integers(1, 8),
+           rank_top=st.integers(0, 4))
+    def test_rank_nullity(self, seed, n, k, rank_top):
+        """dom + mul and ran + ker each have width dim T, also with a singular top block."""
+        rng = np.random.default_rng(seed)
+        span = cgauss(rng, 2 * n, k)
+        span[:n] = cgauss(rng, n, min(rank_top, n)) @ cgauss(rng, min(rank_top, n), k)
+        t = LinearRelation.from_span(span)
+        p = relations.parts(t)
+        assert p.dom.shape[1] + p.mul.shape[1] == t.dim
+        assert p.ran.shape[1] + p.ker.shape[1] == t.dim
+
+    def test_one_full_svd_of_both_blocks_and_two_image_ranges(self, rng, monkeypatch):
+        t = random_relation(rng, 3, 4)
+        seen, lapack = [], matnum._lapack
+        monkeypatch.setattr(matnum, "_lapack",
+                            lambda kind, m: seen.append((kind, m.shape)) or lapack(kind, m))
+        relations.parts(t)
+        assert seen == [("svd", (2, 3, 4)), ("svd_thin", (1, 3, 1)), ("svd_thin", (1, 3, 1))]
 
     def test_nilpotent_graph(self):
         p = relations.parts(LinearRelation.graph([[0.0, 1.0], [0.0, 0.0]]))
@@ -147,6 +170,8 @@ class TestResolvent:
 
     def test_eigenvalue_hit_flags_singular(self):
         assert relations.resolvent_at(LinearRelation.graph([[1.0]]), 1.0) is None
+        # the core bottom - z top of diag(1, 2)'s graph at z = 1 has a round-off sigma_min, not 0
+        assert relations.resolvent_at(LinearRelation.graph(np.diag([1.0, 2.0])), 1.0) is None
 
     def test_matches_matrix_resolvent(self, rng):
         a = cgauss(rng, 3, 3)
