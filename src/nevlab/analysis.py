@@ -8,12 +8,13 @@ is made computable for the cone of functions h(x + iy) = c y + integral of
 the Poisson kernel P(z, t) = y / ((x - t)^2 + y^2) against a positive
 measure; by the half-plane Herglotz representation this cone is exactly
 the nonnegative harmonic functions.  The sharp constant is the supremum of
-the pointwise Poisson-kernel ratio over the extended real line (the limit
-at infinity equals the linear-term ratio), computed from the real roots of
-an explicit quadratic.  On top of this: sandwich checks for the imaginary
-part forms of a family, the additive split F = G + T into a function with
-representation data plus a constant Hermitian operator, the sharp modulus
-bound c2(z) = sup |1 + z t| / |t - z| with its weak / strong / factorized
+the pointwise Poisson-kernel ratio over the extended real line, which
+Harnack's inequality gives in closed form: c2 = (1 + rho) / (1 - rho) with
+rho the pseudo-hyperbolic distance of the points.  On top of this: sandwich
+checks for the imaginary part forms of a family, the additive split
+F = G + T into a function with representation data plus a constant
+Hermitian operator, the sharp modulus bound c2(z) = sup |1 + z t| / |t - z|,
+the same constant between i and z, with its weak / strong / factorized
 consequences for the measure tail, and singular-value decay fitting.
 """
 
@@ -47,58 +48,29 @@ def _poisson(z: complex, t: float) -> float:
     return y / ((x - t) ** 2 + y * y)
 
 
-def _sup_poisson_ratio(z1: complex, z2: complex) -> float:
-    """sup over the extended real line of P(z2, t) / P(z1, t).
+def _harnack_c2(z1: complex, z2: complex) -> float:
+    """(1 + rho) / (1 - rho) = s^2 / (4 y1 y2) with s = |z1 - conj z2| + |z1 - z2|.
 
-    Stationary points solve the quadratic
-    (x1-x2)(t-x1)(t-x2) + y2^2 (t-x1) - y1^2 (t-x2) = 0; t -> infinity
-    contributes the limit y2/y1, which also covers the linear term of the
-    cone.
+    Factored so that it overflows only where c2 itself leaves the float range,
+    as long as the coordinates stay below half of it.
     """
-    x1, y1 = z1.real, z1.imag
-    x2, y2 = z2.real, z2.imag
-    a = x1 - x2
-    return _sup_at_roots(
-        lambda t: (y2 / y1) * (((t - x1) ** 2 + y1 * y1) / ((t - x2) ** 2 + y2 * y2)),
-        y2 / y1, a, -a * (x1 + x2) + (y2 * y2 - y1 * y1),
-        a * x1 * x2 - y2 * y2 * x1 + y1 * y1 * x2,
-    )
-
-
-def _sup_at_roots(f: Callable[[float], float], limit: float, a: float, b: float,
-                  c: float) -> float:
-    """The larger of limit and f at the real roots of a t^2 + b t + c = 0."""
-    best, roots = limit, []
-    if a != 0.0:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            root = float(np.sqrt(disc))
-            roots = [(-b + root) / (2 * a), (-b - root) / (2 * a)]
-    elif b != 0.0:
-        roots = [-c / b]
-    for t in roots:
-        try:
-            best = max(best, f(t))
-        except OverflowError:  # only at |t| past about 1e154, where f is its limit
-            pass
-    return best
+    s = abs(z1 - z2.conjugate()) + abs(z1 - z2)
+    return (s / (2.0 * z1.imag)) * (s / (2.0 * z2.imag))
 
 
 def harnack_constants(z1: complex, z2: complex) -> HarnackPair:
     """Sharp constants with c1 h(z1) <= h(z2) <= c2 h(z1) on the cone.
 
-    c2 takes the larger of the linear-term ratio and the Poisson-ratio
-    supremum; c1 is the reciprocal of the constant with the roles of the
-    points swapped, so c1(z1, z2) * c2(z2, z1) = 1 identically and equal
-    points give (1, 1).
+    Harnack's inequality is sharp and Moebius invariant: with rho the
+    pseudo-hyperbolic distance |z1 - z2| / |z1 - conj z2|, c2 = (1 + rho) /
+    (1 - rho) and c1 = 1 / c2.  The rule is symmetric in the points, so
+    c1(z1, z2) * c2(z2, z1) = 1 to one ulp; equal points give (1.0, 1.0),
+    and c2 past the float range reads inf, with c1 = 0.0.
     """
     z1 = herglotz.upper_point(z1, "harnack_constants")
     z2 = herglotz.upper_point(z2, "harnack_constants")
-    if z1 == z2:
-        return HarnackPair(z1, z2, 1.0, 1.0)
-    c2 = max(z2.imag / z1.imag, _sup_poisson_ratio(z1, z2))
-    c1 = 1.0 / max(z1.imag / z2.imag, _sup_poisson_ratio(z2, z1))
-    return HarnackPair(z1, z2, c1, c2)
+    c2 = _harnack_c2(z1, z2)
+    return HarnackPair(z1, z2, 1.0 / c2, c2)
 
 
 CONE_ATOMS = 6  # most Poisson kernels per random cone function; every draw depends on it
@@ -329,14 +301,10 @@ BOUND_TOL = 1e-9  # passing relative excess over c2(z): both sides are exact to 
 def c2_of(z: complex) -> float:
     """Supremum of |1 + z t| / |t - z| over the extended real line.
 
-    Stationary points of the squared ratio solve x t^2 - (|z|^2 - 1) t - x
-    = 0 (z = x + iy); the limit at infinity contributes |z|.  The value at
-    z = i is exactly 1.
+    It is the Harnack constant c2 between i and z, (|z - i| + |z + i|)^2 /
+    (4 Im z), bit for bit; the value at z = i is exactly 1.
     """
-    z = herglotz.upper_point(z, "c2_of")
-    # the discriminant b^2 + 4x^2 is never negative
-    return _sup_at_roots(lambda t: abs(1.0 + z * t) / abs(t - z), abs(z), z.real,
-                         -(abs(z) ** 2 - 1.0), -z.real)
+    return _harnack_c2(1j, herglotz.upper_point(z, "c2_of"))
 
 
 def _bound_inputs(rep: HerglotzRep, z: complex):

@@ -1,5 +1,10 @@
+import sys
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cgauss, random_hermitian, random_rep, random_upper
 from nevlab import analysis, herglotz, matnum
@@ -48,9 +53,64 @@ class TestHarnackConstants:
 
 
 def test_harnack_constants_at_a_tiny_real_part():
-    """A stationary point near -b/a lies past 1e154, where the Poisson ratio is its limit."""
+    """Real parts 1e-200 apart: the gap is far below round-off of the heights."""
     hp = analysis.harnack_constants(1j, 1e-200 + 2j)
     assert (hp.c1, hp.c2) == (0.5, 2.0)  # the constants of 2i, which it tends to
+
+
+def _upper(sign, power, height):
+    """sign * 10**power + i 10**height; power None is a zero real part."""
+    return complex(0.0 if power is None else sign * 10.0 ** power, 10.0 ** height)
+
+
+# a point with |x| from 1e-6 to 1e150 (or 0) and y from 1e-6 to 1e6, log-uniform
+UPPER = st.builds(_upper, st.sampled_from([-1.0, 1.0]),
+                  st.one_of(st.none(), st.floats(-6.0, 150.0)), st.floats(-6.0, 6.0))
+
+
+def _mp_c2(z1: complex, z2: complex):
+    """(|z1 - conj z2| + |z1 - z2|)^2 / (4 y1 y2) at 50 digits."""
+    with mpmath.workdps(50):
+        w1, w2 = mpmath.mpc(z1), mpmath.mpc(z2)
+        s = abs(w1 - mpmath.conj(w2)) + abs(w1 - w2)
+        return s * s / (4 * w1.imag * w2.imag)
+
+
+def _mp_c2_of(z: complex):
+    """(1 + |z|^2 + |1 + z^2|) / (2 Im z) at 50 digits, a second form of the same constant."""
+    with mpmath.workdps(50):
+        w = mpmath.mpc(z)
+        return (1 + abs(w) ** 2 + abs(1 + w * w)) / (2 * w.imag)
+
+
+def _close(value: float, reference) -> bool:
+    """value within 1e-14 of the reference, or inf where the reference leaves the float range."""
+    if reference > sys.float_info.max:
+        return value == float("inf")
+    return abs(mpmath.mpf(value) - reference) <= 1e-14 * reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(z1=UPPER, z2=UPPER)
+@example(z1=1j, z2=1e200 + 1j)  # c2 = 1e400 leaves the float range: inf, and c1 = 0.0
+def test_harnack_constants_against_mpmath(z1, z2):
+    hp, ref = analysis.harnack_constants(z1, z2), _mp_c2(z1, z2)
+    assert _close(hp.c2, ref)
+    assert hp.c1 == 0.0 if ref > sys.float_info.max else _close(hp.c1, 1 / ref)
+    assert _close(analysis.c2_of(z2), _mp_c2_of(z2))
+
+
+def test_harnack_constants_far_apart():
+    """The real parts 1e70 apart at unit height: c2 = 1e140, and c1 its reciprocal."""
+    hp = analysis.harnack_constants(1j, 1e70 + 1j)
+    assert hp.c2 == pytest.approx(1e140, rel=1e-14)
+    assert hp.c1 * hp.c2 == pytest.approx(1.0, rel=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(z=UPPER)
+def test_c2_of_is_the_harnack_constant_from_i(z):
+    assert analysis.c2_of(z) == analysis.harnack_constants(1j, z).c2
 
 
 class TestFormSandwich:
@@ -169,6 +229,14 @@ class TestModulusBound:
 
     def test_value_at_2i(self):
         assert analysis.c2_of(2j) == pytest.approx(2.0, abs=1e-9)
+
+    def test_finite_near_the_float_range(self):
+        c2 = analysis.c2_of(1e155 + 1e6j)  # |z|^2 alone would overflow
+        assert c2 == pytest.approx(1e304, rel=1e-14)
+
+    def test_far_real_part_at_a_small_height(self):
+        z = 27639031.002645526 + 0.00012302993801225083j
+        assert _close(analysis.c2_of(z), _mp_c2_of(z))
 
     def test_dense_grid_oracle(self, rng):
         ts = np.linspace(-2000.0, 2000.0, 200001)

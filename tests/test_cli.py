@@ -279,10 +279,24 @@ class TestCommandLine:
         assert cli.main(["classify", str(doc_path), "--entity", "nope"]) == 2
 
     def test_harnack_subcommand(self, capsys):
-        for z2 in ("0,2", "1e-200,2"):  # a tiny real part puts a stationary point past 1e154
+        for z2 in ("0,2", "1e-200,2"):  # a real-part gap far below round-off of the heights
             assert cli.main(["harnack", "--z1", "0,1", "--z2", z2, "--trials", "200"]) == 0
             out = capsys.readouterr().out
             assert "c2 = 2.0" in out
+
+    @pytest.mark.parametrize("x, c2", [("1e70", 1e140), ("1e80", 1e160)])
+    def test_harnack_far_apart(self, x, c2, capsys):
+        assert cli.main(["harnack", "--z1", "0,1", "--z2", f"{x},1", "--trials", "200"]) == 0
+        printed = capsys.readouterr().out.splitlines()[1]
+        assert printed.startswith("c2 = ")
+        assert float(printed.removeprefix("c2 = ")) == pytest.approx(c2, rel=1e-14)
+
+    def test_c2_analysis_near_the_float_range(self, tmp_path):
+        doc_path = tmp_path / "job.json"
+        doc_path.write_text(json.dumps(minimal_doc(tasks=[_analysis("c2", z=[1e155, 1e6])])))
+        assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "t.json").read_text())
+        assert report["rows"][0]["value"] == pytest.approx(1e304, rel=1e-14)
 
     def test_grid_override_applies(self, tmp_path):
         doc_path = tmp_path / "job.json"
