@@ -20,6 +20,7 @@ consequences for the measure tail, and singular-value decay fitting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,10 +52,14 @@ def _poisson(z: complex, t: float) -> float:
 def _harnack_c2(z1: complex, z2: complex) -> float:
     """(1 + rho) / (1 - rho) = s^2 / (4 y1 y2) with s = |z1 - conj z2| + |z1 - z2|.
 
-    Factored so that it overflows only where c2 itself leaves the float range,
-    as long as the coordinates stay below half of it.
+    Factored so that it overflows only where c2 itself leaves the float range:
+    s >= 2 max(y1, y2), so 2 y is finite with s, and where s is not, the points
+    are scaled by 1/8, exactly, since c2 is finite there only for normal heights.
     """
     s = abs(z1 - z2.conjugate()) + abs(z1 - z2)
+    if s == math.inf:
+        z1, z2 = complex(z1.real / 8, z1.imag / 8), complex(z2.real / 8, z2.imag / 8)
+        s = abs(z1 - z2.conjugate()) + abs(z1 - z2)
     return (s / (2.0 * z1.imag)) * (s / (2.0 * z2.imag))
 
 
@@ -108,10 +113,13 @@ def harnack_excess(hp: HarnackPair, anchor, value, scale) -> float:
     """Largest max(c1 anchor - value, value - c2 anchor) / scale, or 0.0 inside.
 
     The one Harnack comparison: anchor = h(z1) and value = h(z2), arrays
-    broadcast, each caller with a scale of its own.
+    broadcast, each caller with a scale of its own.  A nan excess (a nan
+    constant or value) is no comparison, so it fails: it reads inf.
     """
-    excess = np.maximum(hp.c1 * anchor - value, value - hp.c2 * anchor) / scale
-    return max(0.0, float(np.asarray(excess).max(initial=-np.inf)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is the nan read below
+        excess = np.maximum(hp.c1 * anchor - value, value - hp.c2 * anchor) / scale
+    worst = float(np.asarray(excess).max(initial=-np.inf))
+    return math.inf if math.isnan(worst) else max(0.0, worst)
 
 
 def certify_harnack(

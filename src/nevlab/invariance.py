@@ -13,7 +13,10 @@ those of a point-by-point loop.  A span check on G grid points stacks the
 spans once and takes the exact worst of its G(G-1)/2 pairwise distances
 in ``matnum.subspace_distances`` calls over the index pairs of the upper
 triangle, each gathering at most SPAN_CHUNK_BYTES of bases (one call on
-the check grid); no triangle-inequality bound replaces the maximum.
+the check grid); no triangle-inequality bound replaces the maximum.  The
+point check on a family takes ker(F(z) - a) from the values alone, with
+no inverse: on a grid of conjugate pairs, with F(conj z) = F(z)* bit for
+bit, ``matnum`` takes one full SVD per pair.
 Continuous spectrum has no finite-dimensional
 instance, so it is emulated by a truncation sweep: uniform-in-z decay of
 the smallest form eigenvalue along growing dimensions, with the
@@ -84,7 +87,8 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
     A dimension that varies counts as distance 1.0 and is explained in
     the notes; otherwise the notes carry the common dimension.  Given
     witnesses, each gains its span's ``distance`` to the anchor (the span
-    at the first grid point).
+    at the first grid point).  Each pair is measured from the span with the
+    smaller bytes, so the worst depends only on the spans, not their order.
     """
     dims = sorted({s.shape[1] for s in spans})
     if len(dims) != 1:
@@ -95,6 +99,7 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
     if witnesses:
         for w, d in zip(witnesses, matnum.subspace_distances(stack, stack[0])):
             w["distance"] = float(d)
+    stack = stack[sorted(range(len(stack)), key=lambda k: stack[k].tobytes())]
     ii, jj = np.triu_indices(len(stack), 1)
     chunk = max(1, SPAN_CHUNK_BYTES // max(1, 2 * stack[0].nbytes))
     worst = max((float(matnum.subspace_distances(stack[ii[k:k + chunk]],
@@ -107,17 +112,19 @@ def _image_span_check(statement: str, key: str, grid, kernel_of, mapped_by, tol,
     """Whether span(B ker A), A and B given as stacks, is one subspace over the grid.
 
     One null-space call takes the stack, one range-space call each distinct
-    image shape.  Pass requires a constant dimension and pairwise subspace
-    distances at most tol.eps_rank; each witness holds its dimension under key.
+    image shape; with mapped_by None the spans are the bases of ker A.  Pass
+    requires a constant dimension and pairwise subspace distances at most
+    tol.eps_rank; each witness holds its dimension under key.
     """
-    images = [b @ k for b, k in zip(mapped_by, matnum.null_space(kernel_of, tol))]
-    spans: list = [None] * len(images)
-    groups: dict[tuple, list[int]] = {}
-    for k, m in enumerate(images):
-        groups.setdefault(m.shape, []).append(k)
-    for idx in groups.values():
-        for k, span in zip(idx, matnum.range_space(np.stack([images[k] for k in idx]), tol)):
-            spans[k] = span
+    spans = matnum.null_space(kernel_of, tol)
+    if mapped_by is not None:
+        images = [b @ k for b, k in zip(mapped_by, spans)]
+        groups: dict[tuple, list[int]] = {}
+        for k, m in enumerate(images):
+            groups.setdefault(m.shape, []).append(k)
+        for idx in groups.values():
+            for k, span in zip(idx, matnum.range_space(np.stack([images[k] for k in idx]), tol)):
+                spans[k] = span
     witnesses = [{key: span.shape[1]} for span in spans]
     worst, drift = _span_drift(spans, witnesses)
     return InvarianceReport(statement, grid, witnesses, worst <= tol.eps_rank, worst,
@@ -132,14 +139,23 @@ def check_point_invariance(
 ) -> InvarianceReport:
     """Eigenspace at a real value a is the same at every grid point.
 
-    The space at z is {f : (f, a f) in the snapshot relation}, computed as
-    Phi(z) applied to the null space of Psi(z) - a Phi(z).
+    The space at z is {f : (f, a f) in the snapshot relation}.  For a pair
+    it is Phi(z) applied to the null space of Psi(z) - a Phi(z).  For a
+    family it is ker(F(z) - a), from the values alone: the canonical pair
+    has Psi - a Phi = (F - a) Phi with Phi invertible, so Phi ker(Psi - a Phi)
+    = ker(F(z) - a).  No inverse is formed, so no ConditioningError is
+    raised, and the rank cutoff is taken on F(z) - a.
     """
     a = float(a)
     grid = _offaxis(grid, "check_point_invariance")
-    phis, psis = _as_pair(obj).on_grid(grid)
+    if isinstance(obj, (FamilyEvaluator, HerglotzRep)):
+        family = herglotz.as_family(obj)
+        kernel_of, mapped_by = family.on_grid(grid) - a * np.eye(family.dim), None
+    else:
+        phis, psis = _as_pair(obj).on_grid(grid)
+        kernel_of, mapped_by = psis - a * phis, phis
     return _image_span_check("point-spectrum-invariance", "eigenspace_dim", grid,
-                             psis - a * phis, phis, tol, {"a": a})
+                             kernel_of, mapped_by, tol, {"a": a})
 
 
 CORRIDOR_TOL = 1e-8  # passing corridor excess over 1 + ||Im F||: an eigensolve's round-off
@@ -326,10 +342,11 @@ def maximum_principle_schur(
     eye = np.eye(cs.shape[-1], dtype=np.complex128)
     defects = eye - matnum._adjoint(cs) @ cs
     moved = cs - alpha * eye
-    defect_spans = matnum.null_space(defects, tol)
-    eig_spans = matnum.null_space(moved, tol)
-    inv_flags = matnum.definitely_invertible(defects, 2.0)
-    smins = matnum.singular_values(moved)[:, -1]
+    # one full SVD of each matrix gives its null space and its smallest singular value
+    _, defect_spans, defect_s = matnum._spaces(matnum._checked(defects), tol)
+    _, eig_spans, moved_s = matnum._spaces(matnum._checked(moved), tol)
+    inv_flags = matnum.invertible_from(defect_s.min(axis=1, initial=np.inf), 2.0)
+    smins = moved_s[:, -1]
     reg_flags = matnum.invertible_from(smins, 2.0)
     witnesses = [
         {

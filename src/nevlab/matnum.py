@@ -10,8 +10,9 @@ every witness of a matrix: ``rank_from``, ``psd_from``, ``rcond_from`` and
 eigensolve runs in ``_lapack``, which looks numpy's routine up at
 call time, decomposes each distinct matrix of a stack once (equal first
 words, then equal weighted hashes of the words, flag candidates that
-equal bytes confirm; a stack without repeats reaches LAPACK as it is)
-and builds numpy 2's empty results.  Each caller keeps its LAPACK job
+equal bytes confirm; a stack without repeats reaches LAPACK as it is),
+takes one full SVD of a square matrix and its adjoint, and builds numpy
+2's empty results.  Each caller keeps its LAPACK job
 (values only or full SVD, ``eigvalsh`` or ``eigh``): the jobs round differently.
 """
 
@@ -127,7 +128,11 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lapack(kind: str, m: np.ndarray):
     """numpy's ``kind`` of each distinct matrix of a checked (G, rows, cols) stack, once.
 
-    kind: "svdvals", "svd" (full), "svd_thin", "eigvalsh" or "eigh".
+    kind: "svdvals", "svd" (full), "svd_thin", "eigvalsh" or "eigh".  A full
+    SVD of a square A decomposes whichever of A and A* has the smaller bytes
+    and reads A's factors from A* = U s Vh as (Vh*, s, U*), so a matrix and
+    its adjoint share one decomposition.  Their bytes first differ in
+    Im A[0, 0], by its sign bit alone, so A* is the smaller when that bit is set.
     """
     count, rows, cols = m.shape
     if 0 in m.shape:  # numpy 2's results, built here: numpy < 2 rejects some empty shapes
@@ -140,20 +145,42 @@ def _lapack(kind: str, m: np.ndarray):
     routine = {"svdvals": lambda a: np.linalg.svd(a, compute_uv=False), "svd": np.linalg.svd,
                "svd_thin": lambda a: np.linalg.svd(a, full_matrices=False),
                "eigvalsh": np.linalg.eigvalsh, "eigh": np.linalg.eigh}[kind]
-    if count > 1:  # repeats: equal first words, equal hashes of all words, then equal bytes
-        words = np.ascontiguousarray(m).reshape(count, -1).view(np.uint64)
-        if len(set(words[:, 0].tolist())) < count and len(set((words @ np.arange(
-                1, 2 * words.shape[1], 2, dtype=np.uint64)).tolist())) < count:
-            keys = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
-            first = dict(zip(reversed(keys), range(count - 1, -1, -1)))  # bytes -> first index
-            owners = np.fromiter(map(first.get, keys), int, count) if len(first) < count else None
-            del keys, first  # no key outlives the search
-            if owners is not None:
-                picks = np.flatnonzero(owners == np.arange(count))
-                slots = np.searchsorted(picks, owners)
-                out = routine(m[picks])
-                return tuple(r[slots] for r in out) if isinstance(out, tuple) else out[slots]
-    return routine(m)
+    flip = np.signbit(m[:, 0, 0].imag) if kind == "svd" and rows == cols else None
+    flip = flip if flip is not None and flip.any() else None  # where A* is decomposed
+    owners = _owners(m, flip) if count > 1 else None
+    if owners is None and flip is None:
+        return routine(m)  # a stack without repeats or adjoints reaches LAPACK as it is
+    picks = np.arange(count) if owners is None else np.flatnonzero(owners == np.arange(count))
+    smaller = m[picks]  # a copy, then the decomposed member of each distinct matrix
+    if flip is not None:
+        smaller[flip[picks]] = _adjoint(smaller[flip[picks]])
+    out = routine(smaller)
+    del smaller
+    if len(picks) < count:
+        slots = np.searchsorted(picks, owners)
+        out = tuple(r[slots] for r in out) if isinstance(out, tuple) else out[slots]
+    if flip is not None:  # A's factors from A* = U s Vh
+        out[0][flip], out[2][flip] = _adjoint(out[2][flip]), _adjoint(out[0][flip])
+    return out
+
+
+def _owners(m: np.ndarray, flip):
+    """Per matrix, the first index whose decomposed member has equal bytes; None if none repeat.
+
+    The member is A*, not A, where flip (None: nowhere) is set.  Screens:
+    equal first words (A and A* share theirs), equal hashes of all words
+    (where nothing is flipped), then equal bytes.
+    """
+    count = len(m)
+    words = np.ascontiguousarray(m).reshape(count, -1).view(np.uint64)
+    if len(set(words[:, 0].tolist())) == count or flip is None and len(set((words @ np.arange(
+            1, 2 * words.shape[1], 2, dtype=np.uint64)).tolist())) == count:
+        return None
+    keys = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
+    for j in () if flip is None else np.flatnonzero(flip):
+        keys[j] = _adjoint(m[j]).tobytes()
+    first = dict(zip(reversed(keys), range(count - 1, -1, -1)))  # bytes -> first index
+    return np.fromiter(map(first.get, keys), int, count) if len(first) < count else None
 
 
 # _norms, _herm and _residuals take a (G, m, n) stack that passed _checked
@@ -340,11 +367,11 @@ def null_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     return bases[0] if one else bases
 
 
-def _spaces(m: np.ndarray, tol: TolerancePolicy) -> tuple[list, list]:
-    """Column-space and null-space bases of each matrix of a checked stack, from one full SVD."""
+def _spaces(m: np.ndarray, tol: TolerancePolicy) -> tuple[list, list, np.ndarray]:
+    """Column- and null-space bases of each matrix of a checked stack, and the SVD's values."""
     u, s, vh = _lapack("svd", m)
     ranks = rank_from(s, tol)
-    return [x[:, :k] for x, k in zip(u, ranks)], [_adjoint(v[k:]) for v, k in zip(vh, ranks)]
+    return [x[:, :k] for x, k in zip(u, ranks)], [_adjoint(v[k:]) for v, k in zip(vh, ranks)], s
 
 
 def range_space(a, tol: TolerancePolicy = DEFAULT_TOL):

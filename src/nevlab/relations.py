@@ -85,7 +85,7 @@ def parts(t: LinearRelation, tol: TolerancePolicy = DEFAULT_TOL) -> RelationPart
     in T} and ker = {f : (f, 0) in T}, so dim dom + dim mul = dim ran + dim ker = dim T.
     """
     blocks = matnum._checked(np.stack([t.top, t.bottom]), (3,))
-    (dom, ran), (mul_params, ker_params) = matnum._spaces(blocks, tol)
+    (dom, ran), (mul_params, ker_params), _ = matnum._spaces(blocks, tol)
     mul = matnum.range_space(t.bottom @ mul_params, tol)
     ker = matnum.range_space(t.top @ ker_params, tol)
     return RelationParts(dom, ran, ker, mul)

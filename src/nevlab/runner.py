@@ -327,7 +327,8 @@ def _run_classify(p, built, grid, tol, rng):
 # check -> (whether it needs the operator family itself, not only a pair,
 # (pair, family or None for a pair entity, a, grid, tol) -> report)
 _CHECKS = {
-    "point": (False, lambda pr, f, a, g, t: invariance.check_point_invariance(pr, a, g, t)),
+    "point": (False, lambda pr, f, a, g, t: invariance.check_point_invariance(
+        pr if f is None else f, a, g, t)),
     "imag_kernel": (True, lambda pr, f, a, g, t: invariance.check_imag_kernel_invariance(f, g, t)),
     "resolvent": (False,
                   lambda pr, f, a, g, t: invariance.check_resolvent_invariance(pr, a, g, t)),

@@ -100,6 +100,24 @@ def test_harnack_constants_against_mpmath(z1, z2):
     assert _close(analysis.c2_of(z2), _mp_c2_of(z2))
 
 
+@pytest.mark.parametrize("z1, z2", [
+    (1e308j, 1e308j),  # c2 = 1
+    (1j, 1e308j),  # c2 = 1e308
+    (1e308 + 1.7e308j, -1.7e308 + 1.7e308j),  # halving the points would not keep s finite
+])
+def test_harnack_constants_near_the_float_range(z1, z2):
+    """Heights and gaps past half the float range: s overflows, c2 does not."""
+    hp, ref = analysis.harnack_constants(z1, z2), _mp_c2(z1, z2)
+    assert _close(hp.c2, ref) and _close(hp.c1, 1 / ref)
+
+
+def test_harnack_excess_reads_a_nan_as_a_failure():
+    nan = float("nan")
+    for hp, value in [(analysis.HarnackPair(1j, 1j, nan, nan), 1.0),
+                      (analysis.harnack_constants(1j, 2j), nan)]:
+        assert analysis.harnack_excess(hp, np.ones(3), value, 1.0) == float("inf")
+
+
 def test_harnack_constants_far_apart():
     """The real parts 1e70 apart at unit height: c2 = 1e140, and c1 its reciprocal."""
     hp = analysis.harnack_constants(1j, 1e70 + 1j)

@@ -291,6 +291,12 @@ class TestCommandLine:
         assert printed.startswith("c2 = ")
         assert float(printed.removeprefix("c2 = ")) == pytest.approx(c2, rel=1e-14)
 
+    def test_harnack_at_the_float_range_fails_its_certificate(self, capsys):
+        """c2 = 1e308 is printed, and cone values past the float range fail the certificate."""
+        assert cli.main(["harnack", "--z1", "0,1", "--z2", "0,1e308", "--trials", "200"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "c1 = 1e-308", "c2 = 1e+308", "certificate worst violation over 200 trials: inf"]
+
     def test_c2_analysis_near_the_float_range(self, tmp_path):
         doc_path = tmp_path / "job.json"
         doc_path.write_text(json.dumps(minimal_doc(tasks=[_analysis("c2", z=[1e155, 1e6])])))

@@ -394,12 +394,14 @@ def _schur_per_point(pair, alpha, grid, tol):
     for z in grid:
         c = _cayley_per_point(pair, z)
         eye = np.eye(c.shape[0], dtype=np.complex128)
-        defect = eye - c.conj().T @ c
-        defect_spans.append(matnum.null_space(defect, tol))
-        eig_spans.append(matnum.null_space(c - alpha * eye, tol))
-        inv_flags.append(matnum.definitely_invertible(defect, 2.0))
-        smin = float(matnum.singular_values(c - alpha * eye)[-1])
-        reg_flags.append(matnum.definitely_invertible(c - alpha * eye, 2.0))
+        defect = eye - c.conj().T @ c  # each span and smallest value from one full SVD
+        _, (defect_span,), (defect_s,) = matnum._spaces(defect[None], tol)
+        _, (eig_span,), (moved_s,) = matnum._spaces((c - alpha * eye)[None], tol)
+        defect_spans.append(defect_span)
+        eig_spans.append(eig_span)
+        inv_flags.append(matnum.invertible_from(defect_s[-1], 2.0))
+        smin = float(moved_s[-1])
+        reg_flags.append(matnum.invertible_from(smin, 2.0))
         witnesses.append({"defect_kernel_dim": defect_spans[-1].shape[1],
                           "alpha_kernel_dim": eig_spans[-1].shape[1],
                           "defect_invertible": int(inv_flags[-1]),

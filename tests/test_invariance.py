@@ -65,6 +65,82 @@ class TestPointInvariance:
             )
 
 
+def _turn(z):  # a rotation by Re z, so spans built on it move with z
+    c, s = np.cos(z.real), np.sin(z.real)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _pinned_rep(rng, a: float, dim: int = 4) -> HerglotzRep:
+    """A representation with F(z) k = a k for a fixed k; its data is Hermitian bit for bit."""
+    rep, k = rep_with_common_kernel(rng, dim)
+    p = np.eye(dim) - k @ k.conj().T
+    return HerglotzRep.create(p @ rep.b0 @ p + a * (k @ k.conj().T), rep.b1, rep.measure)
+
+
+_POINT_FAMILIES = {
+    "rep": lambda rng: FamilyEvaluator.from_rep(random_rep(rng, 3, 4)),
+    "pinned-rep": lambda rng: _pinned_rep(rng, 1.5),
+    "pinned-callable": lambda rng: rep_with_pinned_eigenvalue(rng, 1.5, dim=3)[0],
+    "diagonal": lambda rng: FamilyEvaluator(2, lambda z: np.diag([z, 1.5 + 0j]), "test"),
+    "turning": lambda rng: FamilyEvaluator(  # the eigenspace at 1.5 moves: the check fails
+        2, lambda z: _turn(z) @ np.diag([1.5, z]) @ _turn(z).T, "t"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(_POINT_FAMILIES)),
+       shift=st.sampled_from([0.0, 0.37]), check_grid=st.booleans())
+def test_family_point_check_equals_the_canonical_pair_path(seed, kind, shift, check_grid):
+    """ker(F(z) - a) against Phi ker(Psi - a Phi): same verdicts and dimensions, near distances."""
+    rng = np.random.default_rng(seed)
+    family = _POINT_FAMILIES[kind](rng)
+    grid = invariance.default_check_grid() if check_grid else random_offaxis(rng, 12)
+    got = invariance.check_point_invariance(family, 1.5 + shift, grid)
+    want = invariance.check_point_invariance(pairs.canonical_pair(family), 1.5 + shift, grid)
+    assert got.passed == want.passed == (kind != "turning" or shift != 0.0)
+    assert [w["eigenspace_dim"] for w in got.witnesses] == \
+        [w["eigenspace_dim"] for w in want.witnesses]
+    assert got.notes == want.notes
+    assert got.worst == pytest.approx(want.worst, rel=0.0, abs=1e-13)
+    assert [w["distance"] for w in got.witnesses] == \
+        pytest.approx([w["distance"] for w in want.witnesses], rel=0.0, abs=1e-13)
+
+
+def test_family_point_check_takes_one_svd_per_conjugate_pair(rng, monkeypatch):
+    """On the 40-point check grid, 20 matrices meet a full SVD, each the smaller of F(z) - a
+    and its adjoint; a permuted grid with the same anchor gives the report bit for bit."""
+    rep = _pinned_rep(rng, 1.5)
+    grid = invariance.default_check_grid()
+    shifted = FamilyEvaluator.from_rep(rep).on_grid(grid) - 1.5 * np.eye(rep.dim)
+    smaller = {m.tobytes() if not np.signbit(m[0, 0].imag) else m.conj().T.tobytes()
+               for m in shifted}
+    seen = _decompositions(monkeypatch)
+    report = invariance.check_point_invariance(rep, 1.5, grid)
+    monkeypatch.undo()
+    full = [a for name, a, values in seen if name == "svd" and not values]
+    assert [len(a) for a in full] == [20]
+    assert {m.tobytes() for m in full[0]} == smaller
+    assert report.passed and report.notes == {"a": 1.5, "dim": 1}
+    for _ in range(3):
+        order = [0, *(1 + rng.permutation(len(grid) - 1))]
+        permuted = invariance.check_point_invariance(rep, 1.5, [grid[k] for k in order])
+        assert (permuted.worst, permuted.notes) == (report.worst, report.notes)
+        assert permuted.witnesses == [report.witnesses[k] for k in order]
+
+
+def test_runner_point_check_reads_the_family(rng, monkeypatch):
+    """A family entity's point check never evaluates the canonical pair; a pair entity's does."""
+    family = FamilyEvaluator.from_rep(_pinned_rep(rng, 1.5))
+    pair, grid = pairs.canonical_pair(family), invariance.default_check_grid()
+    tol = TolerancePolicy()
+    run = runner._CHECKS["point"][1]
+    want = invariance.check_point_invariance(pair, 1.5, grid)
+    assert run(pair, None, 1.5, grid, tol).witnesses == want.witnesses
+    monkeypatch.setattr(pairs.PairEvaluator, "on_grid", lambda *_: pytest.fail("pair evaluated"))
+    got = run(pair, family, 1.5, grid, tol)
+    assert got.witnesses == invariance.check_point_invariance(family, 1.5, grid).witnesses
+
+
 class TestImagKernelInvariance:
     def test_diagonal_kernel(self):
         rep = HerglotzRep.create(np.zeros((2, 2)), np.diag([1.0, 0.0]))
@@ -541,7 +617,10 @@ class TestNoUpperPoint:
 
 
 def _span_drift_loop(spans, witnesses=None):
-    """The one-pair-at-a-time engine, kept as the reference for the batched one."""
+    """The one-pair-at-a-time engine, kept as the reference for the batched one.
+
+    Each pair is measured from its span with the smaller bytes.
+    """
     dims = sorted({s.shape[1] for s in spans})
     if len(dims) != 1:
         for w in witnesses or []:
@@ -549,8 +628,9 @@ def _span_drift_loop(spans, witnesses=None):
         return 1.0, {"reason": "dimension varies", "dims": dims}
     for w, s in zip(witnesses or [], spans):
         w["distance"] = matnum.subspace_distance(s, spans[0])
+    ordered = sorted(spans, key=lambda s: s.tobytes())
     worst = max((matnum.subspace_distance(u, v)
-                 for i, u in enumerate(spans) for v in spans[i + 1:]), default=0.0)
+                 for i, u in enumerate(ordered) for v in ordered[i + 1:]), default=0.0)
     return worst, {"dim": dims[0]}
 
 

@@ -626,32 +626,65 @@ def _lapack_calls(monkeypatch, kind: str) -> list:
     return seen
 
 
+def _smaller(kind: str, a: np.ndarray) -> np.ndarray:
+    """The matrix _lapack decomposes for a: A* for a full SVD of a square A with smaller bytes."""
+    flip = kind == "svd" and a.shape[0] == a.shape[1] and np.signbit(a[0, 0].imag)
+    return a.conj().T if flip else a
+
+
+def _own_call(kind: str, a: np.ndarray) -> tuple:
+    """numpy's kind of one matrix, a full SVD read back from A* = U s Vh as (Vh*, s, U*)."""
+    b = _smaller(kind, a)
+    out = _results(_NUMPY_KINDS[kind][1](b))
+    return out if b is a else (out[2].conj().T, out[1], out[0].conj().T)
+
+
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(sorted(_NUMPY_KINDS)), seed=st.integers(0, 2**32 - 1),
        rows=st.integers(1, 4), cols=st.integers(1, 4),
-       picks=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+       picks=st.lists(st.integers(0, 5), min_size=1, max_size=6))
 def test_lapack_equals_one_numpy_call_per_matrix(kind, seed, rows, cols, picks):
     """Planted exact repeats decompose once and get the bits of a call of their own.
 
     Matrix 1 is matrix 0 with its zero entries negated: bytes apart, so never merged.
+    Matrices 4 and 5 are the adjoints of 2 and 1 where the shape allows, so a
+    full SVD decomposes each of those pairs once, as its smaller-bytes member.
     """
     cols = rows if kind.startswith("eig") else cols
     rng = np.random.default_rng(seed)
-    pool = cgauss(rng, 4, rows, cols)
+    pool = cgauss(rng, 6, rows, cols)
     pool[0, 0] = 0.0
     pool[1] = np.where(pool[0] == 0.0, -pool[0], pool[0])
+    if rows == cols:
+        pool[4], pool[5] = pool[2].conj().T, pool[1].conj().T
     stack = pool[picks]
     with pytest.MonkeyPatch.context() as patch:
         seen = _lapack_calls(patch, kind)
         got = _results(matnum._lapack(kind, stack))
-    distinct = len({a.tobytes() for a in stack})
+    distinct = len({_smaller(kind, a).tobytes() for a in stack})
     assert [len(a) for a in seen] == [distinct]
-    if distinct == len(stack):
-        assert seen[0] is stack
+    if all(_smaller(kind, a) is a for a in stack):
+        assert distinct < len(stack) or seen[0] is stack
     for j, a in enumerate(stack):
-        want = _results(_NUMPY_KINDS[kind][1](a))
+        want = _own_call(kind, a)
         assert [r[j].tobytes() for r in got] == [w.tobytes() for w in want]
         assert [(r.shape[1:], r.dtype) for r in got] == [(w.shape, w.dtype) for w in want]
+
+
+def test_lapack_takes_one_svd_of_a_matrix_and_its_adjoint(rng, monkeypatch):
+    """[A, A*] is one numpy call of one matrix; A* alone gets the bits it gets beside A."""
+    a = cgauss(rng, 3, 3)
+    for b in (a, a.conj().T):  # each sign of Im A[0, 0] leads once
+        seen = _lapack_calls(monkeypatch, "svd")
+        pair = matnum._lapack("svd", np.stack([b, b.conj().T]))
+        alone = [matnum._lapack("svd", x[None]) for x in (b, b.conj().T)]
+        monkeypatch.undo()
+        assert [len(x) for x in seen] == [1, 1, 1]
+        assert [x.tobytes() for x in seen[1:]] == [seen[0].tobytes()] * 2
+        for j in range(2):
+            assert [r[j].tobytes() for r in pair] == [r[0].tobytes() for r in alone[j]]
+        u, s, vh = pair
+        assert np.allclose((u[1] * s[1]) @ vh[1], b.conj().T, atol=1e-13)
 
 
 def test_lapack_confirms_each_hash_hit_by_bytes(rng, monkeypatch):
