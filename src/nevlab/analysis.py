@@ -128,11 +128,21 @@ def certify_harnack(
     trials: int = 1000,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Worst relative sandwich violation over random cone functions."""
+    """Worst relative sandwich violation over random cone functions.
+
+    Where h(z1) or h(z2) overflows, both are taken at the points divided by
+    a power of two near the larger height instead: h(z / s) is a cone
+    function too, and the constants do not change under z -> z / s.
+    """
     rng = np.random.default_rng(0) if rng is None else rng
     pair = harnack_constants(z1, z2)
     hs = [random_cone_function(rng) for _ in range(trials)]
     h1, h2 = np.array([[h(pair.z1), h(pair.z2)] for h in hs]).reshape(-1, 2).T
+    over = np.flatnonzero(np.isinf(h1) | np.isinf(h2))
+    if len(over):
+        s = math.ldexp(1.0, math.frexp(max(pair.z1.imag, pair.z2.imag))[1] - 1)
+        w1, w2 = (complex(z.real / s, z.imag / s) for z in (pair.z1, pair.z2))
+        h1[over], h2[over] = np.array([[hs[k](w1), hs[k](w2)] for k in over]).T
     return harnack_excess(pair, h1, h2, np.maximum(np.maximum(h1, h2), ZERO_FLOOR))
 
 

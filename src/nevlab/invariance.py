@@ -10,23 +10,26 @@ its entity once per grid (one ``on_grid`` call) and takes its
 decompositions in batches, one stacked ``matnum`` call per kind; every
 slice is the matrix the one-point path factorizes, so the report bytes are
 those of a point-by-point loop.  A span check on G grid points stacks the
-spans once and takes the exact worst of its G(G-1)/2 pairwise distances
-in ``matnum.subspace_distances`` calls over the index pairs of the upper
-triangle, each gathering at most SPAN_CHUNK_BYTES of bases (one call on
-the check grid); no triangle-inequality bound replaces the maximum.  The
-point check on a family takes ker(F(z) - a) from the values alone, with
-no inverse: on a grid of conjugate pairs, with F(conj z) = F(z)* bit for
-bit, ``matnum`` takes one full SVD per pair.
-Continuous spectrum has no finite-dimensional
-instance, so it is emulated by a truncation sweep: uniform-in-z decay of
-the smallest form eigenvalue along growing dimensions, with the
-Harnack-normalized form ratios of ``analysis.form_sandwich_check``, taken
-from the same evaluations, on each truncation as the uniformity
-certificate.
+spans once and takes the exact worst of its G(G-1)/2 pairwise distances:
+it forms every pair's residual, gathering at most SPAN_CHUNK_BYTES of bases
+a call, and bounds its spectral norm by its Frobenius norm, from above and,
+over sqrt(k), from below.  Only the pairs whose upper bound reaches the
+largest lower bound, a handful on the check grid, meet the SVD of
+``matnum.subspace_distances``, and the largest of those exact distances is
+the worst: the bounds choose which distances to take, and no bound replaces
+the maximum.  The point check on a family takes ker(F(z) - a) from the
+values alone, with no inverse: on a grid of conjugate pairs, with
+F(conj z) = F(z)* bit for bit, ``matnum`` takes one full SVD per pair.
+Continuous spectrum has no finite-dimensional instance, so it is emulated
+by a truncation sweep: uniform-in-z decay of the smallest form eigenvalue
+along growing dimensions, with the Harnack-normalized form ratios of
+``analysis.form_sandwich_check``, taken from the same evaluations, on each
+truncation as the uniformity certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -78,7 +81,11 @@ def _offaxis(grid, caller: str, points=herglotz.offaxis_points):
     return points(default_check_grid() if grid is None else grid, caller)
 
 
-SPAN_CHUNK_BYTES = 1 << 20  # bases gathered per pairwise distance call in _span_drift
+SPAN_CHUNK_BYTES = 1 << 20  # bases gathered per pairwise residual call in _span_drift
+# The screen's slack: a computed largest singular value, like a computed Frobenius
+# norm, is within p(n) eps of the exact one, relative (LAPACK Users' Guide, error
+# bounds for the SVD), and p(n) eps is below 1e-12 at the sizes served.
+SPAN_SCREEN_SLACK = 1e-8
 
 
 def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
@@ -89,6 +96,12 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
     witnesses, each gains its span's ``distance`` to the anchor (the span
     at the first grid point).  Each pair is measured from the span with the
     smaller bytes, so the worst depends only on the spans, not their order.
+    The worst is exact: the n x k residual R of every pair is formed as
+    ``matnum.subspace_distances`` forms it, and its Frobenius norm bounds
+    ||R||_2 from above and, over sqrt(k), from below.  Only the pairs whose
+    upper bound reaches the largest lower bound, up to SPAN_SCREEN_SLACK,
+    can hold the maximum, and only they meet the SVD; with every bound 0
+    (k = 0, or residuals that vanish exactly) the worst is 0.0 without one.
     """
     dims = sorted({s.shape[1] for s in spans})
     if len(dims) != 1:
@@ -100,11 +113,17 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
         for w, d in zip(witnesses, matnum.subspace_distances(stack, stack[0])):
             w["distance"] = float(d)
     stack = stack[sorted(range(len(stack)), key=lambda k: stack[k].tobytes())]
-    ii, jj = np.triu_indices(len(stack), 1)
     chunk = max(1, SPAN_CHUNK_BYTES // max(1, 2 * stack[0].nbytes))
-    worst = max((float(matnum.subspace_distances(stack[ii[k:k + chunk]],
-                                                 stack[jj[k:k + chunk]]).max())
-                 for k in range(0, len(ii), chunk)), default=0.0)
+
+    def over_pairs(measure, ii, jj):  # measure of each pair (ii, jj), a chunk of bases a call
+        return np.concatenate([np.zeros(0)] + [
+            measure(stack[ii[k:k + chunk]], stack[jj[k:k + chunk]]) for k in range(0, len(ii), chunk)])
+
+    ii, jj = np.triu_indices(len(stack), 1)
+    bounds = over_pairs(lambda u, v: matnum._frobenius(matnum._span_residuals(u, v)), ii, jj)
+    floor = bounds.max(initial=0.0) / math.sqrt(max(1, dims[0])) * (1.0 - SPAN_SCREEN_SLACK)
+    pick = bounds * (1.0 + SPAN_SCREEN_SLACK) >= floor
+    worst = float(over_pairs(matnum.subspace_distances, ii[pick], jj[pick]).max()) if floor else 0.0
     return worst, {"dim": dims[0]}
 
 

@@ -147,15 +147,16 @@ def _lapack(kind: str, m: np.ndarray):
                "eigvalsh": np.linalg.eigvalsh, "eigh": np.linalg.eigh}[kind]
     flip = np.signbit(m[:, 0, 0].imag) if kind == "svd" and rows == cols else None
     flip = flip if flip is not None and flip.any() else None  # where A* is decomposed
-    owners = _owners(m, flip) if count > 1 else None
+    members = m
+    if flip is not None:  # the decomposed member of each matrix
+        members = m.copy()
+        members[flip] = _adjoint(m[flip])
+    owners = _owners(members) if count > 1 else None
     if owners is None and flip is None:
         return routine(m)  # a stack without repeats or adjoints reaches LAPACK as it is
     picks = np.arange(count) if owners is None else np.flatnonzero(owners == np.arange(count))
-    smaller = m[picks]  # a copy, then the decomposed member of each distinct matrix
-    if flip is not None:
-        smaller[flip[picks]] = _adjoint(smaller[flip[picks]])
-    out = routine(smaller)
-    del smaller
+    out = routine(members if owners is None else members[picks])
+    del members
     if len(picks) < count:
         slots = np.searchsorted(picks, owners)
         out = tuple(r[slots] for r in out) if isinstance(out, tuple) else out[slots]
@@ -164,21 +165,17 @@ def _lapack(kind: str, m: np.ndarray):
     return out
 
 
-def _owners(m: np.ndarray, flip):
-    """Per matrix, the first index whose decomposed member has equal bytes; None if none repeat.
+def _owners(m: np.ndarray):
+    """Per matrix, the first index with equal bytes; None if none repeat.
 
-    The member is A*, not A, where flip (None: nowhere) is set.  Screens:
-    equal first words (A and A* share theirs), equal hashes of all words
-    (where nothing is flipped), then equal bytes.
+    Screens: equal first words, then equal hashes of all words, then equal bytes.
     """
     count = len(m)
     words = np.ascontiguousarray(m).reshape(count, -1).view(np.uint64)
-    if len(set(words[:, 0].tolist())) == count or flip is None and len(set((words @ np.arange(
+    if len(set(words[:, 0].tolist())) == count or len(set((words @ np.arange(
             1, 2 * words.shape[1], 2, dtype=np.uint64)).tolist())) == count:
         return None
     keys = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
-    for j in () if flip is None else np.flatnonzero(flip):
-        keys[j] = _adjoint(m[j]).tobytes()
     first = dict(zip(reversed(keys), range(count - 1, -1, -1)))  # bytes -> first index
     return np.fromiter(map(first.get, keys), int, count) if len(first) < count else None
 
@@ -407,13 +404,19 @@ def subspace_distances(us, vs) -> np.ndarray:
     if mu.ndim < 2 or mu.shape[-2:] != mv.shape[-2:]:
         raise MatrixShapeError(f"bases of shapes {mu.shape} and {mv.shape} do not match")
     lead = np.broadcast_shapes(mu.shape[:-2], mv.shape[:-2])  # ValueError if they do not
+    resid = _span_residuals(mu, mv).reshape((math.prod(lead),) + mu.shape[-2:])
+    return np.minimum(1.0, _norms(resid).reshape(lead))
+
+
+def _span_residuals(mu: np.ndarray, mv: np.ndarray) -> np.ndarray:
+    """(I - U U*) V of complex128 bases, broadcast; a ValueError unless all are finite.
+
+    sin(theta_max) is its spectral norm: the residual form avoids the
+    sqrt(eps) loss of computing sines from principal-angle cosines.
+    """
     if not (np.isfinite(mu).all() and np.isfinite(mv).all()):
         raise ValueError("basis contains NaN or Inf entries")
-    # sin(theta_max) = || (I - U U*) V ||_2; the residual form avoids the
-    # sqrt(eps) loss of computing sines from principal-angle cosines
-    resid = mv - mu @ (_adjoint(mu) @ mv)
-    resid = resid.reshape((math.prod(lead),) + resid.shape[-2:])
-    return np.minimum(1.0, _norms(resid).reshape(lead))
+    return mv - mu @ (_adjoint(mu) @ mv)
 
 
 def subspace_distance(u, v) -> float:

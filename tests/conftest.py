@@ -8,7 +8,18 @@ multivalued direction) rather than fuzzy near-degenerate ones.
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# One-thread BLAS, as ``cli._pin_threads`` and the benchmark set it: assigned,
+# not defaulted, before this module imports numpy (pytest imports the root
+# conftest first), so the bitwise comparisons and the suite's wall time do not
+# depend on the host's core count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 from nevlab import herglotz, pairs

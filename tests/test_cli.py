@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nevlab import cli, reports, runner
+from conftest import BLAS_THREAD_VARS
+from nevlab import analysis, cli, reports, runner
 from nevlab.document import DocumentError, parse_document, serialize_document
 
 EYE1 = [[[1.0, 0.0]]]
@@ -291,11 +292,15 @@ class TestCommandLine:
         assert printed.startswith("c2 = ")
         assert float(printed.removeprefix("c2 = ")) == pytest.approx(c2, rel=1e-14)
 
-    def test_harnack_at_the_float_range_fails_its_certificate(self, capsys):
-        """c2 = 1e308 is printed, and cone values past the float range fail the certificate."""
-        assert cli.main(["harnack", "--z1", "0,1", "--z2", "0,1e308", "--trials", "200"]) == 1
-        assert capsys.readouterr().out.splitlines() == [
-            "c1 = 1e-308", "c2 = 1e+308", "certificate worst violation over 200 trials: inf"]
+    @pytest.mark.parametrize("z1, c1, c2", [("0,1", "1e-308", "1e+308"), ("0,1e308", "1.0", "1.0")])
+    def test_harnack_at_the_float_range_passes_its_certificate(self, z1, c1, c2, capsys):
+        """Cone values past the float range are compared at rescaled points, and pass."""
+        assert cli.main(["harnack", "--z1", z1, "--z2", "0,1e308", "--trials", "200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"c1 = {c1}", f"c2 = {c2}"]
+        head, worst = lines[2].split(": ")
+        assert head == "certificate worst violation over 200 trials"
+        assert 0.0 <= float(worst) <= analysis.HARNACK_CERTIFICATE_TOL
 
     def test_c2_analysis_near_the_float_range(self, tmp_path):
         doc_path = tmp_path / "job.json"
@@ -517,6 +522,12 @@ def test_pin_threads_overrides_host_setting(monkeypatch):
         monkeypatch.setenv(name, "4")
     cli._pin_threads()
     assert all(os.environ[name] == "1" for name in names)
+
+
+def test_suite_runs_on_one_blas_thread():
+    """conftest assigns the four thread variables before numpy loads."""
+    assert {name: os.environ[name] for name in BLAS_THREAD_VARS} == dict.fromkeys(
+        BLAS_THREAD_VARS, "1")
 
 
 # one valid task per kind, run against the document's single entity

@@ -634,6 +634,68 @@ def _span_drift_loop(spans, witnesses=None):
     return worst, {"dim": dims[0]}
 
 
+def _point_spans(rng, n, pinned):
+    """ker(F(z) - a) of a pinned family over the check grid, as the point check takes them."""
+    family = rep_with_pinned_eigenvalue(rng, 1.5, dim=n, pinned=pinned)[0]
+    return matnum.null_space(family.on_grid(invariance.default_check_grid()) - 1.5 * np.eye(n))
+
+
+def _imag_kernel_spans(rng):
+    """The imag-kernel check's spans: conjugate points fold onto bitwise-equal matrices."""
+    grid = invariance.default_check_grid()
+    family = FamilyEvaluator.from_rep(rep_with_common_kernel(rng)[0])
+    folded = matnum.imag_part(family.on_grid(grid))
+    return matnum._hermitian_kernels(folded * herglotz.imag_signs(grid), TolerancePolicy())[0]
+
+
+def _tied_lines(rng):
+    """40 lines at one pairwise angle in exact arithmetic, so round-off decides the maximum."""
+    eye, phases = np.eye(41), np.exp(2j * np.pi * rng.uniform(size=40))
+    return [0.8 * eye[:, :1] + 0.6 * phase * eye[:, j + 1:j + 2] for j, phase in enumerate(phases)]
+
+
+def _planes(rng, single, draws):
+    """draws rotations of three planes: span(e1, e2), turned toward e3 and e4, and toward e3.
+
+    The turns have sine 0.5 and single.  The first pair's residual has singular
+    values 0.5 and 0.5, so the largest Frobenius bound, and the second pair's has
+    the one value single: at 0.6 the pair with the largest bound is not the worst
+    pair, and at 0.5 the pairs tie and round-off decides which is the worst.
+    """
+    def plane(turns):
+        m = np.zeros((4, 2))
+        m[:2, :2] = np.diag(np.sqrt(1.0 - np.square(turns)))
+        m[2, 0], m[3, 1] = turns
+        return m
+    sets = [[q @ plane(t) for t in ((0.0, 0.0), (0.5, 0.5), (single, 0.0))]
+            for q in (np.linalg.qr(cgauss(rng, 4, 4))[0] for _ in range(draws))]
+    for s in sets if single > 0.5 else ():  # the pair with the largest bound is not the worst
+        resid = [s[j] - s[i] @ (s[i].conj().T @ s[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert np.argmax([np.linalg.norm(r) for r in resid]) != np.argmax(
+            [np.linalg.norm(r, 2) for r in resid])
+    return sets
+
+
+def _tiny_drift(rng):
+    """Lines 1e-200 apart: squaring their residuals unscaled gives 0."""
+    return [np.array([[1.0], [j * 1e-200]], dtype=complex) for j in rng.permutation(10)]
+
+
+SPAN_CASES = {  # span sets for the screen, each builder gives a list of them
+    "point-n64-k1": lambda rng: [_point_spans(rng, 64, 1)],
+    "point-n5-k2": lambda rng: [_point_spans(rng, 5, 2)],
+    "imag-kernel-conjugate-repeats": lambda rng: [_imag_kernel_spans(rng)],
+    "repeated-spans": lambda rng: [[s.copy() for s in _point_spans(rng, 4, 1)[:20] * 2]],
+    "tied-lines": lambda rng: [_tied_lines(rng)],
+    "orthogonal-lines": lambda rng: [list(np.eye(12, dtype=complex).T[:, :, None])],
+    "planes-top-bound-not-worst": lambda rng: _planes(rng, 0.6, 20),
+    "planes-tied": lambda rng: _planes(rng, 0.5, 300),
+    "tiny-drift": lambda rng: [_tiny_drift(rng)],
+    "k0": lambda rng: [[np.zeros((5, 0), dtype=complex)] * 40],
+    "all-equal": lambda rng: [[np.linalg.qr(cgauss(rng, 5, 5))[0][:, :2]] * 40],
+}
+
+
 class TestSpanDrift:
     @pytest.mark.parametrize("vary", [False, True])
     def test_batched_equals_pairwise_loop(self, rng, vary):
@@ -661,6 +723,43 @@ class TestSpanDrift:
         monkeypatch.setattr(invariance, "SPAN_CHUNK_BYTES", chunk_bytes)
         for vary in (False, True):
             self.test_batched_equals_pairwise_loop(rng, vary)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 700, invariance.SPAN_CHUNK_BYTES])
+    @pytest.mark.parametrize("case", sorted(SPAN_CASES))
+    def test_screen_equals_pairwise_loop(self, rng, monkeypatch, case, chunk_bytes):
+        monkeypatch.setattr(invariance, "SPAN_CHUNK_BYTES", chunk_bytes)
+        for spans in SPAN_CASES[case](rng):
+            got_w, want_w = [{} for _ in spans], [{} for _ in spans]
+            assert invariance._span_drift(spans, got_w) == _span_drift_loop(spans, want_w)
+            assert got_w == want_w
+
+    def test_passing_check_sends_a_handful_of_residuals_to_lapack(self, rng, monkeypatch):
+        """Witness residuals, at most 40, and at most four pairwise ones meet an SVD.
+
+        Measuring every pair sent 780 pairwise residuals on the 40-point check grid.
+        """
+        svd, drift, calls, sent = np.linalg.svd, invariance._span_drift, [], []
+
+        def counted_svd(a, *args, **kwargs):
+            if not kwargs.get("compute_uv", True):
+                calls.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        def counted_drift(spans, witnesses=None):  # the matrices its SVDs take
+            calls.clear()
+            out = drift(spans, witnesses)
+            sent.append(sum(calls))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(invariance, "_span_drift", counted_drift)
+        pinned = rep_with_pinned_eigenvalue(rng, 1.5, dim=4)[0]
+        for report in (invariance.check_point_invariance(pinned, 1.5),
+                       invariance.check_imag_kernel_invariance(rep_with_common_kernel(rng)[0])):
+            assert report.passed and len(report.grid) == 40 and 0 < sent[-1] <= 44
+        for case, most in [("point-n64-k1", 4), ("k0", 0), ("all-equal", 1)]:
+            counted_drift(SPAN_CASES[case](rng)[0])  # no witnesses: pairwise residuals only
+            assert sent[-1] <= most
 
     def test_check_spans_equal_pairwise_loop(self, rng, monkeypatch):
         fam = FamilyEvaluator.from_rep(random_rep(rng, 3, 4))
