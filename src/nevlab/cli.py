@@ -10,6 +10,7 @@ depend on the host's thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -40,6 +41,12 @@ def _parse_point(text: str) -> complex:
         ) from exc
 
 
+def _point_help(flag: str, default: str) -> str:
+    # argparse takes a separate value that starts with "-" and is not a plain
+    # number for an option, so a negative real part needs the "=" form
+    return f"point 're,im' (default {default}); a negative real part needs {flag}=-2,0.5"
+
+
 def _parse_grid(text: str) -> list[complex]:
     return [_parse_point(chunk) for chunk in text.split(";") if chunk]
 
@@ -52,7 +59,10 @@ def _parse_trials(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nevlab`` parser, built once per process: argparse keeps no state of a
+    call on it, ``parse_args`` returns a fresh Namespace and no default is mutable."""
     from .runner import EXAMPLE_REPORTS
 
     parser = argparse.ArgumentParser(
@@ -69,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "both"), default=None)
         p.add_argument("--seed", type=int, default=None, help="override document seed")
         p.add_argument("--grid", type=_parse_grid, default=None,
-                       help="z-grid override, 're,im;re,im;...'")
+                       help="z-grid override, 're,im;re,im;...'; one that starts "
+                            "with a negative real part needs --grid=-1,1;...")
         p.add_argument("--tol-psd", type=float, default=None)
         p.add_argument("--tol-rank", type=float, default=None)
         p.add_argument("--tol-eq", type=float, default=None)
@@ -87,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harnack", help="Harnack constants and certificates")
     p.add_argument("--seed", type=int, default=None, help="certificate seed (default 0)")
-    p.add_argument("--z1", type=_parse_point, default=1j)
-    p.add_argument("--z2", type=_parse_point, default=2j)
+    p.add_argument("--z1", type=_parse_point, default=1j, help=_point_help("--z1", "0,1"))
+    p.add_argument("--z2", type=_parse_point, default=2j, help=_point_help("--z2", "0,2"))
     p.add_argument("--trials", type=_parse_trials, default=1000)
 
     p = sub.add_parser("analysis", help="splitting / bounds / decay for an entity")
@@ -99,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated list (default: {_REP_ANALYSES} for an entity with "
              f"representation data, {_REPLESS_ANALYSES} for one without)",
     )
-    p.add_argument("--z", type=_parse_point, default=2j)
+    p.add_argument("--z", type=_parse_point, default=2j, help=_point_help("--z", "0,2"))
 
     p = sub.add_parser("examples", help="example-family reports")
     common(p)

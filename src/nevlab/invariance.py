@@ -29,7 +29,6 @@ truncation as the uniformity certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -98,10 +97,11 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
     smaller bytes, so the worst depends only on the spans, not their order.
     The worst is exact: the n x k residual R of every pair is formed as
     ``matnum.subspace_distances`` forms it, and its Frobenius norm bounds
-    ||R||_2 from above and, over sqrt(k), from below.  Only the pairs whose
-    upper bound reaches the largest lower bound, up to SPAN_SCREEN_SLACK,
-    can hold the maximum, and only they meet the SVD; with every bound 0
-    (k = 0, or residuals that vanish exactly) the worst is 0.0 without one.
+    ||R||_2 from above and its largest column norm from below.  Only the
+    pairs whose upper bound reaches the largest lower bound, up to
+    SPAN_SCREEN_SLACK, can hold the maximum, and only they meet the SVD;
+    with every bound 0 (k = 0, or residuals that vanish exactly) the worst
+    is 0.0 without one.
     """
     dims = sorted({s.shape[1] for s in spans})
     if len(dims) != 1:
@@ -112,17 +112,19 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
     if witnesses:
         for w, d in zip(witnesses, matnum.subspace_distances(stack, stack[0])):
             w["distance"] = float(d)
+    if len(stack) < 2:  # no pair
+        return 0.0, {"dim": dims[0]}
     stack = stack[sorted(range(len(stack)), key=lambda k: stack[k].tobytes())]
     chunk = max(1, SPAN_CHUNK_BYTES // max(1, 2 * stack[0].nbytes))
 
     def over_pairs(measure, ii, jj):  # measure of each pair (ii, jj), a chunk of bases a call
-        return np.concatenate([np.zeros(0)] + [
-            measure(stack[ii[k:k + chunk]], stack[jj[k:k + chunk]]) for k in range(0, len(ii), chunk)])
+        return np.concatenate([measure(stack[ii[k:k + chunk]], stack[jj[k:k + chunk]])
+                               for k in range(0, len(ii), chunk)], axis=-1)
 
     ii, jj = np.triu_indices(len(stack), 1)
-    bounds = over_pairs(lambda u, v: matnum._frobenius(matnum._span_residuals(u, v)), ii, jj)
-    floor = bounds.max(initial=0.0) / math.sqrt(max(1, dims[0])) * (1.0 - SPAN_SCREEN_SLACK)
-    pick = bounds * (1.0 + SPAN_SCREEN_SLACK) >= floor
+    upper, lower = over_pairs(lambda u, v: matnum._norm_bounds(matnum._span_residuals(u, v)), ii, jj)
+    floor = lower.max() * (1.0 - SPAN_SCREEN_SLACK)
+    pick = upper * (1.0 + SPAN_SCREEN_SLACK) >= floor
     worst = float(over_pairs(matnum.subspace_distances, ii[pick], jj[pick]).max()) if floor else 0.0
     return worst, {"dim": dims[0]}
 

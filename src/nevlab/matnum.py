@@ -231,11 +231,27 @@ def _pow2(m: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(1, 2), initial=0.0))[1] - 1)
 
 
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a stack, each matrix scaled by _pow2 before its entries are squared."""
+def _scaled_squares(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The _pow2 scale of each matrix of a stack, and the squared moduli of its entries over it."""
     scale = _pow2(m)
     unit = m / scale[:, None, None]
-    return scale * np.sqrt((unit.real**2 + unit.imag**2).sum(axis=(1, 2)))
+    return scale, unit.real**2 + unit.imag**2
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack, each matrix scaled by _pow2 before its entries are squared."""
+    scale, squares = _scaled_squares(m)
+    return scale * np.sqrt(squares.sum(axis=(1, 2)))
+
+
+def _norm_bounds(m: np.ndarray) -> np.ndarray:
+    """Frobenius and largest column norms of a stack, scaled as _frobenius, as rows of a (2, G) array.
+
+    They bound each spectral norm: max_j ||m e_j||_2 <= ||m||_2 <= ||m||_F.
+    """
+    scale, squares = _scaled_squares(m)
+    columns = np.einsum("gij->jg", squares)  # a row of squared norms per column index
+    return scale * np.sqrt(np.stack([columns.sum(axis=0), columns.max(axis=0, initial=0.0)]))
 
 
 def _hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:

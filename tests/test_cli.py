@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +192,64 @@ class TestReportWriting:
         assert (tmp_path / "t.json").exists()
         assert json.loads((tmp_path / "summary.json").read_text())["passed"]
 
+    def test_numpy_scalars_write_as_their_python_values(self):
+        """A numpy scalar takes the CSV cell and JSON text of its .item() (numpy 2 reprs are not)."""
+        values = {"f": np.float64(0.5), "b": np.bool_(True), "i": np.int64(3),
+                  "g": np.float32(0.25), "n": np.float64("nan"), "s": np.str_("x")}
+        plain = {key: value.item() for key, value in values.items()}
+        got = runner.TaskReport("t", "classify", True, dict(values), [values])
+        want = runner.TaskReport("t", "classify", True, dict(plain), [plain])
+        assert reports.report_csv(got) == reports.report_csv(want) == "f,b,i,g,n,s\n0.5,1,3,0.25,nan,x\n"
+        assert reports.report_json(got) == reports.report_json(want)
+
+
+def _jsonable(value):
+    """The walk that copied a report before json.dumps wrote it, kept as the writer's oracle."""
+    if isinstance(value, bool):
+        return value
+    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
+        value = value.item()  # numpy scalars
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def _oracle_json(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
+_report_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+_report_text = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "\u2028", "😀"])
+_report_leaves = (
+    _report_floats | st.integers(-2**200, 2**200) | st.booleans() | st.none() | _report_text
+    | _report_floats.map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+    | _report_text.map(np.str_)
+)
+_report_values = st.recursive(
+    _report_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_report_text, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(task=_report_text, passed=st.booleans() | st.booleans().map(np.bool_),
+       summary=st.dictionaries(_report_text, _report_values, max_size=4),
+       rows=st.lists(st.dictionaries(_report_text, _report_values, max_size=4), max_size=4))
+def test_report_json_equals_json_dumps(task, passed, summary, rows):
+    """Each JSON report and summary.json is json.dumps(indent=2, sort_keys=True) of the old copy."""
+    report = runner.TaskReport("t", task, passed, summary, rows)
+    assert reports.report_json(report) == _oracle_json(report.to_json_obj())
+    with tempfile.TemporaryDirectory() as tmp:
+        written = reports.write_reports([report, runner.TaskReport("u", "", True, {})], tmp, "json")
+        assert (Path(tmp) / "summary.json").read_text() == _oracle_json(written)
+
 
 class TestCommandLine:
     def test_demo_runs_and_is_deterministic(self, tmp_path):
@@ -284,6 +344,42 @@ class TestCommandLine:
             assert cli.main(["harnack", "--z1", "0,1", "--z2", z2, "--trials", "200"]) == 0
             out = capsys.readouterr().out
             assert "c2 = 2.0" in out
+
+    def test_harnack_point_with_a_negative_real_part(self, monkeypatch, capsys):
+        """argparse takes a separate "-2,0.5" for an option; the "=" form, named in --help, parses."""
+        assert cli.main(["harnack", "--z1=-2,0.5", "--z2", "3,4", "--trials", "50"]) == 0
+        hp = analysis.harnack_constants(-2 + 0.5j, 3 + 4j)
+        assert capsys.readouterr().out.splitlines()[:2] == [f"c1 = {hp.c1!r}", f"c2 = {hp.c2!r}"]
+        monkeypatch.setenv("COLUMNS", "200")  # help lines unwrapped
+        assert cli.main(["harnack", "--help"]) == 0
+        assert "--z1=-2,0.5" in capsys.readouterr().out
+
+    def test_one_parser_keeps_no_value_between_calls(self, tmp_path, monkeypatch, capsys):
+        """The parser is built once per process; no flag of one call reaches the next."""
+        assert cli.build_parser() is cli.build_parser()
+        doc_path = tmp_path / "job.json"
+        doc_path.write_text(json.dumps(minimal_doc()))
+        doc, seen, load = str(doc_path), [], cli._load_document
+        monkeypatch.setattr(cli, "_load_document",
+                            lambda args, text: seen.append(vars(args)) or load(args, text))
+        calls = [
+            ["run", doc, "--seed", "7", "--format", "csv", "--grid", "0,1;1,2", "--out", "o1"],
+            ["run", doc, "--out", "o2"],
+            ["classify", doc, "--entity", "f", "--tol-psd", "1e-3", "--out", "o3"],
+            ["classify", doc, "--out", "o4"],
+            ["analysis", doc, "--entity", "f", "--analyses", "c2", "--z", "1,3", "--out", "o5"],
+            ["analysis", doc, "--entity", "f", "--out", "o6"],
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv in calls:
+            assert cli.main(argv) == 0
+            assert seen[-1] == vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert sorted(p.name for p in (tmp_path / "o1").iterdir()) == ["summary.json", "t.csv"]
+        assert sorted(p.name for p in (tmp_path / "o2").iterdir()) == ["summary.json", "t.csv",
+                                                                       "t.json"]
+        for z1, c2 in (("0,3", "c2 = 1.5"), (None, "c2 = 2.0")):
+            assert cli.main(["harnack", "--trials", "5"] + (["--z1", z1] if z1 else [])) == 0
+            assert c2 in capsys.readouterr().out
 
     @pytest.mark.parametrize("x, c2", [("1e70", 1e140), ("1e80", 1e160)])
     def test_harnack_far_apart(self, x, c2, capsys):

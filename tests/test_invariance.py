@@ -676,6 +676,17 @@ def _planes(rng, single, draws):
     return sets
 
 
+def _plane_bases(rng, draws):
+    """draws sets of 40 orthonormal bases of one plane in C^5: round-off decides the worst pair.
+
+    Every residual is round-off of the order of eps, so ||R||_F / sqrt(2) of
+    one pair falls below ||R||_F of most others and reaches the SVD unless
+    the lower bound is the largest column norm.
+    """
+    planes = (np.linalg.qr(cgauss(rng, 5, 5))[0][:, :2] for _ in range(draws))
+    return [[plane @ np.linalg.qr(cgauss(rng, 2, 2))[0] for _ in range(40)] for plane in planes]
+
+
 def _tiny_drift(rng):
     """Lines 1e-200 apart: squaring their residuals unscaled gives 0."""
     return [np.array([[1.0], [j * 1e-200]], dtype=complex) for j in rng.permutation(10)]
@@ -690,6 +701,7 @@ SPAN_CASES = {  # span sets for the screen, each builder gives a list of them
     "orthogonal-lines": lambda rng: [list(np.eye(12, dtype=complex).T[:, :, None])],
     "planes-top-bound-not-worst": lambda rng: _planes(rng, 0.6, 20),
     "planes-tied": lambda rng: _planes(rng, 0.5, 300),
+    "plane-bases-k2": lambda rng: _plane_bases(rng, 6),
     "tiny-drift": lambda rng: [_tiny_drift(rng)],
     "k0": lambda rng: [[np.zeros((5, 0), dtype=complex)] * 40],
     "all-equal": lambda rng: [[np.linalg.qr(cgauss(rng, 5, 5))[0][:, :2]] * 40],
@@ -737,6 +749,8 @@ class TestSpanDrift:
         """Witness residuals, at most 40, and at most four pairwise ones meet an SVD.
 
         Measuring every pair sent 780 pairwise residuals on the 40-point check grid.
+        Six sets of 40 bases of one plane, whose residuals are all round-off, send
+        at most 180 of their 4,680 pairs; ||R||_F / sqrt(k) as the lower bound sent 491.
         """
         svd, drift, calls, sent = np.linalg.svd, invariance._span_drift, [], []
 
@@ -757,9 +771,11 @@ class TestSpanDrift:
         for report in (invariance.check_point_invariance(pinned, 1.5),
                        invariance.check_imag_kernel_invariance(rep_with_common_kernel(rng)[0])):
             assert report.passed and len(report.grid) == 40 and 0 < sent[-1] <= 44
-        for case, most in [("point-n64-k1", 4), ("k0", 0), ("all-equal", 1)]:
-            counted_drift(SPAN_CASES[case](rng)[0])  # no witnesses: pairwise residuals only
-            assert sent[-1] <= most
+        for case, most in [("point-n64-k1", 4), ("k0", 0), ("all-equal", 1), ("plane-bases-k2", 180)]:
+            sent.clear()
+            for spans in SPAN_CASES[case](rng):  # no witnesses: pairwise residuals only
+                counted_drift(spans)
+            assert sum(sent) <= most, case
 
     def test_check_spans_equal_pairwise_loop(self, rng, monkeypatch):
         fam = FamilyEvaluator.from_rep(random_rep(rng, 3, 4))
