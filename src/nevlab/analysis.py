@@ -10,8 +10,9 @@ measure; by the half-plane Herglotz representation this cone is exactly
 the nonnegative harmonic functions.  The sharp constant is the supremum of
 the pointwise Poisson-kernel ratio over the extended real line, which
 Harnack's inequality gives in closed form: c2 = (1 + rho) / (1 - rho) with
-rho the pseudo-hyperbolic distance of the points.  On top of this: sandwich
-checks for the imaginary part forms of a family, the additive split
+rho the pseudo-hyperbolic distance of the points.  On top of this: the
+exact Loewner-order sandwich c1 Im F(z0) <= Im F(z) <= c2 Im F(z0) of a
+family, from one whitening and one stacked eigensolve, the additive split
 F = G + T into a function with representation data plus a constant
 Hermitian operator, the sharp modulus bound c2(z) = sup |1 + z t| / |t - z|,
 the same constant between i and z, with its weak / strong / factorized
@@ -148,7 +149,7 @@ def certify_harnack(
 
 # -- quadratic forms of the imaginary part ------------------------------------
 
-SANDWICH_TOL = 1e-10  # largest passing violation: a form is one product, exact to round-off
+SANDWICH_TOL = 1e-10  # largest passing excess: one whitening and one eigensolve, exact to round-off
 
 
 @dataclass(frozen=True)
@@ -175,57 +176,46 @@ def form_value(family: FamilyEvaluator, z: complex, u) -> FormSample:
 class FormSandwichReport:
     z0: complex
     grid: tuple[complex, ...]
-    trials: int
     worst_violation: float
     passed: bool
 
 
-def _unit_vectors(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
-    """trials random unit vectors in C^n as rows: one real draw, then one imaginary."""
-    shape = (trials, n)
-    us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    us /= np.linalg.norm(us, axis=1, keepdims=True)
-    return us
-
-
-def _forms(us: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """u* im u for every row u of us, as one matrix product."""
-    return np.real(((us.conj() @ im) * us).sum(axis=1))
-
-
-def _form_excess(z0: complex, z: complex, t0: np.ndarray, tz: np.ndarray) -> float:
-    """The Harnack excess of the forms tz at z over the anchor forms t0 at z0."""
-    scale = np.maximum(np.maximum(np.abs(t0), np.abs(tz)), ZERO_FLOOR)
-    return harnack_excess(harnack_constants(z0, z), t0, tz, scale)
+def _ratio_excess(hp: HarnackPair, ratios) -> float:
+    """The Harnack excess of generalized eigenvalues over [c1, c2], relative to max(top, c2)."""
+    ratios = np.asarray(ratios)
+    return harnack_excess(hp, 1.0, ratios, max(float(ratios.max(initial=0.0)), hp.c2))
 
 
 def form_sandwich_check(
     family: FamilyEvaluator | HerglotzRep,
     grid: Sequence[complex] | None = None,
     z0: complex = 1j,
-    trials: int = 100,
-    rng: np.random.Generator | None = None,
 ) -> FormSandwichReport:
-    """Harnack sandwich for the forms u* Im F(z) u against the anchor z0.
+    """Harnack sandwich c1 A <= Im F(z) <= c2 A in Loewner order, A = Im F(z0), exactly.
 
-    Unit vectors come in one (trials, n) draw, real parts first.  The
-    family is evaluated once at z0 and once at each other upper point,
-    one n x n value at a time; each value's forms are one matrix product
-    (a BLAS call), compared with one ``harnack_constants`` call.  The
-    truncation sweep shares these steps, on values it has already taken.
+    One eigh of A whitens on its range, the eigenvectors of positive
+    eigenvalues that ``matnum``'s rank rule keeps: with W = V / sqrt(lambda)
+    there, the generalized eigenvalues of (Im F(z), A) are those of
+    W* Im F(z) W, one stacked ``eigvalsh`` over the other upper points,
+    compared by ``_ratio_excess`` with one ``harnack_constants`` call each.
+    The mass of Im F(z) on the rest K of A's eigenvectors is a violation of
+    its size, ||Im F(z) K||_F / ||Im F(z)||_F in [0, 1], since the sandwich
+    puts ker A in ker Im F(z): an anchor A = 0 reads 1.0 where Im F(z) is not 0.
     """
     family = herglotz.as_family(family)
-    rng = np.random.default_rng(0) if rng is None else rng
     z0 = herglotz.upper_point(z0, "form_sandwich_check")
     zs = herglotz.upper_points(grid, "form_sandwich_check")
-    us = _unit_vectors(rng, trials, family.dim)
-    t0 = _forms(us, matnum.imag_part(family(z0)))
-    worst = 0.0
-    for z in zs:
-        if z == z0:  # the anchor lies in its own corridor exactly
-            continue
-        worst = max(worst, _form_excess(z0, z, t0, _forms(us, matnum.imag_part(family(z)))))
-    return FormSandwichReport(z0, zs, trials, worst, worst <= SANDWICH_TOL)
+    others = tuple(z for z in zs if z != z0)  # the anchor lies in its own corridor exactly
+    anchor, values = np.split(matnum.imag_part(family.on_grid((z0,) + others)), [1])
+    w, v = matnum.herm_part_eig(anchor[0], vectors=True)
+    keep = matnum._kept(w, DEFAULT_TOL) & (w > 0)
+    white = v[:, keep] / np.sqrt(w[keep])
+    ratios = matnum.herm_part_eig(white.conj().T @ values @ white)
+    mass = np.linalg.norm(values @ v[:, ~keep], axis=(1, 2)) / np.maximum(
+        np.linalg.norm(values, axis=(1, 2)), ZERO_FLOOR)
+    worst = max((max(_ratio_excess(harnack_constants(z0, z), r), float(m))
+                 for z, r, m in zip(others, ratios, mass)), default=0.0)
+    return FormSandwichReport(z0, zs, worst, worst <= SANDWICH_TOL)
 
 
 # -- additive splitting F = G + T ----------------------------------------------

@@ -10,6 +10,7 @@ depend on the host's thread count.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import os
 import sys
@@ -34,11 +35,14 @@ def _pin_threads() -> None:
 def _parse_point(text: str) -> complex:
     try:
         re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
+        z = complex(float(re_part), float(im_part))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected a point as 're,im', got {text!r}"
         ) from exc
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected a point with finite parts, got {text!r}")
+    return z
 
 
 def _point_help(flag: str, default: str) -> str:
@@ -48,7 +52,10 @@ def _point_help(flag: str, default: str) -> str:
 
 
 def _parse_grid(text: str) -> list[complex]:
-    return [_parse_point(chunk) for chunk in text.split(";") if chunk]
+    grid = [_parse_point(chunk) for chunk in text.split(";") if chunk]
+    if not grid:
+        raise argparse.ArgumentTypeError(f"expected at least one point 're,im', got {text!r}")
+    return grid
 
 
 def _parse_trials(text: str) -> int:

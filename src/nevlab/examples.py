@@ -272,7 +272,6 @@ class FormDomainReport:
 
 
 FORM_ANCHOR = 1j  # z0 = i, the point where classify reads Im F as well
-FORM_DOMAIN_TOL = 1e-8  # passing excess: the closed-form ratios are exact to a few ulps
 
 
 def form_domain_report(ex: Ex4A, grid: Sequence[complex] | None = None,
@@ -285,8 +284,9 @@ def form_domain_report(ex: Ex4A, grid: Sequence[complex] | None = None,
     domain with equivalent norms.  With C = U diag(lambda) U*, Q(z) is
     (U* V)* diag(Im c_k(z)) (U* V) for c_k(z) = z / (1 - lambda_k z), and a
     congruence keeps generalized eigenvalues: they are Im c_k(z) / Im c_k(z0)
-    for every V, from one ``eigvalsh`` of C.  rng is not read.  F's solve
-    guard, at z0 and at each point, reads rcond(C - 1/z) off |lambda_k - 1/z|.
+    for every V, from one ``eigvalsh`` of C, and meet [c1, c2] as the
+    form sandwich's do (``analysis._ratio_excess``).  rng is not read.  F's
+    solve guard, at z0 and at each point, reads rcond(C - 1/z) off |lambda_k - 1/z|.
     """
     zs = herglotz.upper_points(grid, "form_domain_report")
     z0 = FORM_ANCHOR
@@ -301,9 +301,8 @@ def form_domain_report(ex: Ex4A, grid: Sequence[complex] | None = None,
     bounds, extremes, worst = [], [], 0.0
     for z, ratio in zip(zs, im[1:] / im[0]):
         hp = analysis.harnack_constants(z0, z)
-        lo, hi = float(ratio.min()), float(ratio.max())
         bounds.append((hp.c1, hp.c2))
-        extremes.append((lo, hi))
-        worst = max(worst, analysis.harnack_excess(hp, 1.0, ratio, max(hi, hp.c2)))
+        extremes.append((float(ratio.min()), float(ratio.max())))
+        worst = max(worst, analysis._ratio_excess(hp, ratio))
     return FormDomainReport(z0, zs, tuple(bounds), tuple(extremes), worst,
-                            worst <= FORM_DOMAIN_TOL)
+                            worst <= analysis.SANDWICH_TOL)

@@ -22,9 +22,9 @@ values alone, with no inverse: on a grid of conjugate pairs, with
 F(conj z) = F(z)* bit for bit, ``matnum`` takes one full SVD per pair.
 Continuous spectrum has no finite-dimensional instance, so it is emulated
 by a truncation sweep: uniform-in-z decay of the smallest form eigenvalue
-along growing dimensions, with the Harnack-normalized form ratios of
-``analysis.form_sandwich_check``, taken from the same evaluations, on each
-truncation as the uniformity certificate.
+along growing dimensions, with the Harnack corridor of that eigenvalue, a
+consequence of ``analysis.form_sandwich_check``'s Loewner sandwich, on
+each truncation as the uniformity certificate.
 """
 
 from __future__ import annotations
@@ -393,7 +393,7 @@ def maximum_principle_schur(
 
 @dataclass
 class SweepReport:
-    """Smallest form eigenvalue along a truncation sweep, with ratio checks."""
+    """Smallest form eigenvalue along a truncation sweep, with its Harnack corridor."""
 
     n_list: tuple[int, ...]
     grid: tuple[complex, ...]
@@ -409,8 +409,8 @@ class SweepReport:
                 for n in self.n_list for z in self.grid]
 
 
-SWEEP_KEY_BYTES = 1 << 22  # folded Im F_n one truncation keeps results for: six at n = 200
-SWEEP_RATIO_TOL = 1e-9  # passing ratio violation; the sandwich's 1e-10 would tighten it
+SWEEP_KEY_BYTES = 1 << 22  # folded Im F_n one truncation keeps sigma_min for: six at n = 200
+SWEEP_RATIO_TOL = 1e-9  # passing corridor violation; the sandwich's 1e-10 would tighten it
 MONOTONE_SLACK = 1e-12  # sigma_min may rise by this, relative, from eigensolve round-off
 
 
@@ -426,18 +426,18 @@ def sweep_continuous_spectrum(
     For each dimension n in the strictly increasing n_list and each grid
     point, the smallest eigenvalue of the folded imaginary part is
     recorded; the sweep passes when it is nonincreasing in n at every z and
-    the Harnack-normalized form ratios t_n(z)[u] / t_n(z0)[u], z0 the first
-    upper grid point, stay inside [c1, c2] for random unit vectors:
-    ratio_worst is the worst violation over n, computed as
-    ``analysis.form_sandwich_check`` computes it.  Each grid point is
-    evaluated once per n and streamed, so one n x n value is live at a
-    time: its folded imaginary part gives sigma_min and, at an upper point,
-    the forms, one matrix product against the (trials, n) vectors drawn for
-    that n.  Both are kept per n by the bytes of that folded part, -0.0
-    read as 0.0, for at most SWEEP_KEY_BYTES of them, so a matrix met again
-    (at a conjugate point, or at every point of a height for z M) is not
-    decomposed again.  A non-monotone sweep is reported, not fatal by
-    itself for the ratio verdict.
+    the sigma_min it reports keeps to the Harnack corridor
+    c1 sigma_min(z0) <= sigma_min(z) <= c2 sigma_min(z0), z0 the first upper
+    grid point, relative to the larger |sigma_min|: ratio_worst is the worst
+    excess.  By Courant-Fischer ``analysis.form_sandwich_check``'s Loewner
+    sandwich implies it; a sandwich violation off the bottom of the
+    spectrum passes it.  Each grid point is evaluated once per n and
+    streamed, one n x n value live at a time; sigma_min is kept per n by
+    the bytes of the folded part, -0.0 read as 0.0, for at most
+    SWEEP_KEY_BYTES of them, so a matrix met again (at a conjugate point,
+    or at every point of a height for z M) is not decomposed again.  A
+    non-monotone sweep is reported, not fatal by itself for the ratio
+    verdict.  trials and rng are not read: nothing here samples.
     """
     n_list = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
@@ -446,31 +446,27 @@ def sweep_continuous_spectrum(
     upper = herglotz.upper_points(grid, "sweep_continuous_spectrum")
     z0 = upper[0]
     signs = herglotz.imag_signs(grid)
-    rng = np.random.default_rng(0) if rng is None else rng
 
     sigma = {}
-    ratio_worst = 0.0
     for n in n_list:
         family = family_sequence(n)
         if family.dim != n:
             raise ValueError(f"family_sequence({n}) produced dim {family.dim}")
-        us = analysis._unit_vectors(rng, trials, n)
-        seen, room = {}, SWEEP_KEY_BYTES  # bytes of sign * Im F_n(z) -> [sigma_min, forms]
-        for z, sign in zip(grid, signs):  # z0 comes before every other upper point
+        seen, room = {}, SWEEP_KEY_BYTES  # bytes of sign * Im F_n(z) -> sigma_min
+        for z, sign in zip(grid, signs):
             folded = matnum.imag_part(family(z)) * sign
             key = (folded + 0.0).tobytes()  # -0.0 entries are 0.0 in the key
-            entry = seen.get(key)
-            if entry is None:
-                entry = [float(matnum.herm_part_eig(folded)[0]), None]
+            s = seen.get(key)
+            if s is None:
+                s = float(matnum.herm_part_eig(folded)[0])
                 if len(key) <= room:
-                    seen[key], room = entry, room - len(key)
-            sigma[(n, z)] = entry[0]
-            if z in upper and entry[1] is None:  # here folded is Im F_n(z) itself
-                entry[1] = analysis._forms(us, folded)
-            if z == z0:
-                t0 = entry[1]
-            elif z in upper:
-                ratio_worst = max(ratio_worst, analysis._form_excess(z0, z, t0, entry[1]))
+                    seen[key], room = s, room - len(key)
+            sigma[(n, z)] = s
+
+    rows = np.array([[sigma[(n, z)] for n in n_list] for z in upper])  # row 0: the anchor z0
+    scales = np.maximum(np.maximum(np.abs(rows[0]), np.abs(rows)), analysis.ZERO_FLOOR)
+    ratio_worst = max((analysis.harnack_excess(analysis.harnack_constants(z0, z), rows[0], row, sc)
+                       for z, row, sc in zip(upper[1:], rows[1:], scales[1:])), default=0.0)
 
     monotone = all(sigma[(b, z)] <= sigma[(a, z)] + MONOTONE_SLACK * (1.0 + abs(sigma[(a, z)]))
                    for z in grid for a, b in zip(n_list, n_list[1:]))

@@ -364,9 +364,7 @@ def _run_harnack(p, built, grid, tol, rng):
              "c1": hp.c1, "c2": hp.c2, "mc_worst": worst}]
     passed = worst <= analysis.HARNACK_CERTIFICATE_TOL
     if p["entity"] is not None:
-        sr = analysis.form_sandwich_check(
-            _family(p, built), grid, p["z0"], trials=p["trials"] or 100, rng=rng
-        )
+        sr = analysis.form_sandwich_check(_family(p, built), grid, p["z0"])
         nan = float("nan")
         rows.append({"z1_re": sr.z0.real, "z1_im": sr.z0.imag, "z2_re": nan, "z2_im": nan,
                      "c1": nan, "c2": nan, "mc_worst": sr.worst_violation})
@@ -403,7 +401,7 @@ def _schatten(family, p, grid, tol, rng):
 
 
 def _sandwich(family, p, grid, tol, rng):
-    sr = analysis.form_sandwich_check(family, grid, p["z"], trials=p["trials"] or 100, rng=rng)
+    sr = analysis.form_sandwich_check(family, grid, p["z"])
     return sr.worst_violation, sr.worst_violation, sr.passed
 
 
@@ -501,9 +499,7 @@ _SWEEPS = {
 
 
 def _run_sweep(p, built, grid, tol, rng):
-    report = invariance.sweep_continuous_spectrum(
-        _SWEEPS[p["sequence"]], p["n_list"], grid, trials=p["trials"], rng=rng
-    )
+    report = invariance.sweep_continuous_spectrum(_SWEEPS[p["sequence"]], p["n_list"], grid)
     summary = {"monotone": int(report.monotone), "ratio_worst": report.ratio_worst,
                "verdict": report.decay_verdict}
     return report.passed, summary, report.rows()
@@ -524,13 +520,13 @@ TASKS: dict[str, Kind] = {
         "z1": (_upper_point, 1j),
         "z2": (_upper_point, 2j),
         "z0": (_upper_point, 1j),
-        "trials": _OPTIONAL_TRIALS,  # 1000 for the certificate, 100 for the sandwich
+        "trials": _OPTIONAL_TRIALS,  # 1000 for the certificate; the sandwich does not sample
     }),
     "analysis": Kind(_run_analysis, {
         "entity": (_FAMILY_ENTITY, _REQUIRED),
         "analyses": (_list_of(_one_of(_ANALYSES)), ("split",)),
         "z": (_upper_point, 1j),
-        "trials": _OPTIONAL_TRIALS,  # 50 for weak_strong, 100 for sandwich
+        "trials": _OPTIONAL_TRIALS,  # 50 for weak_strong; sandwich does not sample
     }),
     "examples": Kind(_run_examples, {
         "entity": (_ENTITY, _REQUIRED),
@@ -541,7 +537,7 @@ TASKS: dict[str, Kind] = {
     "sweep": Kind(_run_sweep, {
         "sequence": (_one_of(_SWEEPS), _REQUIRED),
         "n_list": (_list_of(_int_in(1, MAX_DIM), min_len=2, increasing=True), _REQUIRED),
-        "trials": (_TRIALS, 100),
+        "trials": (_TRIALS, 100),  # accepted and not read: the sweep does not sample
     }),
 }
 

@@ -214,9 +214,7 @@ def test_criterion_06_harnack_certificates():
     sandwich_failures = 0
     worst_sandwich = 0.0
     for _ in range(100):
-        report = analysis.form_sandwich_check(
-            random_rep(rng, int(rng.integers(1, 5))), trials=20, rng=rng
-        )
+        report = analysis.form_sandwich_check(random_rep(rng, int(rng.integers(1, 5))))
         worst_sandwich = max(worst_sandwich, report.worst_violation)
         sandwich_failures += 0 if report.passed else 1
     announce(

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BLAS_THREAD_VARS
-from nevlab import analysis, cli, reports, runner
+from nevlab import analysis, cli, invariance, reports, runner
 from nevlab.document import DocumentError, parse_document, serialize_document
+from nevlab.herglotz import FamilyEvaluator
 
 EYE1 = [[[1.0, 0.0]]]
 ZERO1 = [[[0.0, 0.0]]]
@@ -778,14 +779,100 @@ def test_seed_override_moves_only_the_seeded_reports(tmp_path):
     names = sorted(p.name for p in (tmp_path / "a").glob("*.json"))
     moved = [n for n in names
              if (tmp_path / "a" / n).read_bytes() != (tmp_path / "b" / n).read_bytes()]
-    assert moved == ["analysis-fam.json", "sweep-diag.json"]
+    assert moved == ["analysis-fam.json"]  # weak_strong samples; the sweep does not
 
 
 @pytest.mark.parametrize("z1, message", [
     ("0,-1", "error: harnack_constants needs a point in C_+"),
     ("1", "argument --z1: expected a point as 're,im', got '1'"),
+    ("nan,1", "argument --z1: expected a point with finite parts, got 'nan,1'"),
+    ("1e400,1", "argument --z1: expected a point with finite parts, got '1e400,1'"),
+    ("0,inf", "argument --z1: expected a point with finite parts, got '0,inf'"),
 ])
 def test_harnack_rejects_a_bad_point(z1, message, capsys):
     assert cli.main(["harnack", "--z1", z1]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# a document command's point or grid that argparse must reject: exit 2 before anything runs
+BAD_ARGUMENTS = {
+    "analysis-z-nan": (["analysis", "--entity", "f", "--z=nan,1"],
+                       "argument --z: expected a point with finite parts"),
+    "run-grid-empty": (["run", "--grid", ""], "argument --grid: expected at least one point"),
+    "run-grid-separators": (["run", "--grid", ";;"],
+                            "argument --grid: expected at least one point"),
+    "run-grid-inf": (["run", "--grid=0,1;-inf,1"], "argument --grid: expected a point with"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_point_or_grid_argument_exits_two(case, tmp_path, capsys):
+    (command, *flags), message = BAD_ARGUMENTS[case]
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(minimal_doc()))
+    assert cli.main([command, str(doc_path), *flags, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert _files(tmp_path) == {doc_path}
+
+
+def _run_reports(raw) -> dict:
+    """Each task's report of a document, by task name, as its JSON text."""
+    return {r.name: reports.report_json(r) for r in runner.run_document(
+        parse_document(json.dumps(raw)))}
+
+
+REP2 = {"name": "f", "kind": "herglotz_rep", "b0": [[[0.0, 0.0], [0.0, 0.0]]] * 2,
+        "b1": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2, 0.0]]],
+        "atoms": [[-1.0, [[[0.5, 0.0], [0.2, 0.1]], [[0.2, -0.1], [0.3, 0.0]]]],
+                  [1.5, [[[0.4, 0.0], [-0.1, 0.0]], [[-0.1, 0.0], [0.2, 0.0]]]]]}
+
+
+def test_weak_strong_draws_do_not_depend_on_a_sandwich_before_it():
+    rows = {}
+    for analyses in (["weak_strong"], ["sandwich", "weak_strong"]):
+        raw = minimal_doc(entities=[REP2], tasks=[_analysis(*analyses, z=[0.3, 1.5], trials=30)])
+        report = runner.run_document(parse_document(json.dumps(raw)))[0]
+        rows[len(analyses)] = [r for r in report.rows if r["analysis"] == "weak_strong"]
+    assert rows[1] == rows[2] and rows[1][0]["value"] > 0.0
+
+
+def test_harnack_certificate_row_does_not_depend_on_the_entity():
+    task = {"name": "t", "task": "harnack", "z1": [0.5, 1.0], "z2": [-1.0, 3.0], "trials": 200}
+    alone, with_entity = (runner.run_document(parse_document(json.dumps(
+        minimal_doc(entities=[REP2], tasks=[t]))))[0] for t in (task, {**task, "entity": "f"}))
+    assert len(with_entity.rows) == 2
+    assert with_entity.rows[0] == alone.rows[0]
+
+
+def test_sweep_report_does_not_read_trials():
+    want = _run_reports(minimal_doc(tasks=[{**SWEEP, "trials": 1}]))
+    assert _run_reports(minimal_doc(tasks=[{**SWEEP, "trials": runner.MAX_TRIALS}])) == want
+
+
+def test_sandwich_and_sweep_reports_do_not_read_the_seed():
+    tasks = [_analysis("sandwich", z=[0.3, 1.5]),
+             {"name": "h", "task": "harnack", "entity": "f", "trials": 5}, {**SWEEP, "name": "s"}]
+    one, two = (_run_reports(minimal_doc(entities=[REP2], tasks=tasks, seed=seed))
+                for seed in (1, 2))
+    assert one["t"] == two["t"] and one["s"] == two["s"]
+    h1, h2 = (json.loads(r["h"])["rows"][1] for r in (one, two))  # the sandwich row
+    assert h1 == h2
+
+
+def _z_squared(n: int) -> FamilyEvaluator:
+    return FamilyEvaluator(n, lambda z: z * z * np.eye(n), "z-squared")
+
+
+def test_a_zero_anchor_gives_a_failed_report_not_an_error(monkeypatch):
+    """z^2 has Im F(i) = 0: the sandwich reads 1.0 and fails; nothing raises."""
+    doc = parse_document(json.dumps(minimal_doc(tasks=[
+        _analysis("sandwich"), {"name": "h", "task": "harnack", "entity": "f", "trials": 5},
+        {**SWEEP, "name": "s"}])))
+    monkeypatch.setattr(runner, "build_entities", lambda doc: {"f": _z_squared(1)})
+    monkeypatch.setitem(runner._SWEEPS, SWEEP["sequence"], _z_squared)
+    out = runner.run_document(doc)
+    assert [(r.passed, "error" in r.summary) for r in out] == [(False, False)] * 3
+    assert out[0].rows[0]["value"] == 1.0 and out[1].rows[1]["mc_worst"] == 1.0
+    assert out[2].summary["ratio_worst"] > invariance.SWEEP_RATIO_TOL

@@ -248,7 +248,7 @@ def _assert_matches_dense(ex, grid, rng):
     report = examples.form_domain_report(ex, grid)
     np.testing.assert_allclose(report.extremes, extremes, rtol=1e-12)
     assert report.worst_violation == pytest.approx(worst, rel=0, abs=1e-12)
-    assert report.passed == (worst <= examples.FORM_DOMAIN_TOL)
+    assert report.passed == (worst <= analysis.SANDWICH_TOL)
 
 
 class TestFormDomainReport:

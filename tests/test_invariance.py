@@ -305,31 +305,23 @@ class TestSweep:
             invariance.sweep_continuous_spectrum(fam, [], rng=rng)
 
 
-def _parent_ratio_worst(family_sequence, n_list, grid, trials, seed) -> float:
-    """A standalone ratio block, kept as the reference for the sweep's ratio_worst.
+def _corridor_worst(sigma, n_list, grid) -> float:
+    """A standalone corridor, kept as the reference for the sweep's ratio_worst.
 
-    Its draw order, anchor, scale and Harnack constants are its own; its
-    forms are the library's one-product forms, so the two agree bit for bit.
+    c1 sigma_min(z0) <= sigma_min(z) <= c2 sigma_min(z0) at each n and upper
+    point z, z0 the first upper point, relative to the larger |sigma_min|.
     """
-    rng = np.random.default_rng(seed)
     upper = [z for z in grid if z.imag > 0]
     z0 = upper[0]
-    ratio_worst = 0.0
+    worst = 0.0
     for n in n_list:
-        family = family_sequence(n)
-        im0 = matnum.imag_part(family(z0))
-        us = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
-        t0 = analysis._forms(us, im0)
-        for z in upper:
-            if z == z0:
-                continue
+        s0 = sigma[(n, z0)]
+        for z in upper[1:]:
             hp = analysis.harnack_constants(z0, z)
-            tz = analysis._forms(us, matnum.imag_part(family(z)))
-            scale = np.maximum(np.maximum(np.abs(t0), np.abs(tz)), 1e-300)
-            viol = np.maximum(hp.c1 * t0 - tz, tz - hp.c2 * t0) / scale
-            ratio_worst = max(ratio_worst, float(np.max(viol)))
-    return ratio_worst
+            s = sigma[(n, z)]
+            viol = max(hp.c1 * s0 - s, s - hp.c2 * s0) / max(abs(s0), abs(s), 1e-300)
+            worst = max(worst, viol)
+    return worst
 
 
 def _rep_sequence(n: int) -> FamilyEvaluator:
@@ -350,58 +342,59 @@ _SWEEP_GRID = herglotz.offaxis_points(herglotz.default_grid())
 
 
 class TestSweepRatios:
-    """The sweep's ratios are form_sandwich_check's, with the reference block's bytes."""
+    """The sweep's ratio check is the Harnack corridor of the sigma_min it reports."""
 
     @pytest.mark.parametrize("name", sorted(_SEQUENCES))
     @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_ratio_worst_equals_the_parent_ratio_block(self, name, seed):
+    def test_ratio_worst_is_the_corridor_of_the_reported_sigma_min(self, name, seed):
         grid = herglotz.offaxis_points(herglotz.default_grid())
         report = invariance.sweep_continuous_spectrum(
             _SEQUENCES[name], [3, 6], grid, trials=25, rng=np.random.default_rng(seed)
         )
-        want = _parent_ratio_worst(_SEQUENCES[name], [3, 6], grid, 25, seed)
-        assert report.ratio_worst == want
+        assert report.ratio_worst == _corridor_worst(report.sigma_min, [3, 6], grid)
 
     @pytest.mark.parametrize("name", sorted(_SEQUENCES))
-    def test_ratio_worst_is_the_sandwich_worst_over_n(self, name):
-        report = invariance.sweep_continuous_spectrum(
-            _SEQUENCES[name], [3, 6], _SWEEP_GRID, trials=25, rng=np.random.default_rng(2)
-        )
-        rng = np.random.default_rng(2)
+    def test_the_corridor_passes_where_the_sandwich_passes(self, name):
+        """Courant-Fischer: the Loewner sandwich at each n implies the corridor."""
+        report = invariance.sweep_continuous_spectrum(_SEQUENCES[name], [3, 6], _SWEEP_GRID)
         upper = [z for z in _SWEEP_GRID if z.imag > 0]
-        want = max(analysis.form_sandwich_check(_SEQUENCES[name](n), upper, upper[0], 25, rng)
-                   .worst_violation for n in (3, 6))
-        assert report.ratio_worst == want
+        sandwiches = [analysis.form_sandwich_check(_SEQUENCES[name](n), upper, upper[0])
+                      for n in (3, 6)]
+        assert report.ratios_ok == all(s.passed for s in sandwiches)
+        assert report.ratios_ok == (name != "z-squared")
 
-    def test_z_squared_fails_the_sandwich_and_the_sweep(self, rng):
+    def test_z_squared_fails_the_sandwich_and_the_sweep(self):
         family = FamilyEvaluator(2, lambda z: z * z * np.eye(2), "test")
-        sandwich = analysis.form_sandwich_check(family, trials=20, rng=rng)
+        sandwich = analysis.form_sandwich_check(family)
         assert sandwich.worst_violation == 1.0 and not sandwich.passed
         sweep = invariance.sweep_continuous_spectrum(
-            lambda n: FamilyEvaluator(n, lambda z: z * z * np.eye(n), "sweep"), [2, 4],
-            trials=20, rng=rng,
-        )
+            lambda n: FamilyEvaluator(n, lambda z: z * z * np.eye(n), "sweep"), [2, 4])
         assert sweep.ratio_worst > 1e-9
         assert not sweep.ratios_ok and not sweep.passed
 
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_a_purely_directional_violation_passes_the_corridor(self, n):
+        """The declared narrowing: the eta-family's excess lies off the bottom of the spectrum."""
+        e = np.zeros((n, n))
+        e[0, 0] = 1.0
 
-def _sweep_loop(family_sequence, n_list, grid, trials, seed):
+        def sequence(m):
+            return FamilyEvaluator(m, lambda z: z * np.eye(m) + 1e-11 * z * abs(z) ** 2 * e[:m, :m],
+                                   "eta")
+
+        assert not analysis.form_sandwich_check(sequence(n)).passed
+        assert invariance.sweep_continuous_spectrum(sequence, [n // 2, n]).ratios_ok
+
+
+def _sweep_loop(family_sequence, n_list, grid):
     """sigma_min and ratio_worst with every point decomposed afresh: the reference for reuse."""
-    rng = np.random.default_rng(seed)
-    z0 = next(z for z in grid if z.imag > 0)
-    sigma, ratio_worst = {}, 0.0
+    sigma = {}
     for n in n_list:
         family = family_sequence(n)
-        us = analysis._unit_vectors(rng, trials, n)
         for z in grid:
             im = matnum.imag_part(family(z))
             sigma[(n, z)] = float(np.linalg.eigvalsh(matnum.herm_part(im * np.sign(z.imag)))[0])
-            if z == z0:
-                t0 = analysis._forms(us, im)
-            elif z.imag > 0:
-                tz = analysis._forms(us, im)
-                ratio_worst = max(ratio_worst, analysis._form_excess(z0, z, t0, tz))
-    return sigma, ratio_worst
+    return sigma, _corridor_worst(sigma, n_list, grid)
 
 
 # distinct heights: no two points share a folded Im F_n for any sequence
@@ -418,7 +411,7 @@ def _count_eigvalsh(monkeypatch) -> Counter:
 
 
 class TestSweepReuse:
-    """A folded Im F_n met again reuses its sigma_min and forms, bit for bit."""
+    """A folded Im F_n met again reuses its sigma_min, bit for bit."""
 
     @pytest.mark.parametrize("grid", [_SWEEP_GRID, _DISTINCT_GRID], ids=["default", "distinct"])
     @pytest.mark.parametrize("name", sorted(_SEQUENCES))
@@ -429,7 +422,7 @@ class TestSweepReuse:
             families.get, [3, 6, 12], grid, trials=20, rng=np.random.default_rng(4))
         if grid is _DISTINCT_GRID:
             assert sizes == {n: len(grid) for n in (3, 6, 12)}
-        sigma, ratio_worst = _sweep_loop(_SEQUENCES[name], [3, 6, 12], grid, 20, 4)
+        sigma, ratio_worst = _sweep_loop(_SEQUENCES[name], [3, 6, 12], grid)
         assert list(report.sigma_min) == list(sigma)
         assert np.array(list(report.sigma_min.values())).tobytes() == \
             np.array(list(sigma.values())).tobytes()
@@ -449,7 +442,7 @@ class TestSweepReuse:
             runner._SWEEPS["diag-inverse-k"], [4, 8], trials=10, rng=np.random.default_rng(0))
         assert sizes == {4: 30, 8: 30}
         sigma, ratio_worst = _sweep_loop(runner._SWEEPS["diag-inverse-k"], [4, 8],
-                                         herglotz.default_grid(), 10, 0)
+                                         herglotz.default_grid())
         assert report.sigma_min == sigma and report.ratio_worst == ratio_worst
 
 
@@ -468,7 +461,7 @@ def test_imag_kernel_decomposes_each_folded_matrix_once(rng, monkeypatch):
 
 
 class TestSweepStreaming:
-    """The sweep evaluates each point once per n and draws as the parent drew."""
+    """The sweep evaluates each point once per n and draws nothing."""
 
     def test_one_family_call_per_grid_point_and_n(self):
         calls = {}
@@ -503,16 +496,15 @@ class TestSweepStreaming:
         assert got.passed == want.passed
 
     @pytest.mark.parametrize("seed", [0, 4])
-    def test_rng_ends_where_the_parent_left_it(self, seed):
-        """One (trials, n) real draw, then one imaginary draw, per n: nothing else."""
+    def test_rng_and_trials_are_not_read(self, seed):
+        """Nothing in the sweep samples: the generator is left as it came, the report equal."""
         rng = np.random.default_rng(seed)
-        invariance.sweep_continuous_spectrum(_SEQUENCES["rep"], [3, 5, 8], trials=7, rng=rng)
-        parent = np.random.default_rng(seed)
-        for n in (3, 5, 8):
-            parent.standard_normal((7, n))
-            parent.standard_normal((7, n))
-        assert rng.bit_generator.state == parent.bit_generator.state
-        assert np.array_equal(rng.standard_normal(16), parent.standard_normal(16))
+        state = rng.bit_generator.state
+        got = invariance.sweep_continuous_spectrum(_SEQUENCES["rep"], [3, 5, 8], trials=7, rng=rng)
+        assert rng.bit_generator.state == state
+        want = invariance.sweep_continuous_spectrum(_SEQUENCES["rep"], [3, 5, 8], trials=1)
+        assert (got.rows(), got.ratio_worst, got.passed) == (want.rows(), want.ratio_worst,
+                                                             want.passed)
 
 
 class TestReportStructure:

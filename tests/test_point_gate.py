@@ -50,8 +50,7 @@ VERIFIERS = {
     "classify": lambda g: herglotz.classify(FAMILY, grid=g),
     "validate": lambda g: pairs.validate(PAIR, g),
     "equivalent": lambda g: pairs.equivalent(PAIR, pairs.reparametrized(PAIR, 2.0 * np.eye(3)), g),
-    "form_sandwich": lambda g: analysis.form_sandwich_check(
-        REP, g, trials=20, rng=np.random.default_rng(0)),
+    "form_sandwich": lambda g: analysis.form_sandwich_check(REP, g),
     "form_domain": lambda g: examples.form_domain_report(EX, g, rng=np.random.default_rng(1)),
     "sweep": lambda g: invariance.sweep_continuous_spectrum(
         runner._SWEEPS["atomic-dyadic"], (2, 4), g, trials=20, rng=np.random.default_rng(0)),
@@ -80,7 +79,7 @@ OFFAXIS_VERDICTS = {  # each quantifies over the off-axis points of its grid
         runner._SWEEPS["atomic-dyadic"], (2, 4), g, trials=5),
 }
 UPPER_VERDICTS = {  # each quantifies over the points of its grid in C_+
-    "form_sandwich_check": lambda g: analysis.form_sandwich_check(REP, g, trials=5),
+    "form_sandwich_check": lambda g: analysis.form_sandwich_check(REP, g),
     "schatten_decay": lambda g: analysis.schatten_decay(FAMILY, g),
     "form_domain_report": lambda g: examples.form_domain_report(EX, g),
     "maximum_principle_schur": lambda g: invariance.maximum_principle_schur(PAIR, 1.0, g),
@@ -107,7 +106,7 @@ UPPER_GUARDS = {
     "harnack_constants": lambda z: analysis.harnack_constants(z, 1j),
     "harnack_constants (second point)": lambda z: analysis.harnack_constants(1j, z),
     "form_value": lambda z: analysis.form_value(FAMILY, z, np.ones(3)),
-    "form_sandwich_check": lambda z: analysis.form_sandwich_check(FAMILY, [2j], z, trials=5),
+    "form_sandwich_check": lambda z: analysis.form_sandwich_check(FAMILY, [2j], z),
     "c2_of": analysis.c2_of,
     "classify_family_pair": lambda z: invariance.classify_family_pair(PAIR, z=z),
     "symmetric_core": lambda z: relations.symmetric_core(PAIR, z),
