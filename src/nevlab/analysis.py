@@ -12,11 +12,13 @@ the pointwise Poisson-kernel ratio over the extended real line, which
 Harnack's inequality gives in closed form: c2 = (1 + rho) / (1 - rho) with
 rho the pseudo-hyperbolic distance of the points.  On top of this: the
 exact Loewner-order sandwich c1 Im F(z0) <= Im F(z) <= c2 Im F(z0) of a
-family, from one whitening and one stacked eigensolve, the additive split
-F = G + T into a function with representation data plus a constant
-Hermitian operator, the sharp modulus bound c2(z) = sup |1 + z t| / |t - z|,
-the same constant between i and z, with its weak / strong / factorized
-consequences for the measure tail, and singular-value decay fitting.
+family, from one whitening and one stacked eigensolve (two more, in
+absolute order, where Im F(z0) is singular or ill-conditioned), the
+additive split F = G + T into a function with representation data plus
+a constant Hermitian operator, the sharp modulus bound
+c2(z) = sup |1 + z t| / |t - z|, the same constant between i and z, with
+its weak / strong / factorized consequences for the measure tail, and
+singular-value decay fitting.
 """
 
 from __future__ import annotations
@@ -150,6 +152,10 @@ def certify_harnack(
 # -- quadratic forms of the imaginary part ------------------------------------
 
 SANDWICH_TOL = 1e-10  # largest passing excess: one whitening and one eigensolve, exact to round-off
+# The anchor's range the sandwich whitens: whitening an eigenvalue lambda
+# multiplies round-off by ||A|| / lambda, so past 1e4 it would near SANDWICH_TOL.
+# Anchor directions below it are decided in absolute Loewner order instead.
+WHITENED_RANGE = TolerancePolicy(eps_rank=1e-4)
 
 
 @dataclass(frozen=True)
@@ -193,14 +199,17 @@ def form_sandwich_check(
 ) -> FormSandwichReport:
     """Harnack sandwich c1 A <= Im F(z) <= c2 A in Loewner order, A = Im F(z0), exactly.
 
-    One eigh of A whitens on its range, the eigenvectors of positive
-    eigenvalues that ``matnum``'s rank rule keeps: with W = V / sqrt(lambda)
-    there, the generalized eigenvalues of (Im F(z), A) are those of
-    W* Im F(z) W, one stacked ``eigvalsh`` over the other upper points,
-    compared by ``_ratio_excess`` with one ``harnack_constants`` call each.
-    The mass of Im F(z) on the rest K of A's eigenvectors is a violation of
-    its size, ||Im F(z) K||_F / ||Im F(z)||_F in [0, 1], since the sandwich
-    puts ker A in ker Im F(z): an anchor A = 0 reads 1.0 where Im F(z) is not 0.
+    One eigh of A whitens on its range R, the eigenvectors of positive
+    eigenvalues that ``matnum``'s rank rule keeps under WHITENED_RANGE: with
+    W = V / sqrt(lambda) there, the generalized eigenvalues of (Im F(z), A)
+    on R are those of W* Im F(z) W, one stacked ``eigvalsh`` over the other
+    upper points, compared by ``_ratio_excess`` with one
+    ``harnack_constants`` call each.  Where R is the whole space this is the
+    sandwich.  Where it is not (A singular, indefinite or of condition past
+    1e4), the sandwich is also decided in absolute Loewner order as
+    Im F(z) - c1 A >= 0 and A - c1 Im F(z) >= 0 (c1 = 1 / c2), least
+    eigenvalues relative to the larger norm on each side: an anchor A = 0
+    reads 1.0 where Im F(z) is not 0, and z diag(1, 1e-9) reads 0.0.
     """
     family = herglotz.as_family(family)
     z0 = herglotz.upper_point(z0, "form_sandwich_check")
@@ -208,13 +217,19 @@ def form_sandwich_check(
     others = tuple(z for z in zs if z != z0)  # the anchor lies in its own corridor exactly
     anchor, values = np.split(matnum.imag_part(family.on_grid((z0,) + others)), [1])
     w, v = matnum.herm_part_eig(anchor[0], vectors=True)
-    keep = matnum._kept(w, DEFAULT_TOL) & (w > 0)
+    keep = matnum._kept(w, WHITENED_RANGE) & (w > 0)
     white = v[:, keep] / np.sqrt(w[keep])
     ratios = matnum.herm_part_eig(white.conj().T @ values @ white)
-    mass = np.linalg.norm(values @ v[:, ~keep], axis=(1, 2)) / np.maximum(
-        np.linalg.norm(values, axis=(1, 2)), ZERO_FLOOR)
-    worst = max((max(_ratio_excess(harnack_constants(z0, z), r), float(m))
-                 for z, r, m in zip(others, ratios, mass)), default=0.0)
+    hps = [harnack_constants(z0, z) for z in others]
+    worst = max((_ratio_excess(hp, r) for hp, r in zip(hps, ratios)), default=0.0)
+    if not keep.all():
+        c1 = np.array([hp.c1 for hp in hps])
+        norm_a, norm_b = np.abs(w).max(), matnum.spectral_norm(values)
+        sides = (matnum.herm_part_eig(values - c1[:, None, None] * anchor)[:, 0]
+                 / np.maximum(np.maximum(norm_b, c1 * norm_a), ZERO_FLOOR),
+                 matnum.herm_part_eig(anchor - c1[:, None, None] * values)[:, 0]
+                 / np.maximum(np.maximum(norm_a, c1 * norm_b), ZERO_FLOOR))
+        worst = max(worst, -float(np.concatenate(sides).min(initial=0.0)))
     return FormSandwichReport(z0, zs, worst, worst <= SANDWICH_TOL)
 
 

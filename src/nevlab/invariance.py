@@ -182,6 +182,16 @@ def check_point_invariance(
 CORRIDOR_TOL = 1e-8  # passing corridor excess over 1 + ||Im F||: an eigensolve's round-off
 
 
+def _corridor_worst(z0: complex, points, anchor, values, scale) -> float:
+    """Worst excess of values at points over the Harnack corridor [c1 anchor, c2 anchor].
+
+    The one rule for the smallest eigenvalue of a folded Im F, anchor its value
+    at z0; scale is 1 + ||Im F(z0)||, the size of that eigenvalue's round-off.
+    """
+    return max((analysis.harnack_excess(analysis.harnack_constants(z0, z), anchor, value, scale)
+                for z, value in zip(points, values)), default=0.0)
+
+
 def check_imag_kernel_invariance(
     family: FamilyEvaluator | HerglotzRep,
     grid: Sequence[complex] | None = None,
@@ -206,11 +216,7 @@ def check_imag_kernel_invariance(
         return InvarianceReport("imag-kernel-invariance", grid, witnesses, False, 1.0, notes)
 
     folded = [complex(z.real, abs(z.imag)) for z in grid]  # the C_+ point of each
-    m0, scale = lam_mins[0], 1.0 + float(norms[0])  # both from the anchor's folded Im F
-    corridor_worst = max(
-        analysis.harnack_excess(analysis.harnack_constants(folded[0], z), m0, m, scale)
-        for z, m in zip(folded, lam_mins)
-    )
+    corridor_worst = _corridor_worst(folded[0], folded, lam_mins[0], lam_mins, 1.0 + norms[0])
     passed = worst <= tol.eps_rank and corridor_worst <= CORRIDOR_TOL
     return InvarianceReport(
         "imag-kernel-invariance", grid, witnesses, passed, max(worst, corridor_worst),
@@ -409,8 +415,7 @@ class SweepReport:
                 for n in self.n_list for z in self.grid]
 
 
-SWEEP_KEY_BYTES = 1 << 22  # folded Im F_n one truncation keeps sigma_min for: six at n = 200
-SWEEP_RATIO_TOL = 1e-9  # passing corridor violation; the sandwich's 1e-10 would tighten it
+SWEEP_KEY_BYTES = 1 << 22  # folded Im F_n one truncation keeps eigenvalues for: six at n = 200
 MONOTONE_SLACK = 1e-12  # sigma_min may rise by this, relative, from eigensolve round-off
 
 
@@ -428,13 +433,14 @@ def sweep_continuous_spectrum(
     recorded; the sweep passes when it is nonincreasing in n at every z and
     the sigma_min it reports keeps to the Harnack corridor
     c1 sigma_min(z0) <= sigma_min(z) <= c2 sigma_min(z0), z0 the first upper
-    grid point, relative to the larger |sigma_min|: ratio_worst is the worst
-    excess.  By Courant-Fischer ``analysis.form_sandwich_check``'s Loewner
+    grid point: ratio_worst is the worst excess under ``_corridor_worst``, the
+    rule of the imag-kernel check, relative to 1 + ||Im F_n(z0)||, passing at
+    CORRIDOR_TOL.  By Courant-Fischer ``analysis.form_sandwich_check``'s Loewner
     sandwich implies it; a sandwich violation off the bottom of the
     spectrum passes it.  Each grid point is evaluated once per n and
-    streamed, one n x n value live at a time; sigma_min is kept per n by
-    the bytes of the folded part, -0.0 read as 0.0, for at most
-    SWEEP_KEY_BYTES of them, so a matrix met again (at a conjugate point,
+    streamed, one n x n value live at a time; its extreme eigenvalues are
+    kept per n by the bytes of the folded part, -0.0 read as 0.0, for at
+    most SWEEP_KEY_BYTES of them, so a matrix met again (at a conjugate point,
     or at every point of a height for z M) is not decomposed again.  A
     non-monotone sweep is reported, not fatal by itself for the ratio
     verdict.  trials and rng are not read: nothing here samples.
@@ -447,33 +453,34 @@ def sweep_continuous_spectrum(
     z0 = upper[0]
     signs = herglotz.imag_signs(grid)
 
-    sigma = {}
+    sigma, tops = {}, []  # tops: ||Im F_n(z0)|| per n
     for n in n_list:
         family = family_sequence(n)
         if family.dim != n:
             raise ValueError(f"family_sequence({n}) produced dim {family.dim}")
-        seen, room = {}, SWEEP_KEY_BYTES  # bytes of sign * Im F_n(z) -> sigma_min
+        seen, room = {}, SWEEP_KEY_BYTES  # bytes of sign * Im F_n(z) -> its extreme eigenvalues
         for z, sign in zip(grid, signs):
             folded = matnum.imag_part(family(z)) * sign
             key = (folded + 0.0).tobytes()  # -0.0 entries are 0.0 in the key
-            s = seen.get(key)
-            if s is None:
-                s = float(matnum.herm_part_eig(folded)[0])
+            ends = seen.get(key)
+            if ends is None:
+                ends = matnum.herm_part_eig(folded)[[0, -1]].tolist()
                 if len(key) <= room:
-                    seen[key], room = s, room - len(key)
-            sigma[(n, z)] = s
+                    seen[key], room = ends, room - len(key)
+            sigma[(n, z)] = ends[0]
+            if z == z0:
+                top = max(-ends[0], ends[1])
+        tops.append(top)
 
     rows = np.array([[sigma[(n, z)] for n in n_list] for z in upper])  # row 0: the anchor z0
-    scales = np.maximum(np.maximum(np.abs(rows[0]), np.abs(rows)), analysis.ZERO_FLOOR)
-    ratio_worst = max((analysis.harnack_excess(analysis.harnack_constants(z0, z), rows[0], row, sc)
-                       for z, row, sc in zip(upper[1:], rows[1:], scales[1:])), default=0.0)
+    ratio_worst = _corridor_worst(z0, upper, rows[0], rows, 1.0 + np.array(tops))
 
     monotone = all(sigma[(b, z)] <= sigma[(a, z)] + MONOTONE_SLACK * (1.0 + abs(sigma[(a, z)]))
                    for z in grid for a, b in zip(n_list, n_list[1:]))
     decays = [sigma[(n_list[-1], z)] <= 0.5 * sigma[(n_list[0], z)] + analysis.ZERO_FLOOR
               for z in grid]
     verdict = "decay" if all(decays) else ("no-decay" if not any(decays) else "mixed")
-    ratios_ok = ratio_worst <= SWEEP_RATIO_TOL
+    ratios_ok = ratio_worst <= CORRIDOR_TOL
     return SweepReport(
         n_list, grid, sigma, monotone, ratio_worst, ratios_ok,
         verdict, monotone and ratios_ok and verdict == "decay",

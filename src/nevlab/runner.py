@@ -537,7 +537,7 @@ TASKS: dict[str, Kind] = {
     "sweep": Kind(_run_sweep, {
         "sequence": (_one_of(_SWEEPS), _REQUIRED),
         "n_list": (_list_of(_int_in(1, MAX_DIM), min_len=2, increasing=True), _REQUIRED),
-        "trials": (_TRIALS, 100),  # accepted and not read: the sweep does not sample
+        "trials": _OPTIONAL_TRIALS,  # accepted and not read: the sweep does not sample
     }),
 }
 

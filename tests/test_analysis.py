@@ -218,6 +218,30 @@ class TestExactSandwich:
         report = analysis.form_sandwich_check(FamilyEvaluator(2, f, "test"))
         assert 0.0 < report.worst_violation <= 1.0 and not report.passed
 
+    @pytest.mark.parametrize("n", [2, 50])
+    @pytest.mark.parametrize("ratio", [1e-5, 1e-7, 1e-9, 1e-12])
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    def test_an_ill_conditioned_anchor_passes(self, rng, n, ratio, rotate):
+        """z B1, B1 with eigenvalues 1 down to ratio: Im F(z) = Im z Im F(i) exactly.
+
+        Whitening every kept direction would multiply round-off by 1 / ratio, and
+        dropping the small ones would count their mass as a violation.
+        """
+        q = np.linalg.qr(cgauss(rng, n, n))[0] if rotate else np.eye(n)
+        b1 = (q * np.geomspace(1.0, ratio, n)) @ q.conj().T
+        report = analysis.form_sandwich_check(HerglotzRep.create(np.zeros((n, n)), b1))
+        assert report.passed, report.worst_violation
+
+    @pytest.mark.parametrize("f", [
+        lambda z: np.diag([z, 1e-9 * z + 1e-6 * (z * z + 1)]),
+        lambda z: np.array([[z, 1e-3 * (z * z + 1)], [1e-3 * (z * z + 1), 1e-6 * z]]),
+    ], ids=["on-the-direction", "in-the-coupling"])
+    def test_a_violation_where_the_anchor_is_tiny_fails(self, f):
+        """Im F(i) is diag(1, 1e-9) or diag(1, 1e-6), and Im F(z) leaves the sandwich
+        through the small direction, or through its coupling to the large one alone."""
+        report = analysis.form_sandwich_check(FamilyEvaluator(2, f, "test"))
+        assert report.worst_violation > 1e-7 and not report.passed
+
     def test_form_value_nonnegative(self, rng):
         fam = FamilyEvaluator.from_rep(random_rep(rng, 3))
         sample = analysis.form_value(fam, 0.5 + 0.7j, cgauss(rng, 3))

@@ -305,22 +305,23 @@ class TestSweep:
             invariance.sweep_continuous_spectrum(fam, [], rng=rng)
 
 
-def _corridor_worst(sigma, n_list, grid) -> float:
+def _corridor_worst(family_sequence, sigma, n_list, grid) -> float:
     """A standalone corridor, kept as the reference for the sweep's ratio_worst.
 
     c1 sigma_min(z0) <= sigma_min(z) <= c2 sigma_min(z0) at each n and upper
-    point z, z0 the first upper point, relative to the larger |sigma_min|.
+    point z, z0 the first upper point, relative to 1 + ||Im F_n(z0)||.
     """
     upper = [z for z in grid if z.imag > 0]
     z0 = upper[0]
     worst = 0.0
     for n in n_list:
         s0 = sigma[(n, z0)]
+        im = matnum.herm_part(matnum.imag_part(family_sequence(n)(z0)))
+        scale = 1.0 + np.abs(np.linalg.eigvalsh(im)).max()
         for z in upper[1:]:
             hp = analysis.harnack_constants(z0, z)
             s = sigma[(n, z)]
-            viol = max(hp.c1 * s0 - s, s - hp.c2 * s0) / max(abs(s0), abs(s), 1e-300)
-            worst = max(worst, viol)
+            worst = max(worst, max(hp.c1 * s0 - s, s - hp.c2 * s0) / scale)
     return worst
 
 
@@ -337,6 +338,25 @@ def _squared_sequence(n: int) -> FamilyEvaluator:
     return FamilyEvaluator(n, lambda z: z * z * np.diag(1.0 / np.arange(1, n + 1)), "sweep")
 
 
+def _rotated(m: np.ndarray) -> np.ndarray:
+    """Q m Q* for a fixed orthogonal Q: the same spectrum, no longer diagonal."""
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal(m.shape))[0]
+    return q @ m @ q.T
+
+
+def _projection_sequence(n: int) -> FamilyEvaluator:
+    """z P, P the projection on (1, ..., 1): Im F_n is singular at every z."""
+    p = np.full((n, n), 1.0 / n)
+    return FamilyEvaluator(n, lambda z: z * p, "sweep")
+
+
+def _rotated_dyadic_sequence(n: int) -> FamilyEvaluator:
+    """atomic-dyadic, its weight rotated: sigma_min = 2^-n P(z, 0) is under round-off past n = 53."""
+    weight = _rotated(np.diag(2.0 ** -np.arange(1, n + 1)))
+    return FamilyEvaluator.from_rep(
+        HerglotzRep.create(np.zeros((n, n)), np.zeros((n, n)), [(0.0, weight)]))
+
+
 _SEQUENCES = {**runner._SWEEPS, "rep": _rep_sequence, "z-squared": _squared_sequence}
 _SWEEP_GRID = herglotz.offaxis_points(herglotz.default_grid())
 
@@ -351,7 +371,8 @@ class TestSweepRatios:
         report = invariance.sweep_continuous_spectrum(
             _SEQUENCES[name], [3, 6], grid, trials=25, rng=np.random.default_rng(seed)
         )
-        assert report.ratio_worst == _corridor_worst(report.sigma_min, [3, 6], grid)
+        assert report.ratio_worst == _corridor_worst(_SEQUENCES[name], report.sigma_min, [3, 6],
+                                                     grid)
 
     @pytest.mark.parametrize("name", sorted(_SEQUENCES))
     def test_the_corridor_passes_where_the_sandwich_passes(self, name):
@@ -369,8 +390,20 @@ class TestSweepRatios:
         assert sandwich.worst_violation == 1.0 and not sandwich.passed
         sweep = invariance.sweep_continuous_spectrum(
             lambda n: FamilyEvaluator(n, lambda z: z * z * np.eye(n), "sweep"), [2, 4])
-        assert sweep.ratio_worst > 1e-9
+        assert sweep.ratio_worst > invariance.CORRIDOR_TOL
         assert not sweep.ratios_ok and not sweep.passed
+
+    @pytest.mark.parametrize("sequence, n_list", [(_projection_sequence, [3, 6, 12]),
+                                                  (_rotated_dyadic_sequence, [56, 64])],
+                             ids=["projection", "rotated-dyadic"])
+    def test_a_singular_non_diagonal_sequence_passes(self, sequence, n_list):
+        """sigma_min is round-off of either sign here; the corridor scales by 1 + ||Im F_n(z0)||."""
+        report = invariance.sweep_continuous_spectrum(sequence, n_list, _SWEEP_GRID)
+        assert report.ratios_ok, report.ratio_worst
+        assert report.ratio_worst == _corridor_worst(sequence, report.sigma_min, n_list,
+                                                     _SWEEP_GRID)
+        for n in n_list:
+            assert analysis.form_sandwich_check(sequence(n), _SWEEP_GRID).passed
 
     @pytest.mark.parametrize("n", [50, 200])
     def test_a_purely_directional_violation_passes_the_corridor(self, n):
@@ -394,7 +427,7 @@ def _sweep_loop(family_sequence, n_list, grid):
         for z in grid:
             im = matnum.imag_part(family(z))
             sigma[(n, z)] = float(np.linalg.eigvalsh(matnum.herm_part(im * np.sign(z.imag)))[0])
-    return sigma, _corridor_worst(sigma, n_list, grid)
+    return sigma, _corridor_worst(family_sequence, sigma, n_list, grid)
 
 
 # distinct heights: no two points share a folded Im F_n for any sequence
