@@ -10,22 +10,24 @@ measure; by the half-plane Herglotz representation this cone is exactly
 the nonnegative harmonic functions.  The sharp constant is the supremum of
 the pointwise Poisson-kernel ratio over the extended real line, which
 Harnack's inequality gives in closed form: c2 = (1 + rho) / (1 - rho) with
-rho the pseudo-hyperbolic distance of the points.  On top of this: the
-exact Loewner-order sandwich c1 Im F(z0) <= Im F(z) <= c2 Im F(z0) of a
+rho the pseudo-hyperbolic distance of the points; ``certify_harnack``
+checks it on the cone's extreme rays, where the ratio is stationary.
+Nothing here draws a random number.  On top of this: the exact
+Loewner-order sandwich c1 Im F(z0) <= Im F(z) <= c2 Im F(z0) of a
 family, from one whitening and one stacked eigensolve (two more, in
 absolute order, where Im F(z0) is singular or ill-conditioned), the
 additive split F = G + T into a function with representation data plus
 a constant Hermitian operator, the sharp modulus bound
 c2(z) = sup |1 + z t| / |t - z|, the same constant between i and z, with
-its weak / strong / factorized consequences for the measure tail, and
-singular-value decay fitting.
+its weak / strong / factorized consequences for the measure tail, each
+decided from one SVD on the range of K, and singular-value decay fitting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,11 +47,6 @@ class HarnackPair:
     z2: complex
     c1: float
     c2: float
-
-
-def _poisson(z: complex, t: float) -> float:
-    x, y = z.real, z.imag
-    return y / ((x - t) ** 2 + y * y)
 
 
 def _harnack_c2(z1: complex, z2: complex) -> float:
@@ -81,25 +78,6 @@ def harnack_constants(z1: complex, z2: complex) -> HarnackPair:
     return HarnackPair(z1, z2, 1.0 / c2, c2)
 
 
-CONE_ATOMS = 6  # most Poisson kernels per random cone function; every draw depends on it
-
-
-def random_cone_function(rng: np.random.Generator) -> Callable[[complex], float]:
-    """Random member of the cone: linear term plus at most CONE_ATOMS Poisson kernels."""
-    m = int(rng.integers(0, CONE_ATOMS + 1))
-    locations = rng.uniform(-20.0, 20.0, m)
-    masses = rng.uniform(0.0, 3.0, m)
-    slope = float(rng.uniform(0.0, 2.0))
-
-    def h(z: complex) -> float:
-        val = slope * z.imag
-        for t, mu in zip(locations, masses):
-            val += mu * _poisson(z, t)
-        return val
-
-    return h
-
-
 # Largest worst violation a passing certificate may show.  Fixed, not a policy
 # field: the violation is a relative error of scalar harmonic values, whose
 # rounding is a few ulps whatever the document, while a wrong constant shows
@@ -125,28 +103,34 @@ def harnack_excess(hp: HarnackPair, anchor, value, scale) -> float:
     return math.inf if math.isnan(worst) else max(0.0, worst)
 
 
-def certify_harnack(
-    z1: complex,
-    z2: complex,
-    trials: int = 1000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Worst relative sandwich violation over random cone functions.
+def certify_harnack(z1: complex, z2: complex) -> float:
+    """Worst relative sandwich violation of h(z2) / h(z1) on the cone's extreme rays.
 
-    Where h(z1) or h(z2) overflows, both are taken at the points divided by
-    a power of two near the larger height instead: h(z / s) is a cone
-    function too, and the constants do not change under z -> z / s.
+    Every cone function is a positive combination of y and the Poisson
+    kernels P(., t), so its ratio lies between theirs: y2 / y1 on y and
+    (y2 / y1) |t - z1|^2 / |t - z2|^2 on P(., t).  Over t that ratio is
+    stationary, at c2 and c1, at the real ends of the geodesic through the
+    points: with x1 moved to 0, c +- sqrt(c^2 + y1^2) for the geodesic's
+    center c, the nearer end taken as -y1^2 over the farther.  A vertical
+    geodesic, or one whose center leaves the float range, ends at x1 and
+    infinity.  An error in t costs the ratio second order only, and no ray
+    leaves [c1, c2] by more than rounding, so a c2 off by 1e-10 fails.
+    Where c2 leaves the float range, [0, inf] holds every ratio.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     pair = harnack_constants(z1, z2)
-    hs = [random_cone_function(rng) for _ in range(trials)]
-    h1, h2 = np.array([[h(pair.z1), h(pair.z2)] for h in hs]).reshape(-1, 2).T
-    over = np.flatnonzero(np.isinf(h1) | np.isinf(h2))
-    if len(over):
-        s = math.ldexp(1.0, math.frexp(max(pair.z1.imag, pair.z2.imag))[1] - 1)
-        w1, w2 = (complex(z.real / s, z.imag / s) for z in (pair.z1, pair.z2))
-        h1[over], h2[over] = np.array([[hs[k](w1), hs[k](w2)] for k in over]).T
-    return harnack_excess(pair, h1, h2, np.maximum(np.maximum(h1, h2), ZERO_FLOOR))
+    if pair.c2 == math.inf:  # [c1, c2] = [0, inf] holds every ratio
+        return 0.0
+    (x1, y1), (x2, y2) = ((z.real, z.imag) for z in (pair.z1, pair.z2))
+    if math.isinf(x2 - x1):  # exact: c2 is finite here only for normal heights
+        x1, y1, x2, y2 = x1 / 8, y1 / 8, x2 / 8, y2 / 8
+    u = x2 - x1
+    c = u / 2 + (y2 - y1) / u * (y1 / 2 + y2 / 2) if u else math.inf
+    far = c + math.copysign(math.hypot(c, y1), c)
+    ends = np.array((far, -y1 * (y1 / far)) if math.isfinite(far) else (0.0,))
+    with np.errstate(over="ignore", invalid="ignore"):  # t near the float range: no ratio
+        q = np.hypot(ends, y1) / np.hypot(ends - u, y2)
+    q = q[np.isfinite(q)]
+    return _ratio_excess(pair, np.append(y2 / y1, y2 / y1 * q * q))
 
 
 # -- quadratic forms of the imaginary part ------------------------------------
@@ -156,26 +140,6 @@ SANDWICH_TOL = 1e-10  # largest passing excess: one whitening and one eigensolve
 # multiplies round-off by ||A|| / lambda, so past 1e4 it would near SANDWICH_TOL.
 # Anchor directions below it are decided in absolute Loewner order instead.
 WHITENED_RANGE = TolerancePolicy(eps_rank=1e-4)
-
-
-@dataclass(frozen=True)
-class FormSample:
-    """Value of the imaginary-part form at one point and vector."""
-
-    z: complex
-    u: np.ndarray
-    value: float
-
-
-def form_value(family: FamilyEvaluator, z: complex, u) -> FormSample:
-    z = herglotz.upper_point(z, "form_value")
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    im = matnum.imag_part(family(z))
-    value = float(np.real(u.conj() @ (im @ u)))
-    scale = 1.0 + matnum.spectral_norm(im) * float(np.real(u.conj() @ u))
-    if value < -DEFAULT_TOL.eps_psd * scale:
-        raise ValueError(f"form value {value:.3e} negative beyond tolerance")
-    return FormSample(z, u, value)
 
 
 @dataclass(frozen=True)
@@ -330,11 +294,17 @@ def c2_of(z: complex) -> float:
     return _harnack_c2(1j, herglotz.upper_point(z, "c2_of"))
 
 
-def _bound_inputs(rep: HerglotzRep, z: complex):
-    """z as a complex, c2(z), K's ascending eigenpairs and the measure tail F(z) - B1 z - B0."""
+def _bound_inputs(rep: HerglotzRep, z: complex, tol: TolerancePolicy):
+    """z as a complex, c2(z), K's largest eigenvalue, K^(-1/2) on K's range and F(z) - B1 z - B0.
+
+    The range is K's eigenvectors whose eigenvalues ``matnum``'s rank rule
+    keeps under tol; the measure tail lives on it.
+    """
     z = complex(z)
     w, v = matnum.herm_part_eig(rep.measure.k_sigma(), vectors=True)
-    return z, c2_of(z), w, v, herglotz.evaluate(rep, z) - rep.b1 * z - rep.b0
+    start = len(w) - matnum.rank_from(w, tol)  # K is PSD and w ascends: its range is the top
+    root = v[:, start:] / np.sqrt(w[start:])
+    return z, c2_of(z), float(w[-1]), root, herglotz.evaluate(rep, z) - rep.b1 * z - rep.b0
 
 
 @dataclass(frozen=True)
@@ -349,25 +319,19 @@ class BoundReport:
 def weak_strong_check(
     rep: HerglotzRep,
     z: complex,
-    trials: int = 50,
-    rng: np.random.Generator | None = None,
+    tol: TolerancePolicy = DEFAULT_TOL,
 ) -> BoundReport:
-    """Vector bound ||(F(z) - B1 z - B0) u|| <= c2(z) ||K^(1/2)|| ||K^(1/2) u||."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    z, c2, w, v, tail = _bound_inputs(rep, z)
-    k_half = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    k_half_norm = matnum.spectral_norm(k_half)
-    worst, violations = 0.0, 0
-    for _ in range(trials):
-        u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
-        u /= np.linalg.norm(u)
-        lhs = float(np.linalg.norm(tail @ u))
-        rhs = c2 * k_half_norm * float(np.linalg.norm(k_half @ u))
-        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= ZERO_FLOOR else np.inf)
-        worst = max(worst, ratio)
-        if lhs > rhs * (1.0 + BOUND_TOL) + ZERO_FLOOR:
-            violations += 1
-    return BoundReport(z, c2, worst, violations, violations == 0)
+    """Vector bound ||T u|| <= c2(z) ||K^(1/2)|| ||K^(1/2) u|| for every u, T = F(z) - B1 z - B0.
+
+    T lives on the range of K, so the supremum of ||T u|| / ||K^(1/2) u||
+    is ||T K^(-1/2)|| there, one SVD.  worst_ratio is that norm over
+    c2(z) ||K^(1/2)||, 0.0 for an empty range; violations is 0 or 1.
+    """
+    z, c2, top, root, tail = _bound_inputs(rep, z, tol)
+    norm = matnum.spectral_norm(tail @ root)
+    rhs = c2 * math.sqrt(top) if root.shape[1] else 0.0
+    passed = norm <= rhs * (1.0 + BOUND_TOL)
+    return BoundReport(z, c2, norm / rhs if rhs else 0.0, 0 if passed else 1, passed)
 
 
 def factor_check(
@@ -381,11 +345,8 @@ def factor_check(
     rank cutoff); the measure tail lives on that range, so the compression
     loses nothing.
     """
-    z, c2, w, v, tail = _bound_inputs(rep, z)
-    start = len(w) - matnum.rank_from(w, tol)  # K is PSD and w ascends: its range is the top
-    root = v[:, start:] / np.sqrt(w[start:])
-    middle = root.conj().T @ tail @ root
-    norm = matnum.spectral_norm(middle)
+    z, c2, _, root, tail = _bound_inputs(rep, z, tol)
+    norm = matnum.spectral_norm(root.conj().T @ tail @ root)
     passed = norm <= c2 * (1.0 + BOUND_TOL)
     return BoundReport(z, c2, norm / c2 if c2 > 0 else norm, 0 if passed else 1, passed)
 

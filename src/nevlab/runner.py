@@ -18,9 +18,9 @@ Entities are built in declaration order; a constructor that rejects its
 data (PSD, Hermitian, J-metric or dimension checks) ends the run with a
 ``RunError`` naming the entity.  Tasks run in declaration order, each
 producing one report with flat rows (suitable for CSV) plus a scalar
-summary.  Randomized checks derive their streams from the document seed
-and the task index, so identical documents give identical reports
-regardless of how the run is scheduled.
+summary.  No check draws a random number, so identical documents give
+identical reports; a document's ``seed`` and a task's ``trials`` are
+validated and read by nothing.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class TaskReport:
 
 
 MAX_DIM = 1024  # entity n and n_list entries; decay alone takes seconds per point there
-MAX_TRIALS = 10_000  # task trials and ``nevlab harnack --trials``
+MAX_TRIALS = 10_000  # task ``trials``: validated, read by no check
 
 
 # -- type rules: rule(value, names) returns the checked value or raises
@@ -286,7 +286,7 @@ class Kind:
         return out
 
 
-# -- run functions: (params, built entities, grid, tol, rng) -> (passed, summary, rows)
+# -- run functions: (params, built entities, grid, tol) -> (passed, summary, rows)
 
 
 def _fail(p: dict, why: str) -> RunError:
@@ -308,7 +308,7 @@ def _family(p: dict, built: dict) -> FamilyEvaluator:
     return _AS_FAMILY[type(obj)](obj)
 
 
-def _run_classify(p, built, grid, tol, rng):
+def _run_classify(p, built, grid, tol):
     obj = built[p["entity"]]
     if isinstance(obj, PairEvaluator):
         cls = pcls = invariance.classify_family_pair(obj, tol)
@@ -344,7 +344,7 @@ def _invariance_post(p, names):
             _entity_for(p, names, tuple(_AS_FAMILY), f"check {check}")
 
 
-def _run_invariance(p, built, grid, tol, rng):
+def _run_invariance(p, built, grid, tol):
     obj = built[p["entity"]]
     family = None if isinstance(obj, PairEvaluator) else _family(p, built)
     pair = obj if family is None else pairs.canonical_pair(family)
@@ -356,10 +356,10 @@ def _run_invariance(p, built, grid, tol, rng):
     return all(r.passed for r in reports), summary, rows
 
 
-def _run_harnack(p, built, grid, tol, rng):
+def _run_harnack(p, built, grid, tol):
     z1, z2 = p["z1"], p["z2"]
     hp = analysis.harnack_constants(z1, z2)
-    worst = analysis.certify_harnack(z1, z2, p["trials"] or 1000, rng)
+    worst = analysis.certify_harnack(z1, z2)
     rows = [{"z1_re": z1.real, "z1_im": z1.imag, "z2_re": z2.real, "z2_im": z2.imag,
              "c1": hp.c1, "c2": hp.c2, "mc_worst": worst}]
     passed = worst <= analysis.HARNACK_CERTIFICATE_TOL
@@ -378,37 +378,36 @@ def _rep(family: FamilyEvaluator, p: dict, what: str) -> HerglotzRep:
     return family.rep
 
 
-def _split(family, p, grid, tol, rng):
+def _split(family, p, grid, tol):
     res = analysis.split_bounded_imag(family, grid)
     residual = max(res.constancy, res.hermitian_residual)
     return matnum.spectral_norm(res.t_constant), residual, res.passed
 
 
-def _weak_strong(family, p, grid, tol, rng):
-    rep = _rep(family, p, "weak_strong")
-    br = analysis.weak_strong_check(rep, p["z"], trials=p["trials"] or 50, rng=rng)
+def _weak_strong(family, p, grid, tol):
+    br = analysis.weak_strong_check(_rep(family, p, "weak_strong"), p["z"], tol)
     return br.worst_ratio, float(br.violations), br.passed
 
 
-def _factor(family, p, grid, tol, rng):
+def _factor(family, p, grid, tol):
     br = analysis.factor_check(_rep(family, p, "factor"), p["z"], tol)
     return br.worst_ratio, float(br.violations), br.passed
 
 
-def _schatten(family, p, grid, tol, rng):
+def _schatten(family, p, grid, tol):
     dr = analysis.schatten_decay(family, herglotz.upper_points(grid))
     return min(dr.slopes), dr.spread, dr.passed
 
 
-def _sandwich(family, p, grid, tol, rng):
+def _sandwich(family, p, grid, tol):
     sr = analysis.form_sandwich_check(family, grid, p["z"])
     return sr.worst_violation, sr.worst_violation, sr.passed
 
 
-# (family, params, grid, tol, rng) -> (value, residual, passed) for one report row
+# (family, params, grid, tol) -> (value, residual, passed) for one report row
 _ANALYSES = {
     "split": _split,
-    "c2": lambda family, p, grid, tol, rng: (analysis.c2_of(p["z"]), 0.0, True),
+    "c2": lambda family, p, grid, tol: (analysis.c2_of(p["z"]), 0.0, True),
     "weak_strong": _weak_strong,
     "factor": _factor,
     "schatten": _schatten,
@@ -416,11 +415,11 @@ _ANALYSES = {
 }
 
 
-def _run_analysis(p, built, grid, tol, rng):
+def _run_analysis(p, built, grid, tol):
     family = _family(p, built)
     rows, passed = [], True
     for what in p["analyses"]:
-        value, residual, ok = _ANALYSES[what](family, p, grid, tol, rng)
+        value, residual, ok = _ANALYSES[what](family, p, grid, tol)
         rows.append({"analysis": what, "value": value, "residual": residual, "passed": int(ok)})
         passed = passed and ok
     return passed, {"analyses": len(rows)}, rows
@@ -429,7 +428,7 @@ def _run_analysis(p, built, grid, tol, rng):
 DECAY_SPREAD_TOL = 0.05  # one exponent: at n = 64 the fits spread by up to 0.03 over z
 
 
-def _decay(config, p, grid, rng):
+def _decay(config, p, grid):
     family = examples.build_family(config)
     slopes, rows = [], []
     for z in herglotz.upper_points(grid)[:5]:
@@ -443,7 +442,7 @@ def _decay(config, p, grid, rng):
     return spread <= DECAY_SPREAD_TOL, {"spread": spread, "slope": slopes[0]}, rows
 
 
-def _form_domain(config, p, grid, rng):
+def _form_domain(config, p, grid):
     fr = examples.form_domain_report(examples.build_ex4a(config), grid)
     rows = [{"z_re": z.real, "z_im": z.imag, "c1": b[0], "c2": b[1],
              "gen_eig_min": e[0], "gen_eig_max": e[1]}
@@ -451,12 +450,12 @@ def _form_domain(config, p, grid, rng):
     return fr.passed, {"worst": fr.worst_violation}, rows
 
 
-def _gap_sweep(config, p, grid, rng):
+def _gap_sweep(config, p, grid):
     rows = examples.halfline_gap_sweep(config.phi, p["a_values"], p["n_list"])
     return True, {"rows": len(rows)}, rows
 
 
-def _conditioning(config, p, grid, rng):
+def _conditioning(config, p, grid):
     ex = examples.build_ex4a(config)
     zs = herglotz.upper_points(grid)[:5]
     rows = [{"z_re": z.real, "z_im": z.imag, "rcond": rc}
@@ -466,7 +465,7 @@ def _conditioning(config, p, grid, rng):
 
 _GRID, _EX4A = examples.SturmLiouvilleConfig, examples.Ex4AConfig
 
-# report -> (entity type it needs, (config, params, grid, rng) -> (passed, summary, rows))
+# report -> (entity type it needs, (config, params, grid) -> (passed, summary, rows))
 _EXAMPLES = {
     "decay": (_GRID, _decay),
     "form_domain": (_EX4A, _form_domain),
@@ -476,8 +475,8 @@ _EXAMPLES = {
 EXAMPLE_REPORTS = tuple(_EXAMPLES)
 
 
-def _run_examples(p, built, grid, tol, rng):
-    return _EXAMPLES[p["what"]][1](built[p["entity"]], p, grid, rng)
+def _run_examples(p, built, grid, tol):
+    return _EXAMPLES[p["what"]][1](built[p["entity"]], p, grid)
 
 
 def _times_z(m: np.ndarray) -> FamilyEvaluator:
@@ -498,14 +497,14 @@ _SWEEPS = {
 }
 
 
-def _run_sweep(p, built, grid, tol, rng):
+def _run_sweep(p, built, grid, tol):
     report = invariance.sweep_continuous_spectrum(_SWEEPS[p["sequence"]], p["n_list"], grid)
     summary = {"monotone": int(report.monotone), "ratio_worst": report.ratio_worst,
                "verdict": report.decay_verdict}
     return report.passed, summary, report.rows()
 
 
-_OPTIONAL_TRIALS = (_TRIALS, None)  # each use has its own default
+_OPTIONAL_TRIALS = (_TRIALS, None)  # accepted and not read: no check samples
 
 TASKS: dict[str, Kind] = {
     "classify": Kind(_run_classify, {"entity": (_ENTITY, _REQUIRED)}),
@@ -520,13 +519,13 @@ TASKS: dict[str, Kind] = {
         "z1": (_upper_point, 1j),
         "z2": (_upper_point, 2j),
         "z0": (_upper_point, 1j),
-        "trials": _OPTIONAL_TRIALS,  # 1000 for the certificate; the sandwich does not sample
+        "trials": _OPTIONAL_TRIALS,
     }),
     "analysis": Kind(_run_analysis, {
         "entity": (_FAMILY_ENTITY, _REQUIRED),
         "analyses": (_list_of(_one_of(_ANALYSES)), ("split",)),
         "z": (_upper_point, 1j),
-        "trials": _OPTIONAL_TRIALS,  # 50 for weak_strong; sandwich does not sample
+        "trials": _OPTIONAL_TRIALS,
     }),
     "examples": Kind(_run_examples, {
         "entity": (_ENTITY, _REQUIRED),
@@ -537,7 +536,7 @@ TASKS: dict[str, Kind] = {
     "sweep": Kind(_run_sweep, {
         "sequence": (_one_of(_SWEEPS), _REQUIRED),
         "n_list": (_list_of(_int_in(1, MAX_DIM), min_len=2, increasing=True), _REQUIRED),
-        "trials": _OPTIONAL_TRIALS,  # accepted and not read: the sweep does not sample
+        "trials": _OPTIONAL_TRIALS,
     }),
 }
 
@@ -681,12 +680,10 @@ def run_task(
     task: dict,
     built: dict[str, object],
     doc: JobDocument,
-    task_index: int,
 ) -> TaskReport:
     """Run one checked task of doc against the built entities."""
-    rng = np.random.default_rng([doc.seed, task_index])
     grid = tuple(doc.grid) if doc.grid else herglotz.default_grid()
-    passed, summary, rows = TASKS[task["task"]].run(task, built, grid, doc.tolerances, rng)
+    passed, summary, rows = TASKS[task["task"]].run(task, built, grid, doc.tolerances)
     return TaskReport(task["name"], task["task"], passed, summary, rows)
 
 
@@ -694,9 +691,9 @@ def run_document(doc: JobDocument) -> list[TaskReport]:
     """Run tasks in declaration order; numerical failures become failed reports."""
     built = build_entities(doc)
     out = []
-    for i, task in enumerate(doc.tasks):
+    for task in doc.tasks:
         try:
-            out.append(run_task(task, built, doc, i))
+            out.append(run_task(task, built, doc))
         except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
             out.append(
                 TaskReport(task["name"], task["task"], False, {"error": str(exc)})

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import mpmath
@@ -33,10 +34,34 @@ class TestHarnackConstants:
             assert fwd.c1 * bwd.c2 == pytest.approx(1.0, rel=1e-12)
             assert fwd.c1 <= 1.0 <= fwd.c2
 
-    def test_monte_carlo_certificate(self, rng):
-        for _ in range(5):
+    @pytest.mark.parametrize("pair", [None, (1j, 1e70 + 1j), (1j, 1e80 + 1j), (1j, 1e308j),
+                                      (1e308j, 1e308j), (1j, 1e-200 + 2j),
+                                      (-1e308 + 1e308j, 1e308 + 1e308j)],
+                             ids=["random", "far-1e70", "far-1e80", "tall", "equal-tall",
+                                  "tiny-gap", "apart-past-the-float-range"])
+    def test_certificate_on_the_extreme_rays(self, pair, rng, monkeypatch):
+        """The largest and least ray ratios are c2 and c1, and the certificate reads round-off."""
+        seen = []
+        excess = analysis._ratio_excess
+        monkeypatch.setattr(analysis, "_ratio_excess",
+                            lambda hp, ratios: seen.append((hp, ratios)) or excess(hp, ratios))
+        for z1, z2 in [random_upper(rng, 2) for _ in range(200)] if pair is None else [pair]:
+            assert analysis.certify_harnack(z1, z2) <= analysis.HARNACK_CERTIFICATE_TOL
+            hp, ratios = seen.pop()
+            assert max(ratios) == pytest.approx(hp.c2, rel=1e-11)
+            assert min(ratios) == pytest.approx(hp.c1, rel=1e-11)
+
+    def test_a_c2_past_the_float_range_holds_every_ratio(self):
+        """c2 = inf, c1 = 0: the ray ratios overflow too, and the certificate passes."""
+        assert analysis.harnack_constants(1j, 1e200 + 1j).c2 == math.inf
+        assert analysis.certify_harnack(1j, 1e200 + 1j) == 0.0
+
+    def test_an_understated_c2_fails_the_certificate(self, rng, monkeypatch):
+        c2 = analysis._harnack_c2
+        monkeypatch.setattr(analysis, "_harnack_c2", lambda z1, z2: c2(z1, z2) * (1 - 1e-10))
+        for _ in range(200):
             z1, z2 = random_upper(rng, 2)
-            assert analysis.certify_harnack(z1, z2, 1000, rng) <= 1e-12
+            assert analysis.certify_harnack(z1, z2) > analysis.HARNACK_CERTIFICATE_TOL
 
     def test_supremum_against_dense_grid(self, rng):
         ts = np.linspace(-300.0, 300.0, 120001)
@@ -242,15 +267,6 @@ class TestExactSandwich:
         report = analysis.form_sandwich_check(FamilyEvaluator(2, f, "test"))
         assert report.worst_violation > 1e-7 and not report.passed
 
-    def test_form_value_nonnegative(self, rng):
-        fam = FamilyEvaluator.from_rep(random_rep(rng, 3))
-        sample = analysis.form_value(fam, 0.5 + 0.7j, cgauss(rng, 3))
-        assert sample.value >= 0.0
-
-    def test_form_value_rejects_a_negative_form(self):
-        with pytest.raises(ValueError, match="negative beyond tolerance"):
-            analysis.form_value(scalar_family(lambda z: -z), 1j, [1.0])
-
 
 class TestSplit:
     def test_pure_rep_zero_offset(self, rng):
@@ -336,16 +352,37 @@ class TestModulusBound:
             grid_sup = np.max(np.abs(1 + z * ts) / np.abs(ts - z))
             assert grid_sup <= analysis.c2_of(z) * (1 + 1e-12)
 
-    def test_weak_strong_single_atom(self, rng):
+    def test_weak_strong_single_atom(self):
         rep = HerglotzRep.create(np.zeros((2, 2)), np.zeros((2, 2)), [(0.0, np.eye(2))])
-        report = analysis.weak_strong_check(rep, 1j, trials=50, rng=rng)
-        assert report.passed
+        report = analysis.weak_strong_check(rep, 1j)
+        assert report.passed and report.worst_ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_weak_strong_random(self, rng):
         for _ in range(10):
             rep = random_rep(rng)
             z = complex(rng.uniform(-2, 2), 10.0 ** rng.uniform(-1, 1))
-            assert analysis.weak_strong_check(rep, z, trials=30, rng=rng).passed
+            assert analysis.weak_strong_check(rep, z).passed
+
+    def test_weak_strong_ratio_is_the_supremum_over_vectors(self, rng):
+        """No explicit vector's ratio exceeds the exact one, which a planted 1 % cut fails."""
+        for _ in range(20):
+            rep = random_rep(rng, int(rng.integers(1, 5)), uniform=False)
+            z = complex(rng.uniform(-2, 2), 10.0 ** rng.uniform(-1, 1))
+            report = analysis.weak_strong_check(rep, z)
+            tail = herglotz.evaluate(rep, z) - rep.b1 * z - rep.b0
+            w, v = np.linalg.eigh(rep.measure.k_sigma())
+            k_half = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+            us = cgauss(rng, rep.dim, 200)
+            ratios = (np.linalg.norm(tail @ us, axis=0)
+                      / (report.bound * np.sqrt(w[-1]) * np.linalg.norm(k_half @ us, axis=0)))
+            assert ratios.max() <= report.worst_ratio * (1 + 1e-12)
+            assert report.passed
+            planted = 0.99 * report.worst_ratio * report.bound
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "c2_of", lambda z: planted)
+                cut = analysis.weak_strong_check(rep, z)
+            assert (cut.violations, cut.passed) == (1, False)
+            assert cut.worst_ratio == pytest.approx(1 / 0.99, rel=1e-12)
 
     def test_factor_check_random(self, rng):
         for _ in range(10):
@@ -356,18 +393,18 @@ class TestModulusBound:
             assert report.worst_ratio <= 1.0 + 1e-9
 
     def test_factor_implies_vector_bound(self, rng):
-        # operator-norm bound dominates every sampled vector ratio
+        # the operator-norm bound dominates the vector bound's supremum
         rep = random_rep(rng, 3)
         z = 0.4 + 1.3j
         op = analysis.factor_check(rep, z)
-        vec = analysis.weak_strong_check(rep, z, trials=40, rng=rng)
+        vec = analysis.weak_strong_check(rep, z)
         assert vec.worst_ratio <= op.worst_ratio + 1e-9
 
-    def test_weak_strong_counts_violations_below_the_true_bound(self, rng, monkeypatch):
+    def test_weak_strong_counts_violations_below_the_true_bound(self, monkeypatch):
         rep = HerglotzRep.create(np.zeros((2, 2)), np.zeros((2, 2)), [(0.0, np.eye(2))])
         monkeypatch.setattr(analysis, "c2_of", lambda z: 0.5)  # c2(i) is 1, attained here
-        report = analysis.weak_strong_check(rep, 1j, trials=10, rng=rng)
-        assert report.bound == 0.5 and report.violations > 0 and not report.passed
+        report = analysis.weak_strong_check(rep, 1j)
+        assert report.bound == 0.5 and report.violations == 1 and not report.passed
 
     def test_rank_deficient_measure(self, rng):
         w = np.zeros((3, 3))

@@ -342,13 +342,13 @@ class TestCommandLine:
 
     def test_harnack_subcommand(self, capsys):
         for z2 in ("0,2", "1e-200,2"):  # a real-part gap far below round-off of the heights
-            assert cli.main(["harnack", "--z1", "0,1", "--z2", z2, "--trials", "200"]) == 0
+            assert cli.main(["harnack", "--z1", "0,1", "--z2", z2]) == 0
             out = capsys.readouterr().out
             assert "c2 = 2.0" in out
 
     def test_harnack_point_with_a_negative_real_part(self, monkeypatch, capsys):
         """argparse takes a separate "-2,0.5" for an option; the "=" form, named in --help, parses."""
-        assert cli.main(["harnack", "--z1=-2,0.5", "--z2", "3,4", "--trials", "50"]) == 0
+        assert cli.main(["harnack", "--z1=-2,0.5", "--z2", "3,4"]) == 0
         hp = analysis.harnack_constants(-2 + 0.5j, 3 + 4j)
         assert capsys.readouterr().out.splitlines()[:2] == [f"c1 = {hp.c1!r}", f"c2 = {hp.c2!r}"]
         monkeypatch.setenv("COLUMNS", "200")  # help lines unwrapped
@@ -364,7 +364,8 @@ class TestCommandLine:
         monkeypatch.setattr(cli, "_load_document",
                             lambda args, text: seen.append(vars(args)) or load(args, text))
         calls = [
-            ["run", doc, "--seed", "7", "--format", "csv", "--grid", "0,1;1,2", "--out", "o1"],
+            ["run", doc, "--tol-rank", "1e-7", "--format", "csv", "--grid", "0,1;1,2", "--out",
+             "o1"],
             ["run", doc, "--out", "o2"],
             ["classify", doc, "--entity", "f", "--tol-psd", "1e-3", "--out", "o3"],
             ["classify", doc, "--out", "o4"],
@@ -379,24 +380,24 @@ class TestCommandLine:
         assert sorted(p.name for p in (tmp_path / "o2").iterdir()) == ["summary.json", "t.csv",
                                                                        "t.json"]
         for z1, c2 in (("0,3", "c2 = 1.5"), (None, "c2 = 2.0")):
-            assert cli.main(["harnack", "--trials", "5"] + (["--z1", z1] if z1 else [])) == 0
+            assert cli.main(["harnack"] + (["--z1", z1] if z1 else [])) == 0
             assert c2 in capsys.readouterr().out
 
     @pytest.mark.parametrize("x, c2", [("1e70", 1e140), ("1e80", 1e160)])
     def test_harnack_far_apart(self, x, c2, capsys):
-        assert cli.main(["harnack", "--z1", "0,1", "--z2", f"{x},1", "--trials", "200"]) == 0
+        assert cli.main(["harnack", "--z1", "0,1", "--z2", f"{x},1"]) == 0
         printed = capsys.readouterr().out.splitlines()[1]
         assert printed.startswith("c2 = ")
         assert float(printed.removeprefix("c2 = ")) == pytest.approx(c2, rel=1e-14)
 
     @pytest.mark.parametrize("z1, c1, c2", [("0,1", "1e-308", "1e+308"), ("0,1e308", "1.0", "1.0")])
     def test_harnack_at_the_float_range_passes_its_certificate(self, z1, c1, c2, capsys):
-        """Cone values past the float range are compared at rescaled points, and pass."""
-        assert cli.main(["harnack", "--z1", z1, "--z2", "0,1e308", "--trials", "200"]) == 0
+        """Heights at the float range give finite ray ratios, which pass."""
+        assert cli.main(["harnack", "--z1", z1, "--z2", "0,1e308"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == [f"c1 = {c1}", f"c2 = {c2}"]
         head, worst = lines[2].split(": ")
-        assert head == "certificate worst violation over 200 trials"
+        assert head == "certificate worst violation on the cone's extreme rays"
         assert 0.0 <= float(worst) <= analysis.HARNACK_CERTIFICATE_TOL
 
     def test_c2_analysis_near_the_float_range(self, tmp_path):
@@ -405,6 +406,20 @@ class TestCommandLine:
         assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "o")]) == 0
         report = json.loads((tmp_path / "o" / "t.json").read_text())
         assert report["rows"][0]["value"] == pytest.approx(1e304, rel=1e-14)
+
+    def test_weak_strong_without_a_measure_passes(self, tmp_path):
+        """K = 0: T = (B0 + B1 z) - B1 z - B0 is round-off on an empty range, not a violation."""
+        rep = {"name": "r", "kind": "herglotz_rep", "atoms": [],
+               "b0": [[[0.1, 0.0], [0.3, 0.0]], [[0.3, 0.0], [-0.7, 0.0]]],
+               "b1": [[[0.2, 0.0], [0.05, 0.0]], [[0.05, 0.0], [0.3, 0.0]]]}
+        doc_path = tmp_path / "job.json"
+        doc_path.write_text(json.dumps(minimal_doc(entities=[rep])))
+        out = tmp_path / "o"
+        assert cli.main(["analysis", str(doc_path), "--entity", "r", "--z=-2,0.1",
+                         "--out", str(out)]) == 0
+        rows = json.loads((out / "analysis-r.json").read_text())["rows"]
+        (row,) = [r for r in rows if r["analysis"] == "weak_strong"]
+        assert (row["value"], row["residual"], row["passed"]) == (0.0, 0.0, 1)
 
     def test_grid_override_applies(self, tmp_path):
         doc_path = tmp_path / "job.json"
@@ -599,17 +614,23 @@ def test_classify_pair_passes_iff_pair_axioms_hold(entity, code, tmp_path):
     assert cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == code
 
 
-def test_harnack_trials_capped(capsys):
-    assert cli.main(["harnack", "--trials", str(runner.MAX_TRIALS + 1)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flag", [["--out", "x"], ["--format", "json"], ["--grid", "0,1"],
                                   ["--tol-psd", "1e-9"], ["--tol-rank", "1e-9"],
-                                  ["--tol-eq", "1e-9"]])
+                                  ["--tol-eq", "1e-9"], ["--trials", "5"], ["--seed", "1"]])
 def test_harnack_reads_only_its_own_flags(flag, capsys):
-    assert cli.main(["harnack", "--trials", "5", *flag]) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli.main(["harnack", "--z1", "0,2", *flag]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "demo"])
+def test_a_document_command_has_no_seed_flag(command, tmp_path, capsys):
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(minimal_doc()))
+    doc = [str(doc_path)] if command == "run" else []
+    assert cli.main([command, *doc, "--seed", "5", "--out", str(tmp_path / "o")]) == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert _files(tmp_path) == {doc_path}
 
 
 def test_pin_threads_overrides_host_setting(monkeypatch):
@@ -773,13 +794,20 @@ def test_examples_subcommand_reports_conditioning(tmp_path):
     assert json.loads((out / "examples-ex.json").read_text())["passed"]
 
 
-def test_seed_override_moves_only_the_seeded_reports(tmp_path):
-    assert cli.main(["demo", "--out", str(tmp_path / "a")]) == 0
-    assert cli.main(["demo", "--seed", "5", "--out", str(tmp_path / "b")]) == 0
-    names = sorted(p.name for p in (tmp_path / "a").glob("*.json"))
-    moved = [n for n in names
-             if (tmp_path / "a" / n).read_bytes() != (tmp_path / "b" / n).read_bytes()]
-    assert moved == ["analysis-fam.json"]  # weak_strong samples; the sweep does not
+def test_the_demo_reads_neither_its_seed_nor_its_trials(tmp_path):
+    """Document seed 0 and 5, and trials 1 and 10,000 on every task that accepts them."""
+    demo = json.loads(cli.demo_document_text())
+    outputs = []
+    for seed, trials in ((0, 1), (5, runner.MAX_TRIALS)):
+        raw = {**demo, "seed": seed, "tasks": [
+            {**t, "trials": trials} if "trials" in runner.TASKS[t["task"]].params else t
+            for t in demo["tasks"]]}
+        doc_path, out = tmp_path / f"job-{seed}.json", tmp_path / f"out-{seed}"
+        doc_path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(doc_path), "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert {"analysis-fam.json", "harnack-fam.json", "sweep-diag.json"} <= outputs[0].keys()
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("z1, message", [
@@ -829,10 +857,10 @@ REP2 = {"name": "f", "kind": "herglotz_rep", "b0": [[[0.0, 0.0], [0.0, 0.0]]] * 
                   [1.5, [[[0.4, 0.0], [-0.1, 0.0]], [[-0.1, 0.0], [0.2, 0.0]]]]]}
 
 
-def test_weak_strong_draws_do_not_depend_on_a_sandwich_before_it():
+def test_weak_strong_row_does_not_depend_on_a_sandwich_before_it():
     rows = {}
     for analyses in (["weak_strong"], ["sandwich", "weak_strong"]):
-        raw = minimal_doc(entities=[REP2], tasks=[_analysis(*analyses, z=[0.3, 1.5], trials=30)])
+        raw = minimal_doc(entities=[REP2], tasks=[_analysis(*analyses, z=[0.3, 1.5])])
         report = runner.run_document(parse_document(json.dumps(raw)))[0]
         rows[len(analyses)] = [r for r in report.rows if r["analysis"] == "weak_strong"]
     assert rows[1] == rows[2] and rows[1][0]["value"] > 0.0
@@ -856,9 +884,7 @@ def test_sandwich_and_sweep_reports_do_not_read_the_seed():
              {"name": "h", "task": "harnack", "entity": "f", "trials": 5}, {**SWEEP, "name": "s"}]
     one, two = (_run_reports(minimal_doc(entities=[REP2], tasks=tasks, seed=seed))
                 for seed in (1, 2))
-    assert one["t"] == two["t"] and one["s"] == two["s"]
-    h1, h2 = (json.loads(r["h"])["rows"][1] for r in (one, two))  # the sandwich row
-    assert h1 == h2
+    assert one == two
 
 
 @pytest.mark.parametrize("b1", [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-9, 0.0]]],

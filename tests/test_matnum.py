@@ -757,8 +757,7 @@ def test_decompositions_run_in_one_matnum_entry():
 
 
 # Functions that read eps_psd: the PSD floor, the uniform threshold, and a form's sign check.
-EPS_PSD_READERS = {("matnum.py", "psd_from"), ("herglotz.py", "strictness"),
-                   ("analysis.py", "form_value")}
+EPS_PSD_READERS = {("matnum.py", "psd_from"), ("herglotz.py", "strictness")}
 
 
 def _functions(tree):
@@ -770,7 +769,7 @@ def _functions(tree):
 
 
 def test_rank_and_psd_decisions_stay_in_matnum():
-    """No eps_rank cutoff is formed outside matnum; eps_psd is read by three functions only.
+    """No eps_rank cutoff is formed outside matnum; eps_psd is read by two functions only.
 
     Comparisons such as d <= tol.eps_rank stay allowed: a distance is not a rank.
     """
@@ -787,6 +786,35 @@ def test_rank_and_psd_decisions_stay_in_matnum():
                     scaled.append(f"{path.name}:{node.lineno} {name}")
     assert scaled == []
     assert readers == EPS_PSD_READERS
+
+
+# the Generator methods that draw; a call of one, or of anything under np.random, draws
+DRAWS = {name for name in dir(np.random.Generator) if not name.startswith("_")} - {
+    "bit_generator", "spawn"}
+RANDOM_DRAWERS = {("invariance.py", "default_check_grid"), ("examples.py", "build_ex4a"),
+                  ("pairs.py", "JUnitary.random")}
+
+
+def _draws(node) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    return node.func.attr in DRAWS or "np.random." in ast.unparse(node.func) + "."
+
+
+def test_random_draws_stay_in_three_builders():
+    """No verifier draws a random number: only the check grid's seeded points, the seeded
+    Ex4A operator and JUnitary.random do, each from a generator of its own."""
+    def name(node, owner=""):
+        return owner + getattr(node, "name", f"line {node.lineno}")
+
+    found = set()
+    for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            members = ([(name(m, f"{top.name}."), m) for m in top.body]
+                       if isinstance(top, ast.ClassDef) else [(name(top), top)])
+            found |= {(path.name, where) for where, node in members
+                      if any(_draws(n) for n in ast.walk(node))}
+    assert found == RANDOM_DRAWERS
 
 
 def _is_adjoint(node) -> bool:

@@ -105,7 +105,6 @@ UPPER_GUARDS = {
     "kernel_identity_residual": lambda z: pairs.kernel_identity_residual(PAIR, 1j, z),
     "harnack_constants": lambda z: analysis.harnack_constants(z, 1j),
     "harnack_constants (second point)": lambda z: analysis.harnack_constants(1j, z),
-    "form_value": lambda z: analysis.form_value(FAMILY, z, np.ones(3)),
     "form_sandwich_check": lambda z: analysis.form_sandwich_check(FAMILY, [2j], z),
     "c2_of": analysis.c2_of,
     "classify_family_pair": lambda z: invariance.classify_family_pair(PAIR, z=z),
