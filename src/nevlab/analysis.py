@@ -56,11 +56,19 @@ def _harnack_c2(z1: complex, z2: complex) -> float:
     s >= 2 max(y1, y2), so 2 y is finite with s, and where s is not, the points
     are scaled by 1/8, exactly, since c2 is finite there only for normal heights.
     """
-    s = abs(z1 - z2.conjugate()) + abs(z1 - z2)
+    s = _modulus(z1 - z2.conjugate()) + _modulus(z1 - z2)
     if s == math.inf:
         z1, z2 = complex(z1.real / 8, z1.imag / 8), complex(z2.real / 8, z2.imag / 8)
         s = abs(z1 - z2.conjugate()) + abs(z1 - z2)
     return (s / (2.0 * z1.imag)) * (s / (2.0 * z2.imag))
+
+
+def _modulus(w: complex) -> float:
+    """|w|, read as inf where it leaves the float range: abs raises OverflowError there."""
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.inf
 
 
 def harnack_constants(z1: complex, z2: complex) -> HarnackPair:

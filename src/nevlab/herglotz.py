@@ -186,8 +186,7 @@ class HerglotzRep:
         dim = b0.shape[0]
         if b0.shape != (dim, dim) or b1.shape != (dim, dim):
             raise matnum.MatrixShapeError("B0 and B1 must be square and equal-sized")
-        if matnum.hermitian_residual(b0) > tol.eps_eq:
-            raise matnum.HermitianityError("B0 must be Hermitian")
+        b0 = matnum.as_hermitian(b0, tol, matnum.HermitianityError("B0 must be Hermitian"))
         ok, lam = matnum.is_psd(b1, tol)
         if not ok:
             raise ValueError(f"B1 must be PSD (lambda_min={lam:.3e})")
@@ -197,7 +196,7 @@ class HerglotzRep:
             measure = OperatorMeasure.from_atoms(measure, tol)
         if measure.dim != dim:
             raise matnum.MatrixShapeError("measure dimension mismatch")
-        return cls(matnum.herm_part(b0), matnum.herm_part(b1), measure, dim)
+        return cls(b0, matnum.herm_part(b1), measure, dim)
 
 
 def _check_point(rep: HerglotzRep, z: complex) -> complex:
@@ -278,7 +277,7 @@ class ValueMemo:
             return stacks
         fresh = dict(zip(new, zip(*stacks)))
         per_point = [fresh[k] if k in fresh else self.values[k] for k in keys]
-        return tuple(np.stack(part) for part in zip(*per_point))
+        return tuple(np.array(part) for part in zip(*per_point))  # np.stack's copy, cheaper
 
 
 @dataclass
@@ -339,9 +338,7 @@ class FamilyEvaluator:
         t0 = matnum.as_matrix(offset)
         if t0.shape != (rep.dim, rep.dim):
             raise matnum.MatrixShapeError("offset dimension mismatch")
-        if matnum.hermitian_residual(t0) > tol.eps_eq:
-            raise matnum.HermitianityError("offset must be Hermitian")
-        t0 = matnum.herm_part(t0)
+        t0 = matnum.as_hermitian(t0, tol, matnum.HermitianityError("offset must be Hermitian"))
         return cls(rep.dim, None, "rep-plus-offset", rep, t0,
                    lambda zs: evaluate_grid(rep, zs) + t0)
 

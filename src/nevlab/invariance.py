@@ -29,6 +29,7 @@ each truncation as the uniformity certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -42,8 +43,9 @@ from .pairs import PairEvaluator
 DEFAULT_CHECK_SEED = 20240817
 
 
+@functools.cache
 def default_check_grid() -> tuple[complex, ...]:
-    """The 30-point default grid plus ten seeded spot checks, five conjugate pairs."""
+    """The 30-point default grid plus ten seeded spot checks, five conjugate pairs; built once."""
     rng = np.random.default_rng(DEFAULT_CHECK_SEED)
     extra = []
     for _ in range(5):
@@ -108,7 +110,7 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
         for w in witnesses or []:
             w["distance"] = 1.0
         return 1.0, {"reason": "dimension varies", "dims": dims}
-    stack = np.stack(spans)
+    stack = np.array(spans)  # np.stack's copy of equal shapes, cheaper
     if witnesses:
         for w, d in zip(witnesses, matnum.subspace_distances(stack, stack[0])):
             w["distance"] = float(d)
@@ -329,7 +331,7 @@ def classify_family_pair(
     phi, psi = pair(z)
     lams = matnum.herm_part_eig(pairs.diagonal_kernel(phi, psi, z, tol))
     label, lam_min, kernel_dim = herglotz.strictness(lams, tol)
-    blocks = np.stack([phi, psi])  # one SVD gives ker Phi and both rconds
+    blocks = np.array([phi, psi])  # one SVD gives ker Phi and both rconds
     s = matnum.singular_values(blocks)
     mul_dim = pair.dim - matnum.rank_from(s[0], tol)
     rc_phi, rc_psi = matnum.rcond_from(blocks, s).tolist()

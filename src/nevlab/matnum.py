@@ -14,10 +14,16 @@ equal bytes confirm; a stack without repeats reaches LAPACK as it is),
 takes one full SVD of a square matrix and its adjoint, and builds numpy
 2's empty results.  Each caller keeps its LAPACK job
 (values only or full SVD, ``eigvalsh`` or ``eigh``): the jobs round differently.
+``inverse`` takes A^(-1) from ``np.linalg.inv``, the values of
+``np.linalg.solve(A, I)`` bit for bit.  The input gate screens finiteness by
+the sum of the squared moduli of a contiguous stack's entries, and tests entry
+by entry only when that sum is not finite; ``as_hermitian`` is the gate of an
+input declared Hermitian.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -90,7 +96,12 @@ def _checked(a, ndims: tuple = (2, 3), square: bool = False) -> np.ndarray:
     """The input gate: a as a complex128 array with ndim in ndims, finite.
 
     Every public function checks its input here, once per array; with
-    ``square`` the last two axes must be equal.
+    ``square`` the last two axes must be equal.  Finiteness is screened by
+    the sum of the squared moduli of a contiguous array's entries: a finite
+    sum proves every entry finite.  Only an array that is not contiguous, or
+    whose sum is not finite (a non-finite entry, or an overflow), meets the
+    entry-by-entry test.  BLAS's ``vdot`` sums without a copy and without a
+    floating-point warning.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim not in ndims:
@@ -98,7 +109,7 @@ def _checked(a, ndims: tuple = (2, 3), square: bool = False) -> np.ndarray:
         raise MatrixShapeError(f"expected {what}, got ndim={m.ndim}")
     if square and m.shape[-1] != m.shape[-2]:
         raise MatrixShapeError(f"expected a square matrix, got shape {m.shape[-2:]}")
-    if not np.isfinite(m).all():
+    if not (m.flags.c_contiguous and cmath.isfinite(np.vdot(m, m))) and not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -125,10 +136,14 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lapack(kind: str, m: np.ndarray):
+def _lapack(kind: str, m: np.ndarray, *, routines={  # built once; numpy's name is read per call
+        "svdvals": lambda a: np.linalg.svd(a, compute_uv=False), "svd": lambda a: np.linalg.svd(a),
+        "svd_thin": lambda a: np.linalg.svd(a, full_matrices=False),
+        "eigvalsh": lambda a: np.linalg.eigvalsh(a), "eigh": lambda a: np.linalg.eigh(a)}):
     """numpy's ``kind`` of each distinct matrix of a checked (G, rows, cols) stack, once.
 
-    kind: "svdvals", "svd" (full), "svd_thin", "eigvalsh" or "eigh".  A full
+    kind: "svdvals", "svd" (full), "svd_thin", "eigvalsh" or "eigh"; ``routines``
+    is the table of them, not an argument to pass.  A full
     SVD of a square A decomposes whichever of A and A* has the smaller bytes
     and reads A's factors from A* = U s Vh as (Vh*, s, U*), so a matrix and
     its adjoint share one decomposition.  Their bytes first differ in
@@ -142,9 +157,7 @@ def _lapack(kind: str, m: np.ndarray):
                 "svd": lambda: (eye(rows, rows), s, eye(cols, cols)),
                 "svd_thin": lambda: (eye(rows, k), s, eye(k, cols)),
                 "eigh": lambda: (s, eye(k, k))}[kind]()
-    routine = {"svdvals": lambda a: np.linalg.svd(a, compute_uv=False), "svd": np.linalg.svd,
-               "svd_thin": lambda a: np.linalg.svd(a, full_matrices=False),
-               "eigvalsh": np.linalg.eigvalsh, "eigh": np.linalg.eigh}[kind]
+    routine = routines[kind]
     flip = np.signbit(m[:, 0, 0].imag) if kind == "svd" and rows == cols else None
     flip = flip if flip is not None and flip.any() else None  # where A* is decomposed
     members = m
@@ -254,8 +267,20 @@ def _norm_bounds(m: np.ndarray) -> np.ndarray:
     return scale * np.sqrt(np.stack([columns.sum(axis=0), columns.max(axis=0, initial=0.0)]))
 
 
-def _hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Hermitian parts of a square stack; HermitianityError unless each is within eps_eq.
+def as_hermitian(h, tol: TolerancePolicy = DEFAULT_TOL, error: Exception | None = None):
+    """The Hermitian input gate: (H + H*)/2 of a square matrix (or of each in a stack).
+
+    It raises ``error``, by default a HermitianityError, unless
+    ``hermitian_residual`` is at most eps_eq for every matrix; the rule and
+    its screen are ``is_psd``'s.
+    """
+    m, one = _stack(h, square=True)
+    herm = _hermitian(m, tol, error)
+    return herm[0] if one else herm
+
+
+def _hermitian(m: np.ndarray, tol: TolerancePolicy, error: Exception | None = None) -> np.ndarray:
+    """Hermitian parts of a square stack; ``error`` unless each is within eps_eq.
 
     A stack equal to its adjoint has residual 0 and passes at once.  Else a
     matrix H passes without an SVD when sqrt(n) ||H - H*||_F <= eps_eq ||H||_F / 2:
@@ -263,7 +288,7 @@ def _hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     ``hermitian_residual`` is at most eps_eq / 2, and the factor 2 covers the
     round-off of the two norms.  H is divided by a power of two first, which
     changes no bit of H - H* but its exponent and keeps both norms finite.
-    The others meet the exact rule, with its message.
+    The others meet the exact rule; by default its error is a HermitianityError.
     """
     adj = _adjoint(m)
     if not (m == adj).all():
@@ -272,7 +297,8 @@ def _hermitian(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
         bound = np.sqrt(m.shape[-1]) * _frobenius(unit - _adjoint(unit))
         exact = ~((bound <= 0.5 * tol.eps_eq * size) & (size > 0.0))
         if exact.any() and (_residuals(m[exact]) > tol.eps_eq).any():
-            raise HermitianityError(f"matrix is not Hermitian within eps_eq={tol.eps_eq!r}")
+            raise error or HermitianityError(
+                f"matrix is not Hermitian within eps_eq={tol.eps_eq!r}")
     return (m + adj) / 2.0
 
 
@@ -357,7 +383,7 @@ def _kept(values: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
 
 def rank_from(values, tol: TolerancePolicy = DEFAULT_TOL):
     """Rank from singular values or Hermitian eigenvalues already taken; a list for (G, k) rows."""
-    return np.count_nonzero(_kept(np.asarray(values), tol), axis=-1).tolist()
+    return _kept(np.asarray(values), tol).sum(axis=-1).tolist()  # count_nonzero's count, cheaper
 
 
 def rank(a, tol: TolerancePolicy = DEFAULT_TOL):
@@ -522,6 +548,8 @@ def solve(a, b, rcond_min: float = 1e-14):
 def inverse(a, rcond_min: float = 1e-14) -> np.ndarray:
     """A^(-1) as ``solve(a, I, rcond_min)`` gives it, one per matrix of a (G, n, n) stack.
 
+    X comes from ``np.linalg.inv``, the same LAPACK zgesv with B = I, so it
+    is ``np.linalg.solve(A, I)`` bit for bit at a fifth of the call's cost.
     No SVD is taken when 1/(||A||_F ||X||_F) >= 2 rcond_min for the computed
     X: 1/(||A||_F ||A^(-1)||_F) is a lower bound of rcond_2(A), and X is off
     by a relative u / rcond_2(A), far below 1/2 at any rcond the guard can
@@ -529,14 +557,14 @@ def inverse(a, rcond_min: float = 1e-14) -> np.ndarray:
     decides and raises for the first failing matrix.
     """
     m, one = _stack(a, square=True)
-    eye = np.broadcast_to(np.eye(m.shape[-1], dtype=np.complex128), m.shape)
     try:
-        x = np.linalg.solve(m, eye)
+        x = np.linalg.inv(m)
         size = np.linalg.norm(m, axis=(1, 2))
         certified = (size * np.linalg.norm(x, axis=(1, 2)) * (2.0 * rcond_min) <= 1.0) & (size > 0)
     except np.linalg.LinAlgError:
         certified = np.zeros(1, dtype=bool)
     if not certified.all():
+        eye = np.broadcast_to(np.eye(m.shape[-1], dtype=np.complex128), m.shape)
         x, _ = solve(m, eye, rcond_min)
     return x[0] if one else x
 

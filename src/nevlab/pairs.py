@@ -264,12 +264,11 @@ class JUnitary:
     @classmethod
     def shift(cls, x, tol: TolerancePolicy = DEFAULT_TOL) -> "JUnitary":
         """[[I, 0], [X, I]] for Hermitian X; sends {Phi, Psi} to {Phi, Psi + X Phi}."""
-        x = matnum.as_matrix(x)
-        if matnum.hermitian_residual(x) > tol.eps_eq:
-            raise PairAxiomError("shift parameter must be Hermitian")
+        x = matnum.as_hermitian(matnum.as_matrix(x), tol,
+                                PairAxiomError("shift parameter must be Hermitian"))
         d = x.shape[0]
         eye, zero = np.eye(d), np.zeros((d, d))
-        return cls.create(np.block([[eye, zero], [matnum.herm_part(x), eye]]), tol)
+        return cls.create(np.block([[eye, zero], [x, eye]]), tol)
 
     @classmethod
     def scale(cls, y, tol: TolerancePolicy = DEFAULT_TOL) -> "JUnitary":

@@ -400,6 +400,13 @@ class TestCommandLine:
         assert head == "certificate worst violation on the cone's extreme rays"
         assert 0.0 <= float(worst) <= analysis.HARNACK_CERTIFICATE_TOL
 
+    def test_harnack_where_a_modulus_overflows(self, capsys):
+        """|z1 - conj z2| passes the float range at finite points: the 1/8 rescale gives c2."""
+        assert cli.main(["harnack", "--z1", "0,7.5e307", "--z2", "1.5e308,7.5e307"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "c2 = 5.828427124746192"  # 3 + 2 sqrt(2)
+        assert float(lines[2].split(": ")[1]) <= analysis.HARNACK_CERTIFICATE_TOL
+
     def test_c2_analysis_near_the_float_range(self, tmp_path):
         doc_path = tmp_path / "job.json"
         doc_path.write_text(json.dumps(minimal_doc(tasks=[_analysis("c2", z=[1e155, 1e6])])))
@@ -872,6 +879,13 @@ def test_harnack_certificate_row_does_not_depend_on_the_entity():
         minimal_doc(entities=[REP2], tasks=[t]))))[0] for t in (task, {**task, "entity": "f"}))
     assert len(with_entity.rows) == 2
     assert with_entity.rows[0] == alone.rows[0]
+
+
+def test_harnack_task_where_a_modulus_overflows_passes():
+    task = {"name": "t", "task": "harnack", "z1": [0.0, 7.5e307], "z2": [1.5e308, 7.5e307]}
+    (report,) = runner.run_document(parse_document(json.dumps(minimal_doc(tasks=[task]))))
+    assert report.passed and "error" not in report.summary
+    assert report.rows[0]["c2"] == 5.828427124746192
 
 
 def test_sweep_report_does_not_read_trials():

@@ -657,6 +657,23 @@ def test_writing_into_a_returned_stack_changes_no_later_result(name):
         assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("name", ["family-rep", "pair-canonical"])
+def test_a_memo_hit_shares_no_memory_with_the_kept_blocks(name):
+    """Seen points only, and seen with new: equal values in writable stacks of their own."""
+    rng = np.random.default_rng(5)
+    grid = _grid(rng, 4)
+    evaluator = _library_evaluators(3)[name]
+    want = _values(evaluator, grid)
+    for zs in (grid[::-1], grid[1:] + _grid(rng, 1)):
+        got = _values(evaluator, zs)
+        kept = [v for values in evaluator.memo.values.values() for v in values]
+        for k, z in enumerate(zs[: len(grid) - 1]):
+            assert all(np.array_equal(g[k], w[grid.index(z)]) for g, w in zip(got, want))
+        for g in got:
+            assert g.flags.writeable and g.flags.owndata
+            assert not any(np.shares_memory(g, v) for v in kept)
+
+
 def _held(evaluator) -> int:
     """Bytes of the matrices an evaluator's memo keeps, with their object overhead."""
     kept = [v for values in evaluator.memo.values.values() for v in values]

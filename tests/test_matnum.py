@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,29 @@ def test_exactly_singular_inverse_is_a_conditioning_error(singular):
         matnum.inverse(np.stack([np.eye(3), singular, np.eye(3)]))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), count=st.integers(1, 8))
+def test_inverse_is_numpy_solve_against_the_identity_bit_for_bit(seed, n, count):
+    """inv is zgesv with B = I: the values of np.linalg.solve(A, I), for a stack and each matrix."""
+    stack = cgauss(np.random.default_rng(seed), count, n, n)
+    want = np.linalg.solve(stack, np.broadcast_to(np.eye(n, dtype=np.complex128), stack.shape))
+    assert matnum.inverse(stack).tobytes() == want.tobytes()
+    for a, x in zip(stack, want):
+        assert matnum.inverse(a).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.diag([1.0, 1e-13, 2.0]),
+                                 "planted"], ids=["singular", "diagonal", "planted"])
+def test_inverse_raises_the_solve_guards_error(rng, bad):
+    """A singular or ill-conditioned matrix meets solve(A, I)'s guard and its message."""
+    bad = _planted(rng, 4, 0.5 * RCOND_MIN) if isinstance(bad, str) else bad
+    stack = np.stack([np.eye(len(bad)), bad])
+    for a in (bad, stack):
+        eye = np.broadcast_to(np.eye(len(bad)), a.shape)
+        got = _decision(lambda m: matnum.inverse(m, RCOND_MIN), a)[1]
+        assert got is not None and got == _decision(lambda m: matnum.solve(m, eye, RCOND_MIN), a)[1]
+
+
 def test_a_zero_by_zero_matrix_is_invertible_and_solves_to_the_empty_solution():
     from nevlab import relations
 
@@ -224,7 +248,8 @@ def _skewed(rng, n: int, amount: float) -> np.ndarray:
     return 10.0 ** rng.uniform(-3.0, 3.0) * ((h + h.conj().T) + amount * (k - k.conj().T))
 
 
-HERMITIAN_PRIMITIVES = (matnum.is_psd, matnum.eig_hermitian, matnum.hermitian_kernels)
+HERMITIAN_PRIMITIVES = (matnum.is_psd, matnum.eig_hermitian, matnum.hermitian_kernels,
+                        matnum.as_hermitian)
 
 
 @settings(max_examples=40, deadline=None)
@@ -541,6 +566,28 @@ def test_as_matrix_rejects_nonfinite_parts(entries):
         matnum.as_matrix(entries)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_the_finiteness_screen_rejects_a_planted_entry_anywhere(rng, bad, part):
+    stack = cgauss(rng, 3, 2, 2)
+    for index in np.ndindex(stack.shape):
+        planted = stack.copy()
+        getattr(planted, part)[index] = bad
+        for a in (planted, planted.swapaxes(-1, -2)):  # the screen, and the entry-by-entry test
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                matnum._checked(a)
+
+
+def test_the_finiteness_screen_passes_a_finite_stack_whose_sum_overflows():
+    """Entries of +-1e308 sum past the float range: the entry-by-entry test passes them."""
+    stack = np.full((3, 4, 4), complex(1e308, -1e308))
+    stack[1, 2] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the screen's sum warns of no overflow
+        assert matnum._checked(stack) is not None
+        assert matnum.as_matrix(stack[0]).tobytes() == stack[0].tobytes()
+
+
 def _residual_distance(u, v) -> float:
     """The one-pair residual formula, kept as the reference for the batched one."""
     if u.shape[1] == 0:
@@ -723,7 +770,7 @@ def test_lapack_builds_numpy_2_empty_results(monkeypatch, kind, shape):
 _DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "cholesky", "lstsq",
                    "pinv", "inv", "det"}
 _LINALG_SITES = {**{name: {("matnum.py", "_lapack")} for name in _DECOMPOSITIONS},
-                 "solve": {("matnum.py", "solve"), ("matnum.py", "inverse")}}
+                 "solve": {("matnum.py", "solve")}, "inv": {("matnum.py", "inverse")}}
 _LINALG_ANYWHERE = {("numpy", "norm"), ("numpy", "LinAlgError"), ("scipy", "expm")}
 
 

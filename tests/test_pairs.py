@@ -349,3 +349,31 @@ def test_scale_checks_the_metric_with_the_given_tolerance():
     assert JUnitary.scale(y).dim == 2
     with pytest.raises(pairs.PairAxiomError):
         JUnitary.scale(y, matnum.TolerancePolicy(eps_eq=1e-30))
+
+
+# the three declared-Hermitian inputs, each behind the Hermitian gate of matnum.as_hermitian
+HERMITIAN_INPUTS = {
+    "b0": (lambda x, tol: HerglotzRep.create(x, np.eye(3), tol=tol).b0,
+           matnum.HermitianityError, "B0 must be Hermitian"),
+    "offset": (lambda x, tol: FamilyEvaluator.from_rep_with_offset(
+        HerglotzRep.create(np.zeros((3, 3)), np.eye(3)), x, tol).offset,
+        matnum.HermitianityError, "offset must be Hermitian"),
+    "shift": (lambda x, tol: JUnitary.shift(x, tol).w[3:, :3],
+              pairs.PairAxiomError, "shift parameter must be Hermitian"),
+}
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+@pytest.mark.parametrize("name", HERMITIAN_INPUTS)
+def test_hermitian_inputs_are_decided_at_eps_eq(rng, name, side):
+    """A residual just above eps_eq raises the input's own error; just below, it passes as
+    the Hermitian part."""
+    build, error, message = HERMITIAN_INPUTS[name]
+    h, k = cgauss(rng, 3, 3), cgauss(rng, 3, 3)
+    x = (h + h.conj().T) + 1e-6 * (k - k.conj().T)
+    tol = matnum.TolerancePolicy(eps_eq=matnum.hermitian_residual(x) * (1.0 - side * 1e-6))
+    if side > 0:
+        with pytest.raises(error, match=f"^{message}$"):
+            build(x, tol)
+    else:
+        assert build(x, tol).tobytes() == matnum.herm_part(x).tobytes()
