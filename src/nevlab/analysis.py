@@ -56,19 +56,14 @@ def _harnack_c2(z1: complex, z2: complex) -> float:
     s >= 2 max(y1, y2), so 2 y is finite with s, and where s is not, the points
     are scaled by 1/8, exactly, since c2 is finite there only for normal heights.
     """
-    s = _modulus(z1 - z2.conjugate()) + _modulus(z1 - z2)
+    try:
+        s = abs(z1 - z2.conjugate()) + abs(z1 - z2)
+    except OverflowError:  # abs raises where the modulus of finite parts passes the float range
+        s = math.inf
     if s == math.inf:
         z1, z2 = complex(z1.real / 8, z1.imag / 8), complex(z2.real / 8, z2.imag / 8)
         s = abs(z1 - z2.conjugate()) + abs(z1 - z2)
     return (s / (2.0 * z1.imag)) * (s / (2.0 * z2.imag))
-
-
-def _modulus(w: complex) -> float:
-    """|w|, read as inf where it leaves the float range: abs raises OverflowError there."""
-    try:
-        return abs(w)
-    except OverflowError:
-        return math.inf
 
 
 def harnack_constants(z1: complex, z2: complex) -> HarnackPair:
@@ -121,24 +116,29 @@ def certify_harnack(z1: complex, z2: complex) -> float:
     points: with x1 moved to 0, c +- sqrt(c^2 + y1^2) for the geodesic's
     center c, the nearer end taken as -y1^2 over the farther.  A vertical
     geodesic, or one whose center leaves the float range, ends at x1 and
-    infinity.  An error in t costs the ratio second order only, and no ray
-    leaves [c1, c2] by more than rounding, so a c2 off by 1e-10 fails.
-    Where c2 leaves the float range, [0, inf] holds every ratio.
+    infinity; where only the farther end leaves it, the points are scaled by
+    1/8, which moves no ratio.  An error in t costs the ratio second order
+    only, and no ray leaves [c1, c2] by more than rounding, so a c2 off by
+    1e-10 fails.  Where c2 leaves the float range, [0, inf] holds every ratio.
     """
     pair = harnack_constants(z1, z2)
     if pair.c2 == math.inf:  # [c1, c2] = [0, inf] holds every ratio
         return 0.0
     (x1, y1), (x2, y2) = ((z.real, z.imag) for z in (pair.z1, pair.z2))
+    rise = y2 / y1
     if math.isinf(x2 - x1):  # exact: c2 is finite here only for normal heights
         x1, y1, x2, y2 = x1 / 8, y1 / 8, x2 / 8, y2 / 8
     u = x2 - x1
     c = u / 2 + (y2 - y1) / u * (y1 / 2 + y2 / 2) if u else math.inf
     far = c + math.copysign(math.hypot(c, y1), c)
+    if math.isinf(far) and math.isfinite(c):  # only the far end leaves the range: scale by 1/8
+        u, y1, y2, c = u / 8, y1 / 8, y2 / 8, c / 8
+        far = c + math.copysign(math.hypot(c, y1), c)
     ends = np.array((far, -y1 * (y1 / far)) if math.isfinite(far) else (0.0,))
     with np.errstate(over="ignore", invalid="ignore"):  # t near the float range: no ratio
         q = np.hypot(ends, y1) / np.hypot(ends - u, y2)
     q = q[np.isfinite(q)]
-    return _ratio_excess(pair, np.append(y2 / y1, y2 / y1 * q * q))
+    return _ratio_excess(pair, np.append(rise, rise * q * q))
 
 
 # -- quadratic forms of the imaginary part ------------------------------------

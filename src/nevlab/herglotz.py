@@ -277,7 +277,7 @@ class ValueMemo:
             return stacks
         fresh = dict(zip(new, zip(*stacks)))
         per_point = [fresh[k] if k in fresh else self.values[k] for k in keys]
-        return tuple(np.array(part) for part in zip(*per_point))  # np.stack's copy, cheaper
+        return tuple(np.array(part) for part in zip(*per_point))
 
 
 @dataclass

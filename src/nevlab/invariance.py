@@ -110,7 +110,7 @@ def _span_drift(spans: list[np.ndarray], witnesses: list[dict] | None = None):
         for w in witnesses or []:
             w["distance"] = 1.0
         return 1.0, {"reason": "dimension varies", "dims": dims}
-    stack = np.array(spans)  # np.stack's copy of equal shapes, cheaper
+    stack = np.array(spans)
     if witnesses:
         for w, d in zip(witnesses, matnum.subspace_distances(stack, stack[0])):
             w["distance"] = float(d)

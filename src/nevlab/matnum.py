@@ -136,14 +136,10 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lapack(kind: str, m: np.ndarray, *, routines={  # built once; numpy's name is read per call
-        "svdvals": lambda a: np.linalg.svd(a, compute_uv=False), "svd": lambda a: np.linalg.svd(a),
-        "svd_thin": lambda a: np.linalg.svd(a, full_matrices=False),
-        "eigvalsh": lambda a: np.linalg.eigvalsh(a), "eigh": lambda a: np.linalg.eigh(a)}):
+def _lapack(kind: str, m: np.ndarray):
     """numpy's ``kind`` of each distinct matrix of a checked (G, rows, cols) stack, once.
 
-    kind: "svdvals", "svd" (full), "svd_thin", "eigvalsh" or "eigh"; ``routines``
-    is the table of them, not an argument to pass.  A full
+    kind: "svdvals", "svd" (full), "svd_thin", "eigvalsh" or "eigh".  A full
     SVD of a square A decomposes whichever of A and A* has the smaller bytes
     and reads A's factors from A* = U s Vh as (Vh*, s, U*), so a matrix and
     its adjoint share one decomposition.  Their bytes first differ in
@@ -157,7 +153,9 @@ def _lapack(kind: str, m: np.ndarray, *, routines={  # built once; numpy's name 
                 "svd": lambda: (eye(rows, rows), s, eye(cols, cols)),
                 "svd_thin": lambda: (eye(rows, k), s, eye(k, cols)),
                 "eigh": lambda: (s, eye(k, k))}[kind]()
-    routine = routines[kind]
+    routine = {"svdvals": lambda a: np.linalg.svd(a, compute_uv=False), "svd": np.linalg.svd,
+               "svd_thin": lambda a: np.linalg.svd(a, full_matrices=False),
+               "eigvalsh": np.linalg.eigvalsh, "eigh": np.linalg.eigh}[kind]
     flip = np.signbit(m[:, 0, 0].imag) if kind == "svd" and rows == cols else None
     flip = flip if flip is not None and flip.any() else None  # where A* is decomposed
     members = m
@@ -383,7 +381,7 @@ def _kept(values: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
 
 def rank_from(values, tol: TolerancePolicy = DEFAULT_TOL):
     """Rank from singular values or Hermitian eigenvalues already taken; a list for (G, k) rows."""
-    return _kept(np.asarray(values), tol).sum(axis=-1).tolist()  # count_nonzero's count, cheaper
+    return _kept(np.asarray(values), tol).sum(axis=-1).tolist()
 
 
 def rank(a, tol: TolerancePolicy = DEFAULT_TOL):

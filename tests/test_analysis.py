@@ -16,6 +16,10 @@ def scalar_family(fn):
     return FamilyEvaluator(1, lambda z: np.array([[fn(z)]]), "test")
 
 
+# Finite points whose geodesic has a finite center but a far end past the float range.
+FAR_END_OVERFLOWS = (7.5e307j, 1.5e308 + 7.5e307j)
+
+
 class TestHarnackConstants:
     def test_equal_points(self):
         hp = analysis.harnack_constants(1j, 1j)
@@ -36,9 +40,9 @@ class TestHarnackConstants:
 
     @pytest.mark.parametrize("pair", [None, (1j, 1e70 + 1j), (1j, 1e80 + 1j), (1j, 1e308j),
                                       (1e308j, 1e308j), (1j, 1e-200 + 2j),
-                                      (-1e308 + 1e308j, 1e308 + 1e308j)],
+                                      (-1e308 + 1e308j, 1e308 + 1e308j), FAR_END_OVERFLOWS],
                              ids=["random", "far-1e70", "far-1e80", "tall", "equal-tall",
-                                  "tiny-gap", "apart-past-the-float-range"])
+                                  "tiny-gap", "apart-past-the-float-range", "far-end-overflows"])
     def test_certificate_on_the_extreme_rays(self, pair, rng, monkeypatch):
         """The largest and least ray ratios are c2 and c1, and the certificate reads round-off."""
         seen = []
@@ -59,8 +63,7 @@ class TestHarnackConstants:
     def test_an_understated_c2_fails_the_certificate(self, rng, monkeypatch):
         c2 = analysis._harnack_c2
         monkeypatch.setattr(analysis, "_harnack_c2", lambda z1, z2: c2(z1, z2) * (1 - 1e-10))
-        for _ in range(200):
-            z1, z2 = random_upper(rng, 2)
+        for z1, z2 in [random_upper(rng, 2) for _ in range(200)] + [FAR_END_OVERFLOWS]:
             assert analysis.certify_harnack(z1, z2) > analysis.HARNACK_CERTIFICATE_TOL
 
     def test_supremum_against_dense_grid(self, rng):

@@ -191,6 +191,9 @@ def test_exactly_singular_inverse_is_a_conditioning_error(singular):
         matnum.inverse(singular)
     with pytest.raises(matnum.ConditioningError, match="condition 0.000e"):
         matnum.inverse(np.stack([np.eye(3), singular, np.eye(3)]))
+    for a in (singular, np.stack([np.eye(3), singular])):  # solve(A, I)'s error, word for word
+        eye = np.broadcast_to(np.eye(3), a.shape)
+        assert _decision(matnum.inverse, a)[1] == _decision(lambda m: matnum.solve(m, eye), a)[1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,18 +205,6 @@ def test_inverse_is_numpy_solve_against_the_identity_bit_for_bit(seed, n, count)
     assert matnum.inverse(stack).tobytes() == want.tobytes()
     for a, x in zip(stack, want):
         assert matnum.inverse(a).tobytes() == x.tobytes()
-
-
-@pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.diag([1.0, 1e-13, 2.0]),
-                                 "planted"], ids=["singular", "diagonal", "planted"])
-def test_inverse_raises_the_solve_guards_error(rng, bad):
-    """A singular or ill-conditioned matrix meets solve(A, I)'s guard and its message."""
-    bad = _planted(rng, 4, 0.5 * RCOND_MIN) if isinstance(bad, str) else bad
-    stack = np.stack([np.eye(len(bad)), bad])
-    for a in (bad, stack):
-        eye = np.broadcast_to(np.eye(len(bad)), a.shape)
-        got = _decision(lambda m: matnum.inverse(m, RCOND_MIN), a)[1]
-        assert got is not None and got == _decision(lambda m: matnum.solve(m, eye, RCOND_MIN), a)[1]
 
 
 def test_a_zero_by_zero_matrix_is_invertible_and_solves_to_the_empty_solution():
@@ -583,7 +574,7 @@ def test_the_finiteness_screen_passes_a_finite_stack_whose_sum_overflows():
     stack = np.full((3, 4, 4), complex(1e308, -1e308))
     stack[1, 2] = -1e308
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the screen's sum warns of no overflow
+        warnings.simplefilter("error")  # the screen warns of no overflow
         assert matnum._checked(stack) is not None
         assert matnum.as_matrix(stack[0]).tobytes() == stack[0].tobytes()
 
@@ -770,7 +761,8 @@ def test_lapack_builds_numpy_2_empty_results(monkeypatch, kind, shape):
 _DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "cholesky", "lstsq",
                    "pinv", "inv", "det"}
 _LINALG_SITES = {**{name: {("matnum.py", "_lapack")} for name in _DECOMPOSITIONS},
-                 "solve": {("matnum.py", "solve")}, "inv": {("matnum.py", "inverse")}}
+                 "solve": {("matnum.py", "solve")},
+                 "inv": {("matnum.py", "_lapack"), ("matnum.py", "inverse")}}
 _LINALG_ANYWHERE = {("numpy", "norm"), ("numpy", "LinAlgError"), ("scipy", "expm")}
 
 
@@ -790,7 +782,8 @@ def _linalg_uses(tree):
 
 
 def test_decompositions_run_in_one_matnum_entry():
-    """numpy's SVD and eigensolves are called in matnum._lapack only; solve in two places."""
+    """numpy's SVD and eigensolves are called in matnum._lapack only; solve in matnum.solve and
+    inv in matnum.inverse."""
     found, entry = [], set()
     for path in sorted(Path(matnum.__file__).parent.glob("*.py")):
         for owner, lib, name in _linalg_uses(ast.parse(path.read_text())):
