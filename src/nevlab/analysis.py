@@ -268,7 +268,7 @@ def split_black_box(
         raise ValueError(f"recovered linear coefficient not PSD ({lam:.3e})")
     b1 = _clip_psd(b1)
     atoms = [(t, _clip_psd(w)) for t, w in zip(locations, weights)]
-    g = HerglotzRep.create(np.zeros((dim, dim)), b1, atoms if atoms else None)
+    g = HerglotzRep.create(np.zeros((dim, dim)), b1, atoms)
     return _certify_split(family, g, zs, BLACK_BOX_SPLIT_TOL)
 
 
@@ -309,7 +309,7 @@ def _bound_inputs(rep: HerglotzRep, z: complex, tol: TolerancePolicy):
     keeps under tol; the measure tail lives on it.
     """
     z = complex(z)
-    w, v = matnum.herm_part_eig(rep.measure.k_sigma(), vectors=True)
+    w, v = matnum.herm_part_eig(rep.k_sigma(), vectors=True)
     start = len(w) - matnum.rank_from(w, tol)  # K is PSD and w ascends: its range is the top
     root = v[:, start:] / np.sqrt(w[start:])
     return z, c2_of(z), float(w[-1]), root, herglotz.evaluate(rep, z) - rep.b1 * z - rep.b0

@@ -3,8 +3,8 @@
 A document declares named entities (representation data, families, pairs,
 example configurations) and a list of verifier tasks referencing them.
 Parsing validates the whole document and reports every problem found, not
-just the first; matrices serialize as nested arrays of [re, im] pairs and
-measure atoms as [location, matrix], which keeps files lossless and
+just the first; matrices are written as nested arrays of [re, im] pairs
+and measure atoms as [location, matrix], which keeps files lossless and
 diffable.
 
 One table checks the whole document: ``runner.DOCUMENT`` gives each
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,27 +54,6 @@ class JobDocument:
     entities: list[dict]  # checked by the entity table, defaults filled in
     tasks: list[dict]  # checked by the task table, defaults filled in
     output: dict  # format, and dir (None: the command line's default)
-
-    def to_json_obj(self) -> dict:
-        return _encode({**vars(self), "tolerances": asdict(self.tolerances)})
-
-
-def _encode(value):
-    """Checked values as JSON data; None-valued keys (absent options) are dropped."""
-    if isinstance(value, np.ndarray):
-        return encode_matrix(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items() if v is not None}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
-
-
-def encode_matrix(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def decode_matrix(obj) -> np.ndarray:
@@ -137,6 +116,3 @@ def validate_document(raw) -> JobDocument:
         raise DocumentError(errors)
     return DOCUMENT.run(params)
 
-
-def serialize_document(doc: JobDocument) -> str:
-    return json.dumps(doc.to_json_obj(), indent=2, sort_keys=True) + "\n"

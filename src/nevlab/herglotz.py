@@ -5,7 +5,8 @@ representation
 
     F(z) = B0 + B1 z + sum_j ( 1/(t_j - z) - t_j/(t_j^2 + 1) ) W_j,
 
-with B0 Hermitian, B1 PSD and finitely many atoms (t_j, W_j), W_j PSD.
+with B0 Hermitian, B1 PSD and finitely many atoms (t_j, W_j), W_j PSD: one
+``HerglotzRep`` holds B0, B1 and the atoms' locations and weights.
 Such F is holomorphic off the real axis, satisfies F(conj z) = F(z)* and
 has PSD imaginary part in the upper half-plane.  The module evaluates F,
 its derivative and Poisson-form imaginary part, builds the two-point
@@ -108,69 +109,17 @@ def conjugate_points(z: complex, w: complex, tol: TolerancePolicy) -> bool:
 
 
 @dataclass(frozen=True)
-class OperatorMeasure:
-    """Finite atomic operator measure: atoms (t_j, W_j) with W_j PSD.
-
-    Atom locations are kept strictly increasing (canonical order); the
-    normalization sum K = sum_j W_j / (1 + t_j^2) is finite by finiteness
-    and PSD, which is still asserted on construction.
-    """
-
-    locations: tuple[float, ...]
-    weights: tuple[np.ndarray, ...]
-    dim: int
-
-    @classmethod
-    def from_atoms(
-        cls,
-        atoms: Sequence[tuple[float, np.ndarray]],
-        tol: TolerancePolicy = DEFAULT_TOL,
-    ) -> "OperatorMeasure":
-        pairs = sorted(
-            ((float(t), matnum.as_matrix(w)) for t, w in atoms), key=lambda p: p[0]
-        )
-        if not pairs:
-            raise ValueError("empty measure needs an explicit dimension; use empty()")
-        dim = pairs[0][1].shape[0]
-        locs, ws = [], []
-        for t, w in pairs:
-            if w.shape != (dim, dim):
-                raise matnum.MatrixShapeError("all weights must share one dimension")
-            ok, lam = matnum.is_psd(w, tol)
-            if not ok:
-                raise ValueError(f"weight at t={t} is not PSD (lambda_min={lam:.3e})")
-            if locs and t <= locs[-1]:
-                raise ValueError("atom locations must be strictly increasing")
-            locs.append(t)
-            ws.append(matnum.herm_part(w))
-        measure = cls(tuple(locs), tuple(w for w in ws), dim)
-        ok, lam = matnum.is_psd(measure.k_sigma(), tol)
-        if not ok:  # cannot happen for finite PSD atom lists; assert anyway
-            raise ValueError(f"normalization sum not PSD (lambda_min={lam:.3e})")
-        return measure
-
-    @classmethod
-    def empty(cls, dim: int) -> "OperatorMeasure":
-        return cls((), (), int(dim))
-
-    def __len__(self) -> int:
-        return len(self.locations)
-
-    def k_sigma(self) -> np.ndarray:
-        """Normalization sum K = sum_j W_j / (1 + t_j^2)."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for t, w in zip(self.locations, self.weights):
-            out += w / (1.0 + t * t)
-        return out
-
-
-@dataclass(frozen=True)
 class HerglotzRep:
-    """Representation data (B0, B1, measure) of one concrete function."""
+    """Representation data (B0, B1, atoms (t_j, W_j)) of one concrete function.
+
+    The locations are distinct and increasing (canonical order), each W_j is
+    PSD and dim x dim, and so is the normalization sum ``k_sigma``.
+    """
 
     b0: np.ndarray
     b1: np.ndarray
-    measure: OperatorMeasure
+    locations: tuple[float, ...]
+    weights: tuple[np.ndarray, ...]
     dim: int
 
     @classmethod
@@ -178,9 +127,15 @@ class HerglotzRep:
         cls,
         b0,
         b1,
-        measure: OperatorMeasure | Sequence[tuple[float, np.ndarray]] | None = None,
+        measure: Sequence[tuple[float, np.ndarray]] | None = None,
         tol: TolerancePolicy = DEFAULT_TOL,
     ) -> "HerglotzRep":
+        """Checked data from B0, B1 and the atom list ``measure`` (None or [] for none).
+
+        Each weight is PSD within ``psd_from``'s floor, and floors do not add up:
+        weights diag(-0.9e-10, 0) at t = 0 and t = 1e-8 each pass, and their
+        normalization sum, lambda_min = -1.8e-10, is rejected.
+        """
         b0 = matnum.as_matrix(b0)
         b1 = matnum.as_matrix(b1)
         dim = b0.shape[0]
@@ -190,18 +145,35 @@ class HerglotzRep:
         ok, lam = matnum.is_psd(b1, tol)
         if not ok:
             raise ValueError(f"B1 must be PSD (lambda_min={lam:.3e})")
-        if measure is None:
-            measure = OperatorMeasure.empty(dim)
-        elif not isinstance(measure, OperatorMeasure):
-            measure = OperatorMeasure.from_atoms(measure, tol)
-        if measure.dim != dim:
-            raise matnum.MatrixShapeError("measure dimension mismatch")
-        return cls(b0, matnum.herm_part(b1), measure, dim)
+        locs, ws = [], []
+        for t, w in sorted(((float(t), matnum.as_matrix(w)) for t, w in measure or ()),
+                           key=lambda p: p[0]):
+            if w.shape != (dim, dim):
+                raise matnum.MatrixShapeError("measure dimension mismatch")
+            ok, lam = matnum.is_psd(w, tol)
+            if not ok:
+                raise ValueError(f"weight at t={t} is not PSD (lambda_min={lam:.3e})")
+            if locs and t == locs[-1]:
+                raise ValueError("atom locations must be distinct")
+            locs.append(t)
+            ws.append(matnum.herm_part(w))
+        rep = cls(b0, matnum.herm_part(b1), tuple(locs), tuple(ws), dim)
+        ok, lam = matnum.is_psd(rep.k_sigma(), tol) if locs else (True, 0.0)
+        if not ok:
+            raise ValueError(f"normalization sum not PSD (lambda_min={lam:.3e})")
+        return rep
+
+    def k_sigma(self) -> np.ndarray:
+        """Normalization sum K = sum_j W_j / (1 + t_j^2)."""
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for t, w in zip(self.locations, self.weights):
+            out += w / (1.0 + t * t)
+        return out
 
 
 def _check_point(rep: HerglotzRep, z: complex) -> complex:
     z = complex(z)
-    if z.imag == 0.0 and any(z.real == t for t in rep.measure.locations):
+    if z.imag == 0.0 and any(z.real == t for t in rep.locations):
         raise PoleError(f"z={z} coincides with an atom location")
     return z
 
@@ -223,11 +195,11 @@ def evaluate_grid(rep: HerglotzRep, zs: Sequence[complex]) -> np.ndarray:
     be the one ``evaluate`` gives at its point alone.
     """
     zs = [_check_point(rep, z) for z in zs]
-    locs = rep.measure.locations
+    locs = rep.locations
     coefs = np.array([[1.0 / (t - z) - t / (t * t + 1.0) for z in zs] for t in locs],
                      dtype=np.complex128).reshape(len(locs), len(zs), 1, 1)
     out = rep.b0 + rep.b1 * np.array(zs, dtype=np.complex128).reshape(-1, 1, 1)
-    for coef, w in zip(coefs, rep.measure.weights):
+    for coef, w in zip(coefs, rep.weights):
         out = out + coef * w
     return out
 
@@ -379,7 +351,7 @@ def _kernels(f: HerglotzRep | FamilyEvaluator, zs: Sequence[complex], ws: Sequen
         zs = [_check_point(rep, z) for z in zs]
         w_bars = [_check_point(rep, w.conjugate()) for w in ws]
         out = np.broadcast_to(rep.b1, shape[:2] + rep.b1.shape).astype(np.complex128)
-        for t, weight in zip(rep.measure.locations, rep.measure.weights):
+        for t, weight in zip(rep.locations, rep.weights):
             denoms = [(t - z) * (t - w_bar) for z in zs for w_bar in w_bars]
             out = out + weight / np.array(denoms, dtype=np.complex128).reshape(shape)
         return out
@@ -520,7 +492,7 @@ def stieltjes_invert(family: FamilyEvaluator | HerglotzRep, a: float, b: float) 
     raises PoleError.
     """
     family = as_family(family)
-    if family.rep is not None and any(a == t or b == t for t in family.rep.measure.locations):
+    if family.rep is not None and any(a == t or b == t for t in family.rep.locations):
         raise PoleError("interval endpoints must avoid atom locations")
     a, b = float(a), float(b)
     if not a < b:

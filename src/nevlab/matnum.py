@@ -422,13 +422,13 @@ def range_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     return bases[0] if one else bases
 
 
-COMPLEMENT_CUTOFF = 1e-12  # not eps_rank: an orthonormal basis has singular values 1 or ~0
+COMPLEMENT_RANK = TolerancePolicy(eps_rank=1e-12)  # orthonormal U: singular values 1 or ~0
 
 
 def orthonormal_complement(u) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(U)."""
     uu, s, _ = _lapack("svd", as_matrix(u)[None])
-    return uu[0][:, np.count_nonzero(s[0] > COMPLEMENT_CUTOFF * s[0, :1]):]
+    return uu[0][:, rank_from(s, COMPLEMENT_RANK)[0]:]
 
 
 def subspace_distances(us, vs) -> np.ndarray:

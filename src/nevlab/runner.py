@@ -577,7 +577,7 @@ def _phi(value, names):
 
 
 _REP = Kind(
-    lambda p, built, tol: HerglotzRep.create(p["b0"], p["b1"], p["atoms"] or None, tol),
+    lambda p, built, tol: HerglotzRep.create(p["b0"], p["b1"], p["atoms"], tol),
     {"b0": (_MATRIX, _REQUIRED), "b1": (_MATRIX, _REQUIRED),
      "atoms": (_list_of(_atom, min_len=0), ())},
     makes=HerglotzRep,

@@ -326,8 +326,8 @@ class TestSplit:
         res = analysis.split_black_box(fam, [(0.5, 2.0)])
         assert res.passed
         g = res.g_rep
-        assert g.measure.locations[0] == pytest.approx(1.25, abs=1e-3)
-        np.testing.assert_allclose(g.measure.weights[0], [[2.0]], rtol=1e-3)
+        assert g.locations[0] == pytest.approx(1.25, abs=1e-3)
+        np.testing.assert_allclose(g.weights[0], [[2.0]], rtol=1e-3)
         np.testing.assert_allclose(g.b1, [[0.3]], rtol=1e-3)
         # the real parts B0 and the planted shift merge into the constant
         np.testing.assert_allclose(res.t_constant, [[1.1]], rtol=1e-2)
@@ -373,7 +373,7 @@ class TestModulusBound:
             z = complex(rng.uniform(-2, 2), 10.0 ** rng.uniform(-1, 1))
             report = analysis.weak_strong_check(rep, z)
             tail = herglotz.evaluate(rep, z) - rep.b1 * z - rep.b0
-            w, v = np.linalg.eigh(rep.measure.k_sigma())
+            w, v = np.linalg.eigh(rep.k_sigma())
             k_half = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
             us = cgauss(rng, rep.dim, 200)
             ratios = (np.linalg.norm(tail @ us, axis=0)

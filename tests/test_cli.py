@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import BLAS_THREAD_VARS
 from nevlab import analysis, cli, invariance, reports, runner
-from nevlab.document import DocumentError, parse_document, serialize_document
+from nevlab.document import DocumentError, parse_document
 from nevlab.herglotz import FamilyEvaluator
 
 EYE1 = [[[1.0, 0.0]]]
@@ -38,12 +39,6 @@ class TestParsing:
         doc = parse_document(json.dumps(minimal_doc()))
         assert doc.version == "nevlab/1"
         assert doc.entities[0]["name"] == "f"
-
-    def test_round_trip(self):
-        doc = parse_document(json.dumps(minimal_doc(grid=[[0.0, 1.0], [0.5, 2.0]])))
-        text = serialize_document(doc)
-        again = parse_document(text)
-        assert serialize_document(again) == text
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(DocumentError) as err:
@@ -714,8 +709,12 @@ def test_fuzzed_parameter_never_crashes(param, value):
     else:
         task = {"name": "t", "task": kind, **FUZZ_BASE[kind], key: value}
         entities = [SL_ENTITY if task.get("entity") == "sl" else minimal_doc()["entities"][0]]
-    raw = minimal_doc(entities=entities, tasks=[task],
-                      grid=[[0.0, 1.0], [0.5, 2.0], [-1.0, 0.5], [0.0, -1.0]])
+    _assert_runs_contained(minimal_doc(entities=entities, tasks=[task],
+                                       grid=[[0.0, 1.0], [0.5, 2.0], [-1.0, 0.5], [0.0, -1.0]]))
+
+
+def _assert_runs_contained(raw):
+    """``nevlab run`` on raw exits 0, 1 or 2, prints no traceback and writes only under --out."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         doc_path, out = root / "job.json", root / "a" / "out"
@@ -726,6 +725,107 @@ def test_fuzzed_parameter_never_crashes(param, value):
         assert code in (0, 1, 2)
         assert "Traceback" not in sink.getvalue()
         assert all(p == doc_path or out in p.parents for p in _files(root))
+
+
+def _seed_documents() -> list:
+    """The demo and the golden kinds document (this one on a grid of its own), without
+    their slow tasks (decay, gap sweep)."""
+    docs = [json.loads(cli.demo_document_text()),
+            json.loads((Path(__file__).parent / "golden" / "kinds.json").read_text())]
+    docs[1]["grid"] = [[0.0, 1.0], [0.5, 2.0], [-1.0, 0.5], [0.0, -1.0]]
+    for doc in docs:
+        doc["tasks"] = [t for t in doc["tasks"] if t.get("what") not in ("decay", "gap_sweep")]
+    return docs
+
+
+SEED_DOCUMENTS = _seed_documents()
+
+
+def _nodes(value, path=()):
+    """The path of every node under value, containers included, the root excluded."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(data, doc) -> None:
+    """One mutation at a node drawn evenly from all of doc's.
+
+    Mostly one that keeps the node's type, so that most documents still parse: the node
+    replaced by a copy of another node of its type, or a number scaled.  Else the node
+    replaced by a wild JSON value, dropped, or repeated in its list.
+    """
+    rnd = data.draw(st.randoms(use_true_random=False))
+    nodes = list(_nodes(doc))
+    path = rnd.choice(nodes)
+    *parents, key = path
+    parent = _at(doc, parents)
+    value = parent[key]
+    kin = [p for p in nodes if p != path and type(_at(doc, p)) is type(value)]
+    kept = ["copy"] * bool(kin) + ["scale"] * (type(value) in (int, float))
+    wild = ["replace", "drop"] + ["repeat"] * isinstance(parent, list)
+    op = rnd.choice(kept if kept and rnd.random() < 0.7 else wild)
+    if op == "drop":
+        del parent[key]
+    elif op == "repeat":
+        parent.insert(key, copy.deepcopy(value))
+    elif op == "copy":
+        parent[key] = copy.deepcopy(_at(doc, rnd.choice(kin)))
+    elif op == "scale":
+        parent[key] = value * rnd.choice([-1, 0, 2, 1e-9, 1e9])
+    else:
+        parent[key] = data.draw(json_values)
+
+
+def _at(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), doc=st.sampled_from(SEED_DOCUMENTS), count=st.integers(1, 3))
+def test_mutated_documents_never_crash(data, doc, count):
+    """1-3 mutations anywhere in a whole document.
+
+    They reach matrix entries, atom lists (an emptied list, a repeated atom, a weight of
+    another size or sign), names, references, grid points and task parameters.
+    """
+    doc = copy.deepcopy(doc)
+    for _ in range(count):
+        _mutate(data, doc)
+    _assert_runs_contained(doc)
+
+
+NEGATIVE2 = [[[-0.9e-10, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+# atom-list mutations of the demo's representation f2 and what its constructor says
+ATOM_MUTATIONS = {
+    "emptied": (lambda atoms: [], None),
+    "repeated": (lambda atoms: atoms + atoms[:1], "atom locations must be distinct"),
+    "another-size": (lambda atoms: [[0.0, EYE1]] + atoms, "measure dimension mismatch"),
+    "sum-not-psd": (lambda atoms: [[0.0, NEGATIVE2], [1e-8, NEGATIVE2]],
+                    "normalization sum not PSD (lambda_min=-1.800e-10)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATOM_MUTATIONS))
+def test_atom_list_mutations_reach_the_constructor(case, tmp_path, capsys):
+    mutate, message = ATOM_MUTATIONS[case]
+    raw = json.loads(cli.demo_document_text())
+    rep = raw["entities"][0]
+    assert rep["name"] == "f2"
+    rep["atoms"] = mutate(rep["atoms"])
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(raw))
+    code = cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if message is None:  # no atoms: F = B0 + B1 z builds, and every task runs
+        assert code in (0, 1) and "error: entity" not in err
+    else:
+        assert code == 1 and f"error: entity 'f2': {message}" in err
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

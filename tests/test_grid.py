@@ -98,7 +98,7 @@ def test_rep_values_equal_the_scalar_formula(seed, length):
 
     def scalar(z):
         out = rep.b0 + rep.b1 * z
-        for t, w in zip(rep.measure.locations, rep.measure.weights):
+        for t, w in zip(rep.locations, rep.weights):
             out = out + (1.0 / (t - z) - t / (t * t + 1.0)) * w
         return out
 

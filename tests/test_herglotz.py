@@ -19,7 +19,7 @@ from conftest import (
     rep_with_pinned_eigenvalue,
 )
 from nevlab import analysis, herglotz, matnum
-from nevlab.herglotz import FamilyEvaluator, HerglotzRep, OperatorMeasure
+from nevlab.herglotz import FamilyEvaluator, HerglotzRep
 from nevlab.matnum import TolerancePolicy
 
 
@@ -283,13 +283,37 @@ def test_symmetry_residual_property(seed, points, offset):
 
 
 def test_measure_requires_psd_weights():
-    with pytest.raises(ValueError):
-        OperatorMeasure.from_atoms([(0.0, [[-1.0]])])
+    with pytest.raises(ValueError, match="weight at t=0.0 is not PSD"):
+        scalar_rep(atoms=((0.0, -1.0),))
 
 
 def test_measure_requires_increasing_locations():
-    with pytest.raises(ValueError):
-        OperatorMeasure.from_atoms([(1.0, [[1.0]]), (1.0, [[1.0]])])
+    """Atoms are sorted by location; a repeated location is rejected."""
+    assert scalar_rep(atoms=((2.0, 1.0), (-1.0, 3.0))).locations == (-1.0, 2.0)
+    with pytest.raises(ValueError, match="atom locations must be distinct"):
+        scalar_rep(atoms=((1.0, 1.0), (1.0, 1.0)))
+
+
+def test_weights_of_another_size_are_a_dimension_mismatch():
+    for atoms in ([(0.0, np.eye(2))], [(0.0, [[1.0]]), (1.0, np.eye(2))]):
+        with pytest.raises(matnum.MatrixShapeError, match="measure dimension mismatch"):
+            HerglotzRep.create([[0.0]], [[1.0]], atoms)
+
+
+def test_an_empty_atom_list_is_no_atoms():
+    rep = HerglotzRep.create([[0.5]], [[1.0]], [])
+    assert (rep.locations, rep.weights, rep.dim) == ((), (), 1)
+    assert rep.k_sigma().tolist() == [[0.0]]
+    value = herglotz.evaluate(rep, 2j)
+    assert value.tolist() == herglotz.evaluate(scalar_rep(0.5, 1.0), 2j).tolist() == [[0.5 + 2j]]
+
+
+def test_weights_that_pass_alone_can_fail_as_a_normalization_sum():
+    """Each weight is PSD within psd_from's floor, but the floors do not add up."""
+    w = np.diag([-0.9e-10, 0.0])
+    assert matnum.is_psd(w)[0]
+    with pytest.raises(ValueError, match=r"normalization sum not PSD \(lambda_min=-1.800e-10\)"):
+        HerglotzRep.create(np.zeros((2, 2)), np.zeros((2, 2)), [(0.0, w), (1e-8, w)])
 
 
 def test_family_direct_sum_blocks(rng):
@@ -309,7 +333,7 @@ def test_family_direct_sum_blocks(rng):
 def _closed_form_kernel(rep, z, w):
     """B1 + sum_j W_j / ((t_j - z)(t_j - conj w)), one atom at a time."""
     out = rep.b1.astype(np.complex128).copy()
-    for t, weight in zip(rep.measure.locations, rep.measure.weights):
+    for t, weight in zip(rep.locations, rep.weights):
         out = out + weight / ((t - z) * (t - np.conj(w)))
     return out
 
@@ -321,7 +345,7 @@ def _quotient_kernel(family, z, w):
 
 def _derivative_loop(rep, z):
     out = rep.b1.astype(np.complex128).copy()
-    for t, w in zip(rep.measure.locations, rep.measure.weights):
+    for t, w in zip(rep.locations, rep.weights):
         out = out + w / (t - z) ** 2
     return out
 
@@ -329,7 +353,7 @@ def _derivative_loop(rep, z):
 def _poisson_loop(rep, z):
     x, y = z.real, z.imag
     out = rep.b1 * y
-    for t, w in zip(rep.measure.locations, rep.measure.weights):
+    for t, w in zip(rep.locations, rep.weights):
         out = out + (y / ((x - t) ** 2 + y * y)) * w
     return out
 

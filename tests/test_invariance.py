@@ -74,7 +74,8 @@ def _pinned_rep(rng, a: float, dim: int = 4) -> HerglotzRep:
     """A representation with F(z) k = a k for a fixed k; its data is Hermitian bit for bit."""
     rep, k = rep_with_common_kernel(rng, dim)
     p = np.eye(dim) - k @ k.conj().T
-    return HerglotzRep.create(p @ rep.b0 @ p + a * (k @ k.conj().T), rep.b1, rep.measure)
+    atoms = list(zip(rep.locations, rep.weights))
+    return HerglotzRep.create(p @ rep.b0 @ p + a * (k @ k.conj().T), rep.b1, atoms)
 
 
 _POINT_FAMILIES = {

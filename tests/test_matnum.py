@@ -828,6 +828,51 @@ def test_rank_and_psd_decisions_stay_in_matnum():
     assert readers == EPS_PSD_READERS
 
 
+# The functions of matnum that compare against a tolerance or cutoff constant times a
+# scale, and why; every other rank or PSD decision there reads one of them.
+RELATIVE_CUTOFFS = {
+    "_kept": "the rank cutoff: |v| > eps_rank max |v|",
+    "psd_from": "the PSD floor: lambda_min >= -eps_psd (1 + max |lambda|)",
+    "invertible_from": "sigma_min against INVERTIBLE_MIN times an external scale",
+    "_hermitian": "the Frobenius screen in front of the exact Hermitian rule",
+}
+
+
+def _is_cutoff(node) -> bool:
+    """A policy field (tol.eps_*) or an upper-case module constant, with or without its sign."""
+    while isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return ((isinstance(node, ast.Attribute) and node.attr.startswith("eps_"))
+            or (isinstance(node, ast.Name) and node.id.isupper()))
+
+
+def _relative_cutoff(node) -> bool:
+    """A comparison with an operand holding a product of a tolerance or cutoff constant."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+        and (_is_cutoff(n.left) or _is_cutoff(n.right))
+        for operand in (node.left, *node.comparators) for n in ast.walk(operand))
+
+
+def test_relative_cutoffs_in_matnum_are_the_allowlisted_ones():
+    """matnum forms no rank or PSD cutoff of its own outside RELATIVE_CUTOFFS."""
+    tree = ast.parse(Path(matnum.__file__).read_text())
+    found = {name for name, fn in _functions(tree) if any(map(_relative_cutoff, ast.walk(fn)))}
+    assert found == set(RELATIVE_CUTOFFS)
+
+
+def test_orthonormal_complement_cuts_at_1e_12_of_the_largest_singular_value():
+    """U's directions with s > 1e-12 s_max span U; the rest, on either side of the cut, do not."""
+    rng = np.random.default_rng(7)
+    for tail in (0.0, 0.9e-12, 1.1e-12, 1e-6):
+        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        u = q[:, :3] * np.array([1.0, 1.0, tail])
+        s = np.linalg.svd(u, compute_uv=False)
+        kept = np.count_nonzero(s > 1e-12 * s[0])
+        assert matnum.orthonormal_complement(u).shape == (5, 5 - kept)
+    assert matnum.orthonormal_complement(np.zeros((3, 0))).shape == (3, 3)
+
+
 # the Generator methods that draw; a call of one, or of anything under np.random, draws
 DRAWS = {name for name in dir(np.random.Generator) if not name.startswith("_")} - {
     "bit_generator", "spawn"}
