@@ -142,6 +142,7 @@ class HerglotzRep:
         if b0.shape != (dim, dim) or b1.shape != (dim, dim):
             raise matnum.MatrixShapeError("B0 and B1 must be square and equal-sized")
         b0 = matnum.as_hermitian(b0, tol, matnum.HermitianityError("B0 must be Hermitian"))
+        b1 = matnum.as_hermitian(b1, tol, matnum.HermitianityError("B1 must be Hermitian"))
         ok, lam = matnum.is_psd(b1, tol)
         if not ok:
             raise ValueError(f"B1 must be PSD (lambda_min={lam:.3e})")
@@ -150,14 +151,16 @@ class HerglotzRep:
                            key=lambda p: p[0]):
             if w.shape != (dim, dim):
                 raise matnum.MatrixShapeError("measure dimension mismatch")
+            w = matnum.as_hermitian(
+                w, tol, matnum.HermitianityError(f"weight at t={t} must be Hermitian"))
             ok, lam = matnum.is_psd(w, tol)
             if not ok:
                 raise ValueError(f"weight at t={t} is not PSD (lambda_min={lam:.3e})")
             if locs and t == locs[-1]:
                 raise ValueError("atom locations must be distinct")
             locs.append(t)
-            ws.append(matnum.herm_part(w))
-        rep = cls(b0, matnum.herm_part(b1), tuple(locs), tuple(ws), dim)
+            ws.append(w)
+        rep = cls(b0, b1, tuple(locs), tuple(ws), dim)
         ok, lam = matnum.is_psd(rep.k_sigma(), tol) if locs else (True, 0.0)
         if not ok:
             raise ValueError(f"normalization sum not PSD (lambda_min={lam:.3e})")
@@ -435,7 +438,7 @@ def classify(
     count, signs = len(offaxis), imag_signs(offaxis)
     values = family.on_grid(offaxis + tuple(z.conjugate() for z in upper) + (1j,))
     sym = _symmetry_residual(values[:count][signs[:, 0, 0] > 0], values[count:-1])
-    oks, lams = matnum.is_psd(matnum.imag_part(values[:count]) * signs, tol)
+    oks, lams = matnum.is_psd(matnum._folded_imag(values[:count], signs), tol)
     margin = float(np.min(lams, initial=np.inf))
     label, lam_min, kernel_dim = strictness(matnum.herm_part_eig(matnum.imag_part(values[-1])), tol)
     if not (sym <= tol.eps_eq and all(oks)):

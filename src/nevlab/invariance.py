@@ -24,7 +24,9 @@ Continuous spectrum has no finite-dimensional instance, so it is emulated
 by a truncation sweep: uniform-in-z decay of the smallest form eigenvalue
 along growing dimensions, with the Harnack corridor of that eigenvalue, a
 consequence of ``analysis.form_sandwich_check``'s Loewner sandwich, on
-each truncation as the uniformity certificate.
+each truncation as the uniformity certificate.  The sweep decomposes each
+distinct folded Im F_n once per truncation and finds a fold met again by
+value compare, a diagonal fingerprint confirmed by ``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def check_imag_kernel_invariance(
     grid = _offaxis(grid, "check_imag_kernel_invariance")
     # conjugate points fold onto one matrix: each distinct one meets eigh once
     spans, lams, norms = matnum._hermitian_kernels(
-        matnum.imag_part(family.on_grid(grid)) * herglotz.imag_signs(grid), tol)
+        matnum._folded_imag(family.on_grid(grid), herglotz.imag_signs(grid)), tol)
     lam_mins = lams.tolist()
     witnesses = [{"kernel_dim": span.shape[1], "lam_min": lam}
                  for span, lam in zip(spans, lam_mins)]
@@ -417,7 +419,7 @@ class SweepReport:
                 for n in self.n_list for z in self.grid]
 
 
-SWEEP_KEY_BYTES = 1 << 22  # folded Im F_n one truncation keeps eigenvalues for: six at n = 200
+SWEEP_KEY_BYTES = 1 << 22  # bytes of folded Im F_n one truncation keeps: six at n = 200
 MONOTONE_SLACK = 1e-12  # sigma_min may rise by this, relative, from eigensolve round-off
 
 
@@ -440,10 +442,12 @@ def sweep_continuous_spectrum(
     CORRIDOR_TOL.  By Courant-Fischer ``analysis.form_sandwich_check``'s Loewner
     sandwich implies it; a sandwich violation off the bottom of the
     spectrum passes it.  Each grid point is evaluated once per n and
-    streamed, one n x n value live at a time; its extreme eigenvalues are
-    kept per n by the bytes of the folded part, -0.0 read as 0.0, for at
-    most SWEEP_KEY_BYTES of them, so a matrix met again (at a conjugate point,
-    or at every point of a height for z M) is not decomposed again.  A
+    streamed, one n x n value live at a time, and folded into one new
+    buffer.  Per n the folds are kept with their extreme eigenvalues, at
+    most SWEEP_KEY_BYTES of folds, and a fold met again (at a conjugate
+    point, or at every point of a height for z M) is found by value compare
+    and not decomposed again: its diagonal, -0.0 read as 0.0, picks the
+    kept folds to compare, and ``np.array_equal`` with one confirms it.  A
     non-monotone sweep is reported, not fatal by itself for the ratio
     verdict.  trials and rng are not read: nothing here samples.
     """
@@ -460,15 +464,16 @@ def sweep_continuous_spectrum(
         family = family_sequence(n)
         if family.dim != n:
             raise ValueError(f"family_sequence({n}) produced dim {family.dim}")
-        seen, room = {}, SWEEP_KEY_BYTES  # bytes of sign * Im F_n(z) -> its extreme eigenvalues
+        seen, room = {}, SWEEP_KEY_BYTES  # fingerprint -> [(fold, its extreme eigenvalues)]
         for z, sign in zip(grid, signs):
-            folded = matnum.imag_part(family(z)) * sign
-            key = (folded + 0.0).tobytes()  # -0.0 entries are 0.0 in the key
-            ends = seen.get(key)
+            folded = matnum._folded_imag(family(z), sign)
+            kept = seen.setdefault((folded.diagonal() + 0.0).tobytes(), [])  # -0.0 read as 0.0
+            ends = next((e for f, e in kept if np.array_equal(f, folded)), None)
             if ends is None:
                 ends = matnum.herm_part_eig(folded)[[0, -1]].tolist()
-                if len(key) <= room:
-                    seen[key], room = ends, room - len(key)
+                if folded.nbytes <= room:
+                    kept.append((folded, ends))
+                    room -= folded.nbytes
             sigma[(n, z)] = ends[0]
             if z == z0:
                 top = max(-ends[0], ends[1])

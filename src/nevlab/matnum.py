@@ -228,6 +228,20 @@ def imag_part(t) -> np.ndarray:
     return (m - _adjoint(m)) / 2.0j
 
 
+def _folded_imag(m: np.ndarray, signs) -> np.ndarray:
+    """sign * (M - M*)/(2i) of a checked square matrix or stack, in one new buffer.
+
+    ``signs`` is one sign or a (G, 1, 1) array of them.  The same ufuncs as
+    ``imag_part(m) * signs``, run in place, so the bits are the same.
+    """
+    out = np.empty(m.shape, dtype=np.complex128)
+    np.conjugate(m.swapaxes(-1, -2), out=out)
+    np.subtract(m, out, out=out)
+    out /= 2.0j
+    out *= signs
+    return out
+
+
 def hermitian_residual(h):
     """Relative departure of a square matrix from Hermitianity.
 
@@ -543,6 +557,11 @@ def solve(a, b, rcond_min: float = 1e-14):
     return np.linalg.solve(m[0] if one else m, rb), (float(rc[0]) if one else rc)
 
 
+def _frobenius_unscaled(m: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack: numpy's ``norm(m, axis=(1, 2))`` expression, bit for bit."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(1, 2)))
+
+
 def inverse(a, rcond_min: float = 1e-14) -> np.ndarray:
     """A^(-1) as ``solve(a, I, rcond_min)`` gives it, one per matrix of a (G, n, n) stack.
 
@@ -557,8 +576,8 @@ def inverse(a, rcond_min: float = 1e-14) -> np.ndarray:
     m, one = _stack(a, square=True)
     try:
         x = np.linalg.inv(m)
-        size = np.linalg.norm(m, axis=(1, 2))
-        certified = (size * np.linalg.norm(x, axis=(1, 2)) * (2.0 * rcond_min) <= 1.0) & (size > 0)
+        size = _frobenius_unscaled(m)
+        certified = (size * _frobenius_unscaled(x) * (2.0 * rcond_min) <= 1.0) & (size > 0)
     except np.linalg.LinAlgError:
         certified = np.zeros(1, dtype=bool)
     if not certified.all():

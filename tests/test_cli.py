@@ -828,6 +828,24 @@ def test_atom_list_mutations_reach_the_constructor(case, tmp_path, capsys):
         assert code == 1 and f"error: entity 'f2': {message}" in err
 
 
+@pytest.mark.parametrize("row, entry, message", [
+    (lambda rep: rep["atoms"][0][1][0], [0.5, 0.0], "weight at t=-1.0 must be Hermitian"),
+    (lambda rep: rep["b1"][0], [0.3, 0.0], "B1 must be Hermitian"),
+], ids=["weight", "b1"])
+def test_a_non_hermitian_matrix_is_named(row, entry, message, tmp_path, capsys):
+    """The demo's f2 with its entry (0, 1) changed: the error names the matrix."""
+    raw = json.loads(cli.demo_document_text())
+    rep = raw["entities"][0]
+    assert rep["name"] == "f2"
+    row(rep)[1] = entry
+    doc_path = tmp_path / "job.json"
+    doc_path.write_text(json.dumps(raw))
+    code = cli.main(["run", str(doc_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert f"error: entity 'f2': {message}\n" in err
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     doc_path = tmp_path / "job.json"
     doc_path.write_text(json.dumps(minimal_doc()))

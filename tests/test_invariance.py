@@ -479,6 +479,70 @@ class TestSweepReuse:
                                          herglotz.default_grid())
         assert report.sigma_min == sigma and report.ratio_worst == ratio_worst
 
+    def test_folds_sharing_a_fingerprint_are_told_apart_by_value(self, monkeypatch):
+        """z I + W/(1 - z), W zero on the diagonal: one diagonal per height, many folds."""
+        def sequence(n):
+            w = np.ones((n, n)) - np.eye(n)
+            return FamilyEvaluator(n, lambda z: z * np.eye(n) + w / (1.0 - z), "test")
+
+        n_list, grid = [3, 6, 12], _SWEEP_GRID
+        distinct, diagonals = {}, {}
+        for n in n_list:
+            family = sequence(n)
+            folds = [matnum.imag_part(family(z)) * np.sign(z.imag) for z in grid]
+            distinct[n] = len([k for k, f in enumerate(folds)
+                               if not any(np.array_equal(f, g) for g in folds[:k])])
+            diagonals[n] = len({(f.diagonal() + 0.0).tobytes() for f in folds})
+        assert all(diagonals[n] < distinct[n] < len(grid) for n in n_list)
+        families = {n: sequence(n) for n in n_list}
+        sizes = _count_eigvalsh(monkeypatch)
+        report = invariance.sweep_continuous_spectrum(families.get, n_list, grid)
+        assert sizes == distinct
+        sigma, ratio_worst = _sweep_loop(sequence, n_list, grid)
+        assert list(report.sigma_min) == list(sigma)
+        assert np.array(list(report.sigma_min.values())).tobytes() == \
+            np.array(list(sigma.values())).tobytes()
+        assert report.ratio_worst == ratio_worst
+
+    @pytest.mark.parametrize("name", sorted(_SEQUENCES))
+    def test_each_value_meets_the_input_gate_once(self, monkeypatch, name):
+        """on_grid gates each value; a fold is gated again only on its way to eigvalsh."""
+        n_list = [3, 6, 12]
+        families = {n: _SEQUENCES[name](n) for n in n_list}
+        sizes = _count_eigvalsh(monkeypatch)
+        gated = []
+        checked = matnum._checked
+        monkeypatch.setattr(matnum, "_checked", lambda a, *r, **k: gated.append(1) or
+                            checked(a, *r, **k))
+        invariance.sweep_continuous_spectrum(families.get, n_list, _SWEEP_GRID)
+        assert len(gated) == len(n_list) * len(_SWEEP_GRID) + sum(sizes.values())
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 3), (7, 5, 5), (4, 0, 0)])
+def test_folded_imag_is_the_imag_part_times_the_signs(rng, shape):
+    """Byte for byte, on stacks and one matrix at a time; the input is left as it came."""
+    x = cgauss(rng, *shape)
+    if shape[-1]:  # zero imaginary parts of either sign, and a Hermitian entry pair
+        x.imag[:, :, 0], x.imag[:, 0, :] = 0.0, -0.0
+        x[:, 0, -1] = x[:, -1, 0].conj()
+    signs = rng.choice([-1.0, 1.0], size=(shape[0], 1, 1))
+    before = x.copy()
+    assert matnum._folded_imag(x, signs).tobytes() == (matnum.imag_part(x) * signs).tobytes()
+    for value, sign in zip(x, signs):
+        assert matnum._folded_imag(value, sign).tobytes() == \
+            (matnum.imag_part(value) * sign).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+def test_folded_imag_keeps_the_sign_of_zero():
+    """z diag(1/k) folds to one matrix per height, whose zeros differ in sign with Re z."""
+    grid = _SWEEP_GRID
+    values, signs = runner._SWEEPS["diag-inverse-k"](6).on_grid(grid), herglotz.imag_signs(grid)
+    got = matnum._folded_imag(values, signs)
+    assert got.tobytes() == (matnum.imag_part(values) * signs).tobytes()
+    assert any(np.array_equal(a, b) and a.tobytes() != b.tobytes()
+               for k, a in enumerate(got) for b in got[:k])
+
 
 def test_imag_kernel_decomposes_each_folded_matrix_once(rng, monkeypatch):
     """The 40-point check grid folds onto 20 matrices, each meeting one eigh."""

@@ -207,6 +207,19 @@ def test_inverse_is_numpy_solve_against_the_identity_bit_for_bit(seed, n, count)
         assert matnum.inverse(a).tobytes() == x.tobytes()
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e154, 1.3e154, 1e200, 1e-150, 1e-160, 1e-170,
+                                   1e-300])
+def test_inverse_certificate_norms_are_numpy_frobenius_norms_bit_for_bit(rng, scale):
+    """Near overflow and underflow of the squares too, where _frobenius's scaling differs."""
+    stack = cgauss(rng, 6, 4, 4) * scale
+    stack[1] = 0.0
+    stack[2, 0, 0] = complex(scale, -0.0)
+    with np.errstate(over="ignore"):  # the squares overflow from about 1e154
+        for m in (stack, stack[:1], stack[:, :0, :0]):
+            want = np.linalg.norm(m, axis=(1, 2))
+            assert matnum._frobenius_unscaled(m).tobytes() == want.tobytes()
+
+
 def test_a_zero_by_zero_matrix_is_invertible_and_solves_to_the_empty_solution():
     from nevlab import relations
 
