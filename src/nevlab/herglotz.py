@@ -189,21 +189,32 @@ def evaluate(rep: HerglotzRep, z: complex) -> np.ndarray:
     return evaluate_grid(rep, (z,))[0]
 
 
+EVAL_BLOCK_BYTES = 1 << 18  # values a pass over the atoms updates at a time; cache-sized
+
+
 def evaluate_grid(rep: HerglotzRep, zs: Sequence[complex]) -> np.ndarray:
     """``evaluate`` at every point of zs, as a (G, n, n) stack.
 
-    One pass per atom, vectorised over the grid.  Each coefficient
-    1/(t_j - z) - t_j/(t_j^2+1) is a Python complex scalar: numpy's
-    vectorised complex division rounds differently, and every value must
-    be the one ``evaluate`` gives at its point alone.
+    One pass per atom, vectorised over blocks of at most EVAL_BLOCK_BYTES
+    of values (one point at least) and accumulated in place: the ufuncs of
+    B0 + B1 z + sum_j c_j W_j in its order, so the bits are those of one
+    whole-grid pass, without a grid-sized temporary per atom.  Each
+    coefficient c_j = 1/(t_j - z) - t_j/(t_j^2+1) is a Python complex
+    scalar: numpy's vectorised complex division rounds differently, and
+    every value must be the one ``evaluate`` gives at its point alone.
     """
     zs = [_check_point(rep, z) for z in zs]
     locs = rep.locations
-    coefs = np.array([[1.0 / (t - z) - t / (t * t + 1.0) for z in zs] for t in locs],
+    coefs = np.array([1.0 / (t - z) - t / (t * t + 1.0) for t in locs for z in zs],
                      dtype=np.complex128).reshape(len(locs), len(zs), 1, 1)
-    out = rep.b0 + rep.b1 * np.array(zs, dtype=np.complex128).reshape(-1, 1, 1)
-    for coef, w in zip(coefs, rep.weights):
-        out = out + coef * w
+    out = rep.b1 * np.array(zs, dtype=np.complex128).reshape(-1, 1, 1)
+    np.add(rep.b0, out, out)
+    step = EVAL_BLOCK_BYTES // (16 * rep.dim * rep.dim or 1) or 1
+    blocks = [(out, coefs)] if step >= len(zs) else [
+        (out[lo:lo + step], coefs[:, lo:lo + step]) for lo in range(0, len(zs), step)]
+    for block, block_coefs in blocks:
+        for coef, w in zip(block_coefs, rep.weights):
+            np.add(block, coef * w, block)
     return out
 
 

@@ -470,7 +470,7 @@ def sweep_continuous_spectrum(
             kept = seen.setdefault((folded.diagonal() + 0.0).tobytes(), [])  # -0.0 read as 0.0
             ends = next((e for f, e in kept if np.array_equal(f, folded)), None)
             if ends is None:
-                ends = matnum.herm_part_eig(folded)[[0, -1]].tolist()
+                ends = matnum._lapack("eigvalsh", matnum._herm(folded[None]))[0, [0, -1]].tolist()
                 if folded.nbytes <= room:
                     kept.append((folded, ends))
                     room -= folded.nbytes

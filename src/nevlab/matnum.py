@@ -8,11 +8,13 @@ Four rules decide from values already taken, so one decomposition serves
 every witness of a matrix: ``rank_from``, ``psd_from``, ``rcond_from`` and
 ``invertible_from``; s_j(A^(-1)) is 1 / s_(n+1-j)(A).  Every SVD and
 eigensolve runs in ``_lapack``, which looks numpy's routine up at
-call time, decomposes each distinct matrix of a stack once (equal first
-words, then equal weighted hashes of the words, flag candidates that
-equal bytes confirm; a stack without repeats reaches LAPACK as it is),
-takes one full SVD of a square matrix and its adjoint, and builds numpy
-2's empty results.  Each caller keeps its LAPACK job
+call time, decomposes each distinct matrix of a stack once and one full
+SVD of a square matrix and its adjoint (``_fold``: equal first words,
+then equal bytes, keyed or, for large matrices, compared only where a hash
+that reads A* from A's own words agrees; a stack without repeats reaches
+LAPACK as it is), and builds numpy 2's empty results.  Null and column
+spaces and Hermitian kernels are read per matrix from its distinct
+member's factors.  Each caller keeps its LAPACK job
 (values only or full SVD, ``eigvalsh`` or ``eigh``): the jobs round differently.
 ``inverse`` takes A^(-1) from ``np.linalg.inv``, the values of
 ``np.linalg.solve(A, I)`` bit for bit.  The input gate screens finiteness by
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +147,8 @@ def _lapack(kind: str, m: np.ndarray):
     and reads A's factors from A* = U s Vh as (Vh*, s, U*), so a matrix and
     its adjoint share one decomposition.  Their bytes first differ in
     Im A[0, 0], by its sign bit alone, so A* is the smaller when that bit is set.
+    The results are expanded to every matrix of the stack; callers that read
+    bases fold first (``_fold``) and read each matrix's from its member's.
     """
     count, rows, cols = m.shape
     if 0 in m.shape:  # numpy 2's results, built here: numpy < 2 rejects some empty shapes
@@ -156,39 +161,77 @@ def _lapack(kind: str, m: np.ndarray):
     routine = {"svdvals": lambda a: np.linalg.svd(a, compute_uv=False), "svd": np.linalg.svd,
                "svd_thin": lambda a: np.linalg.svd(a, full_matrices=False),
                "eigvalsh": np.linalg.eigvalsh, "eigh": np.linalg.eigh}[kind]
-    flip = np.signbit(m[:, 0, 0].imag) if kind == "svd" and rows == cols else None
-    flip = flip if flip is not None and flip.any() else None  # where A* is decomposed
-    members = m
-    if flip is not None:  # the decomposed member of each matrix
-        members = m.copy()
-        members[flip] = _adjoint(m[flip])
-    owners = _owners(members) if count > 1 else None
-    if owners is None and flip is None:
-        return routine(m)  # a stack without repeats or adjoints reaches LAPACK as it is
-    picks = np.arange(count) if owners is None else np.flatnonzero(owners == np.arange(count))
-    out = routine(members if owners is None else members[picks])
-    del members
-    if len(picks) < count:
-        slots = np.searchsorted(picks, owners)
+    if count == 1 and kind != "svd":  # one matrix: nothing to fold
+        return routine(m)
+    members, slots, flip = _fold(m, kind == "svd")
+    out = routine(members)  # a stack without repeats or adjoints reaches LAPACK as it is
+    if members is m:
+        return out
+    if len(members) < count:
         out = tuple(r[slots] for r in out) if isinstance(out, tuple) else out[slots]
     if flip is not None:  # A's factors from A* = U s Vh
         out[0][flip], out[2][flip] = _adjoint(out[2][flip]), _adjoint(out[0][flip])
     return out
 
 
-def _owners(m: np.ndarray):
-    """Per matrix, the first index with equal bytes; None if none repeat.
+def _fold(m: np.ndarray, adjoints: bool):
+    """The distinct members of a checked stack, each matrix's index among them, and ``flip``.
 
-    Screens: equal first words, then equal hashes of all words, then equal bytes.
+    A matrix's member is itself or, with ``adjoints``, its adjoint where the
+    sign bit of Im A[0, 0] of a square A is set (``flip``, None if nowhere).
+    A stack without repeats or flips is its own members; an adjoint is formed
+    only for a flipped matrix that is the first of its member.
+    """
+    count, rows, cols = m.shape
+    flip = np.signbit(m[:, 0, 0].imag) if adjoints and rows == cols > 0 else None
+    flip = flip if flip is not None and flip.any() else None
+    owners = _owners(m, flip) if count > 1 and rows * cols else None
+    if owners is None and flip is None:
+        return m, range(count), None
+    picks = np.arange(count) if owners is None else np.flatnonzero(owners == np.arange(count))
+    members = m[picks]
+    if flip is not None and (turned := flip[picks]).any():
+        members[turned] = _adjoint(members[turned])
+    return members, (picks if owners is None else np.searchsorted(picks, owners)), flip
+
+
+OWNER_KEY_BYTES = 1 << 12  # matrices up to this size are told apart by their bytes as dict keys
+
+
+def _owners(m: np.ndarray, flip: np.ndarray | None):
+    """Per matrix, the first index whose member has equal bytes; None if none repeat.
+
+    Screens: equal first words (A and A* share theirs), then equal bytes: as
+    dict keys up to OWNER_KEY_BYTES a matrix, else compared with the members
+    first met under one hash.  The hash weighs word i by 2i + 1 mod 2**64;
+    with flips, the words of entries (p, q) and (q, p) take one weight, so A*
+    hashes as A plus 2**63 per imaginary word and no adjoint is formed to hash.
     """
     count = len(m)
     words = np.ascontiguousarray(m).reshape(count, -1).view(np.uint64)
-    if len(set(words[:, 0].tolist())) == count or len(set((words @ np.arange(
-            1, 2 * words.shape[1], 2, dtype=np.uint64)).tolist())) == count:
+    if len(set(words[:, 0].tolist())) == count:
         return None
-    keys = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
-    first = dict(zip(reversed(keys), range(count - 1, -1, -1)))  # bytes -> first index
-    return np.fromiter(map(first.get, keys), int, count) if len(first) < count else None
+    if words[0].nbytes <= OWNER_KEY_BYTES:
+        if flip is not None:
+            words = m.copy()
+            words[flip] = _adjoint(m[flip])
+            words = words.reshape(count, -1).view(np.uint64)
+        keys = words.view(np.dtype((np.void, words[0].nbytes))).ravel().tolist()
+        first = dict(zip(reversed(keys), range(count - 1, -1, -1)))  # bytes -> first index
+        return np.fromiter(map(first.get, keys), int, count) if len(first) < count else None
+    weights = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64).reshape(m.shape[1:] + (2,))
+    flips = [False] * count if flip is None else flip.tolist()
+    hashes = words @ (weights if flip is None else np.minimum(weights, weights.swapaxes(0, 1))).ravel()
+    hashes[flips] += np.uint64(m.shape[1] % 2 << 63)
+    owners, heads = list(range(count)), {}  # hash -> the first index of each member under it
+    for j, key in enumerate(hashes.tolist()):
+        for i in heads.setdefault(key, []):
+            if (m[i] if flips[i] == flips[j] else _adjoint(m[i])).tobytes() == m[j].tobytes():
+                owners[j] = i
+                break
+        else:
+            heads[key].append(j)
+    return np.array(owners) if owners != list(range(count)) else None
 
 
 # _norms, _herm and _residuals take a (G, m, n) stack that passed _checked
@@ -198,8 +241,20 @@ def _norms(m: np.ndarray) -> np.ndarray:
     return _lapack("svdvals", m).max(axis=1, initial=0.0)
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + _adjoint(m)) / 2.0
+def _herm(m: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
+    """(M + M*)/2, or M/2 + M*/2 where the sum overflows (adj: M* if at hand).
+
+    Only parts above 2**1023 overflow it, and ``_checked``'s screen rules them
+    out without a warning; halving first would round subnormal entries.
+    """
+    adj = _adjoint(m) if adj is None else adj
+    if m.flags.c_contiguous and cmath.isfinite(np.vdot(m, m)):
+        out = m + adj
+        out /= 2.0
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (m + adj) / 2.0
+    return np.where(np.isfinite(out), out, m / 2.0 + adj / 2.0)
 
 
 def _residuals(m: np.ndarray) -> np.ndarray:
@@ -311,7 +366,7 @@ def _hermitian(m: np.ndarray, tol: TolerancePolicy, error: Exception | None = No
         if exact.any() and (_residuals(m[exact]) > tol.eps_eq).any():
             raise error or HermitianityError(
                 f"matrix is not Hermitian within eps_eq={tol.eps_eq!r}")
-    return (m + adj) / 2.0
+    return _herm(m, adj)
 
 
 def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL):
@@ -364,9 +419,15 @@ def hermitian_kernels(h, tol: TolerancePolicy = DEFAULT_TOL):
 
 
 def _hermitian_kernels(m: np.ndarray, tol: TolerancePolicy):
-    """``hermitian_kernels`` of a checked square stack, with max |lambda| of each matrix."""
-    lams, vecs = _lapack("eigh", _hermitian(m, tol))
-    bases = [v[:, ~kept] for v, kept in zip(vecs, _kept(lams, tol))]  # the uncounted columns
+    """``hermitian_kernels`` of a checked square stack, with max |lambda| of each matrix.
+
+    Each distinct matrix meets the gate and ``eigh`` once (``_fold``).
+    """
+    members, slots, _ = _fold(m, False)
+    lams, vecs = _lapack("eigh", _hermitian(members, tol))
+    dropped = ~_kept(lams, tol)  # the uncounted columns
+    bases = [vecs[i][:, dropped[i]] for i in slots]
+    lams = lams[slots]
     return bases, psd_from(lams, tol)[1], np.abs(lams).max(axis=1, initial=0.0)
 
 
@@ -418,11 +479,19 @@ def null_space(a, tol: TolerancePolicy = DEFAULT_TOL):
     return bases[0] if one else bases
 
 
-def _spaces(m: np.ndarray, tol: TolerancePolicy) -> tuple[list, list, np.ndarray]:
-    """Column- and null-space bases of each matrix of a checked stack, and the SVD's values."""
-    u, s, vh = _lapack("svd", m)
+def _spaces(m: np.ndarray, tol: TolerancePolicy) -> tuple[Iterator, list, np.ndarray]:
+    """Column- and null-space bases of each matrix of a checked stack, and the SVD's values.
+
+    One full SVD per distinct member (``_fold``); each basis is read from its
+    member's factors in the layout of ``_lapack``'s.  The column spaces come
+    as an iterator, since a flipped matrix's is read from an adjoint.
+    """
+    members, slots, flip = _fold(m, True)
+    u, s, vh = _lapack("svd", members)
     ranks = rank_from(s, tol)
-    return [x[:, :k] for x, k in zip(u, ranks)], [_adjoint(v[k:]) for v, k in zip(vh, ranks)], s
+    own = [(i, ranks[i], flip is not None and flip[j]) for j, i in enumerate(slots)]
+    ranges = (np.ascontiguousarray(_adjoint(vh[i]))[:, :k] if f else u[i][:, :k] for i, k, f in own)
+    return ranges, [u[i][:, k:].T.copy().T if f else _adjoint(vh[i][k:]) for i, k, f in own], s[slots]
 
 
 def range_space(a, tol: TolerancePolicy = DEFAULT_TOL):

@@ -18,7 +18,7 @@ from conftest import (
     rep_with_common_kernel,
     rep_with_pinned_eigenvalue,
 )
-from nevlab import analysis, herglotz, matnum
+from nevlab import analysis, herglotz, invariance, matnum
 from nevlab.herglotz import FamilyEvaluator, HerglotzRep
 from nevlab.matnum import TolerancePolicy
 
@@ -61,6 +61,27 @@ class TestEvaluate:
             b = herglotz.evaluate(rep, z).conj().T
             scale = matnum.spectral_norm(b)
             assert matnum.spectral_norm(a - b) <= 4 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("block_bytes", [herglotz.EVAL_BLOCK_BYTES, 16, 1000])
+    @pytest.mark.parametrize("dim, atoms", [(64, 8), (4, 3), (1, 2)])
+    def test_blocked_grid_is_each_point_alone_bit_for_bit(self, rng, monkeypatch, block_bytes,
+                                                          dim, atoms):
+        """On the 40-point check grid, whose blocks split its conjugate pairs: each value is
+        the whole-grid sum of B0 + B1 z and the atoms at its point alone, and F(conj z) = F(z)*."""
+        monkeypatch.setattr(herglotz, "EVAL_BLOCK_BYTES", block_bytes)
+        locs = np.sort(rng.uniform(-5.0, 5.0, atoms))
+        rep = HerglotzRep.create(random_hermitian(rng, dim), random_psd(rng, dim, 0.5),
+                                 [(float(t), random_psd(rng, dim, 0.7)) for t in locs])
+        grid = invariance.default_check_grid()
+        values = herglotz.evaluate_grid(rep, grid)
+        assert values.shape == (len(grid), dim, dim)
+        for z, value in zip(grid, values):
+            at = np.full((1, 1, 1), z)
+            alone = rep.b0 + rep.b1 * at
+            for t, w in zip(rep.locations, rep.weights):
+                alone = alone + np.full((1, 1, 1), 1.0 / (t - z) - t / (t * t + 1.0)) * w
+            assert value.tobytes() == alone[0].tobytes() == herglotz.evaluate(rep, z).tobytes()
+            assert values[grid.index(z.conjugate())].tobytes() == value.conj().T.tobytes()
 
     def test_half_plane_positivity(self, rng):
         rep = random_rep(rng)

@@ -4,11 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cgauss
-from nevlab import matnum
+from nevlab import herglotz, matnum
 from nevlab.matnum import TolerancePolicy
 
 
@@ -37,6 +37,34 @@ def test_imag_part_rejects_nonsquare():
 def test_is_psd_identity():
     ok, lam = matnum.is_psd(np.eye(3))
     assert ok and lam == pytest.approx(1.0)
+
+
+def test_hermitian_parts_of_finite_entries_near_the_largest_float_are_finite():
+    """M + M* overflows above 2**1023; such entries take M/2 + M*/2, the others keep (M + M*)/2."""
+    big = np.array([[1e308, 1e308 + 1e308j], [1e308, -1e308 + 1e-300j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matnum.is_psd([[1e308]]) == (True, 1e308)
+        assert matnum.as_hermitian([[1e308]]).tobytes() == np.array([[1e308 + 0j]]).tobytes()
+        part = matnum.herm_part(big)
+        assert np.isfinite(part).all()
+        assert part[0, 0] == 1e308 and part[1, 1] == -1e308
+        assert part[0, 1] == big[0, 1] / 2.0 + big[1, 0].conjugate() / 2.0 == 1e308 + 5e307j
+        assert np.isfinite(matnum.herm_part_eig(big)).all()
+        assert herglotz.HerglotzRep.create([[1e308]], [[1.0]]).b0[0, 0] == 1e308
+        assert herglotz.classify(herglotz.HerglotzRep.create([[1e308]], [[1.0]])).label == "R^u"
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-310, 1.0])
+def test_hermitian_parts_keep_every_bit_where_the_sum_is_finite(rng, scale):
+    """Subnormal entries round when halved alone, so the part stays (M + M*)/2 byte for byte."""
+    m = np.round(cgauss(rng, 3, 4, 4) * 7) * scale
+    m[:, 0, 1] = complex(-0.0, 0.0)
+    want = (m + m.conj().swapaxes(1, 2)) / 2.0
+    assert matnum.herm_part(m).tobytes() == want.tobytes()
+    assert matnum.as_hermitian(want).tobytes() == ((want + want.conj().swapaxes(1, 2)) / 2.0).tobytes()
+    if scale == 5e-324:  # halving first would lose the odd multiples of the least subnormal
+        assert (m / 2.0 + m.conj().swapaxes(1, 2) / 2.0).tobytes() != want.tobytes()
 
 
 def test_is_psd_boundary():
@@ -753,6 +781,110 @@ def test_lapack_confirms_each_hash_hit_by_bytes(rng, monkeypatch):
     assert [len(x) for x in seen] == [3]
     assert [s.tobytes() for s in got] == \
         [np.linalg.svd(x, compute_uv=False).tobytes() for x in stack]
+
+
+def _fold_pool(rng, rows: int, cols: int, hermitian: bool) -> list:
+    """Matrices whose members repeat, pair as adjoints or differ in the top bits of words alone.
+
+    0 has a zero entry, 1 is 0 with that zero's signs flipped, 2 is 3 with one
+    entry negated (its words differ in their sign bits), 3 and 4 are generic.
+    Square pools add 5, the adjoint of 0, and 6, a lone matrix whose Im A[0, 0]
+    is negative, so a full SVD decomposes its adjoint; a Hermitian pool has
+    Hermitian matrices and 5 = -3 in place of those.
+    """
+    a, b, c, d = cgauss(rng, 4, rows, cols)
+    if hermitian:
+        a, b, c, d = (x + x.conj().T for x in (a, b, c, d))
+    a[0, -1] = a[-1, 0] = 0.0
+    signed, top = a.copy(), b.copy()
+    signed[0, -1] = signed[-1, 0] = complex(-0.0, -0.0)
+    top[-1, -1] *= -1.0
+    pool = [a, signed, top, b, c]
+    if hermitian:
+        return pool + [-b]
+    if rows == cols:
+        d[0, 0] = complex(d[0, 0].real, -abs(d[0, 0].imag) - 0.5)
+        pool += [a.conj().T, d]
+    return pool
+
+
+def _counted(patch, name: str) -> list:
+    """The number of matrices each call of np.linalg.name takes."""
+    routine, sizes = getattr(np.linalg, name), []
+    patch.setattr(np.linalg, name, lambda a, *r, **k: sizes.append(len(a)) or routine(a, *r, **k))
+    return sizes
+
+
+def _layout(x: np.ndarray) -> tuple:
+    return x.shape, x.strides, x.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), wide=st.booleans(),
+       keyed=st.booleans(), picks=st.lists(st.integers(0, 6), min_size=1, max_size=8))
+@example(seed=1, n=3, wide=False, keyed=False, picks=[0, 5, 1, 2, 3, 6, 0, 4, 5])
+@example(seed=1, n=3, wide=False, keyed=True, picks=[0, 5, 1, 2, 3, 6, 0, 4, 5])
+def test_folded_spaces_are_each_matrix_own_numpy_bits(seed, n, wide, keyed, picks):
+    """null_space, range_space and _spaces give each matrix the bytes, shapes and strides
+    of its own numpy SVD, and LAPACK takes each distinct member once.
+
+    The reference decomposes one matrix (its adjoint where ``_smaller`` says) and
+    reads the factors back as ``_lapack`` lays them out; without ``keyed`` every
+    stack meets the hash-and-compare screen of large matrices.
+    """
+    rng = np.random.default_rng(seed)
+    pool = _fold_pool(rng, n, n + wide, hermitian=False)
+    stack = np.array([pool[k % len(pool)] for k in picks])
+    tol = matnum.DEFAULT_TOL
+    with pytest.MonkeyPatch.context() as patch:
+        if not keyed:
+            patch.setattr(matnum, "OWNER_KEY_BYTES", 0)
+        sizes = _counted(patch, "svd")
+        ranges, nulls, s = matnum._spaces(stack, tol)
+        ranges = list(ranges)
+        full = list(sizes)
+        thin = matnum.range_space(stack, tol)
+        assert matnum.null_space(stack, tol)[0].tobytes() == nulls[0].tobytes()
+    assert full == [len({_smaller("svd", a).tobytes() for a in stack})]
+    assert sizes[1:2] == [len({a.tobytes() for a in stack})]
+    for j, a in enumerate(stack):
+        b = _smaller("svd", a)
+        u, s1, vh = np.linalg.svd(b[None])
+        if b is not a:  # A's factors from A* = U s Vh, each a C-ordered matrix
+            u, vh = (np.ascontiguousarray(x.conj().swapaxes(1, 2)) for x in (vh, u))
+        k = matnum.rank_from(s1[0], tol)
+        assert _layout(s[j]) == _layout(s1[0])
+        assert _layout(ranges[j]) == _layout(u[0][:, :k])
+        assert _layout(nulls[j]) == _layout(vh[0][k:].conj().T)
+        u_thin, s_thin, _ = np.linalg.svd(a[None], full_matrices=False)
+        assert _layout(thin[j]) == _layout(u_thin[0][:, :matnum.rank_from(s_thin[0], tol)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), keyed=st.booleans(),
+       picks=st.lists(st.integers(0, 5), min_size=1, max_size=8))
+@example(seed=2, n=3, keyed=False, picks=[0, 1, 2, 3, 4, 5, 0, 3])
+def test_folded_eigenbases_are_each_matrix_own_numpy_bits(seed, n, keyed, picks):
+    """eig_hermitian and hermitian_kernels give each matrix the bytes, shapes and strides of
+    the eigh of its own Hermitian part, and LAPACK takes each distinct one once."""
+    rng = np.random.default_rng(seed)
+    pool = _fold_pool(rng, n, n, hermitian=True)
+    stack = np.array([pool[k] for k in picks])
+    tol = matnum.DEFAULT_TOL
+    with pytest.MonkeyPatch.context() as patch:
+        if not keyed:
+            patch.setattr(matnum, "OWNER_KEY_BYTES", 0)
+        sizes = _counted(patch, "eigh")
+        w, v = matnum.eig_hermitian(stack, tol)
+        bases, lam_mins = matnum.hermitian_kernels(stack, tol)
+    parts = [(a + a.conj().T) / 2.0 for a in stack]
+    assert sizes == [len({h.tobytes() for h in parts})] * 2
+    for j, h in enumerate(parts):
+        w1, v1 = np.linalg.eigh(h[None])
+        assert _layout(w[j]) == _layout(w1[0]) and _layout(v[j]) == _layout(v1[0])
+        dropped = np.abs(w1[0]) <= tol.eps_rank * np.abs(w1[0]).max()
+        assert _layout(bases[j]) == _layout(v1[0][:, dropped])
+        assert lam_mins[j] == w1[0, 0]
 
 
 @pytest.mark.parametrize("kind, shape", [
